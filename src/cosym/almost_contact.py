@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.optimize import least_squares
 
-from .charts import Chart, ChartPoint, ScalarField, coerce_values, fd_step
+from .charts import Chart, ChartPoint, ScalarField, central_difference, coerce_values
 from .forms import KForm, exterior_derivative
 from .manifolds import CHART_XJT, ModelParameters, metric_matrix
 
@@ -231,7 +231,10 @@ def solve_phi(
                 ok = True
                 iterations = it
                 break
-            jac = _fd_jacobian(lambda v: _newton_residual(free, v, zeta), u)
+            jac = np.column_stack([
+                central_difference(lambda v: _newton_residual(free, v, zeta), u, j)
+                for j in range(2)
+            ])
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
             lam = 1.0
             for _ in range(30):
@@ -258,18 +261,6 @@ def solve_phi(
     raise PhiSolveError(
         "no Newton start converged to a valid branch", best_residual
     )
-
-
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
-    out = np.empty((2, 2))
-    for j in range(2):
-        h = fd_step(u[j])
-        up = u.copy()
-        dn = u.copy()
-        up[j] += h
-        dn[j] -= h
-        out[:, j] = (fn(up) - fn(dn)) / (2.0 * h)
-    return out
 
 
 def _finish(free, unknowns, params, point, iterations) -> AcmsSolution:
@@ -377,14 +368,8 @@ def nijenhuis_n1(
     xi_vec = xi(values) if callable(xi) else np.asarray(xi, dtype=float)
 
     phi0 = phi_fn(values)
-    dphi = np.empty((dim, dim, dim))  # dphi[m] = d(Phi)/d(coord m)
-    for m in range(dim):
-        h = fd_step(values[m])
-        up = values.copy()
-        dn = values.copy()
-        up[m] += h
-        dn[m] -= h
-        dphi[m] = (np.asarray(phi_fn(up)) - np.asarray(phi_fn(dn))) / (2.0 * h)
+    # dphi[m] = d(Phi)/d(coord m)
+    dphi = np.array([central_difference(phi_fn, values, m) for m in range(dim)])
 
     d_eta = exterior_derivative(eta).at(values, check_domain=False).as_matrix()
 

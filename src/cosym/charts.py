@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expressions import Expr, EvalError, parse
+from .expressions import Expr, EvalError, Name, Num, parse
 
 FD_STEP_EXPONENT = 1.0 / 3.0
 _EPS_CBRT = float(np.finfo(float).eps) ** FD_STEP_EXPONENT
@@ -26,6 +26,19 @@ _EPS_CBRT = float(np.finfo(float).eps) ** FD_STEP_EXPONENT
 def fd_step(x: float) -> float:
     """Central-difference step: max(1, |x|) * machine-eps**(1/3)."""
     return max(1.0, abs(x)) * _EPS_CBRT
+
+
+def central_difference(fn: Callable, x, j: int):
+    """(fn(x + h e_j) - fn(x - h e_j)) / 2h with h = fd_step(x_j).
+
+    ``fn`` may be scalar- or array-valued; the result has its shape.
+    """
+    h = fd_step(x[j])
+    up = np.array(x, dtype=float)
+    dn = np.array(x, dtype=float)
+    up[j] += h
+    dn[j] -= h
+    return (np.asarray(fn(up)) - np.asarray(fn(dn))) / (2.0 * h)
 
 
 class DomainError(ValueError):
@@ -238,8 +251,6 @@ class ScalarField:
 
     @classmethod
     def constant(cls, chart: Chart, value: float) -> "ScalarField":
-        from .expressions import Num
-
         return cls(chart, expr=Num(float(value)))
 
     @property
@@ -271,16 +282,10 @@ class ScalarField:
             return ScalarField(
                 self.chart, expr=self.expr.diff(coordinate), params=self.params
             )
-
-        def fd(values, _i=i, _f=self._eval):
-            h = fd_step(values[_i])
-            up = np.array(values, dtype=float)
-            dn = np.array(values, dtype=float)
-            up[_i] += h
-            dn[_i] -= h
-            return (_f(up) - _f(dn)) / (2.0 * h)
-
-        return ScalarField(self.chart, fn=fd, params=self.params)
+        f = self._eval
+        return ScalarField(
+            self.chart, fn=lambda v: central_difference(f, v, i), params=self.params
+        )
 
     def gradient(self, at, check_domain: bool = True) -> np.ndarray:
         values = coerce_values(self.chart, at)
@@ -292,15 +297,8 @@ class ScalarField:
             return np.array(
                 [self.expr.diff(c).eval(env) for c in self.chart.coordinates]
             )
-        out = np.empty(self.chart.dimension)
-        for i in range(self.chart.dimension):
-            h = fd_step(values[i])
-            up = np.array(values, dtype=float)
-            dn = np.array(values, dtype=float)
-            up[i] += h
-            dn[i] -= h
-            out[i] = (self._eval(up) - self._eval(dn)) / (2.0 * h)
-        return out
+        dim = self.chart.dimension
+        return np.array([central_difference(self._eval, values, i) for i in range(dim)])
 
     # -- algebra (symbolic when both operands are) ---------------------------
 
@@ -355,13 +353,25 @@ class ScalarField:
         return ScalarField(self.chart, fn=lambda v: -f(v), params=self.params)
 
     def is_zero(self) -> bool:
-        from .expressions import Num
-
         return isinstance(self.expr, Num) and self.expr.value == 0.0
 
     def __repr__(self):
         body = self.source or (str(self.expr) if self.expr is not None else "<fn>")
         return "ScalarField(%s on %s)" % (body, self.chart.name)
+
+
+def random_polynomial(
+    chart: Chart, rng, max_degree: int = 2, terms: int = 4
+) -> ScalarField:
+    """Random multivariate polynomial field with coefficients in [-1, 1]."""
+    expr = Num(float(rng.uniform(-1, 1)))
+    for _ in range(terms):
+        term = Num(float(rng.uniform(-1, 1)))
+        for name in chart.coordinates:
+            for _ in range(int(rng.integers(0, max_degree + 1))):
+                term = term * Name(name)
+        expr = expr + term
+    return ScalarField.from_expr(chart, expr)
 
 
 @dataclass(frozen=True)
@@ -396,8 +406,6 @@ class ChartMap:
 
     @staticmethod
     def identity(chart: Chart) -> "ChartMap":
-        from .expressions import Name
-
         comps = tuple(
             ScalarField(chart, expr=Name(c)) for c in chart.coordinates
         )

@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import almost_contact, dynamics, jacobi_flows, manifolds, structures
-from .charts import DomainError
+from .charts import DomainError, ScalarField, random_polynomial
 from .expressions import EvalError, ParseError
-from .charts import ScalarField
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -205,18 +204,16 @@ def cmd_bracket(args) -> int:
     return EXIT_OK
 
 
-def _integrate_once(spec, H, x0_values, args, config):
-    x0 = spec.chart.point(x0_values)
-    return dynamics.integrate(
-        spec,
-        H,
-        x0,
-        t_end=float(_pick(args, config, "t-end", 1.0)),
-        dt=float(_pick(args, config, "dt", 1e-3)),
-        method=_pick(args, config, "method", "adaptive-rk45"),
-        rtol=float(_pick(args, config, "rtol", 1e-9)),
-        atol=float(_pick(args, config, "atol", 1e-9)),
-    )
+def _solver_settings(args, config) -> dict:
+    """Keyword arguments of ``dynamics.integrate`` for the single run and the
+    sweep alike: flags, then config, then defaults."""
+    return {
+        "t_end": float(_pick(args, config, "t-end", 1.0)),
+        "dt": float(_pick(args, config, "dt", 1e-3)),
+        "method": _pick(args, config, "method", "adaptive-rk45"),
+        "rtol": float(_pick(args, config, "rtol", 1e-9)),
+        "atol": float(_pick(args, config, "atol", 1e-9)),
+    }
 
 
 def _trajectory_summary(spec, traj) -> dict:
@@ -237,24 +234,24 @@ def cmd_integrate(args) -> int:
     config = _load_config(args)
     params = _parse_params(args.param)
     spec = _resolve_structure(args, config, params)
-    H = _hamiltonian(spec, _pick(args, config, "hamiltonian"))
-    x0_text = _pick(args, config, "x0")
-    x0_values = x0_text if isinstance(x0_text, list) else _parse_values(x0_text)
+    hamiltonian = _pick(args, config, "hamiltonian")
+    H = _hamiltonian(spec, hamiltonian)
+    solver = _solver_settings(args, config)
 
     if args.sweep:
         points = json.loads(Path(args.sweep).read_text())
-        outputs = []
         with ProcessPoolExecutor() as pool:
             futures = [
-                pool.submit(_sweep_worker, spec.to_json(), args.hamiltonian, pt, vars(args))
+                pool.submit(_sweep_worker, spec.to_json(), hamiltonian, pt, solver)
                 for pt in points
             ]
-            for i, fut in enumerate(futures):
-                outputs.append(fut.result())
+            outputs = [fut.result() for fut in futures]
         _print_json({"sweep": outputs})
-        return EXIT_OK
+        return EXIT_NUMERICAL if any(o["escaped"] for o in outputs) else EXIT_OK
 
-    traj = _integrate_once(spec, H, x0_values, args, config)
+    x0_text = _pick(args, config, "x0")
+    x0_values = x0_text if isinstance(x0_text, list) else _parse_values(x0_text)
+    traj = dynamics.integrate(spec, H, spec.chart.point(x0_values), **solver)
     csv_path = _pick(args, config, "csv")
     json_path = _pick(args, config, "json-out")
     if csv_path:
@@ -264,24 +261,17 @@ def cmd_integrate(args) -> int:
             json_path,
             structure=spec.name,
             parameters=spec.params,
-            hamiltonian=_pick(args, config, "hamiltonian"),
+            hamiltonian=hamiltonian,
         )
     _print_json(_trajectory_summary(spec, traj))
     return EXIT_NUMERICAL if traj.escaped else EXIT_OK
 
 
-def _sweep_worker(spec_json, hamiltonian, x0, argdict):
+def _sweep_worker(spec_json, hamiltonian, x0, solver):
     spec = structures.StructureSpec.from_json(spec_json)
-    H = ScalarField.parse(spec.chart, hamiltonian, spec.params)
+    H = _hamiltonian(spec, hamiltonian)
     x0 = spec.chart.point(x0)
-    traj = dynamics.integrate(
-        spec,
-        H,
-        x0,
-        t_end=float(argdict.get("t_end") or 1.0),
-        dt=float(argdict.get("dt") or 1e-3),
-        method=argdict.get("method") or "adaptive-rk45",
-    )
+    traj = dynamics.integrate(spec, H, x0, **solver)
     return {
         "x0": list(x0.values),
         "final": traj.states[-1].tolist(),
@@ -318,8 +308,9 @@ def cmd_compare(args) -> int:
     trajectories = {}
     for variant in variants:
         if variant == "base_xj1":
-            times, states = _integrate_base(coeffs, x0[:4], t_end, dt, params)
-            trajectories[variant] = (times, states)
+            trajectories[variant] = jacobi_flows.integrate_base(
+                coeffs, x0[:4], t_end, dt, params
+            )
         else:
             traj = jacobi_flows.integrate_variant(
                 coeffs, variant, manifolds.CHART_XJT.point(x0), t_end, dt, params
@@ -364,23 +355,6 @@ def cmd_compare(args) -> int:
         _write_compare_csv(args.csv, trajectories)
     _print_json(report)
     return EXIT_OK
-
-
-def _integrate_base(coeffs, x0, t_end, dt, params):
-    from scipy.integrate import solve_ivp
-
-    n_steps = int(round(t_end / dt))
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    sol = solve_ivp(
-        lambda t, s: jacobi_flows.base_field(coeffs, s, params),
-        (0.0, float(times[-1])),
-        x0,
-        method="RK45",
-        t_eval=times,
-        rtol=1e-9,
-        atol=1e-9,
-    )
-    return times[: sol.y.shape[1]], sol.y.T
 
 
 def _write_compare_csv(path, trajectories) -> None:
@@ -505,7 +479,7 @@ def cmd_invariant_suite(args) -> int:
             c=float(rng.uniform(0.5, 3.0)),
         )
         st = theta_spec.structure()
-        H = _random_polynomial(st.chart, rng)
+        H = random_polynomial(st.chart, rng)
         point = st.chart.point(rng.uniform(-1.5, 1.5, 2 * n + 1))
         closed = dynamics.hamiltonian_field_closed(theta_spec, H, point).vector()
         generic = dynamics.hamiltonian_field_generic(st, H, point)
@@ -515,7 +489,7 @@ def cmd_invariant_suite(args) -> int:
 
     worst = 0.0
     for pt in spec.default_probes(count=30, seed=seed):
-        H = _random_polynomial(spec.chart, rng)
+        H = random_polynomial(spec.chart, rng)
         X = dynamics.hamiltonian_field_generic(spec, H, pt)
         dH = H.gradient(pt.array, check_domain=False)
         R = structures.reeb(spec, pt)
@@ -564,20 +538,6 @@ def cmd_invariant_suite(args) -> int:
         print("%-48s %s  (%.3e)" % (name, "PASS" if ok else "FAIL", value))
     print("invariant-suite: %s (seed %d)" % ("PASS" if all_ok else "FAIL", seed))
     return EXIT_OK if all_ok else EXIT_NUMERICAL
-
-
-def _random_polynomial(chart, rng, max_degree: int = 2, terms: int = 4) -> ScalarField:
-    from .expressions import Num, Name
-
-    expr = Num(float(rng.uniform(-1, 1)))
-    for _ in range(terms):
-        term = Num(float(rng.uniform(-1, 1)))
-        for name in chart.coordinates:
-            deg = int(rng.integers(0, max_degree + 1))
-            for _ in range(deg):
-                term = term * Name(name)
-        expr = expr + term
-    return ScalarField.from_expr(chart, expr)
 
 
 # --------------------------------------------------------------------------

@@ -367,43 +367,41 @@ def _guard_events(chart: Chart):
     return events
 
 
-def integrate(
-    spec: StructureSpec,
-    H: ScalarField,
-    x0: ChartPoint,
+def _step(
+    rhs: Callable[[np.ndarray], np.ndarray],
+    chart: Chart,
+    x0,
     t_end: float,
     dt: float,
-    method: str = "adaptive-rk45",
-    rtol: float = 1e-9,
-    atol: float = 1e-9,
-    rhs: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> Trajectory:
-    """Flow x' = X_H(x) sampled on a uniform dt grid.
+    method: str,
+    rtol: float,
+    atol: float,
+) -> tuple[np.ndarray, np.ndarray, bool, str]:
+    """Flow x' = rhs(x) from x0, sampled on the uniform dt grid up to t_end.
 
-    Recorded states are guard-checked; a mid-flow domain escape truncates the
-    trajectory and sets ``escaped`` with a diagnostic instead of raising.
+    Returns (times, states, escaped, diagnostic).  Stored states are
+    guard-checked; a domain escape truncates the samples at the last
+    in-domain row and sets ``escaped`` with a diagnostic instead of raising.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
-    chart = spec.chart
-    if rhs is None:
-        def rhs(values):
-            return hamiltonian_field_generic(spec, H, values, check_domain=False)
+    if method not in ("rk4", "adaptive-rk45"):
+        raise ValueError("unknown method %r (use rk4 or adaptive-rk45)" % method)
+    x0 = chart.point(x0).array
 
     n_steps = int(round(t_end / dt))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    if t_end == 0.0:
-        times = np.array([0.0])
+    if n_steps == 0:
+        return times, x0[None, :], False, ""
 
-    states = [x0.array]
     escaped = False
     diagnostic = ""
-
     if method == "rk4":
-        y = x0.array.copy()
-        for i in range(len(times) - 1):
+        states = [x0]
+        y = x0.copy()
+        for i in range(n_steps):
             h = times[i + 1] - times[i]
             k1 = rhs(y)
             k2 = rhs(y + 0.5 * h * k1)
@@ -415,44 +413,57 @@ def integrate(
                 diagnostic = "domain escape at t=%g" % times[i + 1]
                 break
             states.append(y.copy())
-        states = np.array(states)
-        times = times[: len(states)]
-    elif method == "adaptive-rk45":
-        if len(times) > 1:
-            sol = solve_ivp(
-                lambda t, y: rhs(y),
-                (0.0, float(times[-1])),
-                x0.array,
-                method="RK45",
-                t_eval=times,
-                rtol=rtol,
-                atol=atol,
-                events=_guard_events(chart),
-            )
-            if sol.status == 1:
-                escaped = True
-                hits = [te[0] for te in sol.t_events if len(te)]
-                diagnostic = (
-                    "domain escape near t=%g" % min(hits) if hits else "terminated early"
-                )
-            elif sol.status != 0:
-                escaped = True
-                diagnostic = sol.message
-            kept = []
-            for row in sol.y.T:
-                if chart.contains(row):
-                    kept.append(row)
-                else:
-                    escaped = True
-                    diagnostic = diagnostic or "domain escape on recorded state"
-                    break
-            states = np.array(kept) if kept else np.array([x0.array])
-            times = times[: len(states)]
-        else:
-            states = np.array([x0.array])
     else:
-        raise ValueError("unknown method %r (use rk4 or adaptive-rk45)" % method)
+        sol = solve_ivp(
+            lambda t, y: rhs(y),
+            (0.0, float(times[-1])),
+            x0,
+            method="RK45",
+            t_eval=times,
+            rtol=rtol,
+            atol=atol,
+            events=_guard_events(chart),
+        )
+        if sol.status == 1:
+            escaped = True
+            hits = [te[0] for te in sol.t_events if len(te)]
+            diagnostic = (
+                "domain escape near t=%g" % min(hits) if hits else "terminated early"
+            )
+        elif sol.status != 0:
+            escaped = True
+            diagnostic = sol.message
+        states = []
+        for row in sol.y.T:
+            if not chart.contains(row):
+                escaped = True
+                diagnostic = diagnostic or "domain escape on recorded state"
+                break
+            states.append(row)
+        states = states or [x0]
+    states = np.array(states)
+    return times[: len(states)], states, escaped, diagnostic
 
+
+def integrate(
+    spec: StructureSpec,
+    H: ScalarField,
+    x0: ChartPoint,
+    t_end: float,
+    dt: float,
+    method: str = "adaptive-rk45",
+    rtol: float = 1e-9,
+    atol: float = 1e-9,
+) -> Trajectory:
+    """Flow x' = X_H(x) sampled on a uniform dt grid.
+
+    Recorded states are guard-checked; a mid-flow domain escape truncates the
+    trajectory and sets ``escaped`` with a diagnostic instead of raising.
+    """
+    times, states, escaped, diagnostic = _step(
+        lambda values: hamiltonian_field_generic(spec, H, values, check_domain=False),
+        spec.chart, x0.array, t_end, dt, method, rtol, atol,
+    )
     h_values = np.array([H.value(row, check_domain=False) for row in states])
     rh_values = np.empty(len(states))
     for i, row in enumerate(states):
@@ -461,9 +472,9 @@ def integrate(
 
     residuals = _dissipation_residuals(times, h_values, rh_values)
     return Trajectory(
-        chart=chart,
+        chart=spec.chart,
         times=times,
-        states=np.asarray(states),
+        states=states,
         hamiltonian_values=h_values,
         dissipation_residuals=residuals,
         escaped=escaped,

@@ -25,14 +25,13 @@ from .charts import (
 )
 
 
-def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    """Sign of the permutation sorting the concatenation of two increasing,
-    disjoint index tuples."""
-    merged = left + right
+def permutation_sign(idx: tuple[int, ...]) -> int:
+    """Sign of the permutation sorting a tuple of distinct indices; the
+    wedge sign of two index tuples is that of their concatenation."""
     inversions = 0
-    for i in range(len(merged)):
-        for j in range(i + 1, len(merged)):
-            if merged[i] > merged[j]:
+    for i in range(len(idx)):
+        for j in range(i + 1, len(idx)):
+            if idx[i] > idx[j]:
                 inversions += 1
     return -1 if inversions % 2 else 1
 
@@ -61,14 +60,7 @@ class FormValue:
         sorted_idx = tuple(sorted(idx))
         if len(set(sorted_idx)) != len(sorted_idx):
             return 0.0
-        inversions = sum(
-            1
-            for i in range(len(idx))
-            for j in range(i + 1, len(idx))
-            if idx[i] > idx[j]
-        )
-        s = -1.0 if inversions % 2 else 1.0
-        return s * self.coeffs.get(sorted_idx, 0.0)
+        return permutation_sign(idx) * self.coeffs.get(sorted_idx, 0.0)
 
     def max_norm(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
@@ -249,7 +241,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
             if set(left) & set(right):
                 continue
             idx = tuple(sorted(left + right))
-            sign = merge_sign(left, right)
+            sign = permutation_sign(left + right)
             term = fa * fb
             if sign < 0:
                 term = -term
@@ -270,7 +262,7 @@ def wedge_values(a: FormValue, b: FormValue) -> FormValue:
             if set(left) & set(right):
                 continue
             idx = tuple(sorted(left + right))
-            table[idx] = table.get(idx, 0.0) + merge_sign(left, right) * va * vb
+            table[idx] = table.get(idx, 0.0) + permutation_sign(left + right) * va * vb
     return FormValue(a.chart, degree, table)
 
 

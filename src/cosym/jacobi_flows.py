@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .charts import ChartPoint, ScalarField, coerce_values
-from .dynamics import Trajectory, hamiltonian_field_generic, integrate
+from .dynamics import Trajectory, _step, hamiltonian_field_generic, integrate
 from .expressions import Expr, Name, Num, parse
-from .manifolds import CHART_XJ1, CHART_XJT, ModelParameters, builtin
+from .manifolds import CHART_METRIC_X1, CHART_XJ1, CHART_XJT, ModelParameters, builtin
 from .structures import StructureSpec
 
 VARIANTS = ("base_xj1", "gtacos", "contact")
@@ -241,24 +240,27 @@ def integrate_riccati(
     atol: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the derived Riccati right-hand side; returns (times, states)."""
-    x0, y0 = float(xy0[0]), float(xy0[1])
-    if y0 <= 0:
-        raise ValueError("initial point must satisfy y > 0")
-    n_steps = int(round(t_end / dt))
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    if t_end == 0.0:
-        times = np.array([0.0])
-        return times, np.array([[x0, y0]])
-    sol = solve_ivp(
-        lambda t, s: riccati_rhs(coeffs, s),
-        (0.0, float(times[-1])),
-        [x0, y0],
-        method="RK45",
-        t_eval=times,
-        rtol=rtol,
-        atol=atol,
+    times, states, _, _ = _step(
+        lambda s: riccati_rhs(coeffs, s),
+        CHART_METRIC_X1, xy0, t_end, dt, "adaptive-rk45", rtol, atol,
     )
-    return times[: sol.y.shape[1]], sol.y.T
+    return times, states
+
+
+def integrate_base(
+    coeffs: LinearHamiltonianCoefficients,
+    x0,
+    t_end: float,
+    dt: float,
+    params: ModelParameters,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the 4-dimensional base flow on (x, y, q, p) with RK45 at
+    rtol = atol = 1e-9; returns (times, states)."""
+    times, states, _, _ = _step(
+        lambda s: base_field(coeffs, s, params),
+        CHART_XJ1, x0, t_end, dt, "adaptive-rk45", 1e-9, 1e-9,
+    )
+    return times, states
 
 
 def integrate_variant(

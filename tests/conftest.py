@@ -1,25 +1,12 @@
 import numpy as np
 import pytest
 
-from cosym.charts import ScalarField
-from cosym.expressions import Name, Num
+from cosym.charts import random_polynomial  # noqa: F401  (imported by the tests)
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
-
-
-def random_polynomial(chart, rng, max_degree=2, terms=4):
-    """Random multivariate polynomial field with coefficients in [-1, 1]."""
-    expr = Num(float(rng.uniform(-1, 1)))
-    for _ in range(terms):
-        term = Num(float(rng.uniform(-1, 1)))
-        for name in chart.coordinates:
-            for _ in range(int(rng.integers(0, max_degree + 1))):
-                term = term * Name(name)
-        expr = expr + term
-    return ScalarField.from_expr(chart, expr)
 
 
 def random_point(chart, rng):

@@ -215,6 +215,59 @@ class TestIntegrate:
         assert json.loads(out)["rows"] == 51
 
 
+class TestSweep:
+    POINTS = [[0.2, 1.0, 0.3, -0.2, 0.0], [0.1, 1.2, 0.0, 0.4, 0.3]]
+
+    def _config(self, tmp_path):
+        config = {
+            "builtin": "xjt_gtacos",
+            "hamiltonian": "q^2 + p^2 + x^2 + (y-1)^2",
+            "t-end": 0.5,
+            "dt": 0.01,
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    def test_matches_single_runs_bit_for_bit(self, capsys, tmp_path):
+        config = self._config(tmp_path)
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps(self.POINTS))
+        tol = ("--rtol", "1e-3", "--atol", "1e-3")
+        code, out, _ = run(
+            capsys, "integrate", "--config", config, "--sweep", str(points), *tol
+        )
+        assert code == EXIT_OK
+        sweep = json.loads(out)["sweep"]
+        assert len(sweep) == 2
+        for i, (entry, x0) in enumerate(zip(sweep, self.POINTS)):
+            single = tmp_path / ("single%d.json" % i)
+            code, _, _ = run(
+                capsys, "integrate", "--config", config,
+                "--x0=" + ",".join(repr(v) for v in x0), "--json-out", str(single), *tol,
+            )
+            assert code == EXIT_OK
+            doc = json.loads(single.read_text())
+            assert len(doc["times"]) == 51  # t-end and dt come from the config
+            assert entry["x0"] == x0
+            assert entry["final"] == doc["states"][-1]
+            assert entry["escaped"] is False
+
+    def test_escape_exits_1(self, capsys, tmp_path):
+        points = tmp_path / "points.json"
+        # y falls at unit speed under x/y^2: the first point leaves y > 0
+        # before t = 1, the second does not.
+        points.write_text(json.dumps([[0.0, 0.5, 0.0, 0.0, 0.0], [0.2, 2.0, 0.3, -0.2, 0.0]]))
+        code, out, _ = run(
+            capsys, "integrate", "--config", self._config(tmp_path),
+            "--hamiltonian", "x/y^2", "--t-end", "1", "--sweep", str(points),
+        )
+        assert code == EXIT_NUMERICAL
+        sweep = json.loads(out)["sweep"]
+        assert sweep[0]["escaped"] is True
+        assert sweep[1]["escaped"] is False
+
+
 class TestCompare:
     def test_gtacos_vs_base(self, capsys):
         code, out, _ = run(
@@ -274,6 +327,33 @@ class TestCompare:
             assert entries[key]["max_deviation"] > 1e-6
 
 
+    def test_zero_dt_exits_2(self, capsys):
+        code, _, err = run(
+            capsys,
+            "compare",
+            "--variants", "base_xj1,gtacos",
+            "--c", "0.4", "--x0=0.1,1,0,0,0", "--dt", "0",
+        )
+        assert code == EXIT_INPUT
+        assert "error: dt must be positive" in err
+
+    def test_zero_t_end_single_row_per_variant(self, capsys, tmp_path):
+        path = tmp_path / "cmp.csv"
+        code, out, _ = run(
+            capsys,
+            "compare",
+            "--variants", "gtacos,base_xj1,contact",
+            "--c", "0.4", "--x0=0.1,1,0,0,0", "--t-end", "0",
+            "--csv", str(path),
+        )
+        assert code == EXIT_OK
+        rows = path.read_text().splitlines()
+        assert len(rows) == 2  # header + the initial point of every variant
+        x0 = ["0.10000000000000001", "1", "0", "0", "0"]
+        assert rows[1].split(",") == ["0"] + x0 + x0[:4] + x0
+        assert json.loads(out)["deltas"]["gtacos_vs_base_xj1"]["max"] == 0.0
+
+
 class TestRiccati:
     def test_trajectory_csv(self, capsys, tmp_path):
         path = tmp_path / "ric.csv"
@@ -295,6 +375,21 @@ class TestRiccati:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["entries"]["riccati_xy"]["max_deviation"] > 1e-6
+
+
+    def test_zero_dt_exits_2(self, capsys):
+        code, _, err = run(
+            capsys, "riccati", "--m", "0.3", "--c", "0.4", "--x0", "0,1", "--dt", "0"
+        )
+        assert code == EXIT_INPUT
+        assert "error: dt must be positive" in err
+
+    def test_negative_t_end_exits_2(self, capsys):
+        code, _, err = run(
+            capsys, "riccati", "--m", "0.3", "--c", "0.4", "--x0", "0,1", "--t-end=-1"
+        )
+        assert code == EXIT_INPUT
+        assert "error: t_end must be nonnegative" in err
 
 
 class TestPhiSolve:
