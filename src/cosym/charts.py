@@ -1,9 +1,10 @@
 """Coordinate charts, domain guards, scalar fields and chart maps.
 
 Fields are evaluated pointwise.  A field backed by an expression tree has
-exact first and second partial derivatives; a field backed by an opaque
-callable falls back to central finite differences with step
-``h_i = max(1, |x_i|) * eps**(1/3)``.
+exact first and second partial derivatives; each partial-derivative tree is
+built on first use and kept on the field, so a field is differentiated at
+most once per coordinate.  A field backed by an opaque callable falls back
+to central finite differences with step ``h_i = max(1, |x_i|) * eps**(1/3)``.
 
 Domain guards are hard constraints: evaluating at a violating point raises
 :class:`DomainError` rather than returning NaN (the built-in half-plane
@@ -224,6 +225,7 @@ class ScalarField:
         self.fn = fn
         self.params = dict(params or {})
         self.source = source
+        self._partials: dict[str, Expr] = {}
         overlap = set(self.params) & set(chart.coordinates)
         if overlap:
             raise ValueError("parameters shadow coordinates: %s" % sorted(overlap))
@@ -276,11 +278,19 @@ class ScalarField:
 
     # -- differentiation ---------------------------------------------------
 
+    def _partial_expr(self, coordinate: str) -> Expr:
+        """d(expr)/d(coordinate), differentiated on first use and kept."""
+        try:
+            return self._partials[coordinate]
+        except KeyError:
+            tree = self._partials[coordinate] = self.expr.diff(coordinate)
+            return tree
+
     def partial(self, coordinate: str) -> "ScalarField":
         i = self.chart.index(coordinate)
         if self.expr is not None:
             return ScalarField(
-                self.chart, expr=self.expr.diff(coordinate), params=self.params
+                self.chart, expr=self._partial_expr(coordinate), params=self.params
             )
         f = self._eval
         return ScalarField(
@@ -295,7 +305,7 @@ class ScalarField:
             env = self.chart.env(values)
             env.update(self.params)
             return np.array(
-                [self.expr.diff(c).eval(env) for c in self.chart.coordinates]
+                [self._partial_expr(c).eval(env) for c in self.chart.coordinates]
             )
         dim = self.chart.dimension
         return np.array([central_difference(self._eval, values, i) for i in range(dim)])

@@ -16,13 +16,16 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .charts import Chart, ChartPoint, ScalarField, coerce_values
+from .charts import Chart, ChartPoint, DomainError, ScalarField, coerce_values
+from .expressions import EvalError
 from .structures import (
     CanonicalThetaSpec,
     StructureError,
     StructureSpec,
     darboux_pairs,
+    flat_from,
     reeb,
+    reeb_from,
 )
 
 
@@ -44,14 +47,15 @@ class HamiltonianFieldCoefficients:
 
 
 def _point_data(spec: StructureSpec, H: ScalarField, at, check_domain: bool):
+    """(values, theta, F, dH, R) at a point; theta and Omega are evaluated
+    once and shared by the flat matrix F and the Reeb solve."""
     values = coerce_values(spec.chart, at)
     if check_domain and not isinstance(at, ChartPoint):
         spec.chart.check(values)
     th = spec.theta_vector(values, check_domain=False)
-    F = spec.flat_matrix(values, check_domain=False)
+    om = spec.omega_matrix(values, check_domain=False)
     dH = H.gradient(values, check_domain=False)
-    R = reeb(spec, values, check_domain=False)
-    return values, th, F, dH, R
+    return values, th, flat_from(th, om), dH, reeb_from(th, om, values)
 
 
 def hamiltonian_field_generic(
@@ -367,6 +371,27 @@ def _guard_events(chart: Chart):
     return events
 
 
+class _StageEscape(Exception):
+    """The right-hand side failed at an out-of-domain stage; args[0] is the
+    stage time."""
+
+
+def _stage_rhs(rhs: Callable[[np.ndarray], np.ndarray], chart: Chart):
+    """rhs as f(t, y).  An expression, domain or structure error at an
+    out-of-domain stage (say, a stage landing exactly on a guard surface) is
+    a domain escape at time t; at an in-domain stage it is the caller's."""
+
+    def fun(t, y):
+        try:
+            return rhs(y)
+        except (EvalError, DomainError, StructureError):
+            if chart.contains(y):
+                raise
+            raise _StageEscape(t) from None
+
+    return fun
+
+
 def _step(
     rhs: Callable[[np.ndarray], np.ndarray],
     chart: Chart,
@@ -382,6 +407,8 @@ def _step(
     Returns (times, states, escaped, diagnostic).  Stored states are
     guard-checked; a domain escape truncates the samples at the last
     in-domain row and sets ``escaped`` with a diagnostic instead of raising.
+    So does a right-hand side that fails at an out-of-domain stage; RK45
+    then steps again up to the last grid time before that stage.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -398,15 +425,21 @@ def _step(
 
     escaped = False
     diagnostic = ""
+    fun = _stage_rhs(rhs, chart)
     if method == "rk4":
         states = [x0]
         y = x0.copy()
         for i in range(n_steps):
-            h = times[i + 1] - times[i]
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
+            t, h = times[i], times[i + 1] - times[i]
+            try:
+                k1 = fun(t, y)
+                k2 = fun(t + 0.5 * h, y + 0.5 * h * k1)
+                k3 = fun(t + 0.5 * h, y + 0.5 * h * k2)
+                k4 = fun(t + h, y + h * k3)
+            except _StageEscape:
+                escaped = True
+                diagnostic = "domain escape at t=%g" % times[i + 1]
+                break
             y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if not chart.contains(y):
                 escaped = True
@@ -414,16 +447,24 @@ def _step(
                 break
             states.append(y.copy())
     else:
-        sol = solve_ivp(
-            lambda t, y: rhs(y),
-            (0.0, float(times[-1])),
-            x0,
-            method="RK45",
-            t_eval=times,
-            rtol=rtol,
-            atol=atol,
-            events=_guard_events(chart),
-        )
+        t_eval = times
+        while True:
+            try:
+                sol = solve_ivp(
+                    fun,
+                    (0.0, float(t_eval[-1])),
+                    x0,
+                    method="RK45",
+                    t_eval=t_eval,
+                    rtol=rtol,
+                    atol=atol,
+                    events=_guard_events(chart),
+                )
+                break
+            except _StageEscape as exc:
+                escaped = True
+                diagnostic = "domain escape near t=%g" % exc.args[0]
+                t_eval = t_eval[t_eval < exc.args[0]]
         if sol.status == 1:
             escaped = True
             hits = [te[0] for te in sol.t_events if len(te)]

@@ -276,7 +276,13 @@ class Pow(Expr):
     precedence = 3
 
     def eval(self, env):
-        return self.base.eval(env) ** self.exponent.eval(env)
+        base, exponent = self.base.eval(env), self.exponent.eval(env)
+        try:
+            return math.pow(base, exponent)
+        except (ValueError, OverflowError):
+            raise EvalError(
+                "(%r)^(%r) has no finite real value in expression" % (base, exponent)
+            ) from None
 
     def diff(self, name):
         # Power rule when the exponent is constant; full u^v rule otherwise.
@@ -310,10 +316,13 @@ class Call(Expr):
     precedence = 9
 
     def eval(self, env):
+        arg = self.arg.eval(env)
         try:
-            return FUNCTIONS[self.fn](self.arg.eval(env))
+            return FUNCTIONS[self.fn](arg)
         except ValueError as exc:
             raise EvalError("%s() domain error: %s" % (self.fn, exc)) from None
+        except OverflowError:
+            raise EvalError("%s(%r) overflows in expression" % (self.fn, arg)) from None
 
     def diff(self, name):
         u = self.arg
@@ -428,7 +437,10 @@ def pow_(a: Expr, b: Expr) -> Expr:
     if _is_num(b, 0.0):
         return Num(1.0)
     if _is_num(a) and _is_num(b):
-        return Num(a.value**b.value)
+        try:
+            return Num(math.pow(a.value, b.value))
+        except (ValueError, OverflowError):
+            pass  # left unfolded; evaluating it raises EvalError
     return Pow(a, b)
 
 

@@ -144,9 +144,13 @@ def base_field(
     values = coerce_values(CHART_XJ1, at)
     if not isinstance(at, ChartPoint):
         CHART_XJ1.check(values)
-    se = split_energy(coeffs, params)
+    return _base_velocity(split_energy(coeffs, params).total, values, params)
+
+
+def _base_velocity(total: ScalarField, values, params: ModelParameters) -> np.ndarray:
+    """:func:`base_field` at (x, y, q, p) for a given split-energy total."""
     padded = np.append(values, 0.0)
-    dH = se.total.gradient(padded, check_domain=False)[:4]
+    dH = total.gradient(padded, check_domain=False)[:4]
     y = values[1]
     k, nu = params.k, params.nu
     return np.array(
@@ -195,9 +199,11 @@ def red_green_decomposition(
     if variant not in ("gtacos", "contact"):
         raise ValueError("decomposition applies to the 5-dimensional variants")
     values = coerce_values(CHART_XJT, at)
-    full = eom(coeffs, variant, values, params)
-    base4 = base_field(coeffs, values[:4], params)
-    base = np.append(base4, 0.0)
+    CHART_XJT.check(values)
+    spec = _variant_structure(variant, params)
+    total = split_energy(coeffs, params).total
+    full = hamiltonian_field_generic(spec, total, values, check_domain=False)
+    base = np.append(_base_velocity(total, values[:4], params), 0.0)
     return base, full - base
 
 
@@ -256,8 +262,9 @@ def integrate_base(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the 4-dimensional base flow on (x, y, q, p) with RK45 at
     rtol = atol = 1e-9; returns (times, states)."""
+    total = split_energy(coeffs, params).total
     times, states, _, _ = _step(
-        lambda s: base_field(coeffs, s, params),
+        lambda s: _base_velocity(total, s, params),
         CHART_XJ1, x0, t_end, dt, "adaptive-rk45", 1e-9, 1e-9,
     )
     return times, states

@@ -76,6 +76,7 @@ class StructureSpec:
         self.n = n
         self.params = dict(params or {})
         self._classification: StructureClass | None = None
+        self._volume_form: KForm | None = None
 
     # -- pointwise data ------------------------------------------------------
 
@@ -91,7 +92,7 @@ class StructureSpec:
             self.chart.check(values)
         th = self.theta_vector(values, check_domain=False)
         om = self.omega_matrix(values, check_domain=False)
-        return om.T + np.outer(th, th)
+        return flat_from(th, om)
 
     def volume_coefficient(self, at, check_domain: bool = True) -> float:
         """Top coefficient of theta ^ Omega^n (the chart's volume density).
@@ -99,11 +100,14 @@ class StructureSpec:
         The value is un-normalised: there is no 1/n! factor, so for
         ``xjt_gtacos`` it is 4 k nu sqrt(delta) / y^2, twice the top
         coefficient of the Liouville-normalised theta ^ Omega^2 / 2!.
+        The top form is wedged on the first call and kept.
         """
-        top = self.theta
-        for _ in range(self.n):
-            top = forms.wedge(top, self.omega)
-        val = top.at(at, check_domain)
+        if self._volume_form is None:
+            top = self.theta
+            for _ in range(self.n):
+                top = forms.wedge(top, self.omega)
+            self._volume_form = top
+        val = self._volume_form.at(at, check_domain)
         return val.coeffs.get(tuple(range(self.chart.dimension)), 0.0)
 
     # -- probe sampling -------------------------------------------------------
@@ -336,6 +340,12 @@ def classify(spec: StructureSpec, probes=None, seed: int = 42) -> StructureClass
 # --------------------------------------------------------------------------
 
 
+def flat_from(th: np.ndarray, om: np.ndarray) -> np.ndarray:
+    """Matrix of the flat map, Omega^T + theta theta^T, from the values of
+    theta and Omega at one point."""
+    return om.T + np.outer(th, th)
+
+
 def reeb(spec: StructureSpec, at, check_domain: bool = True) -> np.ndarray:
     """Solve the stacked (2n+2) x (2n+1) system R ⌟ Omega = 0, R ⌟ theta = 1.
 
@@ -347,7 +357,13 @@ def reeb(spec: StructureSpec, at, check_domain: bool = True) -> np.ndarray:
         spec.chart.check(values)
     om = spec.omega_matrix(values, check_domain=False)
     th = spec.theta_vector(values, check_domain=False)
-    dim = spec.chart.dimension
+    return reeb_from(th, om, values)
+
+
+def reeb_from(th: np.ndarray, om: np.ndarray, values) -> np.ndarray:
+    """The Reeb solve of :func:`reeb` from the values of theta and Omega at
+    the point ``values`` (which only labels the errors)."""
+    dim = len(th)
     system = np.vstack([om.T, th])
     rhs = np.zeros(dim + 1)
     rhs[-1] = 1.0

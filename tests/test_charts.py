@@ -1,0 +1,97 @@
+"""ScalarField keeps its partial-derivative trees: each coordinate is
+differentiated at most once per field, and the kept trees give the same
+values, bit for bit, as differentiating afresh."""
+
+import numpy as np
+import pytest
+
+from conftest import random_polynomial
+from cosym import expressions
+from cosym.charts import ScalarField
+from cosym.structures import darboux_chart
+
+
+@pytest.fixture
+def diff_calls(monkeypatch):
+    """Coordinates of the outermost ``Expr.diff`` calls made while active."""
+    calls = []
+    depth = [0]
+    for cls in vars(expressions).values():
+        if not (isinstance(cls, type) and issubclass(cls, expressions.Expr)):
+            continue
+        if "diff" not in vars(cls):
+            continue
+
+        def counted(self, name, _diff=vars(cls)["diff"]):
+            if depth[0] == 0:
+                calls.append(name)
+            depth[0] += 1
+            try:
+                return _diff(self, name)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cls, "diff", counted)
+    return calls
+
+
+def _fields_and_points(rng, count=4):
+    for n in (1, 2, 3):
+        chart = darboux_chart(n)
+        for _ in range(count):
+            H = random_polynomial(chart, rng, max_degree=3)
+            points = [chart.point(rng.uniform(-2, 2, chart.dimension)) for _ in range(5)]
+            yield H, points
+
+
+def test_differentiates_at_most_once_per_coordinate(diff_calls):
+    chart = darboux_chart(2)
+    H = ScalarField.parse(chart, "q1^2*p2 + sin(q2)*exp(p1) + kappa^3/(1 + q1^2)")
+    rng = np.random.default_rng(0)
+    for i in range(100):
+        pt = chart.point(rng.uniform(-1, 1, chart.dimension))
+        if i % 2:
+            H.gradient(pt)
+        else:
+            H.partial(chart.coordinates[i % chart.dimension]).value(pt)
+    assert sorted(diff_calls) == sorted(chart.coordinates)
+
+
+def test_cached_gradient_matches_fresh_derivatives_bit_for_bit(rng):
+    for H, points in _fields_and_points(rng):
+        coords = H.chart.coordinates
+        for pt in points:
+            env = pt.env()
+            fresh = np.array([H.expr.diff(c).eval(env) for c in coords])
+            np.testing.assert_array_equal(H.gradient(pt), fresh)
+            np.testing.assert_array_equal(H.gradient(pt.array), fresh)
+
+
+def test_partial_wraps_the_fresh_derivative_tree(rng):
+    for H, points in _fields_and_points(rng, count=2):
+        H.gradient(points[0])  # the partials now come from the kept trees
+        for c in H.chart.coordinates:
+            partial = H.partial(c)
+            assert str(partial.expr) == str(H.expr.diff(c))
+            for pt in points:
+                assert partial.value(pt) == H.expr.diff(c).eval(pt.env())
+
+
+def test_algebra_gives_a_field_with_its_own_cache(diff_calls):
+    chart = darboux_chart(1)
+    H = ScalarField.parse(chart, "q^2 + kappa")
+    G = ScalarField.parse(chart, "p^3*q")
+    pt = chart.point([0.3, -0.7, 1.1])
+    dH = H.gradient(pt)
+    dG = G.gradient(pt)
+    del diff_calls[:]
+
+    S = H + G
+    dS = S.gradient(pt)
+    assert sorted(diff_calls) == sorted(chart.coordinates)
+    np.testing.assert_array_equal(
+        dS, [S.expr.diff(c).eval(pt.env()) for c in chart.coordinates]
+    )
+    assert dS == pytest.approx(dH + dG, abs=1e-15)
+    np.testing.assert_array_equal(H.gradient(pt), dH)
+    np.testing.assert_array_equal(G.gradient(pt), dG)

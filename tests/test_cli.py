@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +111,20 @@ class TestFieldAndReeb:
         assert "y" in err
 
 
+    @pytest.mark.parametrize(
+        "hamiltonian, at",
+        [("y^0.5", "0,-1,0"), ("x^(-1)", "0,1,0"), ("exp(x)", "1000,1,0")],
+    )
+    def test_expression_failure_exits_2(self, capsys, hamiltonian, at):
+        code, out, err = run(
+            capsys, "field", "--builtin", "heisenberg",
+            "--hamiltonian", hamiltonian, "--at", at,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and "expression" in err
+
+
 class TestBracket:
     def test_poisson(self, capsys):
         code, out, _ = run(
@@ -198,6 +216,27 @@ class TestIntegrate:
         assert code == EXIT_NUMERICAL
         summary = json.loads(out)
         assert summary["escaped"] is True
+        assert summary["min_y"] > 0.0
+
+    @pytest.mark.parametrize("method", [[], ["--method", "rk4"]])
+    def test_stage_on_guard_surface_is_an_escape(self, capsys, method):
+        # y = 0.5 - t reaches the guard y > 0 exactly at t_end, where the
+        # right-hand side divides by zero.
+        code, out, _ = run(
+            capsys,
+            "integrate",
+            "--builtin", "xjt_gtacos",
+            "--hamiltonian", "x/y^2",
+            "--x0", "0,0.5,0,0,0",
+            "--t-end", "0.5",
+            "--dt", "0.01",
+            *method,
+        )
+        assert code == EXIT_NUMERICAL
+        summary = json.loads(out)
+        assert summary["escaped"] is True
+        assert "domain escape" in summary["diagnostic"]
+        assert summary["rows"] == 50
         assert summary["min_y"] > 0.0
 
     def test_config_file(self, capsys, tmp_path):
@@ -425,3 +464,15 @@ class TestInvariantSuite:
         code, out, _ = run(capsys, "invariant-suite", "--seed", "99")
         assert code == EXIT_OK
         assert "(seed 7)" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosym", "list-manifolds"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "xjt_gtacos" in {entry["name"] for entry in json.loads(proc.stdout)}

@@ -118,3 +118,44 @@ def test_substitution():
 def test_constant_folding_keeps_trees_small():
     expr = parse("0*q + 1*p + 0 + q^1")
     assert str(expr) in ("p + q", "q + p")
+
+
+@pytest.mark.parametrize(
+    "source, env",
+    [
+        ("y^0.5", {"y": -1.0}),  # no real value
+        ("x^(-1)", {"x": 0.0}),  # zero to a negative power
+        ("x^2", {"x": 1e300}),  # overflow
+        ("exp(x)", {"x": 1000.0}),  # overflow
+    ],
+)
+def test_power_and_call_failures_are_eval_errors(source, env):
+    with pytest.raises(EvalError):
+        parse(source).eval(env)
+
+
+@pytest.mark.parametrize("source", ["(-8)^(1/3)", "0^(-1)", "10^400"])
+def test_constant_powers_without_a_real_value_stay_unfolded(source):
+    expr = parse(source)
+    assert str(parse(str(expr))) == str(expr)
+    with pytest.raises(EvalError):
+        expr.eval({})
+
+
+def test_power_values_unchanged_bit_for_bit(rng):
+    expr = parse("x^y")
+    for _ in range(2000):
+        x = float(rng.uniform(-20, 20))
+        y = float(rng.integers(-5, 6)) if x < 0 else float(rng.uniform(-4, 4))
+        if x == 0.0 and y < 0:
+            continue
+        assert expr.eval({"x": x, "y": y}) == x**y
+    assert parse("2^0.5").value == 2.0**0.5
+    assert parse("(-2)^3").value == -8.0
+
+
+def test_nested_error_keeps_its_own_message():
+    with pytest.raises(EvalError, match="^division by zero"):
+        parse("sqrt(1/x)").eval({"x": 0.0})
+    with pytest.raises(EvalError, match=r"^log\(\) domain error"):
+        parse("log(x)^2").eval({"x": -1.0})

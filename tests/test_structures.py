@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_point
-from cosym.charts import Chart
+from conftest import random_point, random_polynomial
+from cosym import dynamics, forms
+from cosym.charts import Chart, ScalarField
 from cosym.forms import KForm
 from cosym.manifolds import CATALOG, ModelParameters, builtin
 from cosym.structures import (
@@ -205,3 +206,60 @@ class TestJsonRoundTrip:
 
         with pytest.raises(DomainError):
             loaded.chart.point((0.0, -1.0, 0.0, 0.0, 0.0))
+
+
+CATALOG_SIZES = CATALOG + ("darboux_contact(3)", "darboux_cosymplectic(3)")
+
+
+class TestBuiltOncePerStructure:
+    def test_volume_form_wedged_once_and_matches_a_fresh_wedge(self, monkeypatch):
+        wedges = []
+        wedge = forms.wedge
+        monkeypatch.setattr(forms, "wedge", lambda a, b: wedges.append(1) or wedge(a, b))
+        for name in CATALOG_SIZES:
+            s = builtin(name, ModelParameters(k=1.5, nu=0.8, delta=2.0))
+            del wedges[:]
+            probes = s.default_probes(count=8)
+            kept = [s.volume_coefficient(pt) for pt in probes]
+            again = [s.volume_coefficient(pt.array) for pt in probes]
+            assert len(wedges) == s.n
+
+            top = s.theta
+            for _ in range(s.n):
+                top = wedge(top, s.omega)
+            full = tuple(range(s.chart.dimension))
+            fresh = [top.at(pt).coeffs.get(full, 0.0) for pt in probes]
+            assert kept == fresh
+            assert again == fresh
+
+    def test_field_solve_shares_one_evaluation_of_theta_and_omega(self, rng, monkeypatch):
+        degrees = []
+        at = KForm.at
+        monkeypatch.setattr(
+            KForm, "at", lambda self, *args: degrees.append(self.degree) or at(self, *args)
+        )
+        for name in CATALOG_SIZES:
+            s = builtin(name)
+            H = random_polynomial(s.chart, rng)
+            for _ in range(4):
+                pt = random_point(s.chart, rng)
+                del degrees[:]
+                values, th, F, dH, R = dynamics._point_data(s, H, pt, True)
+                assert sorted(degrees) == [1, 2]
+                np.testing.assert_array_equal(R, reeb(s, pt))
+                np.testing.assert_array_equal(F, s.flat_matrix(pt))
+                np.testing.assert_array_equal(th, s.theta_vector(pt))
+                np.testing.assert_array_equal(dH, H.gradient(pt))
+
+    def test_field_solve_keeps_the_reeb_rank_check(self):
+        chart = darboux_chart(1)
+        s = StructureSpec(
+            "nearly_degenerate",
+            chart,
+            KForm.one_form(chart, {"q": 1.0, "kappa": 1e-16}),
+            KForm.two_form(chart, {"q,p": 1.0}),
+            1,
+        )
+        H = ScalarField.parse(chart, "q^2 + p^2")
+        with pytest.raises(StructureError, match="rank"):
+            dynamics.hamiltonian_field_generic(s, H, (0.1, 0.2, 0.3))
