@@ -1,10 +1,13 @@
 """Coordinate charts, domain guards, scalar fields and chart maps.
 
-Fields are evaluated pointwise.  A field backed by an expression tree has
-exact first and second partial derivatives; each partial-derivative tree is
-built on first use and kept on the field, so a field is differentiated at
-most once per coordinate.  A field backed by an opaque callable falls back
-to central finite differences with step ``h_i = max(1, |x_i|) * eps**(1/3)``.
+Fields are evaluated pointwise, or at every row of an (N, dim) array at once
+(``value_rows``, ``gradient_rows``; bit-identical to the pointwise results).
+A field backed by an expression tree has exact first and second partial
+derivatives; each partial-derivative tree is built on first use and kept on
+the field, so a field is differentiated at most once per coordinate.  A
+field backed by an opaque callable falls back to central finite differences
+with step ``h_i = max(1, |x_i|) * eps**(1/3)``.  A value or gradient that is
+not finite (an overflow to inf, or NaN) raises :class:`EvalError`.
 
 Domain guards are hard constraints: evaluating at a violating point raises
 :class:`DomainError` rather than returning NaN (the built-in half-plane
@@ -13,12 +16,13 @@ metrics blow up at the guard surface).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expressions import Expr, EvalError, Name, Num, parse
+from .expressions import Expr, EvalError, Name, Num, eval_rows, parse
 
 FD_STEP_EXPONENT = 1.0 / 3.0
 _EPS_CBRT = float(np.finfo(float).eps) ** FD_STEP_EXPONENT
@@ -273,8 +277,42 @@ class ScalarField:
         if self.expr is not None:
             env = self.chart.env(values)
             env.update(self.params)
-            return self.expr.eval(env)
-        return float(self.fn(values))
+            v = self.expr.eval(env)
+        else:
+            v = float(self.fn(values))
+        if not math.isfinite(v):
+            raise self._not_finite("value", v, values)
+        return v
+
+    def value_rows(self, rows) -> np.ndarray:
+        """Values at every row of an (N, dim) array, without domain checks;
+        row k is ``value(rows[k])`` bit for bit."""
+        rows = np.asarray(rows, dtype=float)
+        if self.expr is None:
+            return np.array([self._eval(row) for row in rows], dtype=float)
+        out = np.empty(len(rows))
+        out[:] = eval_rows(self.expr, self._row_env(rows))
+        return self._finite_rows("value", out, rows)
+
+    def _row_env(self, rows: np.ndarray) -> dict:
+        env = dict(zip(self.chart.coordinates, rows.T))
+        env.update(self.params)
+        return env
+
+    def _not_finite(self, what: str, result, values) -> EvalError:
+        return EvalError(
+            "%s of %r is not finite at %s: %r"
+            % (what, self, np.asarray(values).tolist(), np.asarray(result).tolist())
+        )
+
+    def _finite_rows(self, what: str, out: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``out`` (one entry or row per point), or the pointwise error of
+        its first point with a value that is not finite."""
+        finite = np.isfinite(out)
+        if not finite.all():
+            k = int(np.argmin(finite.reshape(len(out), -1).all(axis=1)))
+            raise self._not_finite(what, out[k], rows[k])
+        return out
 
     # -- differentiation ---------------------------------------------------
 
@@ -301,14 +339,34 @@ class ScalarField:
         values = coerce_values(self.chart, at)
         if check_domain and not isinstance(at, ChartPoint):
             self.chart.check(values)
+        return self._gradient(values)
+
+    def _gradient(self, values: np.ndarray) -> np.ndarray:
         if self.expr is not None:
             env = self.chart.env(values)
             env.update(self.params)
-            return np.array(
-                [self._partial_expr(c).eval(env) for c in self.chart.coordinates]
-            )
-        dim = self.chart.dimension
-        return np.array([central_difference(self._eval, values, i) for i in range(dim)])
+            grad = [self._partial_expr(c).eval(env) for c in self.chart.coordinates]
+        else:
+            dim = self.chart.dimension
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                grad = [central_difference(self._eval, values, i) for i in range(dim)]
+        if not all(map(math.isfinite, grad)):
+            raise self._not_finite("gradient", grad, values)
+        return np.array(grad)
+
+    def gradient_rows(self, rows) -> np.ndarray:
+        """(N, dim) gradients at every row of an (N, dim) array, without
+        domain checks; row k is ``gradient(rows[k])`` bit for bit."""
+        rows = np.asarray(rows, dtype=float)
+        out = np.empty(rows.shape)
+        if self.expr is None:
+            for k, row in enumerate(rows):
+                out[k] = self._gradient(row)
+            return out
+        env = self._row_env(rows)
+        for j, c in enumerate(self.chart.coordinates):
+            out[:, j] = eval_rows(self._partial_expr(c), env)
+        return self._finite_rows("gradient", out, rows)
 
     # -- algebra (symbolic when both operands are) ---------------------------
 

@@ -26,6 +26,7 @@ from .structures import (
     flat_from,
     reeb,
     reeb_from,
+    reeb_rows,
 )
 
 
@@ -505,12 +506,8 @@ def integrate(
         lambda values: hamiltonian_field_generic(spec, H, values, check_domain=False),
         spec.chart, x0.array, t_end, dt, method, rtol, atol,
     )
-    h_values = np.array([H.value(row, check_domain=False) for row in states])
-    rh_values = np.empty(len(states))
-    for i, row in enumerate(states):
-        R = reeb(spec, row, check_domain=False)
-        rh_values[i] = R @ H.gradient(row, check_domain=False)
-
+    h_values = H.value_rows(states)
+    rh_values = np.einsum("ij,ij->i", reeb_rows(spec, states), H.gradient_rows(states))
     residuals = _dissipation_residuals(times, h_values, rh_values)
     return Trajectory(
         chart=spec.chart,
@@ -530,15 +527,10 @@ def _dissipation_residuals(times, h_values, rh_values) -> np.ndarray:
     Endpoints use one-sided differences; summaries only report the interior.
     """
     m = len(times)
-    out = np.zeros(m)
     if m < 2:
-        return out
-    for i in range(m):
-        if i == 0:
-            hdot = (h_values[1] - h_values[0]) / (times[1] - times[0])
-        elif i == m - 1:
-            hdot = (h_values[-1] - h_values[-2]) / (times[-1] - times[-2])
-        else:
-            hdot = (h_values[i + 1] - h_values[i - 1]) / (times[i + 1] - times[i - 1])
-        out[i] = abs(hdot + h_values[i] * rh_values[i])
-    return out
+        return np.zeros(m)
+    hdot = np.empty(m)
+    hdot[0] = (h_values[1] - h_values[0]) / (times[1] - times[0])
+    hdot[-1] = (h_values[-1] - h_values[-2]) / (times[-1] - times[-2])
+    hdot[1:-1] = (h_values[2:] - h_values[:-2]) / (times[2:] - times[:-2])
+    return np.abs(hdot + h_values * rh_values)

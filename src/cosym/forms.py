@@ -155,6 +155,12 @@ class KForm:
             {idx: f._eval(values) for idx, f in self.coeffs.items()},
         )
 
+    def at_rows(self, rows) -> dict[tuple[int, ...], np.ndarray]:
+        """Coefficient arrays at every row of an (N, dim) array, without
+        domain checks; entry k of each array is the coefficient of
+        ``at(rows[k])``, bit for bit."""
+        return {idx: f.value_rows(rows) for idx, f in self.coeffs.items()}
+
     def __add__(self, other: "KForm") -> "KForm":
         if other.chart.coordinates != self.chart.coordinates or other.degree != self.degree:
             raise ChartMismatchError("cannot add forms of different chart/degree")

@@ -86,6 +86,25 @@ class StructureSpec:
     def omega_matrix(self, at, check_domain: bool = True) -> np.ndarray:
         return self.omega.at(at, check_domain).as_matrix()
 
+    def theta_rows(self, rows) -> np.ndarray:
+        """(N, dim) theta covectors at every row of an (N, dim) array,
+        without domain checks; row k is ``theta_vector(rows[k])``."""
+        rows = np.asarray(rows, dtype=float)
+        out = np.zeros(rows.shape)
+        for (i,), v in self.theta.at_rows(rows).items():
+            out[:, i] = v
+        return out
+
+    def omega_rows(self, rows) -> np.ndarray:
+        """(N, dim, dim) Omega matrices at every row of an (N, dim) array,
+        without domain checks; entry k is ``omega_matrix(rows[k])``."""
+        rows = np.asarray(rows, dtype=float)
+        out = np.zeros(rows.shape + rows.shape[-1:])
+        for (i, j), v in self.omega.at_rows(rows).items():
+            out[:, i, j] = v
+            out[:, j, i] = -v
+        return out
+
     def flat_matrix(self, at, check_domain: bool = True) -> np.ndarray:
         values = coerce_values(self.chart, at)
         if check_domain and not isinstance(at, ChartPoint):
@@ -368,18 +387,52 @@ def reeb_from(th: np.ndarray, om: np.ndarray, values) -> np.ndarray:
     rhs = np.zeros(dim + 1)
     rhs[-1] = 1.0
     solution, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
+    _check_reeb(rank, np.abs(system @ solution - rhs).max(), dim, values)
+    return solution
+
+
+def reeb_rows(spec: StructureSpec, rows) -> np.ndarray:
+    """(N, dim) Reeb vectors at every row of an (N, dim) array, without
+    domain checks: :func:`reeb` solved for all rows at once."""
+    rows = np.asarray(rows, dtype=float)
+    return reeb_from_rows(spec.theta_rows(rows), spec.omega_rows(rows), rows)
+
+
+def reeb_from_rows(th: np.ndarray, om: np.ndarray, rows) -> np.ndarray:
+    """:func:`reeb_from` for stacked (N, dim) theta and (N, dim, dim) Omega.
+
+    Each stacked system is solved by its SVD, with ``lstsq``'s rank rule
+    and the same checks.  The per-point solve stays on ``lstsq``, which is
+    the faster for one point.
+    """
+    dim = th.shape[1]
+    systems = np.concatenate([om.transpose(0, 2, 1), th[:, None, :]], axis=1)
+    u, s, vt = np.linalg.svd(systems, full_matrices=False)
+    # lstsq (rcond=None) drops singular values <= eps * max(M, N) * s_max
+    kept = s > np.finfo(float).eps * (dim + 1) * s[:, :1]
+    # the right-hand side is the last unit vector, so U^T b is U's last row
+    coef = np.where(kept, u[:, -1, :] / np.where(kept, s, 1.0), 0.0)
+    solutions = (vt.transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0]
+    residuals = (systems @ solutions[:, :, None])[:, :, 0]
+    residuals[:, -1] -= 1.0
+    errors = np.abs(residuals).max(axis=1)
+    for k, (rank, error) in enumerate(zip(kept.sum(axis=1).tolist(), errors.tolist())):
+        _check_reeb(rank, error, dim, rows[k])
+    return solutions
+
+
+def _check_reeb(rank: int, error: float, dim: int, values) -> None:
+    """Reject a stacked Reeb system of rank below ``dim``, or a solution
+    that leaves a residual above 1e-9."""
     if rank < dim:
         raise StructureError(
             "degenerate structure at %s: stacked system has rank %d < %d"
             % (list(values), rank, dim)
         )
-    residual = system @ solution - rhs
-    if np.abs(residual).max() > 1e-9:
+    if error > 1e-9:
         raise StructureError(
-            "Reeb system inconsistent at %s (residual %.3e)"
-            % (list(values), np.abs(residual).max())
+            "Reeb system inconsistent at %s (residual %.3e)" % (list(values), error)
         )
-    return solution
 
 
 def flat(spec: StructureSpec, X, at, check_domain: bool = True) -> np.ndarray:

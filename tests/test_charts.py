@@ -1,6 +1,9 @@
 """ScalarField keeps its partial-derivative trees: each coordinate is
 differentiated at most once per field, and the kept trees give the same
-values, bit for bit, as differentiating afresh."""
+values, bit for bit, as differentiating afresh.  A value or gradient that
+is not finite is an EvalError, pointwise and at many rows alike."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from conftest import random_polynomial
 from cosym import expressions
 from cosym.charts import ScalarField
+from cosym.expressions import EvalError
 from cosym.structures import darboux_chart
 
 
@@ -95,3 +99,43 @@ def test_algebra_gives_a_field_with_its_own_cache(diff_calls):
     assert dS == pytest.approx(dH + dG, abs=1e-15)
     np.testing.assert_array_equal(H.gradient(pt), dH)
     np.testing.assert_array_equal(G.gradient(pt), dG)
+
+
+def _raised(fn, *args):
+    with pytest.raises(EvalError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "source, bad, what",
+    [
+        ("1e200*q*q", (1e60, 0.0, 0.0), "value"),  # inf
+        ("1e200*q*q - 1e200*p*p", (1e60, 1e60, 0.0), "value"),  # inf - inf = NaN
+        ("1e300*q^2*p", (1e5, 1e-10, 0.0), "gradient"),  # value 1e300, dp 1e310
+    ],
+)
+def test_non_finite_results_are_eval_errors(source, bad, what):
+    H = ScalarField.parse(darboux_chart(1), source)
+    rows = np.array([(1.0, 1.0, 0.0), bad, bad])
+    pointwise, rowwise = {
+        "value": (H.value, H.value_rows),
+        "gradient": (H.gradient, H.gradient_rows),
+    }[what]
+    rowwise(rows[:1])  # the first row is fine
+    message = _raised(pointwise, bad)
+    assert message.startswith(what + " of ScalarField(") and "not finite" in message
+    assert _raised(rowwise, rows) == message
+
+
+def test_non_finite_callable_results_are_eval_errors():
+    chart = darboux_chart(1)
+    nan = ScalarField.from_callable(chart, lambda v: math.nan if v[0] > 0 else 1.0)
+    rows = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert _raised(nan.value, rows[1]) == _raised(nan.value_rows, rows)
+    # finite values whose central difference overflows
+    step = ScalarField.from_callable(chart, lambda v: math.copysign(1.7e308, v[0]))
+    assert step.value(rows[0]) == -1.7e308
+    message = _raised(step.gradient, [0.0, 0.0, 0.0])
+    assert message.startswith("gradient of ") and "not finite" in message
+    assert _raised(step.gradient_rows, [[5.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) == message

@@ -124,6 +124,19 @@ class TestFieldAndReeb:
         assert out == ""
         assert err.startswith("error: ") and "expression" in err
 
+    def test_overflow_to_infinity_exits_2(self, capsys):
+        # each factor is finite; their product overflows to inf, and x = 0
+        # would make it NaN
+        for at in ("1,1,0", "0,1,0"):
+            code, out, err = run(
+                capsys, "field", "--builtin", "heisenberg",
+                "--hamiltonian", "exp(700)*exp(700)*x", "--at", at,
+            )
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err.startswith("error: ") and "not finite" in err
+            assert "Warning" not in err
+
 
 class TestBracket:
     def test_poisson(self, capsys):

@@ -359,3 +359,58 @@ class TestIntegrate:
         traj.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "t,q,p,kappa,H,dissipation_residual"
+
+
+def _per_row_post_pass(spec, H, traj):
+    """H values and dissipation residuals row by row with the pointwise
+    reeb and gradient, and the scale of H R(H) along the rows."""
+    t = traj.times
+    h = np.array([H.value(row) for row in traj.states])
+    rh = np.array([reeb(spec, row) @ H.gradient(row) for row in traj.states])
+    out = np.zeros(len(t))
+    for i in range(len(t) if len(t) > 1 else 0):
+        lo, hi = max(i - 1, 0), min(i + 1, len(t) - 1)
+        hdot = (h[hi] - h[lo]) / (t[hi] - t[lo])
+        out[i] = abs(hdot + h[i] * rh[i])
+    return h, out, max(1.0, np.abs(h).max() * max(1.0, np.abs(rh).max()))
+
+
+class TestPostPass:
+    """The post-pass evaluates H, dH and R at all stored rows at once; its
+    results are those of the pointwise path."""
+
+    def check(self, spec, H, traj):
+        h, residuals, scale = _per_row_post_pass(spec, H, traj)
+        assert traj.hamiltonian_values.tobytes() == h.tobytes()
+        assert np.abs(traj.dissipation_residuals - residuals).max() <= 1e-14 * scale
+
+    def test_callable_hamiltonian(self):
+        s = contact1()
+        H = ScalarField.from_callable(
+            s.chart, lambda v: 0.5 * (v[0] ** 2 + v[1] ** 2) + 0.3 * v[2] ** 3
+        )
+        traj = integrate(s, H, s.chart.point((0.4, -0.3, 0.5)), 0.2, 1e-2)
+        assert len(traj.times) == 21 and not traj.escaped
+        self.check(s, H, traj)
+
+    def test_zero_t_end_single_row(self):
+        s = builtin("xjt_gtacos")
+        H = ScalarField.parse(s.chart, "q^2 + p^2 + x^2 + (y-1)^2 + 0.5*kappa", s.params)
+        traj = integrate(s, H, s.chart.point((0.2, 1.0, 0.3, -0.2, 0.1)), 0.0, 1e-2)
+        assert len(traj.times) == 1
+        assert traj.dissipation_residuals.tolist() == [0.0]
+        self.check(s, H, traj)
+
+    def test_escaped_trajectory(self):
+        s = builtin("xjt_gtacos")
+        H = ScalarField.parse(s.chart, "x/y^2")
+        traj = integrate(s, H, s.chart.point((0.0, 0.5, 0.0, 0.0, 0.0)), 1.0, 0.01)
+        assert traj.escaped and len(traj.times) == 50
+        self.check(s, H, traj)
+
+    def test_dense_rows(self):
+        s = builtin("xjt_gtacos")
+        H = ScalarField.parse(s.chart, "q^2 + p^2 + x^2 + (y-1)^2 + 0.5*kappa", s.params)
+        traj = integrate(s, H, s.chart.point((0.2, 1.0, 0.3, -0.2, 0.0)), 1.0, 1e-3)
+        assert len(traj.times) == 1001
+        self.check(s, H, traj)

@@ -2,8 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cosym.expressions import EvalError, ParseError, parse
+from cosym.charts import ScalarField, random_polynomial
+from cosym.expressions import (
+    FUNCTIONS,
+    Add,
+    Call,
+    Div,
+    EvalError,
+    Mul,
+    Name,
+    Neg,
+    Num,
+    ParseError,
+    Pow,
+    Sub,
+    eval_rows,
+    parse,
+)
+from cosym.structures import darboux_chart
 
 
 def test_precedence_and_literals():
@@ -159,3 +177,106 @@ def test_nested_error_keeps_its_own_message():
         parse("sqrt(1/x)").eval({"x": 0.0})
     with pytest.raises(EvalError, match=r"^log\(\) domain error"):
         parse("log(x)^2").eval({"x": -1.0})
+
+
+# --------------------------------------------------------------------------
+# Evaluation at many points: eval_rows against eval at each point
+# --------------------------------------------------------------------------
+
+ROW_NAMES = ("x", "y", "z")
+
+finite_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0]),
+    st.floats(-20.0, 20.0, allow_nan=False),
+    st.floats(-1e200, 1e200, allow_nan=False),
+)
+
+trees = st.recursive(
+    st.one_of(finite_floats.map(Num), st.sampled_from(ROW_NAMES).map(Name)),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.tuples(st.sampled_from([Add, Sub, Mul, Div, Pow]), sub, sub).map(
+            lambda t: t[0](t[1], t[2])
+        ),
+        st.tuples(st.sampled_from(sorted(FUNCTIONS)), sub).map(lambda t: Call(*t)),
+    ),
+    max_leaves=12,
+)
+
+row_sets = st.lists(
+    st.tuples(finite_floats, finite_floats, finite_floats), min_size=1, max_size=6
+)
+
+
+def assert_bits_equal(got, expected):
+    """Equal bit for bit: signed zeros must agree, NaNs must sit in the
+    same places."""
+    got = np.asarray(got, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    nan = np.isnan(expected)
+    assert (np.isnan(got) == nan).all()
+    assert (got[~nan].view(np.uint64) == expected[~nan].view(np.uint64)).all()
+
+
+def pointwise(expr, rows):
+    """Values of eval at each row, or None when it raises at any row."""
+    out = []
+    for row in rows:
+        try:
+            out.append(expr.eval(dict(zip(ROW_NAMES, row))))
+        except EvalError:
+            return None
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, row_sets)
+def test_eval_rows_matches_eval_bit_for_bit(expr, rows):
+    env = dict(zip(ROW_NAMES, np.array(rows, dtype=float).T))
+    expected = pointwise(expr, rows)
+    if expected is None:
+        with pytest.raises(EvalError):
+            eval_rows(expr, env)
+        return
+    got = np.broadcast_to(eval_rows(expr, env), (len(rows),))
+    assert_bits_equal(got, expected)
+
+
+def test_eval_rows_keeps_the_messages_of_eval():
+    env = {"x": np.array([1.0, 0.0, 2.0])}
+    for source in ("1/x", "x^(-1)", "log(x - 1)", "exp(1000*x)", "x + w"):
+        expr = parse(source)
+        with pytest.raises(EvalError) as row_err:
+            eval_rows(expr, env)
+        with pytest.raises(EvalError) as point_err:
+            for x in env["x"]:
+                expr.eval({"x": float(x)})
+        assert str(row_err.value) == str(point_err.value)
+
+
+def test_eval_rows_takes_scalars_and_arrays_alike():
+    expr = parse("k*x^2 + 1")
+    got = eval_rows(expr, {"k": 3.0, "x": np.array([1.0, 2.0])})
+    assert_bits_equal(got, [4.0, 13.0])
+    assert eval_rows(expr, {"k": 3.0, "x": 2.0}) == 13.0
+
+
+def _callable_field(chart):
+    n = chart.dimension
+
+    def fn(v):
+        return math.sin(v[0]) * math.exp(v[n - 1] / 3.0) + v[1] ** 3 / (2.0 + v[0] ** 2)
+
+    return ScalarField.from_callable(chart, fn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_field_rows_match_pointwise_bit_for_bit(n, seed, count):
+    rng = np.random.default_rng(seed)
+    chart = darboux_chart(n)
+    rows = rng.uniform(-2.0, 2.0, (count, chart.dimension))
+    for H in (random_polynomial(chart, rng, max_degree=3), _callable_field(chart)):
+        assert_bits_equal(H.value_rows(rows), [H.value(row) for row in rows])
+        assert_bits_equal(H.gradient_rows(rows), [H.gradient(row) for row in rows])

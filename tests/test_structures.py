@@ -16,6 +16,9 @@ from cosym.structures import (
     darboux_chart,
     flat,
     reeb,
+    reeb_from,
+    reeb_from_rows,
+    reeb_rows,
     sharp,
 )
 
@@ -263,3 +266,65 @@ class TestBuiltOncePerStructure:
         H = ScalarField.parse(chart, "q^2 + p^2")
         with pytest.raises(StructureError, match="rank"):
             dynamics.hamiltonian_field_generic(s, H, (0.1, 0.2, 0.3))
+
+
+def _nearly_degenerate(theta):
+    chart = darboux_chart(1)
+    return StructureSpec(
+        "nearly_degenerate",
+        chart,
+        KForm.one_form(chart, theta),
+        KForm.two_form(chart, {"q,p": 1.0}),
+        1,
+    )
+
+
+def _message(fn, *args):
+    with pytest.raises(StructureError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+class TestReebRows:
+    def test_rows_agree_with_the_pointwise_solve_on_the_catalog(self):
+        for name in CATALOG_SIZES:
+            s = builtin(name, ModelParameters(k=1.5, nu=0.8, delta=2.0))
+            probes = np.array([pt.array for pt in s.default_probes()])
+            assert probes.shape == (64, s.chart.dimension)
+            th, om = s.theta_rows(probes), s.omega_rows(probes)
+            R = reeb_rows(s, probes)
+            for k, row in enumerate(probes):
+                np.testing.assert_array_equal(th[k], s.theta_vector(row))
+                np.testing.assert_array_equal(om[k], s.omega_matrix(row))
+                expected = reeb(s, row)
+                tol = 1e-14 * max(1.0, np.abs(expected).max())
+                assert np.abs(R[k] - expected).max() <= tol
+
+    # dq + 1e-16 dkappa: the SVD returns a zero singular value; 1e-16 dkappa:
+    # it returns 1e-16, which lstsq's rule (<= eps * 4 * s_max) drops
+    @pytest.mark.parametrize("theta", [{"q": 1.0, "kappa": 1e-16}, {"kappa": 1e-16}])
+    def test_rank_check_on_rows(self, theta):
+        s = _nearly_degenerate(theta)
+        rows = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        message = _message(reeb_rows, s, rows)
+        assert "rank 2 < 3" in message
+        assert message == _message(reeb, s, rows[0])
+
+    def test_residual_check_on_rows(self):
+        # Omega^T = I is no two-form: R = 0 is forced, and R.theta = 1 fails
+        rows = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        th = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        om = np.array([np.eye(3), np.eye(3)])
+        message = _message(reeb_from_rows, th, om, rows)
+        assert message.startswith("Reeb system inconsistent")
+        assert message == _message(reeb_from, th[0], om[0], rows[0])
+
+    def test_first_failing_row_is_reported(self):
+        good = builtin("darboux_contact(1)")
+        rows = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        th, om = good.theta_rows(rows), good.omega_rows(rows)
+        om[1:] = np.eye(3)
+        th[1:] = [0.0, 0.0, 1.0]
+        assert _message(reeb_from_rows, th, om, rows) == _message(
+            reeb_from, th[1], om[1], rows[1]
+        )
