@@ -259,10 +259,6 @@ class ScalarField:
     def constant(cls, chart: Chart, value: float) -> "ScalarField":
         return cls(chart, expr=Num(float(value)))
 
-    @property
-    def derivative_mode(self) -> str:
-        return "symbolic" if self.expr is not None else "finite-difference"
-
     # -- evaluation --------------------------------------------------------
 
     def value(self, at, check_domain: bool = True) -> float:

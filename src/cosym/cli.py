@@ -84,6 +84,15 @@ def _pick(args, config, key, default=None):
     return config.get(key, default)
 
 
+def _require(args, config, key):
+    """:func:`_pick` for a value without a default; raises ValueError
+    naming the flag when neither the flags nor the config give it."""
+    value = _pick(args, config, key)
+    if value is None:
+        raise ValueError("missing --%s (give it as a flag or in --config)" % key)
+    return value
+
+
 def _resolve_structure(args, config, params) -> structures.StructureSpec:
     builtin_name = _pick(args, config, "builtin") or _pick(args, config, "structure")
     json_path = _pick(args, config, "structure-json")
@@ -234,7 +243,7 @@ def cmd_integrate(args) -> int:
     config = _load_config(args)
     params = _parse_params(args.param)
     spec = _resolve_structure(args, config, params)
-    hamiltonian = _pick(args, config, "hamiltonian")
+    hamiltonian = _require(args, config, "hamiltonian")
     H = _hamiltonian(spec, hamiltonian)
     solver = _solver_settings(args, config)
 
@@ -249,7 +258,7 @@ def cmd_integrate(args) -> int:
         _print_json({"sweep": outputs})
         return EXIT_NUMERICAL if any(o["escaped"] for o in outputs) else EXIT_OK
 
-    x0_text = _pick(args, config, "x0")
+    x0_text = _require(args, config, "x0")
     x0_values = x0_text if isinstance(x0_text, list) else _parse_values(x0_text)
     traj = dynamics.integrate(spec, H, spec.chart.point(x0_values), **solver)
     csv_path = _pick(args, config, "csv")
@@ -299,7 +308,7 @@ def cmd_compare(args) -> int:
     for v in variants:
         if v not in jacobi_flows.VARIANTS:
             raise ValueError("unknown variant %r" % v)
-    x0 = _parse_values(_pick(args, config, "x0"))
+    x0 = _parse_values(_require(args, config, "x0"))
     if len(x0) != 5:
         raise ValueError("compare needs a 5-coordinate initial point")
     t_end = float(_pick(args, config, "t-end", 1.0))
@@ -414,8 +423,8 @@ def cmd_riccati(args) -> int:
 def cmd_phi_solve(args) -> int:
     config = _load_config(args)
     params = _parse_params(args.param)
-    free = _parse_values(_pick(args, config, "free"))
-    at = _parse_values(_pick(args, config, "at"))
+    free = _parse_values(_require(args, config, "free"))
+    at = _parse_values(_require(args, config, "at"))
     try:
         sol = almost_contact.solve_phi(tuple(free), params, at)
     except almost_contact.PhiSolveError as exc:

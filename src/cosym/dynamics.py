@@ -23,7 +23,6 @@ from .structures import (
     StructureError,
     StructureSpec,
     darboux_pairs,
-    flat_from,
     reeb,
     reeb_from,
     reeb_rows,
@@ -48,39 +47,34 @@ class HamiltonianFieldCoefficients:
 
 
 def _point_data(spec: StructureSpec, H: ScalarField, at, check_domain: bool):
-    """(values, theta, F, dH, R) at a point; theta and Omega are evaluated
-    once and shared by the flat matrix F and the Reeb solve."""
+    """(values, theta, (u, s, vt), dH, R) at a point: theta and Omega are
+    evaluated once, and the SVD factors of the flat matrix that give R
+    solve every field, flat(X) = b being X = b @ u / s @ vt."""
     values = coerce_values(spec.chart, at)
     if check_domain and not isinstance(at, ChartPoint):
         spec.chart.check(values)
     th = spec.theta_vector(values, check_domain=False)
     om = spec.omega_matrix(values, check_domain=False)
     dH = H.gradient(values, check_domain=False)
-    return values, th, flat_from(th, om), dH, reeb_from(th, om, values)
+    R, factors = reeb_from(th, om, values)
+    return values, th, factors, dH, R
 
 
 def hamiltonian_field_generic(
     spec: StructureSpec, H: ScalarField, at, check_domain: bool = True
 ) -> np.ndarray:
     """Solve flat(X) = dH - (R(H) + H) theta at a point."""
-    values, th, F, dH, R = _point_data(spec, H, at, check_domain)
+    values, th, (u, s, vt), dH, R = _point_data(spec, H, at, check_domain)
     h = H.value(values, check_domain=False)
-    rhs = dH - (R @ dH + h) * th
-    try:
-        return np.linalg.solve(F, rhs)
-    except np.linalg.LinAlgError:
-        raise StructureError("flat matrix singular at %s" % list(values)) from None
+    return (dH - (R @ dH + h) * th) @ u / s @ vt
 
 
 def gradient_field(
     spec: StructureSpec, H: ScalarField, at, check_domain: bool = True
 ) -> np.ndarray:
     """Solve flat(grad H) = dH at a point."""
-    values, th, F, dH, R = _point_data(spec, H, at, check_domain)
-    try:
-        return np.linalg.solve(F, dH)
-    except np.linalg.LinAlgError:
-        raise StructureError("flat matrix singular at %s" % list(values)) from None
+    values, th, (u, s, vt), dH, R = _point_data(spec, H, at, check_domain)
+    return dH @ u / s @ vt
 
 
 def evolution_field(
@@ -94,8 +88,8 @@ def evolution_field(
         raise StructureError(
             "evolution field needs a cosymplectic structure; %r is not" % spec.name
         )
-    values, th, F, dH, R = _point_data(spec, H, at, check_domain)
-    grad = np.linalg.solve(F, dH)
+    values, th, (u, s, vt), dH, R = _point_data(spec, H, at, check_domain)
+    grad = dH @ u / s @ vt
     return grad - (R @ dH) * R + R
 
 
@@ -315,9 +309,6 @@ class Trajectory:
     escaped: bool = False
     diagnostic: str = ""
     metadata: dict = dc_field(default_factory=dict)
-
-    def points(self) -> list[ChartPoint]:
-        return [self.chart.point(row) for row in self.states]
 
     @property
     def max_dissipation_residual(self) -> float:

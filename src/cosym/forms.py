@@ -139,10 +139,6 @@ class KForm:
             coeffs[idx] = coeff
         return cls(chart, 2, coeffs, params)
 
-    @classmethod
-    def zero(cls, chart: Chart, degree: int) -> "KForm":
-        return cls(chart, degree, {})
-
     # -- evaluation / algebra -----------------------------------------------
 
     def at(self, point, check_domain: bool = True) -> FormValue:

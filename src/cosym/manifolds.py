@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import numpy as np
 
 from .charts import Chart, ChartMap, ChartPoint, Guard, ScalarField
@@ -83,9 +83,6 @@ class ModelParameters:
             gamma=None,
         )
 
-    def with_delta(self, delta: float) -> "ModelParameters":
-        return replace(self, delta=delta)
-
 
 @dataclass(frozen=True)
 class MetricMatrix:
@@ -110,11 +107,6 @@ CATALOG = (
 )
 
 _NAME_RE = re.compile(r"^([a-z_0-9]+?)(?:\((\d+)\))?$")
-
-
-def catalog_entries(params: ModelParameters | None = None) -> list[StructureSpec]:
-    """One representative per catalog family (n = 1 for the Darboux pair)."""
-    return [builtin(name, params) for name in CATALOG]
 
 
 def builtin(name: str, params: ModelParameters | None = None) -> StructureSpec:

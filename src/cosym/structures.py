@@ -1,8 +1,12 @@
 """Classified geometric structures (theta, Omega) on odd-dimensional charts.
 
 A structure is a one-form theta and a two-form Omega on a (2n+1)-chart with
-theta ^ Omega^n != 0.  The Reeb vector solves R ⌟ Omega = 0, R ⌟ theta = 1;
-the musical isomorphism is X -> X ⌟ Omega + (X ⌟ theta) theta.
+theta ^ Omega^n != 0.  The musical isomorphism is
+flat(X) = X ⌟ Omega + (X ⌟ theta) theta, with matrix F = Omega^T + theta theta^T.
+The Reeb conditions R ⌟ Omega = 0, R ⌟ theta = 1 say flat(R) = theta, so
+R = sharp(theta) = F^-1 theta: one SVD of F, rank- and residual-checked by
+:func:`reeb_from`, gives R, and the same factors solve sharp and every
+Hamiltonian, gradient and evolution field at that point.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from . import forms
 from .forms import KForm
 
 CLASSIFY_TOL = 1e-9
-REEB_TOL = 1e-11
+_EPS = np.finfo(float).eps
 
 
 class StructureError(ValueError):
@@ -361,78 +365,80 @@ def classify(spec: StructureSpec, probes=None, seed: int = 42) -> StructureClass
 
 def flat_from(th: np.ndarray, om: np.ndarray) -> np.ndarray:
     """Matrix of the flat map, Omega^T + theta theta^T, from the values of
-    theta and Omega at one point."""
-    return om.T + np.outer(th, th)
+    theta (dim,) and Omega (dim, dim) at one point, or from their rows
+    (N, dim) and (N, dim, dim)."""
+    return om.swapaxes(-1, -2) + th[..., None] * th[..., None, :]
 
 
 def reeb(spec: StructureSpec, at, check_domain: bool = True) -> np.ndarray:
-    """Solve the stacked (2n+2) x (2n+1) system R ⌟ Omega = 0, R ⌟ theta = 1.
-
-    Omega alone is rank-deficient by construction, so the system is solved in
-    the least-squares sense with an explicit rank and residual check.
-    """
-    values = coerce_values(spec.chart, at)
-    if check_domain and not isinstance(at, ChartPoint):
-        spec.chart.check(values)
-    om = spec.omega_matrix(values, check_domain=False)
-    th = spec.theta_vector(values, check_domain=False)
-    return reeb_from(th, om, values)
-
-
-def reeb_from(th: np.ndarray, om: np.ndarray, values) -> np.ndarray:
-    """The Reeb solve of :func:`reeb` from the values of theta and Omega at
-    the point ``values`` (which only labels the errors)."""
-    dim = len(th)
-    system = np.vstack([om.T, th])
-    rhs = np.zeros(dim + 1)
-    rhs[-1] = 1.0
-    solution, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
-    _check_reeb(rank, np.abs(system @ solution - rhs).max(), dim, values)
-    return solution
+    """The Reeb vector R = ♯theta, which solves R ⌟ Omega = 0, R ⌟ theta = 1."""
+    return _solve_at(spec, at, check_domain)[0]
 
 
 def reeb_rows(spec: StructureSpec, rows) -> np.ndarray:
     """(N, dim) Reeb vectors at every row of an (N, dim) array, without
     domain checks: :func:`reeb` solved for all rows at once."""
     rows = np.asarray(rows, dtype=float)
-    return reeb_from_rows(spec.theta_rows(rows), spec.omega_rows(rows), rows)
+    return reeb_from(spec.theta_rows(rows), spec.omega_rows(rows), rows)[0]
 
 
-def reeb_from_rows(th: np.ndarray, om: np.ndarray, rows) -> np.ndarray:
-    """:func:`reeb_from` for stacked (N, dim) theta and (N, dim, dim) Omega.
+def reeb_from(th: np.ndarray, om: np.ndarray, values):
+    """R = F^-1 theta and the SVD factors (u, s, vt) of the flat matrix F.
 
-    Each stacked system is solved by its SVD, with ``lstsq``'s rank rule
-    and the same checks.  The per-point solve stays on ``lstsq``, which is
-    the faster for one point.
+    ``th`` and ``om`` are theta and Omega at the point ``values``, or their
+    rows at the rows of ``values``; ``values`` only labels the errors.  Any
+    other right-hand side b is solved as ``b @ u / s @ vt``.  Raises
+    StructureError when F fails the rank rule s_min > eps * dim * s_max
+    (numpy's default ``matrix_rank`` rule), or when R leaves a residual
+    above 1e-9 in R ⌟ Omega = 0, R ⌟ theta = 1; over rows, the first row
+    that fails the rank rule is reported, else the first with a residual.
     """
-    dim = th.shape[1]
-    systems = np.concatenate([om.transpose(0, 2, 1), th[:, None, :]], axis=1)
-    u, s, vt = np.linalg.svd(systems, full_matrices=False)
-    # lstsq (rcond=None) drops singular values <= eps * max(M, N) * s_max
-    kept = s > np.finfo(float).eps * (dim + 1) * s[:, :1]
-    # the right-hand side is the last unit vector, so U^T b is U's last row
-    coef = np.where(kept, u[:, -1, :] / np.where(kept, s, 1.0), 0.0)
-    solutions = (vt.transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0]
-    residuals = (systems @ solutions[:, :, None])[:, :, 0]
-    residuals[:, -1] -= 1.0
-    errors = np.abs(residuals).max(axis=1)
-    for k, (rank, error) in enumerate(zip(kept.sum(axis=1).tolist(), errors.tolist())):
-        _check_reeb(rank, error, dim, rows[k])
-    return solutions
+    u, s, vt = np.linalg.svd(flat_from(th, om))
+    _check_flat(s, values)  # before dividing by s
+    if th.ndim == 1:
+        R = th @ u / s @ vt
+        error = max(np.abs(R @ om).max(), abs(R @ th - 1.0))  # numpy scalar: has .all()
+    else:
+        R = (th[:, None, :] @ u / s[:, None, :] @ vt)[:, 0, :]
+        error = np.maximum(
+            np.abs(R[:, None, :] @ om)[:, 0, :].max(axis=1),
+            np.abs(np.einsum("ij,ij->i", R, th) - 1.0),
+        )
+    _check_flat(s, values, error)
+    return R, (u, s, vt)
 
 
-def _check_reeb(rank: int, error: float, dim: int, values) -> None:
-    """Reject a stacked Reeb system of rank below ``dim``, or a solution
-    that leaves a residual above 1e-9."""
-    if rank < dim:
+def _check_flat(s: np.ndarray, values, error=None) -> None:
+    """Without ``error``, raise StructureError at the first point whose flat
+    matrix, with singular values ``s`` (descending), fails the rank rule
+    s_min > eps * dim * s_max; with it, at the first point whose Reeb
+    residual is above 1e-9."""
+    dim = s.shape[-1]
+    good = s.T[-1] > _EPS * dim * s.T[0] if error is None else error <= 1e-9
+    if good.all():
+        return
+    k = int(np.argmin(good))
+    point = np.asarray(np.atleast_2d(values)[k], dtype=float).tolist()
+    if error is None:
+        s = np.atleast_2d(s)[k]
         raise StructureError(
-            "degenerate structure at %s: stacked system has rank %d < %d"
-            % (list(values), rank, dim)
+            "degenerate structure at %s: flat matrix has rank %d < %d"
+            % (point, np.count_nonzero(s > _EPS * dim * s[0]), dim)
         )
-    if error > 1e-9:
-        raise StructureError(
-            "Reeb system inconsistent at %s (residual %.3e)" % (list(values), error)
-        )
+    raise StructureError(
+        "Reeb system inconsistent at %s (residual %.3e)"
+        % (point, np.atleast_1d(error)[k])
+    )
+
+
+def _solve_at(spec: StructureSpec, at, check_domain: bool):
+    """:func:`reeb_from` at one point of ``spec``'s chart."""
+    values = coerce_values(spec.chart, at)
+    if check_domain and not isinstance(at, ChartPoint):
+        spec.chart.check(values)
+    th = spec.theta_vector(values, check_domain=False)
+    om = spec.omega_matrix(values, check_domain=False)
+    return reeb_from(th, om, values)
 
 
 def flat(spec: StructureSpec, X, at, check_domain: bool = True) -> np.ndarray:
@@ -445,13 +451,7 @@ def flat(spec: StructureSpec, X, at, check_domain: bool = True) -> np.ndarray:
 
 
 def sharp(spec: StructureSpec, alpha, at, check_domain: bool = True) -> np.ndarray:
-    """Inverse of flat; raises StructureError when the flat matrix is singular."""
-    values = coerce_values(spec.chart, at)
-    if check_domain and not isinstance(at, ChartPoint):
-        spec.chart.check(values)
-    F = spec.flat_matrix(values, check_domain=False)
-    alpha = np.asarray(alpha, dtype=float)
-    try:
-        return np.linalg.solve(F, alpha)
-    except np.linalg.LinAlgError:
-        raise StructureError("flat matrix singular at %s" % list(values)) from None
+    """Inverse of flat, from the factors that also give R = ♯theta; raises
+    StructureError where :func:`reeb` does."""
+    _, (u, s, vt) = _solve_at(spec, at, check_domain)
+    return np.asarray(alpha, dtype=float) @ u / s @ vt

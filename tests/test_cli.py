@@ -465,6 +465,25 @@ class TestPhiSolve:
         assert np.abs(phi[:, 4]).max() == 0.0
 
 
+class TestMissingValues:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("compare", "--variants", "gtacos"), "--x0"),
+            (("phi-solve", "--at", "0,1,0.1,0.2,0"), "--free"),
+            (("phi-solve", "--free", "1,0.5,0.3,-0.2"), "--at"),
+            (("integrate", "--builtin", "darboux_contact", "--hamiltonian", "kappa"), "--x0"),
+            (("integrate", "--builtin", "darboux_contact", "--x0", "0,1,1"), "--hamiltonian"),
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert err.startswith("error: missing %s " % flag)
+        assert "Traceback" not in err
+        assert out == ""
+
+
 class TestInvariantSuite:
     def test_all_pass(self, capsys):
         code, out, _ = run(capsys, "invariant-suite")

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_point, random_polynomial
 from cosym import dynamics, forms
@@ -17,7 +18,6 @@ from cosym.structures import (
     flat,
     reeb,
     reeb_from,
-    reeb_from_rows,
     reeb_rows,
     sharp,
 )
@@ -247,10 +247,11 @@ class TestBuiltOncePerStructure:
             for _ in range(4):
                 pt = random_point(s.chart, rng)
                 del degrees[:]
-                values, th, F, dH, R = dynamics._point_data(s, H, pt, True)
+                values, th, factors, dH, R = dynamics._point_data(s, H, pt, True)
                 assert sorted(degrees) == [1, 2]
                 np.testing.assert_array_equal(R, reeb(s, pt))
-                np.testing.assert_array_equal(F, s.flat_matrix(pt))
+                for got, want in zip(factors, np.linalg.svd(s.flat_matrix(pt))):
+                    np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(th, s.theta_vector(pt))
                 np.testing.assert_array_equal(dH, H.gradient(pt))
 
@@ -300,8 +301,8 @@ class TestReebRows:
                 tol = 1e-14 * max(1.0, np.abs(expected).max())
                 assert np.abs(R[k] - expected).max() <= tol
 
-    # dq + 1e-16 dkappa: the SVD returns a zero singular value; 1e-16 dkappa:
-    # it returns 1e-16, which lstsq's rule (<= eps * 4 * s_max) drops
+    # the flat matrix's smallest singular value is 1e-32 in both cases, far
+    # below the rank rule's eps * 3 * s_max
     @pytest.mark.parametrize("theta", [{"q": 1.0, "kappa": 1e-16}, {"kappa": 1e-16}])
     def test_rank_check_on_rows(self, theta):
         s = _nearly_degenerate(theta)
@@ -315,7 +316,7 @@ class TestReebRows:
         rows = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
         th = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         om = np.array([np.eye(3), np.eye(3)])
-        message = _message(reeb_from_rows, th, om, rows)
+        message = _message(reeb_from, th, om, rows)
         assert message.startswith("Reeb system inconsistent")
         assert message == _message(reeb_from, th[0], om[0], rows[0])
 
@@ -325,6 +326,93 @@ class TestReebRows:
         th, om = good.theta_rows(rows), good.omega_rows(rows)
         om[1:] = np.eye(3)
         th[1:] = [0.0, 0.0, 1.0]
-        assert _message(reeb_from_rows, th, om, rows) == _message(
+        assert _message(reeb_from, th, om, rows) == _message(
             reeb_from, th[1], om[1], rows[1]
         )
+
+
+class TestRankBoundary:
+    # F's smallest singular value is c^2 for theta = c dkappa over dq^dp, so
+    # the rank rule c^2 > 3 eps accepts c = 3e-8 and refuses c = 1e-8
+    def test_small_theta_is_accepted_above_the_boundary(self):
+        c = 3e-8
+        s = _nearly_degenerate({"kappa": c})
+        pt = (0.1, 0.2, 0.3)
+        expected = [0.0, 0.0, 1.0 / c]
+        np.testing.assert_allclose(reeb(s, pt), expected, rtol=1e-14, atol=1e-14 / c)
+        np.testing.assert_allclose(
+            reeb_rows(s, [pt, pt])[1], expected, rtol=1e-14, atol=1e-14 / c
+        )
+
+    def test_small_theta_is_refused_below_the_boundary(self):
+        s = _nearly_degenerate({"kappa": 1e-8})
+        pt = (0.1, 0.2, 0.3)
+        H = ScalarField.parse(s.chart, "q^2 + p^2")
+        for fn, args in (
+            (reeb, (s, pt)),
+            (reeb_rows, (s, [pt])),
+            (dynamics.hamiltonian_field_generic, (s, H, pt)),
+        ):
+            assert "rank 2 < 3" in _message(fn, *args)
+
+
+class TestStructureErrorMessages:
+    @pytest.mark.parametrize("theta", [{"q": 1.0, "kappa": 1e-16}, {"kappa": 1e-16}])
+    def test_points_print_as_plain_floats(self, theta):
+        s = _nearly_degenerate(theta)
+        pt = (0.1, 0.2, 0.3)
+        H = ScalarField.parse(s.chart, "q^2 + p^2")
+        for fn, args in (
+            (reeb, (s, pt)),
+            (reeb_rows, (s, [pt])),
+            (sharp, (s, [1.0, 2.0, 3.0], pt)),
+            (dynamics.hamiltonian_field_generic, (s, H, pt)),
+        ):
+            message = _message(fn, *args)
+            assert "[0.1, 0.2, 0.3]" in message
+            assert "np.float64" not in message
+
+
+coefficients = st.floats(-2.0, 2.0, allow_nan=False)
+kappa_coefficients = st.builds(
+    lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), st.floats(0.5, 3.0)
+)
+
+
+@st.composite
+def canonical_cases(draw):
+    """A random canonical theta (n = 1..3) and a point of its chart."""
+    n = draw(st.integers(1, 3))
+    spec = CanonicalThetaSpec(
+        a=tuple(draw(st.lists(coefficients, min_size=n, max_size=n))),
+        b=tuple(draw(st.lists(coefficients, min_size=n, max_size=n))),
+        c=draw(kappa_coefficients),
+    )
+    point = draw(st.lists(coefficients, min_size=2 * n + 1, max_size=2 * n + 1))
+    return spec, point
+
+
+class TestOneFlatSolveProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_cases())
+    def test_reeb_is_the_closed_form(self, case):
+        spec, pt = case
+        assert reeb(spec.structure(), pt) == pytest.approx(spec.reeb_vector(), abs=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_cases(), st.integers(0, 2**32 - 1))
+    def test_generic_field_is_the_closed_form(self, case, seed):
+        spec, pt = case
+        s = spec.structure()
+        H = random_polynomial(s.chart, np.random.default_rng(seed))
+        closed = dynamics.hamiltonian_field_closed(spec, H, pt).vector()
+        generic = dynamics.hamiltonian_field_generic(s, H, pt)
+        assert np.all(np.abs(closed - generic) <= 1e-9 * np.maximum(1.0, np.abs(closed)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_cases(), st.lists(st.floats(-3.0, 3.0), min_size=7, max_size=7))
+    def test_sharp_inverts_flat(self, case, vector):
+        spec, pt = case
+        s = spec.structure()
+        v = np.array(vector[: s.chart.dimension])
+        assert sharp(s, flat(s, v, pt), pt) == pytest.approx(v, abs=1e-10)
