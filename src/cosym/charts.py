@@ -4,8 +4,9 @@ Fields are evaluated pointwise, or at every row of an (N, dim) array at once
 (``value_rows``, ``gradient_rows``; bit-identical to the pointwise results).
 A field backed by an expression tree has exact first and second partial
 derivatives; each partial-derivative tree is built on first use and kept on
-the field, so a field is differentiated at most once per coordinate.  A
-field backed by an opaque callable falls back to central finite differences
+the field, so a field is differentiated at most once per coordinate; its value
+and partials compile into one straight-line kernel on request
+(:meth:`ScalarField.kernel`).  A field backed by an opaque callable falls back to central finite differences
 with step ``h_i = max(1, |x_i|) * eps**(1/3)``.  A value or gradient that is
 not finite (an overflow to inf, or NaN) raises :class:`EvalError`.
 
@@ -22,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expressions import Expr, EvalError, Name, Num, eval_rows, parse
+from .expressions import Expr, EvalError, Kernel, Name, Num, eval_rows, parse
 
 FD_STEP_EXPONENT = 1.0 / 3.0
 _EPS_CBRT = float(np.finfo(float).eps) ** FD_STEP_EXPONENT
@@ -230,6 +231,7 @@ class ScalarField:
         self.params = dict(params or {})
         self.source = source
         self._partials: dict[str, Expr] = {}
+        self._kernel: Kernel | None = None
         overlap = set(self.params) & set(chart.coordinates)
         if overlap:
             raise ValueError("parameters shadow coordinates: %s" % sorted(overlap))
@@ -363,6 +365,35 @@ class ScalarField:
         for j, c in enumerate(self.chart.coordinates):
             out[:, j] = eval_rows(self._partial_expr(c), env)
         return self._finite_rows("gradient", out, rows)
+
+    # -- compiled evaluation -------------------------------------------------
+
+    def kernel(self) -> Kernel | None:
+        """The value and the partials as one straight-line kernel, built on
+        first request and kept; None for a callable-backed field."""
+        if self._kernel is None and self.expr is not None:
+            coords = self.chart.coordinates
+            exprs = [self.expr] + [self._partial_expr(c) for c in coords]
+            self._kernel = Kernel(exprs, coords, [self.params] * len(exprs))
+        return self._kernel
+
+    def compiled_at(self, point: list[float]):
+        """(value, gradient) at ``point``, a list of floats, from the kept
+        kernel, bit for bit as ``value`` and ``gradient`` give them.  None
+        when no kernel is kept, or where it raises or gives a result that is
+        not finite: the caller then evaluates the trees, whose errors are
+        the reference."""
+        out = None if self._kernel is None else self._kernel.finite_at(point)
+        return None if out is None else (out[0], np.array(out[1:]))
+
+    def compiled_rows(self, rows: np.ndarray):
+        """(values, gradients) at every row of an (N, dim) array from the
+        kept kernel, as ``value_rows`` and ``gradient_rows`` give them; None
+        as for :meth:`compiled_at`."""
+        out = None if self._kernel is None else self._kernel.finite_rows(rows)
+        if out is None:
+            return None
+        return out[:, 0].copy(), np.ascontiguousarray(out[:, 1:])
 
     # -- algebra (symbolic when both operands are) ---------------------------
 

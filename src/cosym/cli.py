@@ -9,6 +9,7 @@ overrides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -663,9 +664,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process: parsing keeps
+    no state between calls (each call fills a fresh namespace, and the
+    seed's environment override is read by :func:`_seed` at run time)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -23,7 +23,6 @@ from .structures import (
     StructureError,
     StructureSpec,
     darboux_pairs,
-    reeb,
     reeb_from,
     reeb_rows,
 )
@@ -47,33 +46,50 @@ class HamiltonianFieldCoefficients:
 
 
 def _point_data(spec: StructureSpec, H: ScalarField, at, check_domain: bool):
-    """(values, theta, (u, s, vt), dH, R) at a point: theta and Omega are
+    """(values, theta, (u, s, vt), dH, R, h) at a point: theta and Omega are
     evaluated once, and the SVD factors of the flat matrix that give R
-    solve every field, flat(X) = b being X = b @ u / s @ vt."""
+    solve every field, flat(X) = b being X = b @ u / s @ vt.
+
+    When ``spec`` keeps a kernel (``integrate`` builds it), theta and Omega
+    come from it, and when ``H`` keeps one, dH and h = H's value do.  Where
+    there is no kernel or it fails, the trees are walked, in the same order,
+    and h is None, so that a caller evaluates H after the flat solve and a
+    degenerate structure is reported before a failing H."""
     values = coerce_values(spec.chart, at)
     if check_domain and not isinstance(at, ChartPoint):
         spec.chart.check(values)
-    th = spec.theta_vector(values, check_domain=False)
-    om = spec.omega_matrix(values, check_domain=False)
-    dH = H.gradient(values, check_domain=False)
+    point = values.tolist()
+    structure = spec.compiled_at(point)
+    if structure is None:
+        structure = (spec.theta_vector(values, check_domain=False),
+                     spec.omega_matrix(values, check_domain=False))
+    h, dH = H.compiled_at(point) or (None, H.gradient(values, check_domain=False))
+    th, om = structure
     R, factors = reeb_from(th, om, values)
-    return values, th, factors, dH, R
+    return values, th, factors, dH, R, h
+
+
+def _field_from(th, factors, R, dH, h) -> np.ndarray:
+    """X_H from flat(X_H) = dH - (R(H) + H) theta and the factors of F."""
+    u, s, vt = factors
+    return (dH - (R @ dH + h) * th) @ u / s @ vt
 
 
 def hamiltonian_field_generic(
     spec: StructureSpec, H: ScalarField, at, check_domain: bool = True
 ) -> np.ndarray:
     """Solve flat(X) = dH - (R(H) + H) theta at a point."""
-    values, th, (u, s, vt), dH, R = _point_data(spec, H, at, check_domain)
-    h = H.value(values, check_domain=False)
-    return (dH - (R @ dH + h) * th) @ u / s @ vt
+    values, th, factors, dH, R, h = _point_data(spec, H, at, check_domain)
+    if h is None:
+        h = H.value(values, check_domain=False)
+    return _field_from(th, factors, R, dH, h)
 
 
 def gradient_field(
     spec: StructureSpec, H: ScalarField, at, check_domain: bool = True
 ) -> np.ndarray:
     """Solve flat(grad H) = dH at a point."""
-    values, th, (u, s, vt), dH, R = _point_data(spec, H, at, check_domain)
+    values, th, (u, s, vt), dH, R, _ = _point_data(spec, H, at, check_domain)
     return dH @ u / s @ vt
 
 
@@ -88,7 +104,7 @@ def evolution_field(
         raise StructureError(
             "evolution field needs a cosymplectic structure; %r is not" % spec.name
         )
-    values, th, (u, s, vt), dH, R = _point_data(spec, H, at, check_domain)
+    values, th, (u, s, vt), dH, R, _ = _point_data(spec, H, at, check_domain)
     grad = dH @ u / s @ vt
     return grad - (R @ dH) * R + R
 
@@ -283,15 +299,19 @@ def jacobi_bracket_generic(
     values = coerce_values(spec.chart, at)
     if not isinstance(at, ChartPoint):
         spec.chart.check(values)
-    Xf = hamiltonian_field_generic(spec, f, values, check_domain=False)
-    Xg = hamiltonian_field_generic(spec, g, values, check_domain=False)
+    # One evaluation of theta and Omega and one factorisation serve X_f, X_g
+    # and R; f's data comes before g's, so errors are those of two
+    # hamiltonian_field_generic calls in turn.
+    th = spec.theta_vector(values, check_domain=False)
     om = spec.omega_matrix(values, check_domain=False)
-    R = reeb(spec, values, check_domain=False)
+    df = f.gradient(values, check_domain=False)
+    R, factors = reeb_from(th, om, values)
     fv = f.value(values, check_domain=False)
+    dg = g.gradient(values, check_domain=False)
     gv = g.value(values, check_domain=False)
-    Rg = R @ g.gradient(values, check_domain=False)
-    Rf = R @ f.gradient(values, check_domain=False)
-    return float(Xf @ om @ Xg + fv * Rg - gv * Rf)
+    Xf = _field_from(th, factors, R, df, fv)
+    Xg = _field_from(th, factors, R, dg, gv)
+    return float(Xf @ om @ Xg + fv * (R @ dg) - gv * (R @ df))
 
 
 # --------------------------------------------------------------------------
@@ -493,12 +513,13 @@ def integrate(
     Recorded states are guard-checked; a mid-flow domain escape truncates the
     trajectory and sets ``escaped`` with a diagnostic instead of raising.
     """
+    spec.kernel()
+    H.kernel()
     times, states, escaped, diagnostic = _step(
         lambda values: hamiltonian_field_generic(spec, H, values, check_domain=False),
         spec.chart, x0.array, t_end, dt, method, rtol, atol,
     )
-    h_values = H.value_rows(states)
-    rh_values = np.einsum("ij,ij->i", reeb_rows(spec, states), H.gradient_rows(states))
+    h_values, rh_values = _dissipation_rows(spec, H, states)
     residuals = _dissipation_residuals(times, h_values, rh_values)
     return Trajectory(
         chart=spec.chart,
@@ -510,6 +531,21 @@ def integrate(
         diagnostic=diagnostic,
         metadata={"method": method, "dt": dt, "rtol": rtol, "atol": atol},
     )
+
+
+def _dissipation_rows(spec: StructureSpec, H: ScalarField, states: np.ndarray):
+    """H and R(H) at every stored row, from the kept kernels; where there is
+    none or it fails, from the trees, in the same order, whose errors (the
+    first failing row) are the reference."""
+    structure = spec.compiled_rows(states)
+    field = H.compiled_rows(states)
+    h_values = H.value_rows(states) if field is None else field[0]
+    if structure is None:
+        R = reeb_rows(spec, states)
+    else:
+        R = reeb_from(*structure, states)[0]
+    dH = H.gradient_rows(states) if field is None else field[1]
+    return h_values, np.einsum("ij,ij->i", R, dH)
 
 
 def _dissipation_residuals(times, h_values, rh_values) -> np.ndarray:

@@ -13,15 +13,17 @@ time.  The reserved function names are sin, cos, exp, log, sqrt.  Parse
 errors carry the byte offset of the failure and the set of token kinds that
 would have been accepted there.
 
-:func:`eval_rows` evaluates a tree at many points at once, bit for bit as
-:meth:`Expr.eval` does at each point.
+:class:`Kernel` compiles a list of trees into one straight-line Python
+function, bound either to scalar helpers (one point) or to row helpers
+(many points at once, as :func:`eval_rows` does); both give what
+:meth:`Expr.eval` gives at each point, bit for bit, and raise its errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -409,6 +411,174 @@ _POW_ROWS = np.frompyfunc(_pow, 2, 1)
 _CALL_ROWS = {fn: np.frompyfunc(_checked_call(fn), 1, 1) for fn in FUNCTIONS}
 
 
+def _floats(ufunc: np.ufunc) -> Callable:
+    """``ufunc`` over rows, its object-array result cast back to floats."""
+
+    def apply(*args):
+        out = ufunc(*args)
+        return out.astype(float) if isinstance(out, np.ndarray) else out
+
+    return apply
+
+
+def _zero_divisor(denom) -> None:
+    if denom == 0.0:
+        raise EvalError("division by zero in expression")
+
+
+def _zero_divisor_rows(denom) -> None:
+    if np.any(denom == 0.0):
+        raise EvalError("division by zero in expression")
+
+
+# --------------------------------------------------------------------------
+# Straight-line kernels
+# --------------------------------------------------------------------------
+
+# The emitted code calls these names; a kernel binds one source to either set.
+_CALL_HELPERS = {fn: "_call_" + fn for fn in FUNCTIONS}
+_SCALAR_HELPERS = {"_pow": _pow, "_divisor": _zero_divisor, "_unbound": _unbound}
+_SCALAR_HELPERS.update({_CALL_HELPERS[fn]: _checked_call(fn) for fn in FUNCTIONS})
+_ROW_HELPERS = {"_pow": _floats(_POW_ROWS), "_divisor": _zero_divisor_rows,
+                "_unbound": _unbound}
+_ROW_HELPERS.update({_CALL_HELPERS[fn]: _floats(_CALL_ROWS[fn]) for fn in FUNCTIONS})
+_OPERATORS = {Add: "+", Sub: "-", Mul: "*"}
+
+
+class _Emitter:
+    """Straight-line source for expression trees: one assignment per
+    operation node, in the order :meth:`Expr.eval` visits the nodes.
+
+    Arguments are ``_a<i>``, temporaries ``_t<i>`` and bound values
+    ``_k<i>``; no name or number from the trees enters the source.  A node
+    object met again under the same bindings reuses its temporary: the code
+    is straight-line, so its first evaluation has already run (or raised).
+    """
+
+    def __init__(self, args: Sequence[str]):
+        self.slots = {name: "_a%d" % i for i, name in enumerate(args)}
+        self.values: dict[str, object] = {}
+        self.lines: list[str] = []
+        self.done: dict[tuple[int, int], str] = {}
+
+    def value(self, v) -> str:
+        name = "_k%d" % len(self.values)
+        self.values[name] = v
+        return name
+
+    def assign(self, rhs: str) -> str:
+        name = "_t%d" % len(self.lines)
+        self.lines.append("%s = %s" % (name, rhs))
+        return name
+
+    def node(self, e: Expr, bound: Mapping[str, object]) -> str:
+        kind = type(e)
+        if kind is Num:
+            return self.value(e.value)
+        if kind is Name:
+            if e.ident in bound:
+                return self.value(bound[e.ident])
+            if e.ident in self.slots:
+                return self.slots[e.ident]
+            ident = self.value(e.ident)
+            self.lines.append("raise _unbound(%s)" % ident)
+            return ident
+        key = (id(e), id(bound))
+        if key in self.done:
+            return self.done[key]
+        if kind in _OPERATORS:
+            left = self.node(e.left, bound)
+            right = self.node(e.right, bound)
+            out = self.assign("%s %s %s" % (left, _OPERATORS[kind], right))
+        elif kind is Div:
+            denom = self.node(e.right, bound)
+            if not (type(e.right) is Num and e.right.value != 0.0):
+                self.lines.append("_divisor(%s)" % denom)
+            out = self.assign("%s / %s" % (self.node(e.left, bound), denom))
+        elif kind is Neg:
+            out = self.assign("-" + self.node(e.arg, bound))
+        elif kind is Pow:
+            base = self.node(e.base, bound)
+            out = self.assign("_pow(%s, %s)" % (base, self.node(e.exponent, bound)))
+        elif kind is Call:
+            if e.fn not in _CALL_HELPERS:
+                raise EvalError("unknown function %r" % e.fn)
+            out = self.assign("%s(%s)" % (_CALL_HELPERS[e.fn], self.node(e.arg, bound)))
+        else:
+            raise TypeError("cannot emit %r" % (e,))
+        self.done[key] = out
+        return out
+
+
+def _bind(code, helpers: Mapping[str, object], values: Mapping[str, object]):
+    namespace = {**helpers, **values}
+    exec(code, namespace)
+    return namespace["_kernel"]
+
+
+class Kernel:
+    """Expression trees compiled into one straight-line Python function.
+
+    ``args`` names the positional arguments; ``bound``, when given, holds
+    one mapping per tree of further names bound to fixed values (a field's
+    parameters).  ``scalar(*args)`` takes one float per argument and
+    returns the tuple of the trees' values, equal bit for bit to
+    :meth:`Expr.eval`, raising its :class:`EvalError` with the same message.
+    ``rows(*args)`` takes floats or float arrays with one entry per point
+    and runs the same source on the row helpers, as :func:`eval_rows` does.
+    The source is compiled once; ``source`` keeps it.
+    """
+
+    __slots__ = ("source", "scalar", "_rows")
+
+    def __init__(
+        self,
+        exprs: Sequence[Expr],
+        args: Sequence[str],
+        bound: Sequence[Mapping[str, object]] | None = None,
+    ):
+        emitter = _Emitter(args)
+        if bound is None:
+            bound = [{}] * len(exprs)
+        outs = [emitter.node(e, b) for e, b in zip(exprs, bound, strict=True)]
+        body = emitter.lines + ["return (%s)" % "".join(o + ", " for o in outs)]
+        self.source = "def _kernel(%s):\n    %s\n" % (
+            ", ".join(emitter.slots.values()), "\n    ".join(body))
+        code = compile(self.source, "<kernel>", "exec")
+        self.scalar = _bind(code, _SCALAR_HELPERS, emitter.values)
+        self._rows = _bind(code, _ROW_HELPERS, emitter.values)
+
+    def rows(self, *args) -> tuple:
+        """The trees' values at many points; overflow to inf or NaN passes
+        silently, as in ``scalar``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._rows(*args)
+
+    def finite_at(self, point: Sequence[float]) -> tuple | None:
+        """``scalar(*point)``, or None where it raises or a value is not
+        finite; the caller then walks the trees, whose errors are the
+        reference."""
+        try:
+            out = self.scalar(*point)
+        except (ArithmeticError, ValueError):  # EvalError is a ValueError
+            return None
+        # inf or NaN anywhere makes the sum so (as may an overflowing sum
+        # of finite values, which only costs the tree walk).
+        return out if math.isfinite(sum(out)) else None
+
+    def finite_rows(self, rows: np.ndarray) -> np.ndarray | None:
+        """The trees' values at every row of an (N, k) array as an (N, m)
+        array, one column per tree; None as for :meth:`finite_at`."""
+        try:
+            out = self.rows(*rows.T)
+        except (ArithmeticError, ValueError):  # EvalError is a ValueError
+            return None
+        table = np.empty((len(rows), len(out)))
+        for j, v in enumerate(out):
+            table[:, j] = v
+        return table if np.isfinite(table).all() else None
+
+
 def eval_rows(expr: Expr, env: Mapping[str, object]):
     """Value of ``expr`` at many points at once.
 
@@ -418,39 +588,7 @@ def eval_rows(expr: Expr, env: Mapping[str, object]):
     :class:`EvalError` at some point, this raises one too.  Overflow to inf
     or NaN passes silently, as in ``eval``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _rows(expr, env)
-
-
-def _rows(e: Expr, env):
-    kind = type(e)
-    if kind is Num:
-        return e.value
-    if kind is Name:
-        try:
-            return env[e.ident]
-        except KeyError:
-            raise _unbound(e.ident) from None
-    if kind is Add:
-        return _rows(e.left, env) + _rows(e.right, env)
-    if kind is Sub:
-        return _rows(e.left, env) - _rows(e.right, env)
-    if kind is Mul:
-        return _rows(e.left, env) * _rows(e.right, env)
-    if kind is Div:
-        denom = _rows(e.right, env)
-        if np.any(denom == 0.0):
-            raise EvalError("division by zero in expression")
-        return _rows(e.left, env) / denom
-    if kind is Neg:
-        return -_rows(e.arg, env)
-    if kind is Pow:
-        out = _POW_ROWS(_rows(e.base, env), _rows(e.exponent, env))
-    elif kind is Call:
-        out = _CALL_ROWS[e.fn](_rows(e.arg, env))
-    else:  # pragma: no cover - every node type is handled above
-        raise TypeError("cannot evaluate %r" % (e,))
-    return out.astype(float) if isinstance(out, np.ndarray) else out
+    return Kernel([expr], tuple(env)).rows(*env.values())[0]
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,8 @@ flat(X) = X ⌟ Omega + (X ⌟ theta) theta, with matrix F = Omega^T + theta the
 The Reeb conditions R ⌟ Omega = 0, R ⌟ theta = 1 say flat(R) = theta, so
 R = sharp(theta) = F^-1 theta: one SVD of F, rank- and residual-checked by
 :func:`reeb_from`, gives R, and the same factors solve sharp and every
-Hamiltonian, gradient and evolution field at that point.
+Hamiltonian, gradient and evolution field at that point.  theta and Omega
+compile into one straight-line kernel on request (:meth:`StructureSpec.kernel`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .charts import Chart, ChartPoint, coerce_values
-from .expressions import Expr, Mul, Name, Neg, Num
+from .expressions import Expr, Kernel, Mul, Name, Neg, Num
 from . import forms
 from .forms import KForm
 
@@ -81,6 +82,7 @@ class StructureSpec:
         self.params = dict(params or {})
         self._classification: StructureClass | None = None
         self._volume_form: KForm | None = None
+        self._kernel: Kernel | None = None
 
     # -- pointwise data ------------------------------------------------------
 
@@ -108,6 +110,53 @@ class StructureSpec:
             out[:, i, j] = v
             out[:, j, i] = -v
         return out
+
+    def kernel(self) -> Kernel | None:
+        """theta and Omega as one straight-line kernel, built on first
+        request and kept; None when a coefficient is callable-backed.  It
+        returns theta's dim entries, then Omega's dim x dim entries row by
+        row, zeros and the negated lower triangle included."""
+        if self._kernel is None and self.theta.symbolic() and self.omega.symbolic():
+            dim = self.chart.dimension
+            zero = (Num(0.0), {})
+            entries = []
+            for i in range(dim):
+                f = self.theta.coeffs.get((i,))
+                entries.append(zero if f is None else (f.expr, f.params))
+            for i in range(dim):
+                for j in range(dim):
+                    f = self.omega.coeffs.get((min(i, j), max(i, j)))
+                    if f is None or i == j:
+                        entries.append(zero)
+                    else:
+                        entries.append((f.expr if i < j else Neg(f.expr), f.params))
+            exprs, bound = zip(*entries)
+            self._kernel = Kernel(exprs, self.chart.coordinates, bound)
+        return self._kernel
+
+    def compiled_at(self, point: list[float]):
+        """(theta, Omega) at ``point``, a list of floats, from the kept
+        kernel, bit for bit as ``theta_vector`` and ``omega_matrix`` give
+        them.  None when no kernel is kept, or where it raises or gives a
+        coefficient that is not finite: the caller then evaluates the
+        trees, whose errors are the reference."""
+        out = None if self._kernel is None else self._kernel.finite_at(point)
+        if out is None:
+            return None
+        dim = len(point)
+        return (np.array(out[:dim], dtype=float),
+                np.array(out[dim:], dtype=float).reshape(dim, dim))
+
+    def compiled_rows(self, rows: np.ndarray):
+        """(theta rows, Omega rows) at every row of an (N, dim) array from
+        the kept kernel, as ``theta_rows`` and ``omega_rows`` give them;
+        None as for :meth:`compiled_at`."""
+        out = None if self._kernel is None else self._kernel.finite_rows(rows)
+        if out is None:
+            return None
+        n, dim = rows.shape
+        return (np.ascontiguousarray(out[:, :dim]),
+                np.ascontiguousarray(out[:, dim:]).reshape(n, dim, dim))
 
     def flat_matrix(self, at, check_domain: bool = True) -> np.ndarray:
         values = coerce_values(self.chart, at)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cosym import cli
 from cosym.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from cosym.structures import StructureSpec, reeb
 
@@ -498,13 +499,56 @@ class TestInvariantSuite:
         assert "(seed 7)" in out
 
 
-def test_python_dash_m_runs_the_cli():
+def fresh_process(*argv, seed_env=None):
+    """(exit code, stdout, stderr) of ``python -m cosym ARGV`` in a new
+    process, with COSYM_SEED set to ``seed_env`` or unset."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
+    env.pop("COSYM_SEED", None)
+    if seed_env is not None:
+        env["COSYM_SEED"] = seed_env
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "cosym", "list-manifolds"],
+        [sys.executable, "-m", "cosym", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert "xjt_gtacos" in {entry["name"] for entry in json.loads(proc.stdout)}
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    code, out, err = fresh_process("list-manifolds")
+    assert code == EXIT_OK, err
+    assert "xjt_gtacos" in {entry["name"] for entry in json.loads(out)}
+
+
+class TestParserBuiltOnce:
+    def test_main_builds_one_parser_per_process(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, "reeb", "--builtin", "heisenberg", "--at", "0,1,0")[0] == EXIT_OK
+            assert len(builds) == 1
+        finally:
+            cli._parser.cache_clear()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_an_append_option_does_not_carry_over(self, capsys, monkeypatch):
+        monkeypatch.delenv("COSYM_SEED", raising=False)
+        with_k = ("check-structure", "--builtin", "xjt_gtacos", "-P", "k=2")
+        without = with_k[:3]
+        got = [run(capsys, *with_k), run(capsys, *without)]
+        assert got == [fresh_process(*with_k), fresh_process(*without)]
+        assert got[0][1] != got[1][1]
+
+    def test_env_seed_still_overrides_seed(self, capsys, monkeypatch):
+        monkeypatch.delenv("COSYM_SEED", raising=False)
+        argv = ("check-structure", "--builtin", "heisenberg", "--seed", "99")
+        unset = run(capsys, *argv)
+        monkeypatch.setenv("COSYM_SEED", "7")
+        got = run(capsys, *argv)
+        assert got == fresh_process(*argv, seed_env="7")
+        assert got == fresh_process(*argv[:3], "--seed", "7")
+        assert got[1] != unset[1]

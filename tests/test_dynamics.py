@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point, random_polynomial
+from cosym import dynamics
 from cosym.charts import ScalarField
 from cosym.dynamics import (
     tacs_convention_comparison,
@@ -17,7 +18,15 @@ from cosym.dynamics import (
     tacs_field,
 )
 from cosym.manifolds import CATALOG, builtin
-from cosym.structures import CanonicalThetaSpec, StructureError, darboux_chart, reeb
+from cosym.expressions import EvalError
+from cosym.forms import KForm
+from cosym.structures import (
+    CanonicalThetaSpec,
+    StructureError,
+    StructureSpec,
+    darboux_chart,
+    reeb,
+)
 
 
 def contact1():
@@ -288,6 +297,31 @@ class TestBrackets:
             )
             assert abs(total) <= 1e-6
 
+    @pytest.mark.parametrize("name", [
+        "darboux_contact(1)", "darboux_contact(2)", "darboux_contact(3)",
+        "heisenberg", "xjt_contact",
+    ])
+    def test_generic_bracket_factors_once_and_keeps_its_bits(self, name, rng, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        s = builtin(name)
+        for _ in range(5):
+            f = random_polynomial(s.chart, rng)
+            g = random_polynomial(s.chart, rng)
+            at = random_point(s.chart, rng)
+            del calls[:]
+            got = jacobi_bracket_generic(s, f, g, at)
+            assert len(calls) == 1
+            # The formula with two X_H solves and a separate Reeb solve.
+            Xf = hamiltonian_field_generic(s, f, at)
+            Xg = hamiltonian_field_generic(s, g, at)
+            om = s.omega_matrix(at)
+            R = reeb(s, at)
+            Rg = R @ g.gradient(at)
+            Rf = R @ f.gradient(at)
+            assert got == float(Xf @ om @ Xg + f.value(at) * Rg - g.value(at) * Rf)
+
     def test_generic_bracket_agrees_on_darboux_chart(self, rng):
         s = contact1()
         for _ in range(10):
@@ -414,3 +448,118 @@ class TestPostPass:
         traj = integrate(s, H, s.chart.point((0.2, 1.0, 0.3, -0.2, 0.0)), 1.0, 1e-3)
         assert len(traj.times) == 1001
         self.check(s, H, traj)
+
+
+def _darboux_structure(theta, omega):
+    chart = darboux_chart(1)
+    return StructureSpec(
+        "test", chart, KForm.one_form(chart, theta), KForm.two_form(chart, omega), 1
+    )
+
+
+# (theta, Omega, H, failing point); each fails at the point in one way.
+FAILING = {
+    "omega_divides_by_zero": ({"kappa": 1.0}, {"q,p": "1/q"}, "p^2", (0.0, 0.5, 0.1)),
+    "hamiltonian_overflows": ({"kappa": 1.0}, {"q,p": 1.0}, "exp(p)*exp(p)", (0.0, 400.0, 0.1)),
+    "theta_not_finite": ({"kappa": "exp(q)*exp(q)"}, {"q,p": 1.0}, "p^2", (400.0, 0.5, 0.1)),
+    # theta vanishes at q = -1, where F is degenerate and H has no value
+    # while dH does: the flat solve comes first, so a StructureError wins.
+    "degenerate_where_h_fails": (
+        {"kappa": "q + 1"}, {"q,p": 1.0}, "log(q) - log(q)", (-1.0, 0.5, 0.1)),
+}
+
+
+def _error(fn, *args):
+    with pytest.raises((EvalError, StructureError)) as err:
+        fn(*args)
+    return type(err.value), str(err.value)
+
+
+class TestCompiledKernels:
+    """integrate compiles theta, Omega, H and dH into kernels; values are
+    those of the trees bit for bit, and where a kernel fails the point
+    raises what walking the trees raises."""
+
+    @staticmethod
+    def compiled(theta, omega, source):
+        s = _darboux_structure(theta, omega)
+        H = ScalarField.parse(s.chart, source)
+        assert s.kernel() is not None and H.kernel() is not None
+        return s, H
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_a_failing_point_raises_the_tree_error(self, case):
+        theta, omega, source, point = FAILING[case]
+        s, H = self.compiled(theta, omega, source)
+        fresh = _darboux_structure(theta, omega)
+        fresh_H = ScalarField.parse(fresh.chart, source)
+        assert s.compiled_at(list(point)) is None or H.compiled_at(list(point)) is None
+        expected = _error(hamiltonian_field_generic, fresh, fresh_H, point)
+        assert fresh._kernel is None and fresh_H._kernel is None
+        assert _error(hamiltonian_field_generic, s, H, point) == expected
+        # integrate fails at its first stage, an in-domain point.
+        assert _error(integrate, s, H, s.chart.point(point), 0.1, 0.05, "rk4") == expected
+        assert _error(integrate, fresh, fresh_H, fresh.chart.point(point), 0.1, 0.05) == expected
+        if case == "degenerate_where_h_fails":
+            assert expected[0] is StructureError
+        if case == "theta_not_finite":
+            assert "ScalarField(exp(q)*exp(q) on darboux1) is not finite" in expected[1]
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_a_failing_row_raises_the_tree_error(self, case):
+        theta, omega, source, point = FAILING[case]
+        s, H = self.compiled(theta, omega, source)
+        fresh = _darboux_structure(theta, omega)
+        fresh_H = ScalarField.parse(fresh.chart, source)
+        rows = np.array([(0.3, 0.2, 0.1), point, (0.5, -0.2, 0.4)])
+        expected = _error(dynamics._dissipation_rows, fresh, fresh_H, rows)
+        assert _error(dynamics._dissipation_rows, s, H, rows) == expected
+
+    @pytest.mark.parametrize("name", ["darboux_contact(3)", "xjt_gtacos", "heisenberg"])
+    def test_compiled_values_are_the_tree_values(self, name, rng):
+        compiled, fresh = builtin(name), builtin(name)
+        H = random_polynomial(compiled.chart, rng, max_degree=3)
+        H_fresh = ScalarField.from_expr(fresh.chart, H.expr, H.params)
+        compiled.kernel()
+        H.kernel()
+        rows = np.array([random_point(compiled.chart, rng).array for _ in range(20)])
+        for row in rows:
+            got = hamiltonian_field_generic(compiled, H, row)
+            assert got.tobytes() == hamiltonian_field_generic(fresh, H_fresh, row).tobytes()
+            th, om = compiled.compiled_at(row.tolist())
+            assert th.tobytes() == fresh.theta_vector(row).tobytes()
+            assert om.tobytes() == fresh.omega_matrix(row).tobytes()
+        for got, want in zip(dynamics._dissipation_rows(compiled, H, rows),
+                             dynamics._dissipation_rows(fresh, H_fresh, rows)):
+            assert got.tobytes() == want.tobytes()
+        assert fresh._kernel is None and H_fresh._kernel is None
+
+    def test_only_integrate_builds_kernels(self, rng):
+        s = builtin("xjt_gtacos")
+        H = ScalarField.parse(s.chart, "q^2 + p^2 + x^2 + (y-1)^2", s.params)
+        pt = s.chart.point((0.2, 1.0, 0.3, -0.2, 0.0))
+        hamiltonian_field_generic(s, H, pt)
+        gradient_field(s, H, pt)
+        reeb(s, pt)
+        s.classification()
+        jacobi_bracket_generic(s, H, H, pt)
+        assert s._kernel is None and H._kernel is None
+        integrate(s, H, pt, 0.05, 0.01, "rk4")
+        assert s._kernel is not None and H._kernel is not None
+
+    def test_callable_fields_keep_the_tree_walk(self):
+        s = contact1()
+        H = ScalarField.from_callable(s.chart, lambda v: 0.5 * (v[0] ** 2 + v[1] ** 2))
+        traj = integrate(s, H, s.chart.point((0.4, -0.3, 0.5)), 0.1, 1e-2)
+        assert H.kernel() is None and H.compiled_at([0.4, -0.3, 0.5]) is None
+        assert len(traj.times) == 11
+        # theta and Omega still come from the structure's kernel, bit for bit.
+        assert s._kernel is not None
+        fresh = contact1()
+        for row in traj.states:
+            got = hamiltonian_field_generic(s, H, row)
+            assert got.tobytes() == hamiltonian_field_generic(fresh, H, row).tobytes()
+        for got, want in zip(dynamics._dissipation_rows(s, H, traj.states),
+                             dynamics._dissipation_rows(fresh, H, traj.states)):
+            assert got.tobytes() == want.tobytes()
+        assert fresh._kernel is None

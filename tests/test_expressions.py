@@ -1,16 +1,19 @@
+import ast
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosym.charts import ScalarField, random_polynomial
+from cosym.charts import Chart, ScalarField, random_polynomial
 from cosym.expressions import (
     FUNCTIONS,
     Add,
     Call,
     Div,
     EvalError,
+    Kernel,
     Mul,
     Name,
     Neg,
@@ -280,3 +283,77 @@ def test_field_rows_match_pointwise_bit_for_bit(n, seed, count):
     for H in (random_polynomial(chart, rng, max_degree=3), _callable_field(chart)):
         assert_bits_equal(H.value_rows(rows), [H.value(row) for row in rows])
         assert_bits_equal(H.gradient_rows(rows), [H.gradient(row) for row in rows])
+
+
+# --------------------------------------------------------------------------
+# Straight-line kernels: the emitted code against eval
+# --------------------------------------------------------------------------
+
+
+def outcome(fn):
+    """fn()'s value, or the message of the EvalError it raises."""
+    try:
+        return fn()
+    except EvalError as exc:
+        return "EvalError: %s" % exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, row_sets)
+def test_kernel_code_matches_eval_bit_for_bit(expr, rows):
+    kernel = Kernel([expr], ROW_NAMES)
+    for row in rows:
+        expected = outcome(lambda: expr.eval(dict(zip(ROW_NAMES, row))))
+        scalar = outcome(lambda: kernel.scalar(*row)[0])
+        one_row = outcome(lambda: kernel.rows(*(np.array([v]) for v in row))[0])
+        if isinstance(expected, str):
+            assert scalar == expected
+            assert one_row == expected
+        else:
+            assert not isinstance(scalar, str) and not isinstance(one_row, str)
+            assert_bits_equal(scalar, expected)
+            assert_bits_equal(np.broadcast_to(one_row, (1,)), [expected])
+
+
+def test_kernel_reuses_a_shared_node_and_keeps_the_visit_order():
+    shared = parse("log(x)")
+    kernel = Kernel([Div(shared, Name("y")), Neg(shared)], ("x", "y"))
+    assert kernel.source.count("_call_log(") == 1
+    # Div evaluates its right operand first: the zero check wins over log.
+    for mode in (kernel.scalar, lambda *v: kernel.rows(*np.array([v]).T)):
+        assert outcome(lambda: mode(-1.0, 0.0)) == "EvalError: division by zero in expression"
+        assert outcome(lambda: mode(-1.0, 1.0)) == outcome(lambda: shared.eval({"x": -1.0}))
+    assert kernel.scalar(2.0, 4.0) == (math.log(2.0) / 4.0, -math.log(2.0))
+
+
+GENERATED = re.compile(r"_[atk]\d+|_pow|_divisor|_unbound|_call_(%s)" % "|".join(FUNCTIONS))
+
+
+def test_kernel_source_holds_generated_names_only():
+    chart = Chart("keywords", ("lambda", "pow", "x"))
+    H = ScalarField.parse(
+        chart, "lambda^2 + pow*x - 3.5*sqrt(x)/c + nz*lambda", {"c": 7.0, "nz": -0.0}
+    )
+    tree = ast.parse(H.kernel().source)
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {a.arg for a in ast.walk(tree) if isinstance(a, ast.arg)}
+    assert names and all(GENERATED.fullmatch(n) for n in names), names
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Constant)]
+
+    point = [0.5, 2.0, 4.0]
+    value, grad = H.compiled_at(point)
+    assert_bits_equal(value, H.value(point))
+    assert_bits_equal(grad, H.gradient(point))
+    # Values are bound, not printed: inf and the sign of -0.0 survive.
+    inf_term, zero_term = Kernel([parse("x/big"), parse("nz*x")], ("x",),
+                                 [{"big": math.inf}, {"nz": -0.0}]).scalar(1.0)
+    assert inf_term == 0.0 and math.copysign(1.0, zero_term) == -1.0
+    assert Kernel([Add(Name("x"), Num(math.inf))], ("x",)).scalar(1.0) == (math.inf,)
+
+
+def test_unbound_name_raises_where_eval_meets_it():
+    expr = parse("1/x + w")
+    kernel = Kernel([expr], ("x",))
+    assert outcome(lambda: kernel.scalar(0.0)) == outcome(lambda: expr.eval({"x": 0.0}))
+    assert outcome(lambda: kernel.scalar(1.0)) == outcome(lambda: expr.eval({"x": 1.0}))
+    assert "unbound name 'w'" in outcome(lambda: kernel.scalar(1.0))

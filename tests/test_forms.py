@@ -8,6 +8,7 @@ from itertools import permutations, combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_point, random_polynomial
 from cosym.charts import Chart, ChartMap, DomainError, Guard, ScalarField
@@ -21,6 +22,7 @@ from cosym.forms import (
     wedge_values,
 )
 from cosym.manifolds import CHART_XJT, ModelParameters, builtin
+from cosym.structures import darboux_chart
 
 CH3 = Chart("c3", ("q", "p", "kappa"))
 CH5 = CHART_XJT
@@ -224,6 +226,61 @@ def test_d_squared_vanishes_on_random_symbolic_forms(rng):
         for _ in range(100):
             pt = random_point(CH5, rng)
             assert dd.at(pt).max_norm() <= 1e-10
+
+
+def random_form(chart, degree, rng, max_degree=2, terms=2):
+    return KForm(
+        chart,
+        degree,
+        {
+            idx: random_polynomial(chart, rng, max_degree, terms)
+            for idx in combinations(range(chart.dimension), degree)
+        },
+    )
+
+
+def points(chart, count):
+    """``count`` points of an unguarded chart, coordinates in [-2, 2]."""
+    coordinate = st.floats(-2.0, 2.0, allow_nan=False)
+    return st.lists(
+        st.lists(coordinate, min_size=chart.dimension, max_size=chart.dimension),
+        min_size=1, max_size=count,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_d_squared_vanishes_property(shape, seed, data):
+    """d(d(form)) = 0 on random-polynomial 1- and 2-forms over charts of
+    dimension 3, 5 and 7, at the seeded test's tolerance."""
+    n, degree = shape
+    chart = darboux_chart(n)
+    form = random_form(chart, degree, np.random.default_rng(seed))
+    dd = exterior_derivative(exterior_derivative(form))
+    for pt in data.draw(points(chart, 4)):
+        assert dd.at(pt).max_norm() <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.data())
+def test_wedge_graded_anticommutativity_property(n, ja, jb, seed, data):
+    """a ^ b = (-1)^(pq) b ^ a for random forms of degrees p, q, at the
+    seeded test's tolerance."""
+    chart = darboux_chart(n)
+    assume(ja + jb <= chart.dimension)
+    rng = np.random.default_rng(seed)
+    a = random_form(chart, ja, rng, 1, 2)
+    b = random_form(chart, jb, rng, 1, 2)
+    ab, ba = wedge(a, b), wedge(b, a)
+    sign = (-1.0) ** (ja * jb)
+    for pt in data.draw(points(chart, 3)):
+        ab_at, ba_at = ab.at(pt), ba.at(pt)
+        for idx in set(ab_at.coeffs) | set(ba_at.coeffs):
+            assert ab_at.coeffs.get(idx, 0.0) == pytest.approx(
+                sign * ba_at.coeffs.get(idx, 0.0), abs=1e-12
+            )
 
 
 def test_interior_product_reeb_pairing():

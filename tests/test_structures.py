@@ -247,8 +247,9 @@ class TestBuiltOncePerStructure:
             for _ in range(4):
                 pt = random_point(s.chart, rng)
                 del degrees[:]
-                values, th, factors, dH, R = dynamics._point_data(s, H, pt, True)
+                values, th, factors, dH, R, h = dynamics._point_data(s, H, pt, True)
                 assert sorted(degrees) == [1, 2]
+                assert h is None  # no kernels: H is evaluated after the solve
                 np.testing.assert_array_equal(R, reeb(s, pt))
                 for got, want in zip(factors, np.linalg.svd(s.flat_matrix(pt))):
                     np.testing.assert_array_equal(got, want)
