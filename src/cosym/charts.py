@@ -1,14 +1,16 @@
 """Coordinate charts, domain guards, scalar fields and chart maps.
 
 Fields are evaluated pointwise, or at every row of an (N, dim) array at once
-(``value_rows``, ``gradient_rows``; bit-identical to the pointwise results).
-A field backed by an expression tree has exact first and second partial
-derivatives; each partial-derivative tree is built on first use and kept on
-the field, so a field is differentiated at most once per coordinate; its value
-and partials compile into one straight-line kernel on request
-(:meth:`ScalarField.kernel`).  A field backed by an opaque callable falls back to central finite differences
-with step ``h_i = max(1, |x_i|) * eps**(1/3)``.  A value or gradient that is
-not finite (an overflow to inf, or NaN) raises :class:`EvalError`.
+(:meth:`ScalarField.rows`: from the field's kept kernel, else row by row
+through the pointwise calls; bit-identical to the pointwise results either
+way).  A field backed by an expression tree has exact first and second
+partial derivatives; each partial-derivative tree is built on first use and
+kept on the field, so a field is differentiated at most once per coordinate;
+its value and partials compile into one straight-line kernel on request
+(:meth:`ScalarField.kernel`).  A field backed by an opaque callable falls back
+to central finite differences with step ``h_i = max(1, |x_i|) * eps**(1/3)``.
+A value or gradient that is not finite (an overflow to inf, or NaN) raises
+:class:`EvalError`.
 
 Domain guards are hard constraints: evaluating at a violating point raises
 :class:`DomainError` rather than returning NaN (the built-in half-plane
@@ -23,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expressions import Expr, EvalError, Kernel, Name, Num, eval_rows, parse
+from .expressions import Expr, EvalError, Kernel, Name, Num, parse
 
 FD_STEP_EXPONENT = 1.0 / 3.0
 _EPS_CBRT = float(np.finfo(float).eps) ** FD_STEP_EXPONENT
@@ -282,35 +284,11 @@ class ScalarField:
             raise self._not_finite("value", v, values)
         return v
 
-    def value_rows(self, rows) -> np.ndarray:
-        """Values at every row of an (N, dim) array, without domain checks;
-        row k is ``value(rows[k])`` bit for bit."""
-        rows = np.asarray(rows, dtype=float)
-        if self.expr is None:
-            return np.array([self._eval(row) for row in rows], dtype=float)
-        out = np.empty(len(rows))
-        out[:] = eval_rows(self.expr, self._row_env(rows))
-        return self._finite_rows("value", out, rows)
-
-    def _row_env(self, rows: np.ndarray) -> dict:
-        env = dict(zip(self.chart.coordinates, rows.T))
-        env.update(self.params)
-        return env
-
     def _not_finite(self, what: str, result, values) -> EvalError:
         return EvalError(
             "%s of %r is not finite at %s: %r"
             % (what, self, np.asarray(values).tolist(), np.asarray(result).tolist())
         )
-
-    def _finite_rows(self, what: str, out: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``out`` (one entry or row per point), or the pointwise error of
-        its first point with a value that is not finite."""
-        finite = np.isfinite(out)
-        if not finite.all():
-            k = int(np.argmin(finite.reshape(len(out), -1).all(axis=1)))
-            raise self._not_finite(what, out[k], rows[k])
-        return out
 
     # -- differentiation ---------------------------------------------------
 
@@ -352,20 +330,6 @@ class ScalarField:
             raise self._not_finite("gradient", grad, values)
         return np.array(grad)
 
-    def gradient_rows(self, rows) -> np.ndarray:
-        """(N, dim) gradients at every row of an (N, dim) array, without
-        domain checks; row k is ``gradient(rows[k])`` bit for bit."""
-        rows = np.asarray(rows, dtype=float)
-        out = np.empty(rows.shape)
-        if self.expr is None:
-            for k, row in enumerate(rows):
-                out[k] = self._gradient(row)
-            return out
-        env = self._row_env(rows)
-        for j, c in enumerate(self.chart.coordinates):
-            out[:, j] = eval_rows(self._partial_expr(c), env)
-        return self._finite_rows("gradient", out, rows)
-
     # -- compiled evaluation -------------------------------------------------
 
     def kernel(self) -> Kernel | None:
@@ -386,14 +350,21 @@ class ScalarField:
         out = None if self._kernel is None else self._kernel.finite_at(point)
         return None if out is None else (out[0], np.array(out[1:]))
 
-    def compiled_rows(self, rows: np.ndarray):
-        """(values, gradients) at every row of an (N, dim) array from the
-        kept kernel, as ``value_rows`` and ``gradient_rows`` give them; None
-        as for :meth:`compiled_at`."""
-        out = None if self._kernel is None else self._kernel.finite_rows(rows)
-        if out is None:
-            return None
-        return out[:, 0].copy(), np.ascontiguousarray(out[:, 1:])
+    def rows(self, states):
+        """(values, gradients) at every row of an (N, dim) array, without
+        domain checks, bit for bit as ``value`` and ``gradient`` give them:
+        from the kept kernel when it is finite at every row, else row by row
+        through ``gradient`` then ``value``, so that the first failing row
+        raises the pointwise error.  Never builds a kernel."""
+        states = np.asarray(states, dtype=float)
+        out = None if self._kernel is None else self._kernel.finite_rows(states)
+        if out is not None:
+            return out[:, 0].copy(), np.ascontiguousarray(out[:, 1:])
+        values, grads = np.empty(len(states)), np.empty(states.shape)
+        for k, row in enumerate(states):
+            grads[k] = self.gradient(row, check_domain=False)
+            values[k] = self.value(row, check_domain=False)
+        return values, grads
 
     # -- algebra (symbolic when both operands are) ---------------------------
 

@@ -24,7 +24,6 @@ from .structures import (
     StructureSpec,
     darboux_pairs,
     reeb_from,
-    reeb_rows,
 )
 
 
@@ -50,22 +49,21 @@ def _point_data(spec: StructureSpec, H: ScalarField, at, check_domain: bool):
     evaluated once, and the SVD factors of the flat matrix that give R
     solve every field, flat(X) = b being X = b @ u / s @ vt.
 
-    When ``spec`` keeps a kernel (``integrate`` builds it), theta and Omega
-    come from it, and when ``H`` keeps one, dH and h = H's value do.  Where
-    there is no kernel or it fails, the trees are walked, in the same order,
-    and h is None, so that a caller evaluates H after the flat solve and a
-    degenerate structure is reported before a failing H."""
+    The order is theta, Omega, the flat solve, dH, then H, as over the
+    stored rows of a trajectory, so a degenerate structure is reported
+    before a failing H.  When ``spec`` keeps a kernel (``integrate`` builds
+    it), theta and Omega come from it, and when ``H`` keeps one, dH and
+    h = H's value do.  Where there is no kernel or it fails, the trees are
+    walked, and h is None: the caller evaluates H last."""
     values = coerce_values(spec.chart, at)
     if check_domain and not isinstance(at, ChartPoint):
         spec.chart.check(values)
     point = values.tolist()
-    structure = spec.compiled_at(point)
-    if structure is None:
-        structure = (spec.theta_vector(values, check_domain=False),
-                     spec.omega_matrix(values, check_domain=False))
-    h, dH = H.compiled_at(point) or (None, H.gradient(values, check_domain=False))
-    th, om = structure
+    th, om = spec.compiled_at(point) or (
+        spec.theta_vector(values, check_domain=False),
+        spec.omega_matrix(values, check_domain=False))
     R, factors = reeb_from(th, om, values)
+    h, dH = H.compiled_at(point) or (None, H.gradient(values, check_domain=False))
     return values, th, factors, dH, R, h
 
 
@@ -300,12 +298,13 @@ def jacobi_bracket_generic(
     if not isinstance(at, ChartPoint):
         spec.chart.check(values)
     # One evaluation of theta and Omega and one factorisation serve X_f, X_g
-    # and R; f's data comes before g's, so errors are those of two
-    # hamiltonian_field_generic calls in turn.
+    # and R.  The order is theta, Omega, the flat solve, then f's dH and H
+    # before g's, so errors are those of two hamiltonian_field_generic calls
+    # in turn.
     th = spec.theta_vector(values, check_domain=False)
     om = spec.omega_matrix(values, check_domain=False)
-    df = f.gradient(values, check_domain=False)
     R, factors = reeb_from(th, om, values)
+    df = f.gradient(values, check_domain=False)
     fv = f.value(values, check_domain=False)
     dg = g.gradient(values, check_domain=False)
     gv = g.value(values, check_domain=False)
@@ -534,17 +533,11 @@ def integrate(
 
 
 def _dissipation_rows(spec: StructureSpec, H: ScalarField, states: np.ndarray):
-    """H and R(H) at every stored row, from the kept kernels; where there is
-    none or it fails, from the trees, in the same order, whose errors (the
-    first failing row) are the reference."""
-    structure = spec.compiled_rows(states)
-    field = H.compiled_rows(states)
-    h_values = H.value_rows(states) if field is None else field[0]
-    if structure is None:
-        R = reeb_rows(spec, states)
-    else:
-        R = reeb_from(*structure, states)[0]
-    dH = H.gradient_rows(states) if field is None else field[1]
+    """H and R(H) at every stored row, in the right-hand side's order
+    (theta, Omega, the flat solve, dH, then H), so that the first failing
+    row raises what the right-hand side raises there."""
+    R = reeb_from(*spec.rows(states), states)[0]
+    h_values, dH = H.rows(states)
     return h_values, np.einsum("ij,ij->i", R, dH)
 
 

@@ -15,8 +15,8 @@ would have been accepted there.
 
 :class:`Kernel` compiles a list of trees into one straight-line Python
 function, bound either to scalar helpers (one point) or to row helpers
-(many points at once, as :func:`eval_rows` does); both give what
-:meth:`Expr.eval` gives at each point, bit for bit, and raise its errors.
+(many points at once); both give what :meth:`Expr.eval` gives at each
+point, bit for bit, and raise its errors.
 """
 
 from __future__ import annotations
@@ -525,7 +525,8 @@ class Kernel:
     returns the tuple of the trees' values, equal bit for bit to
     :meth:`Expr.eval`, raising its :class:`EvalError` with the same message.
     ``rows(*args)`` takes floats or float arrays with one entry per point
-    and runs the same source on the row helpers, as :func:`eval_rows` does.
+    and runs the same source on the row helpers: where ``eval`` raises
+    :class:`EvalError` at some point, it raises one too.
     The source is compiled once; ``source`` keeps it.
     """
 
@@ -577,18 +578,6 @@ class Kernel:
         for j, v in enumerate(out):
             table[:, j] = v
         return table if np.isfinite(table).all() else None
-
-
-def eval_rows(expr: Expr, env: Mapping[str, object]):
-    """Value of ``expr`` at many points at once.
-
-    ``env`` maps each name to a float or to a float array with one entry per
-    point.  The result is a float, or an array of the points' values, equal
-    bit for bit to :meth:`Expr.eval` at each point; where ``eval`` raises
-    :class:`EvalError` at some point, this raises one too.  Overflow to inf
-    or NaN passes silently, as in ``eval``.
-    """
-    return Kernel([expr], tuple(env)).rows(*env.values())[0]
 
 
 # --------------------------------------------------------------------------

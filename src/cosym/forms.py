@@ -151,12 +151,6 @@ class KForm:
             {idx: f._eval(values) for idx, f in self.coeffs.items()},
         )
 
-    def at_rows(self, rows) -> dict[tuple[int, ...], np.ndarray]:
-        """Coefficient arrays at every row of an (N, dim) array, without
-        domain checks; entry k of each array is the coefficient of
-        ``at(rows[k])``, bit for bit."""
-        return {idx: f.value_rows(rows) for idx, f in self.coeffs.items()}
-
     def __add__(self, other: "KForm") -> "KForm":
         if other.chart.coordinates != self.chart.coordinates or other.degree != self.degree:
             raise ChartMismatchError("cannot add forms of different chart/degree")
@@ -228,8 +222,9 @@ class VectorField:
 # --------------------------------------------------------------------------
 
 
-def wedge(a: KForm, b: KForm) -> KForm:
-    """Graded antisymmetric shuffle-sum product of two forms."""
+def _shuffles(a, b):
+    """Degree of a ^ b and its shuffle terms (index, sign, a's coefficient,
+    b's coefficient), for forms or for coefficient tables alike."""
     if a.chart.coordinates != b.chart.coordinates:
         raise ChartMismatchError("wedge of forms on different charts")
     degree = a.degree + b.degree
@@ -237,34 +232,33 @@ def wedge(a: KForm, b: KForm) -> KForm:
         raise ValueError(
             "wedge degree %d exceeds chart dimension %d" % (degree, a.chart.dimension)
         )
+    terms = [
+        (tuple(sorted(left + right)), permutation_sign(left + right), ca, cb)
+        for left, ca in a.coeffs.items()
+        for right, cb in b.coeffs.items()
+        if not set(left) & set(right)
+    ]
+    return degree, terms
+
+
+def wedge(a: KForm, b: KForm) -> KForm:
+    """Graded antisymmetric shuffle-sum product of two forms."""
+    degree, terms = _shuffles(a, b)
     table: dict[tuple[int, ...], ScalarField] = {}
-    for left, fa in a.coeffs.items():
-        for right, fb in b.coeffs.items():
-            if set(left) & set(right):
-                continue
-            idx = tuple(sorted(left + right))
-            sign = permutation_sign(left + right)
-            term = fa * fb
-            if sign < 0:
-                term = -term
-            table[idx] = table[idx] + term if idx in table else term
+    for idx, sign, fa, fb in terms:
+        term = fa * fb
+        if sign < 0:
+            term = -term
+        table[idx] = table[idx] + term if idx in table else term
     return KForm(a.chart, degree, table)
 
 
 def wedge_values(a: FormValue, b: FormValue) -> FormValue:
     """Pointwise wedge of two coefficient tables."""
-    if a.chart.coordinates != b.chart.coordinates:
-        raise ChartMismatchError("wedge of values on different charts")
-    degree = a.degree + b.degree
-    if degree > a.chart.dimension:
-        raise ValueError("wedge degree exceeds chart dimension")
+    degree, terms = _shuffles(a, b)
     table: dict[tuple[int, ...], float] = {}
-    for left, va in a.coeffs.items():
-        for right, vb in b.coeffs.items():
-            if set(left) & set(right):
-                continue
-            idx = tuple(sorted(left + right))
-            table[idx] = table.get(idx, 0.0) + permutation_sign(left + right) * va * vb
+    for idx, sign, va, vb in terms:
+        table[idx] = table.get(idx, 0.0) + sign * va * vb
     return FormValue(a.chart, degree, table)
 
 

@@ -7,7 +7,9 @@ The Reeb conditions R ⌟ Omega = 0, R ⌟ theta = 1 say flat(R) = theta, so
 R = sharp(theta) = F^-1 theta: one SVD of F, rank- and residual-checked by
 :func:`reeb_from`, gives R, and the same factors solve sharp and every
 Hamiltonian, gradient and evolution field at that point.  theta and Omega
-compile into one straight-line kernel on request (:meth:`StructureSpec.kernel`).
+compile into one straight-line kernel on request (:meth:`StructureSpec.kernel`);
+:meth:`StructureSpec.rows` gives them at every row of an array, from that
+kernel or row by row, and :func:`reeb_from` solves all rows by one batched SVD.
 """
 
 from __future__ import annotations
@@ -92,25 +94,6 @@ class StructureSpec:
     def omega_matrix(self, at, check_domain: bool = True) -> np.ndarray:
         return self.omega.at(at, check_domain).as_matrix()
 
-    def theta_rows(self, rows) -> np.ndarray:
-        """(N, dim) theta covectors at every row of an (N, dim) array,
-        without domain checks; row k is ``theta_vector(rows[k])``."""
-        rows = np.asarray(rows, dtype=float)
-        out = np.zeros(rows.shape)
-        for (i,), v in self.theta.at_rows(rows).items():
-            out[:, i] = v
-        return out
-
-    def omega_rows(self, rows) -> np.ndarray:
-        """(N, dim, dim) Omega matrices at every row of an (N, dim) array,
-        without domain checks; entry k is ``omega_matrix(rows[k])``."""
-        rows = np.asarray(rows, dtype=float)
-        out = np.zeros(rows.shape + rows.shape[-1:])
-        for (i, j), v in self.omega.at_rows(rows).items():
-            out[:, i, j] = v
-            out[:, j, i] = -v
-        return out
-
     def kernel(self) -> Kernel | None:
         """theta and Omega as one straight-line kernel, built on first
         request and kept; None when a coefficient is callable-backed.  It
@@ -147,16 +130,24 @@ class StructureSpec:
         return (np.array(out[:dim], dtype=float),
                 np.array(out[dim:], dtype=float).reshape(dim, dim))
 
-    def compiled_rows(self, rows: np.ndarray):
-        """(theta rows, Omega rows) at every row of an (N, dim) array from
-        the kept kernel, as ``theta_rows`` and ``omega_rows`` give them;
-        None as for :meth:`compiled_at`."""
-        out = None if self._kernel is None else self._kernel.finite_rows(rows)
-        if out is None:
-            return None
-        n, dim = rows.shape
-        return (np.ascontiguousarray(out[:, :dim]),
-                np.ascontiguousarray(out[:, dim:]).reshape(n, dim, dim))
+    def rows(self, states):
+        """(theta, Omega) at every row of an (N, dim) array, shaped (N, dim)
+        and (N, dim, dim), without domain checks, bit for bit as
+        ``theta_vector`` and ``omega_matrix`` give them: from the kept kernel
+        when it is finite at every row, else row by row through those calls,
+        so that the first failing row raises the pointwise error.  Never
+        builds a kernel."""
+        states = np.asarray(states, dtype=float)
+        out = None if self._kernel is None else self._kernel.finite_rows(states)
+        n, dim = states.shape
+        if out is not None:
+            return (np.ascontiguousarray(out[:, :dim]),
+                    np.ascontiguousarray(out[:, dim:]).reshape(n, dim, dim))
+        th, om = np.empty((n, dim)), np.empty((n, dim, dim))
+        for k, row in enumerate(states):
+            th[k] = self.theta_vector(row, check_domain=False)
+            om[k] = self.omega_matrix(row, check_domain=False)
+        return th, om
 
     def flat_matrix(self, at, check_domain: bool = True) -> np.ndarray:
         values = coerce_values(self.chart, at)
@@ -422,13 +413,6 @@ def flat_from(th: np.ndarray, om: np.ndarray) -> np.ndarray:
 def reeb(spec: StructureSpec, at, check_domain: bool = True) -> np.ndarray:
     """The Reeb vector R = ♯theta, which solves R ⌟ Omega = 0, R ⌟ theta = 1."""
     return _solve_at(spec, at, check_domain)[0]
-
-
-def reeb_rows(spec: StructureSpec, rows) -> np.ndarray:
-    """(N, dim) Reeb vectors at every row of an (N, dim) array, without
-    domain checks: :func:`reeb` solved for all rows at once."""
-    rows = np.asarray(rows, dtype=float)
-    return reeb_from(spec.theta_rows(rows), spec.omega_rows(rows), rows)[0]
 
 
 def reeb_from(th: np.ndarray, om: np.ndarray, values):

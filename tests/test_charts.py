@@ -118,24 +118,24 @@ def _raised(fn, *args):
 def test_non_finite_results_are_eval_errors(source, bad, what):
     H = ScalarField.parse(darboux_chart(1), source)
     rows = np.array([(1.0, 1.0, 0.0), bad, bad])
-    pointwise, rowwise = {
-        "value": (H.value, H.value_rows),
-        "gradient": (H.gradient, H.gradient_rows),
-    }[what]
-    rowwise(rows[:1])  # the first row is fine
+    pointwise = {"value": H.value, "gradient": H.gradient}[what]
+    H.rows(rows[:1])  # the first row is fine
     message = _raised(pointwise, bad)
     assert message.startswith(what + " of ScalarField(") and "not finite" in message
-    assert _raised(rowwise, rows) == message
+    assert _raised(H.rows, rows) == message
+    H.kernel()  # the kept kernel is not finite there: the rows are walked
+    assert _raised(H.rows, rows) == message
 
 
 def test_non_finite_callable_results_are_eval_errors():
     chart = darboux_chart(1)
     nan = ScalarField.from_callable(chart, lambda v: math.nan if v[0] > 0 else 1.0)
     rows = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    assert _raised(nan.value, rows[1]) == _raised(nan.value_rows, rows)
+    # rows are walked gradient first, as the right-hand side evaluates them
+    assert _raised(nan.gradient, rows[1]) == _raised(nan.rows, rows)
     # finite values whose central difference overflows
     step = ScalarField.from_callable(chart, lambda v: math.copysign(1.7e308, v[0]))
     assert step.value(rows[0]) == -1.7e308
     message = _raised(step.gradient, [0.0, 0.0, 0.0])
     assert message.startswith("gradient of ") and "not finite" in message
-    assert _raised(step.gradient_rows, [[5.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) == message
+    assert _raised(step.rows, [[5.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) == message

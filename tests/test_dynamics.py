@@ -466,6 +466,10 @@ FAILING = {
     # while dH does: the flat solve comes first, so a StructureError wins.
     "degenerate_where_h_fails": (
         {"kappa": "q + 1"}, {"q,p": 1.0}, "log(q) - log(q)", (-1.0, 0.5, 0.1)),
+    # the same theta, where H has a value while dH divides by zero: the flat
+    # solve still comes first.
+    "degenerate_where_dh_fails": (
+        {"kappa": "q + 1"}, {"q,p": 1.0}, "sqrt((q+1)^2)", (-1.0, 0.5, 0.1)),
 }
 
 
@@ -500,20 +504,26 @@ class TestCompiledKernels:
         # integrate fails at its first stage, an in-domain point.
         assert _error(integrate, s, H, s.chart.point(point), 0.1, 0.05, "rk4") == expected
         assert _error(integrate, fresh, fresh_H, fresh.chart.point(point), 0.1, 0.05) == expected
-        if case == "degenerate_where_h_fails":
+        # the bracket takes its steps in the same order
+        assert _error(jacobi_bracket_generic, fresh, fresh_H, fresh_H, point) == expected
+        if case.startswith("degenerate_where_"):
             assert expected[0] is StructureError
         if case == "theta_not_finite":
             assert "ScalarField(exp(q)*exp(q) on darboux1) is not finite" in expected[1]
 
     @pytest.mark.parametrize("case", sorted(FAILING))
     def test_a_failing_row_raises_the_tree_error(self, case):
+        # with and without kernels, the post-pass fails at a row as the
+        # right-hand side fails at that point
         theta, omega, source, point = FAILING[case]
         s, H = self.compiled(theta, omega, source)
         fresh = _darboux_structure(theta, omega)
         fresh_H = ScalarField.parse(fresh.chart, source)
         rows = np.array([(0.3, 0.2, 0.1), point, (0.5, -0.2, 0.4)])
-        expected = _error(dynamics._dissipation_rows, fresh, fresh_H, rows)
+        expected = _error(hamiltonian_field_generic, fresh, fresh_H, point)
+        assert _error(dynamics._dissipation_rows, fresh, fresh_H, rows) == expected
         assert _error(dynamics._dissipation_rows, s, H, rows) == expected
+        assert fresh._kernel is None and fresh_H._kernel is None
 
     @pytest.mark.parametrize("name", ["darboux_contact(3)", "xjt_gtacos", "heisenberg"])
     def test_compiled_values_are_the_tree_values(self, name, rng):

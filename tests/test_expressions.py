@@ -21,7 +21,6 @@ from cosym.expressions import (
     ParseError,
     Pow,
     Sub,
-    eval_rows,
     parse,
 )
 from cosym.structures import darboux_chart
@@ -183,7 +182,7 @@ def test_nested_error_keeps_its_own_message():
 
 
 # --------------------------------------------------------------------------
-# Evaluation at many points: eval_rows against eval at each point
+# Evaluation at many points: row kernels against eval at each point
 # --------------------------------------------------------------------------
 
 ROW_NAMES = ("x", "y", "z")
@@ -236,13 +235,14 @@ def pointwise(expr, rows):
 @settings(max_examples=300, deadline=None)
 @given(trees, row_sets)
 def test_eval_rows_matches_eval_bit_for_bit(expr, rows):
-    env = dict(zip(ROW_NAMES, np.array(rows, dtype=float).T))
+    kernel = Kernel([expr], ROW_NAMES)
+    columns = np.array(rows, dtype=float).T
     expected = pointwise(expr, rows)
     if expected is None:
         with pytest.raises(EvalError):
-            eval_rows(expr, env)
+            kernel.rows(*columns)
         return
-    got = np.broadcast_to(eval_rows(expr, env), (len(rows),))
+    got = np.broadcast_to(kernel.rows(*columns)[0], (len(rows),))
     assert_bits_equal(got, expected)
 
 
@@ -251,7 +251,7 @@ def test_eval_rows_keeps_the_messages_of_eval():
     for source in ("1/x", "x^(-1)", "log(x - 1)", "exp(1000*x)", "x + w"):
         expr = parse(source)
         with pytest.raises(EvalError) as row_err:
-            eval_rows(expr, env)
+            Kernel([expr], ("x",)).rows(env["x"])
         with pytest.raises(EvalError) as point_err:
             for x in env["x"]:
                 expr.eval({"x": float(x)})
@@ -260,9 +260,10 @@ def test_eval_rows_keeps_the_messages_of_eval():
 
 def test_eval_rows_takes_scalars_and_arrays_alike():
     expr = parse("k*x^2 + 1")
-    got = eval_rows(expr, {"k": 3.0, "x": np.array([1.0, 2.0])})
+    kernel = Kernel([expr], ("k", "x"))
+    got = kernel.rows(3.0, np.array([1.0, 2.0]))[0]
     assert_bits_equal(got, [4.0, 13.0])
-    assert eval_rows(expr, {"k": 3.0, "x": 2.0}) == 13.0
+    assert kernel.rows(3.0, 2.0)[0] == 13.0
 
 
 def _callable_field(chart):
@@ -281,8 +282,12 @@ def test_field_rows_match_pointwise_bit_for_bit(n, seed, count):
     chart = darboux_chart(n)
     rows = rng.uniform(-2.0, 2.0, (count, chart.dimension))
     for H in (random_polynomial(chart, rng, max_degree=3), _callable_field(chart)):
-        assert_bits_equal(H.value_rows(rows), [H.value(row) for row in rows])
-        assert_bits_equal(H.gradient_rows(rows), [H.gradient(row) for row in rows])
+        for kept in (False, True):  # the row walk, then the kept kernel if any
+            if kept:
+                H.kernel()
+            values, gradients = H.rows(rows)
+            assert_bits_equal(values, [H.value(row) for row in rows])
+            assert_bits_equal(gradients, [H.gradient(row) for row in rows])
 
 
 # --------------------------------------------------------------------------

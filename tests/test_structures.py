@@ -18,7 +18,6 @@ from cosym.structures import (
     flat,
     reeb,
     reeb_from,
-    reeb_rows,
     sharp,
 )
 
@@ -287,20 +286,27 @@ def _message(fn, *args):
     return str(err.value)
 
 
+def _reeb_rows(s, rows):
+    return reeb_from(*s.rows(rows), rows)[0]
+
+
 class TestReebRows:
     def test_rows_agree_with_the_pointwise_solve_on_the_catalog(self):
         for name in CATALOG_SIZES:
             s = builtin(name, ModelParameters(k=1.5, nu=0.8, delta=2.0))
             probes = np.array([pt.array for pt in s.default_probes()])
             assert probes.shape == (64, s.chart.dimension)
-            th, om = s.theta_rows(probes), s.omega_rows(probes)
-            R = reeb_rows(s, probes)
-            for k, row in enumerate(probes):
-                np.testing.assert_array_equal(th[k], s.theta_vector(row))
-                np.testing.assert_array_equal(om[k], s.omega_matrix(row))
-                expected = reeb(s, row)
-                tol = 1e-14 * max(1.0, np.abs(expected).max())
-                assert np.abs(R[k] - expected).max() <= tol
+            for kept in (False, True):  # the row walk, then the kept kernel
+                if kept:
+                    s.kernel()
+                th, om = s.rows(probes)
+                R = _reeb_rows(s, probes)
+                for k, row in enumerate(probes):
+                    np.testing.assert_array_equal(th[k], s.theta_vector(row))
+                    np.testing.assert_array_equal(om[k], s.omega_matrix(row))
+                    expected = reeb(s, row)
+                    tol = 1e-14 * max(1.0, np.abs(expected).max())
+                    assert np.abs(R[k] - expected).max() <= tol
 
     # the flat matrix's smallest singular value is 1e-32 in both cases, far
     # below the rank rule's eps * 3 * s_max
@@ -308,9 +314,12 @@ class TestReebRows:
     def test_rank_check_on_rows(self, theta):
         s = _nearly_degenerate(theta)
         rows = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-        message = _message(reeb_rows, s, rows)
-        assert "rank 2 < 3" in message
-        assert message == _message(reeb, s, rows[0])
+        for kept in (False, True):  # the row walk, then the kept kernel
+            if kept:
+                s.kernel()
+            message = _message(_reeb_rows, s, rows)
+            assert "rank 2 < 3" in message
+            assert message == _message(reeb, s, rows[0])
 
     def test_residual_check_on_rows(self):
         # Omega^T = I is no two-form: R = 0 is forced, and R.theta = 1 fails
@@ -324,7 +333,7 @@ class TestReebRows:
     def test_first_failing_row_is_reported(self):
         good = builtin("darboux_contact(1)")
         rows = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
-        th, om = good.theta_rows(rows), good.omega_rows(rows)
+        th, om = good.rows(rows)
         om[1:] = np.eye(3)
         th[1:] = [0.0, 0.0, 1.0]
         assert _message(reeb_from, th, om, rows) == _message(
@@ -342,7 +351,7 @@ class TestRankBoundary:
         expected = [0.0, 0.0, 1.0 / c]
         np.testing.assert_allclose(reeb(s, pt), expected, rtol=1e-14, atol=1e-14 / c)
         np.testing.assert_allclose(
-            reeb_rows(s, [pt, pt])[1], expected, rtol=1e-14, atol=1e-14 / c
+            _reeb_rows(s, [pt, pt])[1], expected, rtol=1e-14, atol=1e-14 / c
         )
 
     def test_small_theta_is_refused_below_the_boundary(self):
@@ -351,7 +360,7 @@ class TestRankBoundary:
         H = ScalarField.parse(s.chart, "q^2 + p^2")
         for fn, args in (
             (reeb, (s, pt)),
-            (reeb_rows, (s, [pt])),
+            (_reeb_rows, (s, [pt])),
             (dynamics.hamiltonian_field_generic, (s, H, pt)),
         ):
             assert "rank 2 < 3" in _message(fn, *args)
@@ -365,7 +374,7 @@ class TestStructureErrorMessages:
         H = ScalarField.parse(s.chart, "q^2 + p^2")
         for fn, args in (
             (reeb, (s, pt)),
-            (reeb_rows, (s, [pt])),
+            (_reeb_rows, (s, [pt])),
             (sharp, (s, [1.0, 2.0, 3.0], pt)),
             (dynamics.hamiltonian_field_generic, (s, H, pt)),
         ):
