@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.optimize import least_squares
 
-from .charts import Chart, ChartPoint, ScalarField, central_difference, coerce_values
+from .charts import Chart, ChartPoint, ScalarField, central_difference
 from .forms import KForm, exterior_derivative
 from .manifolds import CHART_XJT, ModelParameters, metric_matrix
 
@@ -205,7 +205,7 @@ def solve_phi(
     ``free`` fixes (Phi_yq, Phi_yp, Phi_qp, Phi_pq).  Positive definiteness
     of g' is reported as a diagnostic, never imposed on the root-find.
     """
-    point = at if isinstance(at, ChartPoint) else CHART_XJT.point(at)
+    point = CHART_XJT.point(at)
     values = point.array
     free = tuple(float(v) for v in free)
     if len(free) != 4:
@@ -321,8 +321,7 @@ def _finish(free, unknowns, params, point, iterations) -> AcmsSolution:
 def ppp_negative_witness(params: ModelParameters, at) -> float:
     """Strictly positive obstruction k tau / (y g_xx) = 2k/y certifying that
     no Phi is compatible with the invariant metric (alpha = k/2)."""
-    values = coerce_values(CHART_XJT, at)
-    CHART_XJT.check(values)
+    values = CHART_XJT.values(at)
     y = values[1]
     tau = params.k / y**2
     g_xx = (params.k / 2.0) / y**2
@@ -355,9 +354,7 @@ def nijenhuis_n1(
         raise ValueError("convention must be factor1 or factor2")
     factor = 1.0 if convention == "factor1" else 2.0
     chart = chart or eta.chart
-    values = coerce_values(chart, at)
-    if not isinstance(at, ChartPoint):
-        chart.check(values)
+    values = chart.values(at)
     dim = chart.dimension
 
     if callable(phi):
@@ -452,7 +449,7 @@ def sasaki_from_potential(potential: SasakiPotential | ScalarField) -> SasakiStr
     xi[ik] = 1.0
 
     def metric(values) -> np.ndarray:
-        values = coerce_values(chart, values)
+        values = chart.values(values, check_domain=False)
         ev = eta.at(values, check_domain=False).as_covector()
         lap = laplacian.value(values, check_domain=False)
         g = np.outer(ev, ev)
@@ -461,7 +458,7 @@ def sasaki_from_potential(potential: SasakiPotential | ScalarField) -> SasakiStr
         return g
 
     def phi(values) -> np.ndarray:
-        values = coerce_values(chart, values)
+        values = chart.values(values, check_domain=False)
         lap = laplacian.value(values, check_domain=False)
         if abs(lap) < 1e-12:
             raise ValueError(
@@ -494,8 +491,7 @@ def potential_fit_report(params: ModelParameters, at) -> dict:
     second derivatives (4 reals) at the point and reports the best-fit
     residual; no global conclusion is drawn.
     """
-    values = coerce_values(CHART_XJT, at)
-    CHART_XJT.check(values)
+    values = CHART_XJT.values(at)
     x, y, q, p, kappa = values
     # invariant metric reordered to (x, y, q, p, kappa)
     mm = metric_matrix(4, params, (x, y, p, q, kappa)).entries

@@ -1,12 +1,13 @@
 """Coordinate charts, domain guards, scalar fields and chart maps.
 
-Fields are evaluated pointwise, or at every row of an (N, dim) array at once
-(:meth:`ScalarField.rows`: from the field's kept kernel, else row by row
-through the pointwise calls; bit-identical to the pointwise results either
-way).  A field backed by an expression tree has exact first and second
-partial derivatives; each partial-derivative tree is built on first use and
-kept on the field, so a field is differentiated at most once per coordinate;
-its value and partials compile into one straight-line kernel on request
+Fields are evaluated pointwise, or at every row of an (N, dim) array at once.
+:meth:`ScalarField.at` gives the value and the gradient at one point and
+:meth:`ScalarField.rows` at every row, from the field's kept kernel where it
+is finite, else by walking the trees; bit-identical either way.  A field
+backed by an expression tree has exact first and second partial
+derivatives; each partial-derivative tree is built on first use and kept on
+the field, so a field is differentiated at most once per coordinate; its
+value and partials compile into one straight-line kernel on request
 (:meth:`ScalarField.kernel`).  A field backed by an opaque callable falls back
 to central finite differences with step ``h_i = max(1, |x_i|) * eps**(1/3)``.
 A value or gradient that is not finite (an overflow to inf, or NaN) raises
@@ -14,7 +15,11 @@ A value or gradient that is not finite (an overflow to inf, or NaN) raises
 
 Domain guards are hard constraints: evaluating at a violating point raises
 :class:`DomainError` rather than returning NaN (the built-in half-plane
-metrics blow up at the guard surface).
+metrics blow up at the guard surface).  Every point argument is read by one
+rule, :meth:`Chart.values` (and :meth:`Chart.point` for a point): a
+:class:`ChartPoint` is trusted only on its own chart; a point of another
+chart must have the same coordinates and, like a plain sequence, meets this
+chart's guards unless the caller asks for no check.
 """
 
 from __future__ import annotations
@@ -136,7 +141,7 @@ class Chart:
             if not g.holds(v):
                 raise DomainError(
                     "point violates %s on chart %r (got %s = %r)"
-                    % (g.describe(), self.name, g.coordinate, v)
+                    % (g.describe(), self.name, g.coordinate, float(v))
                 )
 
     def contains(self, values: Sequence[float]) -> bool:
@@ -146,8 +151,33 @@ class Chart:
             return False
         return True
 
-    def point(self, values: Sequence[float]) -> "ChartPoint":
-        return ChartPoint(self, tuple(float(v) for v in values))
+    def values(self, at, check_domain: bool = True) -> np.ndarray:
+        """The coordinates of ``at`` as an array of floats.  This is the one
+        rule for reading a point: a ChartPoint of this chart is trusted as it
+        stands; a ChartPoint of another chart must have this chart's
+        coordinates (else ChartMismatchError), and it or a plain sequence is
+        checked against this chart's guards unless ``check_domain`` is
+        False."""
+        if isinstance(at, ChartPoint):
+            if at.chart == self:
+                return at.array
+            if at.chart.coordinates != self.coordinates:
+                raise ChartMismatchError(
+                    "point on chart %r used with chart %r" % (at.chart.name, self.name)
+                )
+            values = at.array
+        else:
+            values = np.asarray(at, dtype=float)
+        if check_domain:
+            self.check(values)
+        return values
+
+    def point(self, values) -> "ChartPoint":
+        """``values`` as a point of this chart, read by :meth:`values`'s
+        rule; a point of this chart is returned as it is."""
+        if isinstance(values, ChartPoint) and values.chart == self:
+            return values
+        return ChartPoint(self, tuple(self.values(values, check_domain=False).tolist()))
 
     def env(self, values: Sequence[float]) -> dict[str, float]:
         return dict(zip(self.coordinates, map(float, values)))
@@ -204,16 +234,6 @@ class ChartPoint:
         return self.values[self.chart.index(coordinate)]
 
 
-def coerce_values(chart: Chart, at) -> np.ndarray:
-    if isinstance(at, ChartPoint):
-        if at.chart.coordinates != chart.coordinates:
-            raise ChartMismatchError(
-                "point on chart %r used with chart %r" % (at.chart.name, chart.name)
-            )
-        return at.array
-    return np.asarray(at, dtype=float)
-
-
 class ScalarField:
     """Real-valued field on a chart, symbolic or opaque-callable backed."""
 
@@ -266,10 +286,7 @@ class ScalarField:
     # -- evaluation --------------------------------------------------------
 
     def value(self, at, check_domain: bool = True) -> float:
-        values = coerce_values(self.chart, at)
-        if check_domain and not isinstance(at, ChartPoint):
-            self.chart.check(values)
-        return self._eval(values)
+        return self._eval(self.chart.values(at, check_domain))
 
     __call__ = value
 
@@ -312,10 +329,7 @@ class ScalarField:
         )
 
     def gradient(self, at, check_domain: bool = True) -> np.ndarray:
-        values = coerce_values(self.chart, at)
-        if check_domain and not isinstance(at, ChartPoint):
-            self.chart.check(values)
-        return self._gradient(values)
+        return self._gradient(self.chart.values(at, check_domain))
 
     def _gradient(self, values: np.ndarray) -> np.ndarray:
         if self.expr is not None:
@@ -341,29 +355,31 @@ class ScalarField:
             self._kernel = Kernel(exprs, coords, [self.params] * len(exprs))
         return self._kernel
 
-    def compiled_at(self, point: list[float]):
-        """(value, gradient) at ``point``, a list of floats, from the kept
-        kernel, bit for bit as ``value`` and ``gradient`` give them.  None
-        when no kernel is kept, or where it raises or gives a result that is
-        not finite: the caller then evaluates the trees, whose errors are
-        the reference."""
-        out = None if self._kernel is None else self._kernel.finite_at(point)
-        return None if out is None else (out[0], np.array(out[1:]))
+    def at(self, at, check_domain: bool = True):
+        """(value, gradient) at a point, bit for bit as ``value`` and
+        ``gradient`` give them: from the kept kernel where it is finite,
+        else by walking the gradient's and then the value's trees, whose
+        errors are the reference.  Never builds a kernel."""
+        values = self.chart.values(at, check_domain)
+        out = None if self._kernel is None else self._kernel.finite_at(values.tolist())
+        if out is not None:
+            return out[0], np.array(out[1:])
+        grad = self._gradient(values)
+        return self._eval(values), grad
 
     def rows(self, states):
         """(values, gradients) at every row of an (N, dim) array, without
         domain checks, bit for bit as ``value`` and ``gradient`` give them:
         from the kept kernel when it is finite at every row, else row by row
-        through ``gradient`` then ``value``, so that the first failing row
-        raises the pointwise error.  Never builds a kernel."""
+        through :meth:`at`, so that the first failing row raises the
+        pointwise error.  Never builds a kernel."""
         states = np.asarray(states, dtype=float)
         out = None if self._kernel is None else self._kernel.finite_rows(states)
         if out is not None:
             return out[:, 0].copy(), np.ascontiguousarray(out[:, 1:])
         values, grads = np.empty(len(states)), np.empty(states.shape)
         for k, row in enumerate(states):
-            grads[k] = self.gradient(row, check_domain=False)
-            values[k] = self.value(row, check_domain=False)
+            values[k], grads[k] = self.at(row, check_domain=False)
         return values, grads
 
     # -- algebra (symbolic when both operands are) ---------------------------
@@ -456,8 +472,7 @@ class ChartMap:
                 raise ChartMismatchError("component field not on source chart")
 
     def __call__(self, at) -> ChartPoint:
-        values = coerce_values(self.source, at)
-        self.source.check(values)
+        values = self.source.values(at)
         image = [c._eval(values) for c in self.components]
         try:
             return self.target.point(image)
@@ -466,8 +481,7 @@ class ChartMap:
 
     def jacobian(self, at) -> np.ndarray:
         """d(target_i)/d(source_j), symbolic when possible, else central FD."""
-        values = coerce_values(self.source, at)
-        self.source.check(values)
+        values = self.source.values(at)
         return np.vstack([c.gradient(values) for c in self.components])
 
     @staticmethod

@@ -462,9 +462,8 @@ def cmd_invariant_suite(args) -> int:
         spec = manifolds.builtin(name, params)
         worst_omega, worst_theta = 0.0, 0.0
         for pt in spec.default_probes(seed=seed):
-            R = structures.reeb(spec, pt)
-            om = spec.omega_matrix(pt)
-            th = spec.theta_vector(pt)
+            th, om, values = spec.at(pt)
+            R = structures.reeb_from(th, om, values)[0]
             worst_omega = max(worst_omega, float(np.abs(R @ om).max()))
             worst_theta = max(worst_theta, abs(float(R @ th) - 1.0))
         push("reeb_contraction[%s]" % spec.name, worst_omega, 1e-11)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .charts import Chart, ChartPoint, DomainError, ScalarField, coerce_values
+from .charts import Chart, DomainError, ScalarField
 from .expressions import EvalError
 from .structures import (
     CanonicalThetaSpec,
@@ -44,29 +44,6 @@ class HamiltonianFieldCoefficients:
 # --------------------------------------------------------------------------
 
 
-def _point_data(spec: StructureSpec, H: ScalarField, at, check_domain: bool):
-    """(values, theta, (u, s, vt), dH, R, h) at a point: theta and Omega are
-    evaluated once, and the SVD factors of the flat matrix that give R
-    solve every field, flat(X) = b being X = b @ u / s @ vt.
-
-    The order is theta, Omega, the flat solve, dH, then H, as over the
-    stored rows of a trajectory, so a degenerate structure is reported
-    before a failing H.  When ``spec`` keeps a kernel (``integrate`` builds
-    it), theta and Omega come from it, and when ``H`` keeps one, dH and
-    h = H's value do.  Where there is no kernel or it fails, the trees are
-    walked, and h is None: the caller evaluates H last."""
-    values = coerce_values(spec.chart, at)
-    if check_domain and not isinstance(at, ChartPoint):
-        spec.chart.check(values)
-    point = values.tolist()
-    th, om = spec.compiled_at(point) or (
-        spec.theta_vector(values, check_domain=False),
-        spec.omega_matrix(values, check_domain=False))
-    R, factors = reeb_from(th, om, values)
-    h, dH = H.compiled_at(point) or (None, H.gradient(values, check_domain=False))
-    return values, th, factors, dH, R, h
-
-
 def _field_from(th, factors, R, dH, h) -> np.ndarray:
     """X_H from flat(X_H) = dH - (R(H) + H) theta and the factors of F."""
     u, s, vt = factors
@@ -76,10 +53,15 @@ def _field_from(th, factors, R, dH, h) -> np.ndarray:
 def hamiltonian_field_generic(
     spec: StructureSpec, H: ScalarField, at, check_domain: bool = True
 ) -> np.ndarray:
-    """Solve flat(X) = dH - (R(H) + H) theta at a point."""
-    values, th, factors, dH, R, h = _point_data(spec, H, at, check_domain)
-    if h is None:
-        h = H.value(values, check_domain=False)
+    """Solve flat(X) = dH - (R(H) + H) theta at a point.
+
+    The order is theta, Omega, the flat solve, dH, then H, as over the
+    stored rows of a trajectory, so a degenerate structure is reported
+    before a failing H.  The SVD factors of the flat matrix that give R
+    solve every field, flat(X) = b being X = b @ u / s @ vt."""
+    th, om, values = spec.at(at, check_domain)
+    R, factors = reeb_from(th, om, values)
+    h, dH = H.at(values, check_domain=False)
     return _field_from(th, factors, R, dH, h)
 
 
@@ -87,8 +69,9 @@ def gradient_field(
     spec: StructureSpec, H: ScalarField, at, check_domain: bool = True
 ) -> np.ndarray:
     """Solve flat(grad H) = dH at a point."""
-    values, th, (u, s, vt), dH, R, _ = _point_data(spec, H, at, check_domain)
-    return dH @ u / s @ vt
+    th, om, values = spec.at(at, check_domain)
+    _, (u, s, vt) = reeb_from(th, om, values)
+    return H.gradient(values, check_domain=False) @ u / s @ vt
 
 
 def evolution_field(
@@ -102,9 +85,10 @@ def evolution_field(
         raise StructureError(
             "evolution field needs a cosymplectic structure; %r is not" % spec.name
         )
-    values, th, (u, s, vt), dH, R, _ = _point_data(spec, H, at, check_domain)
-    grad = dH @ u / s @ vt
-    return grad - (R @ dH) * R + R
+    th, om, values = spec.at(at, check_domain)
+    R, (u, s, vt) = reeb_from(th, om, values)
+    dH = H.gradient(values, check_domain=False)
+    return dH @ u / s @ vt - (R @ dH) * R + R
 
 
 def hamiltonian_field_closed(
@@ -126,9 +110,7 @@ def hamiltonian_field_closed(
             "closed form needs the (q^i..., p_i..., kappa) chart layout, got %s"
             % (chart.coordinates,)
         )
-    values = coerce_values(chart, at)
-    if check_domain and not isinstance(at, ChartPoint):
-        chart.check(values)
+    values = chart.values(at, check_domain)
     dH = H.gradient(values, check_domain=False)
     Hq, Hp, Hk = dH[:n], dH[n : 2 * n], dH[2 * n]
     a = np.asarray(theta_spec.a)
@@ -151,91 +133,45 @@ def tacs_field(
     chart = H.chart
     pairs, kappa = darboux_pairs(chart)
     n = len(pairs)
-    values = coerce_values(chart, at)
-    if check_domain and not isinstance(at, ChartPoint):
-        chart.check(values)
+    values = chart.values(at, check_domain)
     a = tuple(epsilon * values[pi] for _, pi in pairs)
     spec = CanonicalThetaSpec(a=a, b=(0.0,) * n, c=1.0)
     return hamiltonian_field_closed(spec, H, values, check_domain=False).vector()
 
 
 def tacs_convention_comparison(epsilon: float, n: int = 1) -> dict:
-    """Coordinate Hamiltonian fields of this artifact versus the uncorrected
+    """Coordinate Hamiltonian fields of this package versus the uncorrected
     variants from the transitive-almost-contact literature.
 
-    Returns, per generator, callables point -> (ours, uncorrected, delta).
-    Exposed only as a comparison; the corrected convention X_f ⌟ theta = -f
-    is what every solver in this package uses.
+    Returns the Darboux chart and ``report``, which maps a point to, per
+    coordinate generator H, the corrected field ``tacs_field(epsilon, H)``,
+    the uncorrected one and their max-norm distance.  The uncorrected field
+    adds (1 + epsilon) H in the kappa slot, so it satisfies X ⌟ theta =
+    epsilon H instead of -H; the two coincide at epsilon = -1.  Exposed only
+    as a comparison; the corrected convention X_f ⌟ theta = -f is what every
+    solver in this package uses.
     """
     from .structures import darboux_chart
 
     chart = darboux_chart(n)
     pairs, kappa = darboux_pairs(chart)
-
-    def ours_q(i):
-        def f(values):
-            out = np.zeros(chart.dimension)
-            out[pairs[i][1]] = -1.0
-            out[kappa] = -values[pairs[i][0]]
-            return out
-
-        return f
-
-    def uncorrected_q(i):
-        def f(values):
-            out = np.zeros(chart.dimension)
-            out[pairs[i][1]] = -1.0
-            out[kappa] = epsilon * values[pairs[i][0]]
-            return out
-
-        return f
-
-    def ours_p(i):
-        def f(values):
-            out = np.zeros(chart.dimension)
-            out[pairs[i][0]] = 1.0
-            out[kappa] = -(epsilon + 1.0) * values[pairs[i][1]]
-            return out
-
-        return f
-
-    def uncorrected_p(i):
-        def f(values):
-            out = np.zeros(chart.dimension)
-            out[pairs[i][0]] = 1.0
-            return out
-
-        return f
-
-    def ours_kappa(values):
-        out = np.zeros(chart.dimension)
-        for qi, pi in pairs:
-            out[pi] = epsilon * values[pi]
-        out[kappa] = -values[kappa]
-        return out
-
-    def uncorrected_kappa(values):
-        out = np.zeros(chart.dimension)
-        for qi, pi in pairs:
-            out[pi] = epsilon * values[pi]
-        out[kappa] = epsilon * values[kappa]
-        return out
-
-    table = {}
-    for i in range(n):
-        table["X_q%d" % (i + 1)] = (ours_q(i), uncorrected_q(i))
-        table["X_p%d" % (i + 1)] = (ours_p(i), uncorrected_p(i))
-    table["X_kappa"] = (ours_kappa, uncorrected_kappa)
+    fields = {}
+    for i, (qi, pi) in enumerate(pairs):
+        fields["X_q%d" % (i + 1)] = ScalarField.parse(chart, chart.coordinates[qi])
+        fields["X_p%d" % (i + 1)] = ScalarField.parse(chart, chart.coordinates[pi])
+    fields["X_kappa"] = ScalarField.parse(chart, "kappa")
 
     def report(values) -> dict:
-        values = np.asarray(values, dtype=float)
+        values = chart.values(values)
         out = {}
-        for key, (mine, theirs) in table.items():
-            v1, v2 = mine(values), theirs(values)
+        for key, H in fields.items():
+            corrected = tacs_field(epsilon, H, values, check_domain=False)
+            uncorrected = corrected.copy()
+            uncorrected[kappa] += (1.0 + epsilon) * H.value(values, check_domain=False)
             out[key] = {
-                "corrected": v1.tolist(),
-                "uncorrected": v2.tolist(),
-                "max_delta": float(np.abs(v1 - v2).max()),
+                "corrected": corrected.tolist(),
+                "uncorrected": uncorrected.tolist(),
+                "max_delta": float(np.abs(corrected - uncorrected).max()),
             }
         return out
 
@@ -251,9 +187,7 @@ def poisson_bracket(f: ScalarField, g: ScalarField, at, chart: Chart | None = No
     """{f, g} = sum_i df/dq^i dg/dp_i - dg/dq^i df/dp_i on a Darboux chart."""
     chart = chart or f.chart
     pairs, _ = darboux_pairs(chart)
-    values = coerce_values(chart, at)
-    if not isinstance(at, ChartPoint):
-        chart.check(values)
+    values = chart.values(at)
     df = f.gradient(values, check_domain=False)
     dg = g.gradient(values, check_domain=False)
     return float(sum(df[q] * dg[p] - dg[q] * df[p] for q, p in pairs))
@@ -273,9 +207,7 @@ def jacobi_bracket(f: ScalarField, g: ScalarField, at) -> float:
     """Contact-chart bracket {f,g}_P + f_e dg/dkappa - g_e df/dkappa."""
     chart = f.chart
     _, kappa = darboux_pairs(chart)
-    values = coerce_values(chart, at)
-    if not isinstance(at, ChartPoint):
-        chart.check(values)
+    values = chart.values(at)
     kname = chart.coordinates[kappa]
     pb = poisson_bracket(f, g, values, chart)
     fe = euler_part(f).value(values, check_domain=False)
@@ -294,20 +226,14 @@ def jacobi_bracket_generic(
     Darboux coordinates and is the reference path for structures whose
     printed bracket formulas are suspect.
     """
-    values = coerce_values(spec.chart, at)
-    if not isinstance(at, ChartPoint):
-        spec.chart.check(values)
     # One evaluation of theta and Omega and one factorisation serve X_f, X_g
     # and R.  The order is theta, Omega, the flat solve, then f's dH and H
     # before g's, so errors are those of two hamiltonian_field_generic calls
     # in turn.
-    th = spec.theta_vector(values, check_domain=False)
-    om = spec.omega_matrix(values, check_domain=False)
+    th, om, values = spec.at(at)
     R, factors = reeb_from(th, om, values)
-    df = f.gradient(values, check_domain=False)
-    fv = f.value(values, check_domain=False)
-    dg = g.gradient(values, check_domain=False)
-    gv = g.value(values, check_domain=False)
+    fv, df = f.at(values, check_domain=False)
+    gv, dg = g.at(values, check_domain=False)
     Xf = _field_from(th, factors, R, df, fv)
     Xg = _field_from(th, factors, R, dg, gv)
     return float(Xf @ om @ Xg + fv * (R @ dg) - gv * (R @ df))
@@ -500,14 +426,14 @@ def _step(
 def integrate(
     spec: StructureSpec,
     H: ScalarField,
-    x0: ChartPoint,
+    x0,
     t_end: float,
     dt: float,
     method: str = "adaptive-rk45",
     rtol: float = 1e-9,
     atol: float = 1e-9,
 ) -> Trajectory:
-    """Flow x' = X_H(x) sampled on a uniform dt grid.
+    """Flow x' = X_H(x) from the point x0 sampled on a uniform dt grid.
 
     Recorded states are guard-checked; a mid-flow domain escape truncates the
     trajectory and sets ``escaped`` with a diagnostic instead of raising.
@@ -516,7 +442,7 @@ def integrate(
     H.kernel()
     times, states, escaped, diagnostic = _step(
         lambda values: hamiltonian_field_generic(spec, H, values, check_domain=False),
-        spec.chart, x0.array, t_end, dt, method, rtol, atol,
+        spec.chart, x0, t_end, dt, method, rtol, atol,
     )
     h_values, rh_values = _dissipation_rows(spec, H, states)
     residuals = _dissipation_residuals(times, h_values, rh_values)

@@ -19,9 +19,7 @@ from .charts import (
     Chart,
     ChartMap,
     ChartMismatchError,
-    ChartPoint,
     ScalarField,
-    coerce_values,
 )
 
 
@@ -142,9 +140,7 @@ class KForm:
     # -- evaluation / algebra -----------------------------------------------
 
     def at(self, point, check_domain: bool = True) -> FormValue:
-        values = coerce_values(self.chart, point)
-        if check_domain and not isinstance(point, ChartPoint):
-            self.chart.check(values)
+        values = self.chart.values(point, check_domain)
         return FormValue(
             self.chart,
             self.degree,
@@ -193,9 +189,7 @@ class VectorField:
             raise ValueError("component count must equal chart dimension")
 
     def at(self, point, check_domain: bool = True) -> np.ndarray:
-        values = coerce_values(self.chart, point)
-        if check_domain and not isinstance(point, ChartPoint):
-            self.chart.check(values)
+        values = self.chart.values(point, check_domain)
         return np.array([c._eval(values) for c in self.components])
 
     @classmethod
@@ -324,7 +318,7 @@ def pullback(m: ChartMap, f: KForm, at) -> FormValue:
     """
     if f.chart.coordinates != m.target.coordinates:
         raise ChartMismatchError("form does not live on the map's target chart")
-    source_point = at if isinstance(at, ChartPoint) else m.source.point(at)
+    source_point = m.source.point(at)
     image = m(source_point)
     jac = m.jacobian(source_point)
     fval = f.at(image)

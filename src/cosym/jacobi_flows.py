@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .charts import ChartPoint, ScalarField, coerce_values
+from .charts import ChartPoint, ScalarField
 from .dynamics import Trajectory, _step, hamiltonian_field_generic, integrate
 from .expressions import Expr, Name, Num, parse
 from .manifolds import CHART_METRIC_X1, CHART_XJ1, CHART_XJT, ModelParameters, builtin
@@ -113,9 +113,7 @@ def split_energy(
 
 def energy(coeffs: LinearHamiltonianCoefficients, at, params: ModelParameters) -> float:
     """H_pq + H_xy at a point (x, y, q, p)."""
-    values = coerce_values(CHART_XJ1, at)
-    if not isinstance(at, ChartPoint):
-        CHART_XJ1.check(values)
+    values = CHART_XJ1.values(at)
     se = split_energy(coeffs, params)
     padded = np.append(values, 0.0)
     return se.h_pq.value(padded, check_domain=False) + se.h_xy.value(
@@ -141,9 +139,7 @@ def base_field(
 ) -> np.ndarray:
     """Symplectic flow on the 4-chart (x, y, q, p): solve X ⌟ omega = dH for
     omega = (k/y^2) dx^dy + 2 nu dq^dp."""
-    values = coerce_values(CHART_XJ1, at)
-    if not isinstance(at, ChartPoint):
-        CHART_XJ1.check(values)
+    values = CHART_XJ1.values(at)
     return _base_velocity(split_energy(coeffs, params).total, values, params)
 
 
@@ -179,9 +175,7 @@ def eom(
         return base_field(coeffs, at, params)
     spec = _variant_structure(variant, params)
     se = split_energy(coeffs, params)
-    values = coerce_values(CHART_XJT, at)
-    if not isinstance(at, ChartPoint):
-        CHART_XJT.check(values)
+    values = CHART_XJT.values(at)
     return hamiltonian_field_generic(spec, se.total, values, check_domain=False)
 
 
@@ -198,8 +192,7 @@ def red_green_decomposition(
     """
     if variant not in ("gtacos", "contact"):
         raise ValueError("decomposition applies to the 5-dimensional variants")
-    values = coerce_values(CHART_XJT, at)
-    CHART_XJT.check(values)
+    values = CHART_XJT.values(at)
     spec = _variant_structure(variant, params)
     total = split_energy(coeffs, params).total
     full = hamiltonian_field_generic(spec, total, values, check_domain=False)
@@ -395,8 +388,7 @@ def paper_discrepancy_report(
     """
     coeffs = coeffs or REFERENCE_COEFFS
     params = params or ModelParameters()
-    values = coerce_values(CHART_XJT, at if at is not None else REFERENCE_POINT)
-    CHART_XJT.check(values)
+    values = CHART_XJT.values(at if at is not None else REFERENCE_POINT)
 
     report: dict[str, dict] = {}
 

@@ -215,7 +215,7 @@ def metric_matrix(case: int, params: ModelParameters, at) -> MetricMatrix:
     if case not in _METRIC_CHARTS:
         raise ValueError("case must be 1..5")
     chart = _METRIC_CHARTS[case]
-    point = at if isinstance(at, ChartPoint) else chart.point(at)
+    point = chart.point(at)
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     env = point.env()
     y = env["y"]
@@ -296,7 +296,7 @@ def invariant_one_forms(params: ModelParameters, at) -> list[np.ndarray]:
 
     Their Gram sum reproduces ``metric_matrix(5, ...)`` entrywise.
     """
-    point = at if isinstance(at, ChartPoint) else CHART_GROUP6.point(at)
+    point = CHART_GROUP6.point(at)
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     if min(a, b, g, d) <= 0:
         raise ValueError("invariant one-forms need alpha, beta, gamma, delta > 0")
@@ -336,29 +336,26 @@ def invariant_one_forms(params: ModelParameters, at) -> list[np.ndarray]:
 def cayley_map(params: ModelParameters | None = None) -> ChartMap:
     """Second partial Cayley transform (x, y, q, p) -> (w1, w2, z1, z2):
 
-        w = (v - i) / (v + i),   z = 2i (p v + q) / (v + i),   v = x + i y.
+        w = (v - i) / (v + i),   z = 2i (p v + q) / (v + i),   v = x + i y,
 
-    Components are opaque callables so the Jacobian is taken by central
-    finite differences; no symbolic complex algebra is involved.
+    split into real and imaginary parts over D = x^2 + (y+1)^2:
+
+        w1 = (x^2 + y^2 - 1)/D,         w2 = -2x/D,
+        z1 = 2(p x + q(y+1))/D,         z2 = 2(p(x^2 + y^2 + y) + q x)/D.
+
+    The components are symbolic, so the Jacobian is exact.
     """
-
-    def w_complex(values):
-        x, y, q, p = values
-        v = complex(x, y)
-        return (v - 1j) / (v + 1j)
-
-    def z_complex(values):
-        x, y, q, p = values
-        v = complex(x, y)
-        return 2j * (p * v + q) / (v + 1j)
-
-    comps = (
-        ScalarField.from_callable(CHART_XJ1, lambda v: w_complex(v).real),
-        ScalarField.from_callable(CHART_XJ1, lambda v: w_complex(v).imag),
-        ScalarField.from_callable(CHART_XJ1, lambda v: z_complex(v).real),
-        ScalarField.from_callable(CHART_XJ1, lambda v: z_complex(v).imag),
+    D = "(x^2 + (y+1)^2)"
+    return ChartMap.from_exprs(
+        CHART_XJ1,
+        CHART_DISK,
+        (
+            "(x^2 + y^2 - 1)/%s" % D,
+            "-2*x/%s" % D,
+            "2*(p*x + q*(y+1))/%s" % D,
+            "2*(p*(x^2 + y^2 + y) + q*x)/%s" % D,
+        ),
     )
-    return ChartMap(CHART_XJ1, CHART_DISK, comps)
 
 
 def disk_two_form(params: ModelParameters) -> KForm:

@@ -7,9 +7,11 @@ The Reeb conditions R ⌟ Omega = 0, R ⌟ theta = 1 say flat(R) = theta, so
 R = sharp(theta) = F^-1 theta: one SVD of F, rank- and residual-checked by
 :func:`reeb_from`, gives R, and the same factors solve sharp and every
 Hamiltonian, gradient and evolution field at that point.  theta and Omega
-compile into one straight-line kernel on request (:meth:`StructureSpec.kernel`);
-:meth:`StructureSpec.rows` gives them at every row of an array, from that
-kernel or row by row, and :func:`reeb_from` solves all rows by one batched SVD.
+compile into one straight-line kernel on request (:meth:`StructureSpec.kernel`).
+:meth:`StructureSpec.at` gives them at one point and :meth:`StructureSpec.rows`
+at every row of an array, each from that kernel where it is finite, else by
+walking the trees.  :func:`reeb_from` solves one point, or all rows by one
+batched SVD, so ``reeb`` is ``reeb_from(*spec.at(point))[0]``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Mapping
 import numpy as np
 from scipy.stats import qmc
 
-from .charts import Chart, ChartPoint, coerce_values
+from .charts import Chart, ChartPoint
 from .expressions import Expr, Kernel, Mul, Name, Neg, Num
 from . import forms
 from .forms import KForm
@@ -117,26 +119,27 @@ class StructureSpec:
             self._kernel = Kernel(exprs, self.chart.coordinates, bound)
         return self._kernel
 
-    def compiled_at(self, point: list[float]):
-        """(theta, Omega) at ``point``, a list of floats, from the kept
-        kernel, bit for bit as ``theta_vector`` and ``omega_matrix`` give
-        them.  None when no kernel is kept, or where it raises or gives a
-        coefficient that is not finite: the caller then evaluates the
-        trees, whose errors are the reference."""
-        out = None if self._kernel is None else self._kernel.finite_at(point)
+    def at(self, at, check_domain: bool = True):
+        """(theta, Omega, values) at a point: theta (dim,) and Omega
+        (dim, dim) from the kept kernel where it is finite, else by walking
+        theta's and then Omega's trees, whose errors are the reference;
+        ``values`` are the point's coordinates as the chart reads them.  Bit
+        for bit the same either way; never builds a kernel."""
+        values = self.chart.values(at, check_domain)
+        out = None if self._kernel is None else self._kernel.finite_at(values.tolist())
         if out is None:
-            return None
-        dim = len(point)
+            return (self.theta_vector(values, check_domain=False),
+                    self.omega_matrix(values, check_domain=False), values)
+        dim = len(values)
         return (np.array(out[:dim], dtype=float),
-                np.array(out[dim:], dtype=float).reshape(dim, dim))
+                np.array(out[dim:], dtype=float).reshape(dim, dim), values)
 
     def rows(self, states):
         """(theta, Omega) at every row of an (N, dim) array, shaped (N, dim)
-        and (N, dim, dim), without domain checks, bit for bit as
-        ``theta_vector`` and ``omega_matrix`` give them: from the kept kernel
-        when it is finite at every row, else row by row through those calls,
-        so that the first failing row raises the pointwise error.  Never
-        builds a kernel."""
+        and (N, dim, dim), without domain checks, bit for bit as :meth:`at`
+        gives them: from the kept kernel when it is finite at every row, else
+        row by row through :meth:`at`, so that the first failing row raises
+        the pointwise error.  Never builds a kernel."""
         states = np.asarray(states, dtype=float)
         out = None if self._kernel is None else self._kernel.finite_rows(states)
         n, dim = states.shape
@@ -145,17 +148,11 @@ class StructureSpec:
                     np.ascontiguousarray(out[:, dim:]).reshape(n, dim, dim))
         th, om = np.empty((n, dim)), np.empty((n, dim, dim))
         for k, row in enumerate(states):
-            th[k] = self.theta_vector(row, check_domain=False)
-            om[k] = self.omega_matrix(row, check_domain=False)
+            th[k], om[k], _ = self.at(row, check_domain=False)
         return th, om
 
     def flat_matrix(self, at, check_domain: bool = True) -> np.ndarray:
-        values = coerce_values(self.chart, at)
-        if check_domain and not isinstance(at, ChartPoint):
-            self.chart.check(values)
-        th = self.theta_vector(values, check_domain=False)
-        om = self.omega_matrix(values, check_domain=False)
-        return flat_from(th, om)
+        return flat_from(*self.at(at, check_domain)[:2])
 
     def volume_coefficient(self, at, check_domain: bool = True) -> float:
         """Top coefficient of theta ^ Omega^n (the chart's volume density).
@@ -412,7 +409,7 @@ def flat_from(th: np.ndarray, om: np.ndarray) -> np.ndarray:
 
 def reeb(spec: StructureSpec, at, check_domain: bool = True) -> np.ndarray:
     """The Reeb vector R = ♯theta, which solves R ⌟ Omega = 0, R ⌟ theta = 1."""
-    return _solve_at(spec, at, check_domain)[0]
+    return reeb_from(*spec.at(at, check_domain))[0]
 
 
 def reeb_from(th: np.ndarray, om: np.ndarray, values):
@@ -464,21 +461,9 @@ def _check_flat(s: np.ndarray, values, error=None) -> None:
     )
 
 
-def _solve_at(spec: StructureSpec, at, check_domain: bool):
-    """:func:`reeb_from` at one point of ``spec``'s chart."""
-    values = coerce_values(spec.chart, at)
-    if check_domain and not isinstance(at, ChartPoint):
-        spec.chart.check(values)
-    th = spec.theta_vector(values, check_domain=False)
-    om = spec.omega_matrix(values, check_domain=False)
-    return reeb_from(th, om, values)
-
-
 def flat(spec: StructureSpec, X, at, check_domain: bool = True) -> np.ndarray:
     """X -> X ⌟ Omega + (X ⌟ theta) theta as a covector at a point."""
-    values = coerce_values(spec.chart, at)
-    if check_domain and not isinstance(at, ChartPoint):
-        spec.chart.check(values)
+    values = spec.chart.values(at, check_domain)
     xv = X.at(values) if hasattr(X, "at") else np.asarray(X, dtype=float)
     return spec.flat_matrix(values, check_domain=False) @ xv
 
@@ -486,5 +471,5 @@ def flat(spec: StructureSpec, X, at, check_domain: bool = True) -> np.ndarray:
 def sharp(spec: StructureSpec, alpha, at, check_domain: bool = True) -> np.ndarray:
     """Inverse of flat, from the factors that also give R = ♯theta; raises
     StructureError where :func:`reeb` does."""
-    _, (u, s, vt) = _solve_at(spec, at, check_domain)
+    _, (u, s, vt) = reeb_from(*spec.at(at, check_domain))
     return np.asarray(alpha, dtype=float) @ u / s @ vt

@@ -1,7 +1,9 @@
 """ScalarField keeps its partial-derivative trees: each coordinate is
 differentiated at most once per field, and the kept trees give the same
 values, bit for bit, as differentiating afresh.  A value or gradient that
-is not finite is an EvalError, pointwise and at many rows alike."""
+is not finite is an EvalError, pointwise and at many rows alike.  Every
+point argument is read by one rule: a ChartPoint is trusted only on its own
+chart, and any other point meets the guards of the chart it is used on."""
 
 import math
 
@@ -9,9 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import random_polynomial
+import cosym
 from cosym import expressions
-from cosym.charts import ScalarField
+from cosym.charts import Chart, ChartMap, ChartMismatchError, DomainError, ScalarField
 from cosym.expressions import EvalError
+from cosym.forms import KForm
+from cosym.manifolds import CHART_XJ1, CHART_XJT, ModelParameters
 from cosym.structures import darboux_chart
 
 
@@ -139,3 +144,66 @@ def test_non_finite_callable_results_are_eval_errors():
     message = _raised(step.gradient, [0.0, 0.0, 0.0])
     assert message.startswith("gradient of ") and "not finite" in message
     assert _raised(step.rows, [[5.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) == message
+
+
+# A chart with the coordinates of a guarded chart but none of its guards.
+LOOSE_XJT = Chart("loose", CHART_XJT.coordinates)
+LOOSE_XJ1 = Chart("loose", CHART_XJ1.coordinates)
+OFF_GUARD_XJT = LOOSE_XJT.point((0.0, -1.0, 0.1, 0.2, 0.0))  # y = -1
+
+
+def _xjt_field():
+    return ScalarField.parse(CHART_XJT, "q^2 + p^2 + x^2 + (y-1)^2")
+
+
+def _metric_case_1(at):
+    return cosym.metric_matrix(1, ModelParameters(beta=0, gamma=0, delta=0), at)
+
+
+POINT_READERS = {
+    "reeb": (lambda: cosym.reeb(cosym.builtin("xjt_gtacos"), OFF_GUARD_XJT), DomainError),
+    "ScalarField.value": (lambda: _xjt_field().value(OFF_GUARD_XJT), DomainError),
+    "hamiltonian_field_generic": (
+        lambda: cosym.hamiltonian_field_generic(
+            cosym.builtin("xjt_gtacos"), _xjt_field(), OFF_GUARD_XJT),
+        DomainError),
+    "metric_matrix": (
+        lambda: _metric_case_1(Chart("free", ("x", "y")).point((0.3, -2.0))), DomainError),
+    "metric_matrix_other_coordinates": (
+        lambda: _metric_case_1(CHART_XJT.point((0.0, 1.0, 0.0, 0.0, 0.0))),
+        ChartMismatchError),
+    # the map itself has no guards; the form's chart has y > 0
+    "pullback": (
+        lambda: cosym.pullback(
+            ChartMap.identity(LOOSE_XJ1),
+            KForm.two_form(CHART_XJ1, {"x,y": "1/y^2"}),
+            (0.0, -1.0, 0.1, 0.2)),
+        DomainError),
+    "solve_phi": (
+        lambda: cosym.solve_phi((1, 0.5, 0.3, -0.2), ModelParameters(), OFF_GUARD_XJT),
+        DomainError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POINT_READERS))
+def test_a_point_of_another_chart_meets_this_charts_guards(case):
+    call, error = POINT_READERS[case]
+    with pytest.raises(error):
+        call()
+
+
+def test_a_point_of_the_same_chart_is_trusted_as_it_stands():
+    pt = CHART_XJT.point((0.0, 1.0, 0.1, 0.2, 0.0))
+    assert CHART_XJT.point(pt) is pt
+    assert CHART_XJT.values(pt).tolist() == list(pt.values)
+    same = Chart(CHART_XJT.name, CHART_XJT.coordinates, CHART_XJT.guards)
+    assert same.point(pt) is pt
+    # check_domain=False reads a foreign point without its guards
+    assert CHART_XJT.values(OFF_GUARD_XJT, check_domain=False)[1] == -1.0
+
+
+def test_domain_errors_print_plain_floats_for_array_input():
+    spec = cosym.builtin("xjt_gtacos")
+    with pytest.raises(DomainError) as err:
+        cosym.reeb(spec, np.array([0, -1, 0, 0, 0.0]))
+    assert str(err.value) == "point violates y > 0.0 on chart 'xjt' (got y = -1.0)"

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_point, random_polynomial
 from cosym import dynamics
-from cosym.charts import ScalarField
+from cosym.charts import Chart, DomainError, ScalarField
 from cosym.dynamics import (
     tacs_convention_comparison,
     euler_part,
@@ -348,6 +348,17 @@ class TestIntegrate:
         assert np.abs(traj.states[:, 1] - expected).max() <= 1e-6  # p(t)
         assert np.abs(traj.states[:, 2] - expected).max() <= 1e-6  # kappa(t)
 
+    def test_x0_is_read_by_the_point_rule(self):
+        s = builtin("xjt_gtacos")
+        H = ScalarField.parse(s.chart, "q^2 + p^2 + x^2 + (y-1)^2", s.params)
+        x0 = (0.2, 1.0, 0.3, -0.2, 0.0)
+        from_point = integrate(s, H, s.chart.point(x0), 0.1, 0.01, "rk4")
+        from_tuple = integrate(s, H, x0, 0.1, 0.01, "rk4")
+        assert from_tuple.states.tobytes() == from_point.states.tobytes()
+        loose = Chart("loose", s.chart.coordinates).point((0.2, -1.0, 0.3, -0.2, 0.0))
+        with pytest.raises(DomainError):
+            integrate(s, H, loose, 0.1, 0.01, "rk4")
+
     def test_zero_hamiltonian_is_stationary(self):
         s = contact1()
         H = ScalarField.constant(s.chart, 0.0)
@@ -497,7 +508,7 @@ class TestCompiledKernels:
         s, H = self.compiled(theta, omega, source)
         fresh = _darboux_structure(theta, omega)
         fresh_H = ScalarField.parse(fresh.chart, source)
-        assert s.compiled_at(list(point)) is None or H.compiled_at(list(point)) is None
+        assert s._kernel.finite_at(list(point)) is None or H._kernel.finite_at(list(point)) is None
         expected = _error(hamiltonian_field_generic, fresh, fresh_H, point)
         assert fresh._kernel is None and fresh_H._kernel is None
         assert _error(hamiltonian_field_generic, s, H, point) == expected
@@ -536,7 +547,8 @@ class TestCompiledKernels:
         for row in rows:
             got = hamiltonian_field_generic(compiled, H, row)
             assert got.tobytes() == hamiltonian_field_generic(fresh, H_fresh, row).tobytes()
-            th, om = compiled.compiled_at(row.tolist())
+            assert compiled._kernel.finite_at(row.tolist()) is not None
+            th, om, _ = compiled.at(row)
             assert th.tobytes() == fresh.theta_vector(row).tobytes()
             assert om.tobytes() == fresh.omega_matrix(row).tobytes()
         for got, want in zip(dynamics._dissipation_rows(compiled, H, rows),
@@ -561,7 +573,10 @@ class TestCompiledKernels:
         s = contact1()
         H = ScalarField.from_callable(s.chart, lambda v: 0.5 * (v[0] ** 2 + v[1] ** 2))
         traj = integrate(s, H, s.chart.point((0.4, -0.3, 0.5)), 0.1, 1e-2)
-        assert H.kernel() is None and H.compiled_at([0.4, -0.3, 0.5]) is None
+        assert H.kernel() is None
+        value, grad = H.at([0.4, -0.3, 0.5])
+        assert value == H.value([0.4, -0.3, 0.5])
+        assert grad.tobytes() == H.gradient([0.4, -0.3, 0.5]).tobytes()
         assert len(traj.times) == 11
         # theta and Omega still come from the structure's kernel, bit for bit.
         assert s._kernel is not None

@@ -246,9 +246,15 @@ class TestBuiltOncePerStructure:
             for _ in range(4):
                 pt = random_point(s.chart, rng)
                 del degrees[:]
-                values, th, factors, dH, R, h = dynamics._point_data(s, H, pt, True)
+                X = dynamics.hamiltonian_field_generic(s, H, pt)
                 assert sorted(degrees) == [1, 2]
-                assert h is None  # no kernels: H is evaluated after the solve
+                assert s._kernel is None and H._kernel is None  # the trees were walked
+                del degrees[:]
+                th, om, values = s.at(pt)
+                assert sorted(degrees) == [1, 2]
+                R, factors = reeb_from(th, om, values)
+                h, dH = H.at(pt)
+                np.testing.assert_array_equal(X, dynamics._field_from(th, factors, R, dH, h))
                 np.testing.assert_array_equal(R, reeb(s, pt))
                 for got, want in zip(factors, np.linalg.svd(s.flat_matrix(pt))):
                     np.testing.assert_array_equal(got, want)
