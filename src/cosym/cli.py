@@ -21,6 +21,7 @@ import numpy as np
 from . import almost_contact, dynamics, jacobi_flows, manifolds, structures
 from .charts import DomainError, ScalarField, random_polynomial
 from .expressions import EvalError, ParseError
+from .forms import exterior_derivative
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -146,15 +147,19 @@ def cmd_check_structure(args) -> int:
         if args.probe_point
         else probes[0]
     )
+    try:
+        R = structures.reeb(spec, probe)
+    except structures.StructureError:
+        R = None  # a structure the solver refuses still prints its report
     report = {
         "name": spec.name,
         "flags": cls.flags(),
         "probe_point": list(probe.values),
-        "reeb": structures.reeb(spec, probe),
+        "reeb": R,
         "volume_coefficient": spec.volume_coefficient(probe),
     }
     _print_json(report)
-    return EXIT_OK if cls.acos else EXIT_NUMERICAL
+    return EXIT_OK if cls.acos and R is not None else EXIT_NUMERICAL
 
 
 def cmd_reeb(args) -> int:
@@ -368,23 +373,13 @@ def cmd_compare(args) -> int:
 
 
 def _write_compare_csv(path, trajectories) -> None:
-    import csv as _csv
-
-    names = list(trajectories)
     rows = min(len(t) for t, _ in trajectories.values())
-    with open(path, "w", newline="") as handle:
-        writer = _csv.writer(handle)
-        header = ["t"]
-        for name in names:
-            dim = trajectories[name][1].shape[1]
-            header += ["%s_%s" % (name, c) for c in ("x", "y", "q", "p", "kappa")[:dim]]
-        writer.writerow(header)
-        times = trajectories[names[0]][0]
-        for i in range(rows):
-            row = ["%.17g" % times[i]]
-            for name in names:
-                row += ["%.17g" % v for v in trajectories[name][1][i]]
-            writer.writerow(row)
+    header = ["t"]
+    for name, (_, states) in trajectories.items():
+        header += ["%s_%s" % (name, c) for c in ("x", "y", "q", "p", "kappa")[: states.shape[1]]]
+    times = next(iter(trajectories.values()))[0]
+    columns = [times[:rows, None]] + [states[:rows] for _, states in trajectories.values()]
+    dynamics.write_csv(path, header, np.hstack(columns))
 
 
 def cmd_riccati(args) -> int:
@@ -404,13 +399,7 @@ def cmd_riccati(args) -> int:
     dt = float(_pick(args, config, "dt", 1e-2))
     times, states = jacobi_flows.integrate_riccati(coeffs, x0, t_end, dt)
     if args.csv:
-        import csv as _csv
-
-        with open(args.csv, "w", newline="") as handle:
-            writer = _csv.writer(handle)
-            writer.writerow(["t", "x", "y"])
-            for i, t in enumerate(times):
-                writer.writerow(["%.17g" % t, "%.17g" % states[i, 0], "%.17g" % states[i, 1]])
+        dynamics.write_csv(args.csv, ["t", "x", "y"], np.column_stack([times, states]))
     _print_json(
         {
             "rows": len(times),
@@ -514,12 +503,10 @@ def cmd_invariant_suite(args) -> int:
         worst = max(worst, abs(spec.volume_coefficient(pt) - derived))
     push("volume_coefficient_vs_wedge_oracle[xjt_gtacos]", worst, 1e-12)
 
-    from .forms import exterior_derivative
-
     worst = 0.0
+    dd_theta = exterior_derivative(exterior_derivative(spec.theta))
     for pt in spec.default_probes(count=16, seed=seed):
-        dd = exterior_derivative(exterior_derivative(spec.theta)).at(pt)
-        worst = max(worst, dd.max_norm())
+        worst = max(worst, dd_theta.at(pt).max_norm())
     push("d_squared_zero[xjt_gtacos.theta]", worst, 1e-10)
 
     contact = manifolds.builtin("xjt_contact", params)

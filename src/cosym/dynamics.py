@@ -266,15 +266,13 @@ class Trajectory:
         return float(np.max(np.abs(self.hamiltonian_values - self.hamiltonian_values[0])))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", *self.chart.coordinates, "H", "dissipation_residual"])
-            for i, t in enumerate(self.times):
-                writer.writerow(
-                    [_fmt17(t)]
-                    + [_fmt17(v) for v in self.states[i]]
-                    + [_fmt17(self.hamiltonian_values[i]), _fmt17(self.dissipation_residuals[i])]
-                )
+        write_csv(
+            path,
+            ["t", *self.chart.coordinates, "H", "dissipation_residual"],
+            np.column_stack(
+                [self.times, self.states, self.hamiltonian_values, self.dissipation_residuals]
+            ),
+        )
 
     def to_json(self, path, **metadata) -> None:
         doc = {
@@ -290,8 +288,13 @@ class Trajectory:
         Path(path).write_text(json.dumps(doc, indent=2))
 
 
-def _fmt17(x: float) -> str:
-    return "%.17g" % x
+def write_csv(path, header, rows) -> None:
+    """Write a header line and rows of floats, each with 17 significant
+    digits so that the file reads back bit for bit."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(["%.17g" % v for v in row] for row in rows)
 
 
 def _guard_events(chart: Chart):

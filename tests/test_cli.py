@@ -74,6 +74,30 @@ class TestCheckStructure:
         assert code == EXIT_INPUT
         assert "offset" in err
 
+    @pytest.mark.parametrize(
+        "theta, volume", [({"q": "1"}, 0.0), ({"kappa": "2e-8"}, 2e-8)]
+    )
+    def test_refused_structure_prints_its_report_and_exits_1(
+        self, capsys, tmp_path, theta, volume
+    ):
+        doc = {
+            "name": "refused",
+            "chart": {"coordinates": ["q", "p", "kappa"], "guards": []},
+            "n": 1,
+            "theta": theta,
+            "omega": {"q,p": "1"},
+        }
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check-structure", "--structure-json", str(path))
+        assert code == EXIT_NUMERICAL
+        assert err == ""
+        report = json.loads(out)
+        assert report["flags"]["acos"] is False
+        assert report["reeb"] is None
+        assert len(report["probe_point"]) == 3
+        assert report["volume_coefficient"] == volume
+
     def test_unknown_builtin_exits_2(self, capsys):
         code, _, err = run(capsys, "check-structure", "--builtin", "moebius")
         assert code == EXIT_INPUT

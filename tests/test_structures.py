@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_point, random_polynomial
 from cosym import dynamics, forms
@@ -16,6 +17,7 @@ from cosym.structures import (
     classify,
     darboux_chart,
     flat,
+    flat_from,
     reeb,
     reeb_from,
     sharp,
@@ -275,13 +277,13 @@ class TestBuiltOncePerStructure:
             dynamics.hamiltonian_field_generic(s, H, (0.1, 0.2, 0.3))
 
 
-def _nearly_degenerate(theta):
+def _nearly_degenerate(theta, omega=1.0):
     chart = darboux_chart(1)
     return StructureSpec(
         "nearly_degenerate",
         chart,
         KForm.one_form(chart, theta),
-        KForm.two_form(chart, {"q,p": 1.0}),
+        KForm.two_form(chart, {"q,p": omega}),
         1,
     )
 
@@ -370,6 +372,75 @@ class TestRankBoundary:
             (dynamics.hamiltonian_field_generic, (s, H, pt)),
         ):
             assert "rank 2 < 3" in _message(fn, *args)
+
+
+class TestOneNondegeneracyRule:
+    # classify calls a structure acos exactly when the flat solve accepts F
+    # at every probe: theta = c dkappa over dq^dp for c on both sides of the
+    # rank boundary, and theta = 1e-6 dkappa over 1e-3 dq^dp, whose flat
+    # matrix has singular ratio 1e-9 and volume coefficient 1e-9
+    @pytest.mark.parametrize(
+        "theta, omega, solvable",
+        [
+            ({"kappa": 3e-8}, 1.0, True),
+            ({"kappa": 2e-8}, 1.0, False),
+            ({"kappa": 1e-8}, 1.0, False),
+            ({"kappa": 1e-10}, 1.0, False),
+            ({"kappa": 1e-6}, 1e-3, True),
+        ],
+    )
+    def test_acos_is_the_flat_solve_accepting_every_probe(self, theta, omega, solvable):
+        s = _nearly_degenerate(theta, omega)
+        probes = s.default_probes(count=8)
+        solved = []
+        for pt in probes:
+            try:
+                reeb(s, pt)
+                solved.append(True)
+            except StructureError:
+                solved.append(False)
+        assert all(solved) == solvable
+        assert classify(s, probes=probes).acos == all(solved)
+
+    def test_classify_reads_each_form_once_per_probe(self, monkeypatch):
+        s = builtin("xjt_gtacos")
+        probes = s.default_probes(count=10)
+        calls = []
+        at = KForm.at
+
+        def counting_at(self, *args, **kwargs):
+            calls.append(self)
+            return at(self, *args, **kwargs)
+
+        monkeypatch.setattr(KForm, "at", counting_at)
+        expected = classify(s, probes=probes)
+        assert len(calls) <= 4 * len(probes)  # theta, Omega, dtheta, dOmega
+        s.kernel()
+        calls.clear()
+        assert classify(s, probes=probes) == expected
+        assert len(calls) <= 2 * len(probes)  # dtheta, dOmega
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_flat_determinant_is_the_squared_volume(self, n, seed):
+        # det(Omega^T + theta theta^T) = (theta ^ Omega^n / n!)^2, so the flat
+        # solve accepts F exactly where theta ^ Omega^n != 0
+        rng = np.random.default_rng(seed)
+        chart, dim = darboux_chart(n), 2 * n + 1
+        th = rng.normal(size=dim)
+        a = rng.normal(size=(dim, dim))
+        om = a - a.T
+        F = flat_from(th, om)
+        assume(np.linalg.cond(F) < 1e5)
+        top = forms.FormValue(chart, 1, {(i,): th[i] for i in range(dim)})
+        omega = forms.FormValue(
+            chart, 2, {(i, j): om[i, j] for i in range(dim) for j in range(i + 1, dim)}
+        )
+        for _ in range(n):
+            top = forms.wedge_values(top, omega)
+        volume = top.coeffs[tuple(range(dim))] / math.factorial(n)
+        det = np.linalg.det(F)
+        assert abs(det - volume**2) <= 1e-10 * abs(det)
 
 
 class TestStructureErrorMessages:
