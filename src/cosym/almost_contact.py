@@ -96,7 +96,7 @@ def phi_hat_matrix(params: ModelParameters, values) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _derived_components(free, unknowns, zeta) -> dict[str, float]:
+def _derived_components(free, unknowns) -> dict[str, float]:
     """All ten independent components from the four free ones and the two
     Newton unknowns, via the elimination chain."""
     f_yq, f_yp, f_qp, f_pq = free
@@ -115,7 +115,7 @@ def _derived_components(free, unknowns, zeta) -> dict[str, float]:
 
 
 def _newton_residual(free, unknowns, zeta) -> np.ndarray:
-    c = _derived_components(free, unknowns, zeta)
+    c = _derived_components(free, unknowns)
     shared = zeta * c["xq"] * (c["yq"] - c["yp"]) + 1.0
     r1 = c["xx"] ** 2 + shared + c["xy"] * c["yx"]
     r2 = c["qq"] ** 2 + shared + c["qp"] * c["pq"]
@@ -268,7 +268,7 @@ def _finish(free, unknowns, params, point, iterations) -> AcmsSolution:
     tau = params.k / values[1] ** 2
     sigma = 2.0 * params.nu
     zeta = tau / sigma
-    comp = _derived_components(free, unknowns, zeta)
+    comp = _derived_components(free, unknowns)
     phi = assemble_phi(comp, params, values)
     eta = eta_covector(params, values)
     xi = xi_vector(params)
@@ -276,7 +276,6 @@ def _finish(free, unknowns, params, point, iterations) -> AcmsSolution:
     g_defining = metric_from_defining_relation(phi, params, values)
 
     c = comp
-    shared = zeta * c["xq"] * (c["yq"] - c["yp"])
     eq = {
         "square_xx": c["xx"] ** 2 + c["xy"] * c["yx"]
         + zeta * (c["xp"] * c["yq"] - c["xq"] * c["yp"]) + 1.0,

@@ -371,7 +371,7 @@ class Call(Expr):
 
 
 def _fmt(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
+    if abs(value) < 1e15 and value == int(value):  # false for inf and nan
         return str(int(value))
     return repr(value)
 

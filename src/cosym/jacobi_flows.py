@@ -292,14 +292,12 @@ REFERENCE_COEFFS = LinearHamiltonianCoefficients(
 )
 
 
-def _contact_field_printed(
-    coeffs: LinearHamiltonianCoefficients, values, params: ModelParameters
-) -> np.ndarray:
-    """Verbatim printed contact equations of motion, including the
-    kappa-line's trailing dH/dkappa factor, exactly as published."""
-    se = split_energy(coeffs, params)
-    dH = se.total.gradient(values, check_domain=False)
-    H = se.total.value(values, check_domain=False)
+def _contact_field_printed(total: ScalarField, values, params: ModelParameters) -> np.ndarray:
+    """Verbatim printed contact equations of motion of the split energy
+    ``total``, including the kappa-line's trailing dH/dkappa factor, exactly
+    as published."""
+    dH = total.gradient(values, check_domain=False)
+    H = total.value(values, check_domain=False)
     x, y, q, p, kappa = values
     k, nu = params.k, params.nu
     hx, hy, hq, hp, hk = dH
@@ -396,15 +394,18 @@ def paper_discrepancy_report(
     printed_xy = riccati_rhs_printed(coeffs, values[:2])
     report["riccati_xy"] = _entry(printed_xy, derived_xy)
 
-    full = eom(coeffs, "gtacos", values, params)
+    total = split_energy(coeffs, params).total
+    gtacos = builtin("xjt_gtacos", params)
+    full = hamiltonian_field_generic(gtacos, total, values, check_domain=False)
     printed_pq = _gtacos_pq_printed(coeffs, values, params)
     report["linear_pq"] = _entry(printed_pq, full[2:4])
 
     printed_kappa = _gtacos_kappa_printed(coeffs, values, params)
     report["linear_kappa"] = _entry(printed_kappa, full[4])
 
-    contact_full = eom(coeffs, "contact", values, params)
-    printed_contact = _contact_field_printed(coeffs, values, params)
+    contact = builtin("xjt_contact", params)
+    contact_full = hamiltonian_field_generic(contact, total, values, check_domain=False)
+    printed_contact = _contact_field_printed(total, values, params)
     report["contact_field"] = _entry(printed_contact, contact_full)
     report["contact_kappa"] = _entry(printed_contact[4], contact_full[4])
 
@@ -415,11 +416,10 @@ def paper_discrepancy_report(
         _xjt_poisson_derived(f, g, values, params),
     )
 
-    spec = builtin("xjt_gtacos", params)
     y = values[1]
     printed_volume = 2.0 * params.k * params.nu * math.sqrt(params.delta) / y**2
     report["volume_coefficient"] = _entry(
-        printed_volume, spec.volume_coefficient(values)
+        printed_volume, gtacos.volume_coefficient(values)
     )
 
     return {

@@ -211,121 +211,71 @@ def metric_matrix(case: int, params: ModelParameters, at) -> MetricMatrix:
     3. half-plane x C          (beta = delta = 0)
     4. extended half-plane     (beta = 0)
     5. full 6-dimensional group
+
+    Each is the Gram sum of the six invariant one-forms of
+    :func:`invariant_one_forms` under the regime's weights, read on the group
+    chart (at angle 0 where the regime's chart has no angle) and restricted
+    to the regime chart's coordinates.
     """
     if case not in _METRIC_CHARTS:
         raise ValueError("case must be 1..5")
     chart = _METRIC_CHARTS[case]
     point = chart.point(at)
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    env = point.env()
-    y = env["y"]
 
     if case == 1:
         _require(b == 0 and g == 0 and d == 0, "case 1 needs beta=gamma=delta=0")
         _require(a > 0, "case 1 needs alpha > 0")
-        m = (a / y**2) * np.eye(2)
     elif case == 2:
         _require(g == 0 and d == 0, "case 2 needs gamma=delta=0")
         _require(a > 0 and b > 0, "case 2 needs alpha, beta > 0")
-        m = np.array(
-            [
-                [(a + b) / y**2, 0.0, 2 * b / y],
-                [0.0, a / y**2, 0.0],
-                [2 * b / y, 0.0, 4 * b],
-            ]
-        )
     elif case == 3:
         _require(b == 0 and d == 0, "case 3 needs beta=delta=0")
         _require(a > 0 and g > 0, "case 3 needs alpha, gamma > 0")
-        m = _metric_half_plane_block(a, g, env)
     elif case == 4:
         _require(b == 0, "case 4 needs beta=0")
         _require(a > 0 and g > 0 and d > 0, "case 4 needs alpha, gamma, delta > 0")
-        m = np.zeros((5, 5))
-        m[:4, :4] = _metric_half_plane_block(a, g, env)
-        m += _lambda6_block(d, env, chart)
     else:
         _require(a > 0 and b > 0 and g > 0 and d > 0, "case 5 needs all weights > 0")
-        m = np.zeros((6, 6))
-        S = env["x"] ** 2 + y**2
-        ix, iy, ith = 0, 1, 2
-        ip, iq, ik = 3, 4, 5
-        m[ix, ix] = (a + b) / y**2
-        m[iy, iy] = a / y**2
-        m[ith, ith] = 4 * b
-        m[ix, ith] = m[ith, ix] = 2 * b / y
-        m[ip, ip] = g * S / y
-        m[iq, iq] = g / y
-        m[ip, iq] = m[iq, ip] = g * env["x"] / y
-        m += _lambda6_block(d, env, chart)
-    return MetricMatrix(entries=m, point=point)
-
-
-def _metric_half_plane_block(alpha: float, gamma: float, env) -> np.ndarray:
-    """4x4 block on (x, y, p, q): alpha (dx^2+dy^2)/y^2 + (gamma/y)(S dp^2 +
-    dq^2 + 2x dp dq) with S = x^2 + y^2."""
-    x, y = env["x"], env["y"]
-    S = x**2 + y**2
-    return np.array(
-        [
-            [alpha / y**2, 0.0, 0.0, 0.0],
-            [0.0, alpha / y**2, 0.0, 0.0],
-            [0.0, 0.0, gamma * S / y, gamma * x / y],
-            [0.0, 0.0, gamma * x / y, gamma / y],
-        ]
-    )
-
-
-def _lambda6_covector(delta: float, env, chart: Chart) -> np.ndarray:
-    """sqrt(delta) (dkappa - p dq + q dp) as a covector on the given chart."""
-    sd = math.sqrt(delta)
-    v = np.zeros(chart.dimension)
-    v[chart.index("kappa")] = sd
-    v[chart.index("q")] = -sd * env["p"]
-    v[chart.index("p")] = sd * env["q"]
-    return v
-
-
-def _lambda6_block(delta: float, env, chart: Chart) -> np.ndarray:
-    v = _lambda6_covector(delta, env, chart)
-    return np.outer(v, v)
+    env = point.env()
+    lams = _one_forms(params, [env.get(c, 0.0) for c in CHART_GROUP6.coordinates])
+    gram = sum(np.outer(lam, lam) for lam in lams)
+    idx = [CHART_GROUP6.index(c) for c in chart.coordinates]
+    return MetricMatrix(entries=gram[np.ix_(idx, idx)], point=point)
 
 
 def invariant_one_forms(params: ModelParameters, at) -> list[np.ndarray]:
     """The six invariant one-forms on the group chart, as covectors.
 
-    Their Gram sum reproduces ``metric_matrix(5, ...)`` entrywise.
+    Their Gram sum is ``metric_matrix(5, ...)``; with some weights zero it
+    gives the other regimes' metrics.
     """
     point = CHART_GROUP6.point(at)
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    if min(a, b, g, d) <= 0:
+    if min(params.alpha, params.beta, params.gamma, params.delta) <= 0:
         raise ValueError("invariant one-forms need alpha, beta, gamma, delta > 0")
-    env = point.env()
-    x, y, th = env["x"], env["y"], env["theta_ang"]
-    chart = CHART_GROUP6
-    ix, iy, ith = chart.index("x"), chart.index("y"), chart.index("theta_ang")
-    ip, iq = chart.index("p"), chart.index("q")
+    return list(_one_forms(params, point.values))
 
-    sa, sb, sg = math.sqrt(a), math.sqrt(b), math.sqrt(g)
+
+def _one_forms(params: ModelParameters, values) -> np.ndarray:
+    """The six invariant one-forms as the rows of a 6 x 6 array, at values
+    (x, y, theta_ang, p, q, kappa) on the group chart, for nonnegative
+    weights."""
+    x, y, th, p, q, _ = values
+    sa, sb, sg, sd = (
+        math.sqrt(w) for w in (params.alpha, params.beta, params.gamma, params.delta)
+    )
     ry = math.sqrt(y)
-
-    l1 = np.zeros(6)
-    l1[ix] = sa / y * math.cos(2 * th)
-    l1[iy] = sa / y * math.sin(2 * th)
-    l2 = np.zeros(6)
-    l2[ix] = -sa / y * math.sin(2 * th)
-    l2[iy] = sa / y * math.cos(2 * th)
-    l3 = np.zeros(6)
-    l3[ix] = sb / y
-    l3[ith] = 2 * sb
-    l4 = np.zeros(6)
-    l4[iq] = -sg / ry * math.sin(th)
-    l4[ip] = sg * (ry * math.cos(th) - x / ry * math.sin(th))
-    l5 = np.zeros(6)
-    l5[iq] = sg / ry * math.cos(th)
-    l5[ip] = sg * (ry * math.sin(th) + x / ry * math.cos(th))
-    l6 = _lambda6_covector(d, env, chart)
-    return [l1, l2, l3, l4, l5, l6]
+    c1, s1, c2, s2 = math.cos(th), math.sin(th), math.cos(2 * th), math.sin(2 * th)
+    return np.array(
+        [
+            [sa / y * c2, sa / y * s2, 0.0, 0.0, 0.0, 0.0],
+            [-sa / y * s2, sa / y * c2, 0.0, 0.0, 0.0, 0.0],
+            [sb / y, 0.0, 2 * sb, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, sg * (ry * c1 - x / ry * s1), -sg / ry * s1, 0.0],
+            [0.0, 0.0, 0.0, sg * (ry * s1 + x / ry * c1), sg / ry * c1, 0.0],
+            [0.0, 0.0, 0.0, sd * q, -sd * p, sd],
+        ]
+    )
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,8 @@ theta ^ Omega^n != 0.  The musical isomorphism is
 flat(X) = X ⌟ Omega + (X ⌟ theta) theta, with matrix F = Omega^T + theta theta^T
 and det F = (theta ^ Omega^n / n!)^2, so the flat solve accepting F is the
 one nondegeneracy rule, and :func:`classify` calls acos what it accepts.
+theta ^ Omega^n / n! is itself the Pfaffian of [[Omega, theta], [-theta^T, 0]],
+which is how :meth:`StructureSpec.volume_coefficient` computes it.
 The Reeb conditions R ⌟ Omega = 0, R ⌟ theta = 1 say flat(R) = theta, so
 R = sharp(theta) = F^-1 theta: one SVD of F, rank- and residual-checked by
 :func:`reeb_from`, gives R, and the same factors solve sharp and every
@@ -19,6 +21,7 @@ batched SVD, so ``reeb`` is ``reeb_from(*spec.at(point))[0]``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -27,7 +30,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .charts import Chart, ChartPoint
-from .expressions import Expr, Kernel, Mul, Name, Neg, Num
+from .expressions import EvalError, Expr, Kernel, Mul, Name, Neg, Num
 from . import forms
 from .forms import KForm
 
@@ -64,6 +67,24 @@ class StructureClass:
         return out
 
 
+def _pfaffian(a: np.ndarray) -> float:
+    """Pfaffian of an even-sized antisymmetric matrix, which it overwrites:
+    Parlett-Reid elimination with pivoting (Wimmer, ACM TOMS 38, 2012)."""
+    pf = 1.0
+    for k in range(0, len(a) - 1, 2):
+        kp = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
+        if kp != k + 1:  # swap k+1 and kp in rows and columns
+            a[[k + 1, kp]] = a[[kp, k + 1]]
+            a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
+            pf = -pf
+        if a[k + 1, k] == 0.0:
+            return 0.0
+        pf *= a[k, k + 1]
+        update = np.outer(a[k, k + 2:] / a[k, k + 1], a[k + 2:, k + 1])
+        a[k + 2:, k + 2:] += update - update.T
+    return pf
+
+
 class StructureSpec:
     def __init__(
         self,
@@ -87,7 +108,6 @@ class StructureSpec:
         self.n = n
         self.params = dict(params or {})
         self._classification: StructureClass | None = None
-        self._volume_form: KForm | None = None
         self._kernel: Kernel | None = None
 
     # -- pointwise data ------------------------------------------------------
@@ -162,15 +182,22 @@ class StructureSpec:
         The value is un-normalised: there is no 1/n! factor, so for
         ``xjt_gtacos`` it is 4 k nu sqrt(delta) / y^2, twice the top
         coefficient of the Liouville-normalised theta ^ Omega^2 / 2!.
-        The top form is wedged on the first call and kept.
+        It is n! Pf(B) for B = [[Omega, theta], [-theta^T, 0]], from the
+        theta and Omega that :meth:`at` reads; raises EvalError when it
+        overflows.
         """
-        if self._volume_form is None:
-            top = self.theta
-            for _ in range(self.n):
-                top = forms.wedge(top, self.omega)
-            self._volume_form = top
-        val = self._volume_form.at(at, check_domain)
-        return val.coeffs.get(tuple(range(self.chart.dimension)), 0.0)
+        th, om, values = self.at(at, check_domain)
+        dim = len(values)
+        b = np.zeros((dim + 1, dim + 1))
+        b[:dim, :dim], b[:dim, dim], b[dim, :dim] = om, th, -th
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            # n! as a float product: inf, not OverflowError, beyond n = 170
+            volume = math.prod(range(2, self.n + 1), start=1.0) * float(_pfaffian(b))
+        if not math.isfinite(volume):
+            raise EvalError(
+                "volume coefficient is not finite at %s: %r" % (values.tolist(), volume)
+            )
+        return volume
 
     # -- probe sampling -------------------------------------------------------
 

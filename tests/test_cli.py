@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -523,9 +524,10 @@ class TestInvariantSuite:
         assert "(seed 7)" in out
 
 
-def fresh_process(*argv, seed_env=None):
+def fresh_process(*argv, seed_env=None, timeout=120):
     """(exit code, stdout, stderr) of ``python -m cosym ARGV`` in a new
-    process, with COSYM_SEED set to ``seed_env`` or unset."""
+    process, with COSYM_SEED set to ``seed_env`` or unset; raises
+    TimeoutExpired after ``timeout`` seconds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env.pop("COSYM_SEED", None)
@@ -534,7 +536,7 @@ def fresh_process(*argv, seed_env=None):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cosym", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -543,6 +545,18 @@ def test_python_dash_m_runs_the_cli():
     code, out, err = fresh_process("list-manifolds")
     assert code == EXIT_OK, err
     assert "xjt_gtacos" in {entry["name"] for entry in json.loads(out)}
+
+
+def test_check_structure_on_a_large_darboux_chart_finishes():
+    # 81 coordinates: a symbolic theta ^ Omega^40 grows combinatorially,
+    # while the Pfaffian of (theta, Omega) costs O(dim^3)
+    code, out, err = fresh_process(
+        "check-structure", "--builtin", "darboux_contact(40)", "--probes", "2", timeout=60
+    )
+    assert code == EXIT_OK, err
+    doc = json.loads(out)
+    assert doc["flags"]["contact"] is True
+    assert abs(doc["volume_coefficient"] / math.factorial(40) - 1.0) <= 1e-14
 
 
 class TestParserBuiltOnce:

@@ -129,6 +129,15 @@ def test_printer_round_trip(rng):
             assert reparsed.eval(env) == pytest.approx(expr.eval(env), rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "value, text", [(math.inf, "inf"), (-math.inf, "(-inf)"), (math.nan, "nan")]
+)
+def test_non_finite_constants_print(value, text):
+    # a folded overflow such as 1e200*1e200 must not crash the message
+    # that prints it
+    assert str(Num(value)) == text
+
+
 def test_substitution():
     expr = parse("x^2 + y")
     composed = expr.substitute({"x": parse("q/2"), "y": parse("p*p")})

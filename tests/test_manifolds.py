@@ -114,7 +114,56 @@ class TestVolumeIdentity:
             assert reeb(s, pt) == pytest.approx(expect, abs=1e-12)
 
 
+def _closed_form_metric(case, params, values):
+    """Cases 1-4 as closed coordinate formulas: alpha (dx^2 + dy^2)/y^2,
+    beta (dx/y + 2 dtheta)^2, (gamma/y)(S dp^2 + dq^2 + 2x dp dq) with
+    S = x^2 + y^2, and the square of sqrt(delta) (dkappa - p dq + q dp)."""
+    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
+    x, y = values[0], values[1]
+    if case == 1:
+        return (a / y**2) * np.eye(2)
+    if case == 2:
+        return np.array(
+            [
+                [(a + b) / y**2, 0.0, 2 * b / y],
+                [0.0, a / y**2, 0.0],
+                [2 * b / y, 0.0, 4 * b],
+            ]
+        )
+    S = x**2 + y**2
+    block = np.array(
+        [
+            [a / y**2, 0.0, 0.0, 0.0],
+            [0.0, a / y**2, 0.0, 0.0],
+            [0.0, 0.0, g * S / y, g * x / y],
+            [0.0, 0.0, g * x / y, g / y],
+        ]
+    )
+    if case == 3:
+        return block
+    _, _, p, q, _ = values
+    sd = math.sqrt(d)
+    lam6 = np.array([0.0, 0.0, sd * q, -sd * p, sd])  # on (x, y, p, q, kappa)
+    m = np.zeros((5, 5))
+    m[:4, :4] = block
+    return m + np.outer(lam6, lam6)
+
+
 class TestMetrics:
+    def test_gram_sums_match_the_closed_forms(self, rng):
+        from cosym.manifolds import _METRIC_CHARTS
+
+        zero = {1: ("beta", "gamma", "delta"), 2: ("gamma", "delta"),
+                3: ("beta", "delta"), 4: ("beta",)}
+        for case, zeros in zero.items():
+            for _ in range(100):
+                weights = dict(zip(("alpha", "beta", "gamma", "delta"), rng.uniform(0.1, 3.0, 4)))
+                params = ModelParameters(**{**weights, **{w: 0.0 for w in zeros}})
+                pt = random_point(_METRIC_CHARTS[case], rng)
+                expect = _closed_form_metric(case, params, pt.values)
+                g = metric_matrix(case, params, pt).entries
+                assert np.abs(g - expect).max() <= 1e-14 * np.abs(expect).max()
+
     def test_case4_entries(self):
         mm = metric_matrix(
             4, ModelParameters(alpha=1.0, gamma=1.0, delta=1.0), (0.0, 2.0, 0.0, 0.0, 0.0)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import random_point, random_polynomial
 from cosym import dynamics, forms
 from cosym.charts import Chart, ScalarField
+from cosym.expressions import EvalError
 from cosym.forms import KForm
 from cosym.manifolds import CATALOG, ModelParameters, builtin
 from cosym.structures import (
@@ -216,25 +217,26 @@ CATALOG_SIZES = CATALOG + ("darboux_contact(3)", "darboux_cosymplectic(3)")
 
 
 class TestBuiltOncePerStructure:
-    def test_volume_form_wedged_once_and_matches_a_fresh_wedge(self, monkeypatch):
+    def test_volume_coefficient_wedges_nothing_and_matches_a_fresh_wedge(self, monkeypatch):
         wedges = []
         wedge = forms.wedge
         monkeypatch.setattr(forms, "wedge", lambda a, b: wedges.append(1) or wedge(a, b))
         for name in CATALOG_SIZES:
             s = builtin(name, ModelParameters(k=1.5, nu=0.8, delta=2.0))
-            del wedges[:]
             probes = s.default_probes(count=8)
-            kept = [s.volume_coefficient(pt) for pt in probes]
-            again = [s.volume_coefficient(pt.array) for pt in probes]
-            assert len(wedges) == s.n
+            volumes = [s.volume_coefficient(pt) for pt in probes]
+            assert [s.volume_coefficient(pt.array) for pt in probes] == volumes
+            s.kernel()
+            assert [s.volume_coefficient(pt) for pt in probes] == volumes
+            assert wedges == []
 
             top = s.theta
             for _ in range(s.n):
                 top = wedge(top, s.omega)
             full = tuple(range(s.chart.dimension))
-            fresh = [top.at(pt).coeffs.get(full, 0.0) for pt in probes]
-            assert kept == fresh
-            assert again == fresh
+            for pt, volume in zip(probes, volumes):
+                fresh = top.at(pt).coeffs.get(full, 0.0)
+                assert abs(volume - fresh) <= 1e-14 * abs(fresh)
 
     def test_field_solve_shares_one_evaluation_of_theta_and_omega(self, rng, monkeypatch):
         degrees = []
@@ -432,7 +434,7 @@ class TestOneNondegeneracyRule:
         om = a - a.T
         F = flat_from(th, om)
         assume(np.linalg.cond(F) < 1e5)
-        top = forms.FormValue(chart, 1, {(i,): th[i] for i in range(dim)})
+        theta = top = forms.FormValue(chart, 1, {(i,): th[i] for i in range(dim)})
         omega = forms.FormValue(
             chart, 2, {(i, j): om[i, j] for i in range(dim) for j in range(i + 1, dim)}
         )
@@ -441,6 +443,15 @@ class TestOneNondegeneracyRule:
         volume = top.coeffs[tuple(range(dim))] / math.factorial(n)
         det = np.linalg.det(F)
         assert abs(det - volume**2) <= 1e-10 * abs(det)
+        # the same constant theta and Omega as a structure: its Pfaffian
+        # volume is the wedge's top coefficient
+        spec = StructureSpec(
+            "dense", chart, KForm(chart, 1, theta.coeffs), KForm(chart, 2, omega.coeffs), n
+        )
+        top_coefficient = top.coeffs[tuple(range(dim))]
+        assert abs(spec.volume_coefficient(np.zeros(dim)) - top_coefficient) <= 1e-10 * abs(
+            top_coefficient
+        )
 
 
 class TestStructureErrorMessages:
@@ -458,6 +469,30 @@ class TestStructureErrorMessages:
             message = _message(fn, *args)
             assert "[0.1, 0.2, 0.3]" in message
             assert "np.float64" not in message
+
+
+def _huge_coefficients():
+    chart = darboux_chart(1)
+    return StructureSpec(
+        "huge",
+        chart,
+        KForm.one_form(chart, {"kappa": 1e200}),
+        KForm.two_form(chart, {"q,p": 1e200}),
+        1,
+    )
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [_huge_coefficients, CanonicalThetaSpec(a=(0.0,) * 171, b=(0.0,) * 171, c=1.0).structure],
+    ids=["huge_coefficients", "171_factorial"],
+)
+def test_a_non_finite_volume_raises_eval_error_naming_the_point(structure):
+    s = structure()
+    point = [0.1] * s.chart.dimension
+    with pytest.raises(EvalError) as err:
+        s.volume_coefficient(point)
+    assert str(point) in str(err.value)
 
 
 coefficients = st.floats(-2.0, 2.0, allow_nan=False)
