@@ -4,13 +4,23 @@ Exit codes: 0 success, 1 numerical failure (reported), 2 input error.
 Numbers are serialized with 17 significant digits so round trips are
 bit-faithful.  The default seed is 42; the COSYM_SEED environment variable
 overrides it.
+
+argparse reads all input: its types read numbers (finite only) and
+comma-separated points, so a bad value is a usage error naming its flag.
+A ``--config`` JSON object's entries are flags placed before the command
+line's own, which win: ``"key": v`` is ``--key=v``, a list is joined with
+commas, ``true`` is the bare flag, ``false`` and ``null`` are left out,
+and a key that is no flag of the command is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -28,6 +38,8 @@ EXIT_NUMERICAL = 1
 EXIT_INPUT = 2
 
 DEFAULT_SEED = 42
+
+PARAMETER_NAMES = tuple(f.name for f in dataclasses.fields(manifolds.ModelParameters))
 
 
 def _fmt(x) -> float:
@@ -52,63 +64,56 @@ def _print_json(doc) -> None:
     print(json.dumps(_jsonify(doc), indent=2))
 
 
-def _parse_values(text: str) -> list[float]:
-    return [float(v) for v in text.replace(" ", "").split(",") if v != ""]
+def _number(text: str) -> float:
+    """argparse type of every float flag: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("not a finite number: %r" % text)
+    return value
 
 
-def _parse_params(pairs) -> manifolds.ModelParameters:
-    table = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ValueError("parameter overrides look like name=value, got %r" % pair)
-        name, value = pair.split("=", 1)
-        table[name.strip()] = float(value)
-    return manifolds.ModelParameters(**table)
+def _point(text: str) -> list[float]:
+    """argparse type of a point: comma-separated finite coordinates."""
+    return [_number(v) for v in text.replace(" ", "").split(",") if v != ""]
+
+
+def _param(text: str) -> tuple[str, float]:
+    """argparse type of ``-P name=value``: a model parameter and its value."""
+    name, eq, value = (part.strip() for part in text.partition("="))
+    if not eq or name not in PARAMETER_NAMES:
+        raise argparse.ArgumentTypeError("expected NAME=VALUE with NAME one of %s, got %r"
+                                         % (", ".join(PARAMETER_NAMES), text))
+    return name, _number(value)
+
+
+def _params(args) -> manifolds.ModelParameters:
+    return manifolds.ModelParameters(**dict(args.param or ()))
 
 
 def _seed(args) -> int:
-    env = os.environ.get("COSYM_SEED")
-    if env is not None:
-        return int(env)
-    return getattr(args, "seed", DEFAULT_SEED)
+    return int(os.environ.get("COSYM_SEED", args.seed))
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        return json.loads(Path(args.config).read_text())
-    return {}
-
-
-def _pick(args, config, key, default=None):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return config.get(key, default)
-
-
-def _require(args, config, key):
-    """:func:`_pick` for a value without a default; raises ValueError
-    naming the flag when neither the flags nor the config give it."""
-    value = _pick(args, config, key)
+def _require(args, key):
+    """The value of ``--key``; a ValueError naming the flag if it is missing."""
+    value = getattr(args, key.replace("-", "_"))
     if value is None:
         raise ValueError("missing --%s (give it as a flag or in --config)" % key)
     return value
 
 
-def _resolve_structure(args, config, params) -> structures.StructureSpec:
-    builtin_name = _pick(args, config, "builtin") or _pick(args, config, "structure")
-    json_path = _pick(args, config, "structure-json")
-    if json_path:
-        return structures.StructureSpec.from_json(json_path)
-    if builtin_name:
-        if str(builtin_name).endswith(".json"):
-            return structures.StructureSpec.from_json(builtin_name)
-        return manifolds.builtin(builtin_name, params)
+def _resolve_structure(args) -> structures.StructureSpec:
+    params = _params(args)  # checked also when a JSON document is read
+    if args.structure_json:
+        return structures.StructureSpec.from_json(args.structure_json)
+    if args.builtin:
+        if args.builtin.endswith(".json"):
+            return structures.StructureSpec.from_json(args.builtin)
+        return manifolds.builtin(args.builtin, params)
     raise ValueError("give --builtin NAME or --structure-json PATH")
-
-
-def _hamiltonian(spec, expr_text) -> ScalarField:
-    return ScalarField.parse(spec.chart, expr_text, spec.params)
 
 
 # --------------------------------------------------------------------------
@@ -117,18 +122,14 @@ def _hamiltonian(spec, expr_text) -> ScalarField:
 
 
 def cmd_list_manifolds(args) -> int:
-    params = _parse_params(args.param)
-    entries = []
-    for name in manifolds.CATALOG:
-        spec = manifolds.builtin(name, params)
-        flags = spec.classification(seed=_seed(args)).flags()
-        entries.append({"name": spec.name, "chart": list(spec.chart.coordinates),
-                        "n": spec.n, "flags": flags})
+    params = _params(args)
+    specs = [manifolds.builtin(name, params) for name in manifolds.CATALOG]
+    entries = [{"name": spec.name, "chart": list(spec.chart.coordinates), "n": spec.n,
+                "flags": spec.classification(seed=_seed(args)).flags()} for spec in specs]
     if args.emit:
         target = Path(args.emit)
         target.mkdir(parents=True, exist_ok=True)
-        for name in manifolds.CATALOG:
-            spec = manifolds.builtin(name, params)
+        for spec in specs:
             path = target / ("%s.json" % spec.name.replace("(", "_").replace(")", ""))
             path.write_text(json.dumps(_jsonify(spec.to_json()), indent=2))
             print("wrote %s" % path)
@@ -137,16 +138,10 @@ def cmd_list_manifolds(args) -> int:
 
 
 def cmd_check_structure(args) -> int:
-    config = _load_config(args)
-    params = _parse_params(args.param)
-    spec = _resolve_structure(args, config, params)
+    spec = _resolve_structure(args)
     probes = spec.default_probes(count=args.probes, seed=_seed(args))
     cls = spec.classification(probes=probes)
-    probe = (
-        spec.chart.point(_parse_values(args.probe_point))
-        if args.probe_point
-        else probes[0]
-    )
+    probe = spec.chart.point(args.probe_point) if args.probe_point else probes[0]
     try:
         R = structures.reeb(spec, probe)
     except structures.StructureError:
@@ -163,21 +158,17 @@ def cmd_check_structure(args) -> int:
 
 
 def cmd_reeb(args) -> int:
-    config = _load_config(args)
-    params = _parse_params(args.param)
-    spec = _resolve_structure(args, config, params)
-    point = spec.chart.point(_parse_values(args.at))
+    spec = _resolve_structure(args)
+    point = spec.chart.point(_require(args, "at"))
     _print_json({"name": spec.name, "at": list(point.values),
                  "reeb": structures.reeb(spec, point)})
     return EXIT_OK
 
 
 def cmd_field(args) -> int:
-    config = _load_config(args)
-    params = _parse_params(args.param)
-    spec = _resolve_structure(args, config, params)
-    H = _hamiltonian(spec, _pick(args, config, "hamiltonian"))
-    point = spec.chart.point(_parse_values(_pick(args, config, "at")))
+    spec = _resolve_structure(args)
+    H = ScalarField.parse(spec.chart, _require(args, "hamiltonian"), spec.params)
+    point = spec.chart.point(_require(args, "at"))
     xh = dynamics.hamiltonian_field_generic(spec, H, point)
     grad = dynamics.gradient_field(spec, H, point)
     R = structures.reeb(spec, point)
@@ -202,13 +193,9 @@ def cmd_bracket(args) -> int:
     chart = structures.darboux_chart(args.n)
     f = ScalarField.parse(chart, args.f)
     g = ScalarField.parse(chart, args.g)
-    at = chart.point(_parse_values(args.at))
-    if args.kind == "poisson":
-        value = dynamics.poisson_bracket(f, g, at)
-        flipped = dynamics.poisson_bracket(g, f, at)
-    else:
-        value = dynamics.jacobi_bracket(f, g, at)
-        flipped = dynamics.jacobi_bracket(g, f, at)
+    at = chart.point(args.at)
+    bracket = dynamics.poisson_bracket if args.kind == "poisson" else dynamics.jacobi_bracket
+    value, flipped = bracket(f, g, at), bracket(g, f, at)
     _print_json(
         {
             "kind": args.kind,
@@ -217,18 +204,6 @@ def cmd_bracket(args) -> int:
         }
     )
     return EXIT_OK
-
-
-def _solver_settings(args, config) -> dict:
-    """Keyword arguments of ``dynamics.integrate`` for the single run and the
-    sweep alike: flags, then config, then defaults."""
-    return {
-        "t_end": float(_pick(args, config, "t-end", 1.0)),
-        "dt": float(_pick(args, config, "dt", 1e-3)),
-        "method": _pick(args, config, "method", "adaptive-rk45"),
-        "rtol": float(_pick(args, config, "rtol", 1e-9)),
-        "atol": float(_pick(args, config, "atol", 1e-9)),
-    }
 
 
 def _trajectory_summary(spec, traj) -> dict:
@@ -246,16 +221,14 @@ def _trajectory_summary(spec, traj) -> dict:
 
 
 def cmd_integrate(args) -> int:
-    config = _load_config(args)
-    params = _parse_params(args.param)
-    spec = _resolve_structure(args, config, params)
-    hamiltonian = _require(args, config, "hamiltonian")
-    H = _hamiltonian(spec, hamiltonian)
-    solver = _solver_settings(args, config)
+    spec = _resolve_structure(args)
+    hamiltonian = _require(args, "hamiltonian")
+    H = ScalarField.parse(spec.chart, hamiltonian, spec.params)
+    solver = {k: getattr(args, k) for k in ("t_end", "dt", "method", "rtol", "atol")}
 
     if args.sweep:
         points = json.loads(Path(args.sweep).read_text())
-        with ProcessPoolExecutor() as pool:
+        with ProcessPoolExecutor(initializer=np.seterr, initargs=("ignore",)) as pool:
             futures = [
                 pool.submit(_sweep_worker, spec.to_json(), hamiltonian, pt, solver)
                 for pt in points
@@ -264,16 +237,13 @@ def cmd_integrate(args) -> int:
         _print_json({"sweep": outputs})
         return EXIT_NUMERICAL if any(o["escaped"] for o in outputs) else EXIT_OK
 
-    x0_text = _require(args, config, "x0")
-    x0_values = x0_text if isinstance(x0_text, list) else _parse_values(x0_text)
-    traj = dynamics.integrate(spec, H, spec.chart.point(x0_values), **solver)
-    csv_path = _pick(args, config, "csv")
-    json_path = _pick(args, config, "json-out")
-    if csv_path:
-        traj.to_csv(csv_path)
-    if json_path:
+    x0 = spec.chart.point(_require(args, "x0"))
+    traj = dynamics.integrate(spec, H, x0, **solver)
+    if args.csv:
+        traj.to_csv(args.csv)
+    if args.json_out:
         traj.to_json(
-            json_path,
+            args.json_out,
             structure=spec.name,
             parameters=spec.params,
             hamiltonian=hamiltonian,
@@ -284,7 +254,7 @@ def cmd_integrate(args) -> int:
 
 def _sweep_worker(spec_json, hamiltonian, x0, solver):
     spec = structures.StructureSpec.from_json(spec_json)
-    H = _hamiltonian(spec, hamiltonian)
+    H = ScalarField.parse(spec.chart, hamiltonian, spec.params)
     x0 = spec.chart.point(x0)
     traj = dynamics.integrate(spec, H, x0, **solver)
     return {
@@ -295,56 +265,50 @@ def _sweep_worker(spec_json, hamiltonian, x0, solver):
     }
 
 
-def _coeffs_from_args(args, config) -> jacobi_flows.LinearHamiltonianCoefficients:
+COEFFICIENT_FLAGS = ("a", "b", "c", "m", "n")
+
+
+def _coeffs_from_args(args) -> jacobi_flows.LinearHamiltonianCoefficients:
+    a, b, c, m, n = (
+        0.0 if v is None else v for v in (getattr(args, k) for k in COEFFICIENT_FLAGS)
+    )
     return jacobi_flows.LinearHamiltonianCoefficients(
-        a=float(_pick(args, config, "a", 0.0)),
-        b=float(_pick(args, config, "b", 0.0)),
-        c_lin=float(_pick(args, config, "c", 0.0)),
-        m=float(_pick(args, config, "m", 0.0)),
-        n_lin=float(_pick(args, config, "n", 0.0)),
-        h_kappa=_pick(args, config, "h-kappa"),
+        a=a, b=b, c_lin=c, m=m, n_lin=n, h_kappa=args.h_kappa
     )
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args)
-    params = _parse_params(args.param)
-    coeffs = _coeffs_from_args(args, config)
+    params = _params(args)
+    coeffs = _coeffs_from_args(args)
     variants = [v.strip() for v in args.variants.split(",")]
     for v in variants:
         if v not in jacobi_flows.VARIANTS:
             raise ValueError("unknown variant %r" % v)
-    x0 = _parse_values(_require(args, config, "x0"))
+    x0 = _require(args, "x0")
     if len(x0) != 5:
         raise ValueError("compare needs a 5-coordinate initial point")
-    t_end = float(_pick(args, config, "t-end", 1.0))
-    dt = float(_pick(args, config, "dt", 1e-2))
 
     trajectories = {}
     for variant in variants:
         if variant == "base_xj1":
             trajectories[variant] = jacobi_flows.integrate_base(
-                coeffs, x0[:4], t_end, dt, params
+                coeffs, x0[:4], args.t_end, args.dt, params
             )
         else:
             traj = jacobi_flows.integrate_variant(
-                coeffs, variant, manifolds.CHART_XJT.point(x0), t_end, dt, params
+                coeffs, variant, manifolds.CHART_XJT.point(x0), args.t_end, args.dt, params
             )
             trajectories[variant] = (traj.times, traj.states)
 
     shared = ("x", "y", "q", "p")
     deltas = {}
-    names = list(trajectories)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a_t, a_s = trajectories[names[i]]
-            b_t, b_s = trajectories[names[j]]
-            rows = min(len(a_t), len(b_t))
-            delta = np.abs(a_s[:rows, :4] - b_s[:rows, :4])
-            deltas["%s_vs_%s" % (names[i], names[j])] = {
-                "max_per_coordinate": dict(zip(shared, delta.max(axis=0))),
-                "max": float(delta.max()),
-            }
+    for (a, (_, a_s)), (b, (_, b_s)) in itertools.combinations(trajectories.items(), 2):
+        rows = min(len(a_s), len(b_s))
+        delta = np.abs(a_s[:rows, :4] - b_s[:rows, :4])
+        deltas["%s_vs_%s" % (a, b)] = {
+            "max_per_coordinate": dict(zip(shared, delta.max(axis=0))),
+            "max": float(delta.max()),
+        }
 
     activity = {}
     for variant in variants:
@@ -383,21 +347,17 @@ def _write_compare_csv(path, trajectories) -> None:
 
 
 def cmd_riccati(args) -> int:
-    config = _load_config(args)
-    params = _parse_params(args.param)
-    coeffs = _coeffs_from_args(args, config)
+    params = _params(args)
+    coeffs = _coeffs_from_args(args)
     if args.paper_verbatim:
         explicit = any(
-            _pick(args, config, key) is not None for key in ("a", "b", "c", "m", "n")
-        ) or _pick(args, config, "h-kappa") is not None
+            getattr(args, key) is not None for key in COEFFICIENT_FLAGS + ("h_kappa",)
+        )
         _print_json(
             jacobi_flows.paper_discrepancy_report(coeffs if explicit else None, None, params)
         )
         return EXIT_OK
-    x0 = _parse_values(_pick(args, config, "x0", "0,1"))
-    t_end = float(_pick(args, config, "t-end", 1.0))
-    dt = float(_pick(args, config, "dt", 1e-2))
-    times, states = jacobi_flows.integrate_riccati(coeffs, x0, t_end, dt)
+    times, states = jacobi_flows.integrate_riccati(coeffs, args.x0, args.t_end, args.dt)
     if args.csv:
         dynamics.write_csv(args.csv, ["t", "x", "y"], np.column_stack([times, states]))
     _print_json(
@@ -411,12 +371,11 @@ def cmd_riccati(args) -> int:
 
 
 def cmd_phi_solve(args) -> int:
-    config = _load_config(args)
-    params = _parse_params(args.param)
-    free = _parse_values(_require(args, config, "free"))
-    at = _parse_values(_require(args, config, "at"))
+    params = _params(args)
     try:
-        sol = almost_contact.solve_phi(tuple(free), params, at)
+        sol = almost_contact.solve_phi(
+            tuple(_require(args, "free")), params, _require(args, "at")
+        )
     except almost_contact.PhiSolveError as exc:
         _print_json({"error": str(exc), "best_residual": exc.best_residual})
         return EXIT_NUMERICAL
@@ -549,12 +508,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, config=True):
-        p.add_argument("-P", "--param", action="append", metavar="NAME=VALUE",
+        p.add_argument("-P", "--param", action="append", type=_param, metavar="NAME=VALUE",
                        help="model parameter override (k, nu, delta, alpha, beta, gamma)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for randomized checks (default 42; COSYM_SEED overrides)")
         if config:
             p.add_argument("--config", help="JSON config file; flags take precedence")
+
+    def structure_flags(p):
+        common(p)
+        p.add_argument("--builtin")
+        p.add_argument("--structure-json")
+
+    def coefficient_flags(p):
+        """The flags of compare and riccati."""
+        for flag in COEFFICIENT_FLAGS:
+            p.add_argument("--" + flag, type=_number)
+        p.add_argument("--h-kappa")
+        p.add_argument("--x0", type=_point)
+        p.add_argument("--t-end", type=_number, default=1.0)
+        p.add_argument("--dt", type=_number, default=1e-2)
+        p.add_argument("--csv")
 
     p = sub.add_parser("list-manifolds", help="list the built-in structure catalog")
     common(p, config=False)
@@ -562,26 +536,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_list_manifolds)
 
     p = sub.add_parser("check-structure", help="classification report")
-    common(p)
-    p.add_argument("--builtin")
-    p.add_argument("--structure-json")
+    structure_flags(p)
     p.add_argument("--probes", type=int, default=64)
-    p.add_argument("--probe-point", help="comma-separated coordinates")
+    p.add_argument("--probe-point", type=_point, help="comma-separated coordinates")
     p.set_defaults(fn=cmd_check_structure)
 
     p = sub.add_parser("reeb", help="Reeb vector at a point")
-    common(p)
-    p.add_argument("--builtin")
-    p.add_argument("--structure-json")
-    p.add_argument("--at", required=True)
+    structure_flags(p)
+    p.add_argument("--at", type=_point)
     p.set_defaults(fn=cmd_reeb)
 
     p = sub.add_parser("field", help="Hamiltonian and gradient fields at a point")
-    common(p)
-    p.add_argument("--builtin")
-    p.add_argument("--structure-json")
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--at", required=True)
+    structure_flags(p)
+    p.add_argument("--hamiltonian")
+    p.add_argument("--at", type=_point)
     p.set_defaults(fn=cmd_field)
 
     p = sub.add_parser("bracket", help="Poisson or contact bracket of two fields")
@@ -590,20 +558,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="number of (q, p) pairs")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--at", required=True)
+    p.add_argument("--at", type=_point, required=True)
     p.set_defaults(fn=cmd_bracket)
 
     p = sub.add_parser("integrate", help="flow a Hamiltonian and write trajectory files")
-    common(p)
-    p.add_argument("--builtin")
-    p.add_argument("--structure-json")
+    structure_flags(p)
     p.add_argument("--hamiltonian")
-    p.add_argument("--x0")
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--method", choices=("rk4", "adaptive-rk45"))
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
+    p.add_argument("--x0", type=_point)
+    p.add_argument("--t-end", type=_number, default=1.0)
+    p.add_argument("--dt", type=_number, default=1e-3)
+    p.add_argument("--method", choices=("rk4", "adaptive-rk45"), default="adaptive-rk45")
+    p.add_argument("--rtol", type=_number, default=1e-9)
+    p.add_argument("--atol", type=_number, default=1e-9)
     p.add_argument("--csv")
     p.add_argument("--json-out")
     p.add_argument("--sweep", help="JSON file with a list of initial points")
@@ -612,33 +578,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="side-by-side variant trajectories")
     common(p)
     p.add_argument("--variants", default="gtacos,base_xj1")
-    for flag in ("--a", "--b", "--c", "--m", "--n"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--h-kappa")
-    p.add_argument("--x0")
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--csv")
+    coefficient_flags(p)
     p.add_argument("--paper-verbatim", action="store_true",
                    help="include the printed-equation discrepancy report")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("riccati", help="integrate the half-plane Riccati flow")
     common(p)
-    for flag in ("--a", "--b", "--c", "--m", "--n"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--h-kappa")
-    p.add_argument("--x0")
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--csv")
+    coefficient_flags(p)
     p.add_argument("--paper-verbatim", action="store_true")
-    p.set_defaults(fn=cmd_riccati)
+    p.set_defaults(fn=cmd_riccati, x0=(0.0, 1.0))
 
     p = sub.add_parser("phi-solve", help="solve the almost-contact tensor system")
     common(p)
-    p.add_argument("--free", help="Phi_yq,Phi_yp,Phi_qp,Phi_pq")
-    p.add_argument("--at", help="x,y,q,p,kappa")
+    p.add_argument("--free", type=_point, help="Phi_yq,Phi_yp,Phi_qp,Phi_pq")
+    p.add_argument("--at", type=_point, help="x,y,q,p,kappa")
     p.add_argument("--json-out")
     p.set_defaults(fn=cmd_phi_solve)
 
@@ -658,10 +612,34 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv; with ``--config``, parse again with the config's entries
+    as flags right after the command (see the module docstring)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    doc = json.loads(Path(args.config).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("--config holds a JSON object of flag names and values")
+    flags = []
+    for key, value in doc.items():
+        if not hasattr(args, key.replace("-", "_")):  # argparse would take a prefix
+            parser.error("config key %r is not a flag of %s" % (key, args.command))
+        if value is True:
+            flags.append("--" + key)
+        elif value is not False and value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            flags.append("--%s=%s" % (key, text))
+    return parser.parse_args(argv[:1] + flags + argv[1:])
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # the library checks its results
+            args = _parse(argv)
+            return args.fn(args)
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

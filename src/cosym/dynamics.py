@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable
@@ -319,15 +320,20 @@ class _StageEscape(Exception):
 def _stage_rhs(rhs: Callable[[np.ndarray], np.ndarray], chart: Chart):
     """rhs as f(t, y).  An expression, domain or structure error at an
     out-of-domain stage (say, a stage landing exactly on a guard surface) is
-    a domain escape at time t; at an in-domain stage it is the caller's."""
+    a domain escape at time t; at an in-domain stage it is the caller's.  A
+    value that is not finite, which the stepper would not reject, counts as
+    an EvalError."""
 
     def fun(t, y):
         try:
-            return rhs(y)
+            dy = rhs(y)
+            if not all(map(math.isfinite, dy.tolist())):  # faster than numpy at this size
+                raise EvalError("right-hand side not finite at t=%g, state %s" % (t, y.tolist()))
         except (EvalError, DomainError, StructureError):
             if chart.contains(y):
                 raise
             raise _StageEscape(t) from None
+        return dy
 
     return fun
 
@@ -354,6 +360,8 @@ def _step(
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
+    if not (math.isfinite(t_end) and math.isfinite(dt)):
+        raise ValueError("t_end and dt must be finite")
     if method not in ("rk4", "adaptive-rk45"):
         raise ValueError("unknown method %r (use rk4 or adaptive-rk45)" % method)
     x0 = chart.point(x0).array

@@ -54,15 +54,16 @@ class ModelParameters:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.k <= 0 or self.nu <= 0:
+        # each check fails on NaN: every comparison with NaN is false
+        if not (self.k > 0 and self.nu > 0):
             raise ValueError("k and nu must be positive")
-        if self.delta < 0 or self.beta < 0:
+        if not (self.delta >= 0 and self.beta >= 0):
             raise ValueError("delta and beta must be nonnegative")
         if self.alpha is None:
             object.__setattr__(self, "alpha", self.k / 2.0)
         if self.gamma is None:
             object.__setattr__(self, "gamma", self.nu)
-        if self.alpha < 0 or self.gamma < 0:
+        if not (self.alpha >= 0 and self.gamma >= 0):
             raise ValueError("alpha and gamma must be nonnegative")
 
     def table(self) -> dict[str, float]:

@@ -446,12 +446,18 @@ def reeb_from(th: np.ndarray, om: np.ndarray, values):
     ``th`` and ``om`` are theta and Omega at the point ``values``, or their
     rows at the rows of ``values``; ``values`` only labels the errors.  Any
     other right-hand side b is solved as ``b @ u / s @ vt``.  Raises
-    StructureError when F fails the rank rule s_min > eps * dim * s_max
-    (numpy's default ``matrix_rank`` rule), or when R leaves a residual
-    above 1e-9 in R ⌟ Omega = 0, R ⌟ theta = 1; over rows, the first row
-    that fails the rank rule is reported, else the first with a residual.
+    StructureError when F is not finite (checked before the SVD, which need
+    not return on such a matrix), when F fails the rank rule
+    s_min > eps * dim * s_max (numpy's default ``matrix_rank`` rule), or
+    when R leaves a residual above 1e-9 in R ⌟ Omega = 0, R ⌟ theta = 1;
+    over rows, the first row that fails the earliest of these checks is
+    reported.
     """
-    u, s, vt = np.linalg.svd(flat_from(th, om))
+    F = flat_from(th, om)
+    if not np.isfinite(F).all():
+        point = _first_failure(np.isfinite(F).all(axis=(-2, -1)), values)[1]
+        raise StructureError("flat matrix not finite at %s" % point)
+    u, s, vt = np.linalg.svd(F)
     _check_flat(s, values)  # before dividing by s
     if th.ndim == 1:
         R = th @ u / s @ vt
@@ -475,8 +481,7 @@ def _check_flat(s: np.ndarray, values, error=None) -> None:
     good = s.T[-1] > _EPS * dim * s.T[0] if error is None else error <= 1e-9
     if good.all():
         return
-    k = int(np.argmin(good))
-    point = np.asarray(np.atleast_2d(values)[k], dtype=float).tolist()
+    k, point = _first_failure(good, values)
     if error is None:
         s = np.atleast_2d(s)[k]
         raise StructureError(
@@ -487,6 +492,13 @@ def _check_flat(s: np.ndarray, values, error=None) -> None:
         "Reeb system inconsistent at %s (residual %.3e)"
         % (point, np.atleast_1d(error)[k])
     )
+
+
+def _first_failure(good, values) -> tuple[int, list[float]]:
+    """The index and the coordinates of the first point where ``good``, one
+    flag per point of ``values`` (a point or rows), is false."""
+    k = int(np.argmin(good))
+    return k, np.asarray(np.atleast_2d(values)[k], dtype=float).tolist()
 
 
 def flat(spec: StructureSpec, X, at, check_domain: bool = True) -> np.ndarray:

@@ -15,7 +15,10 @@ from cosym.structures import StructureSpec, reeb
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -103,6 +106,24 @@ class TestCheckStructure:
         code, _, err = run(capsys, "check-structure", "--builtin", "moebius")
         assert code == EXIT_INPUT
         assert "moebius" in err
+
+    def test_an_overflowing_flat_matrix_warns_nothing(self, capsys, tmp_path):
+        # theta theta^T overflows to inf: the solver refuses it before its
+        # SVD, and the volume's EvalError is the report
+        doc = {
+            "name": "huge",
+            "chart": {"coordinates": ["q", "p", "kappa"], "guards": []},
+            "n": 1,
+            "theta": {"kappa": "1e200"},
+            "omega": {"q,p": "1e200"},
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check-structure", "--structure-json", str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: volume coefficient is not finite at ")
+        assert "Warning" not in err
 
 
 class TestFieldAndReeb:
@@ -495,6 +516,9 @@ class TestMissingValues:
     @pytest.mark.parametrize(
         "argv, flag",
         [
+            (("reeb", "--builtin", "heisenberg"), "--at"),
+            (("field", "--builtin", "heisenberg", "--at", "0,1,0"), "--hamiltonian"),
+            (("field", "--builtin", "heisenberg", "--hamiltonian", "x"), "--at"),
             (("compare", "--variants", "gtacos"), "--x0"),
             (("phi-solve", "--at", "0,1,0.1,0.2,0"), "--free"),
             (("phi-solve", "--free", "1,0.5,0.3,-0.2"), "--at"),
@@ -508,6 +532,98 @@ class TestMissingValues:
         assert err.startswith("error: missing %s " % flag)
         assert "Traceback" not in err
         assert out == ""
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestConfigEntriesAreFlags:
+    @pytest.mark.parametrize(
+        "command, doc, flags",
+        [
+            ("compare", {"c": 0.4, "x0": [0.1, 1, 0.2, -0.1, 0], "t-end": 0.2},
+             ["--c", "0.4", "--x0", "0.1,1,0.2,-0.1,0", "--t-end", "0.2"]),
+            ("riccati", {"m": 0.3, "c": 0.4, "x0": [0, 1], "dt": 0.05},
+             ["--m", "0.3", "--c", "0.4", "--x0", "0,1", "--dt", "0.05"]),
+            ("phi-solve", {"free": [1, 0.5, 0.3, -0.2], "at": [0, 1, 0.1, 0.2, 0]},
+             ["--free", "1,0.5,0.3,-0.2", "--at", "0,1,0.1,0.2,0"]),
+            ("reeb", {"builtin": "heisenberg", "at": [0, 1, 0]},
+             ["--builtin", "heisenberg", "--at", "0,1,0"]),
+            ("field", {"builtin": "heisenberg", "hamiltonian": "x*y", "at": [0.5, 1, 0]},
+             ["--builtin", "heisenberg", "--hamiltonian", "x*y", "--at", "0.5,1,0"]),
+            ("compare", {"c": 0.4, "x0": [0.1, 1, 0.2, -0.1, 0], "t-end": 0.1,
+                         "paper-verbatim": True, "csv": None, "a": None},
+             ["--c", "0.4", "--x0", "0.1,1,0.2,-0.1,0", "--t-end", "0.1", "--paper-verbatim"]),
+            ("riccati", {"paper-verbatim": False, "x0": [0, 1]}, []),
+        ],
+    )
+    def test_a_config_gives_what_its_flags_give(self, capsys, tmp_path, command, doc, flags):
+        from_config = run(capsys, command, "--config", write_config(tmp_path, doc))
+        assert from_config == run(capsys, command, *flags)
+        assert from_config[0] == EXIT_OK
+
+    def test_the_command_line_wins(self, capsys, tmp_path):
+        config = write_config(tmp_path, {"builtin": "heisenberg", "at": [0, 1, 0]})
+        got = run(capsys, "reeb", "--config", config, "--at", "0.5,2,0")
+        assert got == run(capsys, "reeb", "--builtin", "heisenberg", "--at", "0.5,2,0")
+
+    @pytest.mark.parametrize("key", ["structure", "bogus", "hamil"])
+    def test_a_key_that_is_no_flag_of_the_command_exits_2(self, capsys, tmp_path, key):
+        # "structure" was once read as --builtin; "hamil" is a prefix that
+        # argparse alone would take for --hamiltonian
+        config = write_config(tmp_path, {"builtin": "heisenberg", "at": [0, 1, 0], key: "x"})
+        code, out, err = run(capsys, "field", "--config", config, "--hamiltonian", "x")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "config key %r is not a flag of field" % key in err
+
+    def test_a_config_that_is_no_object_exits_2(self, capsys, tmp_path):
+        config = write_config(tmp_path, [0, 1, 0])
+        code, out, err = run(capsys, "reeb", "--config", config, "--builtin", "heisenberg")
+        assert code == EXIT_INPUT
+        assert err.startswith("error: --config holds a JSON object")
+
+
+class TestNonFiniteValues:
+    INTEGRATE = ("integrate", "--builtin", "darboux_contact", "--hamiltonian", "kappa",
+                 "--x0", "0,1,1")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (INTEGRATE + ("--dt", "nan"), "--dt"),
+            (INTEGRATE + ("--t-end", "inf"), "--t-end"),
+            (INTEGRATE + ("--rtol=-inf",), "--rtol"),
+            (("compare", "--a=nan", "--x0=0.1,1,0,0,0"), "--a"),
+            (("phi-solve", "--free", "nan,0.5,0.3,-0.2", "--at", "0,1,0.1,0.2,0"), "--free"),
+            (("reeb", "--builtin", "heisenberg", "--at", "0,inf,0"), "--at"),
+            (("check-structure", "--builtin", "xjt_gtacos", "-P", "k=nan"), "-P/--param"),
+        ],
+    )
+    def test_exit_2_naming_the_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error: argument %s: not a finite number: " % flag in err
+        assert "Traceback" not in err
+
+    def test_from_a_config(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"builtin": "darboux_contact", "hamiltonian": "kappa", '
+                        '"x0": [0, 1, 1], "dt": NaN}')
+        code, out, err = run(capsys, "integrate", "--config", str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error: argument --dt: not a finite number: 'nan'" in err
+
+    def test_an_unknown_parameter_exits_2(self, capsys):
+        code, out, err = run(capsys, "check-structure", "--builtin", "xjt_gtacos", "-P", "kk=2")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error: argument -P/--param: expected NAME=VALUE" in err
 
 
 class TestInvariantSuite:
@@ -545,6 +661,22 @@ def test_python_dash_m_runs_the_cli():
     code, out, err = fresh_process("list-manifolds")
     assert code == EXIT_OK, err
     assert "xjt_gtacos" in {entry["name"] for entry in json.loads(out)}
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # theta theta^T overflows: LAPACK's SVD did not return on the inf
+        (("field", "--builtin", "heisenberg", "--hamiltonian", "x", "--at", "1e308,1e308,0"),
+         EXIT_NUMERICAL, "numerical failure: flat matrix not finite at [1e+308, 1e+308, 0.0]"),
+        # m + c overflows: RK45 never rejected the inf right-hand side
+        (("riccati", "--m=1e308", "--c=1e308", "--n=0", "--x0=1,1", "--t-end", "1", "--dt", "0.1"),
+         EXIT_INPUT, "error: right-hand side not finite at t=0, state [1.0, 1.0]"),
+    ],
+)
+def test_a_non_finite_solve_ends(argv, code, message):
+    got, out, err = fresh_process(*argv, timeout=20)
+    assert (got, out, err) == (code, "", message + "\n")
 
 
 def test_check_structure_on_a_large_darboux_chart_finishes():

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_point, random_polynomial
 from cosym import dynamics
-from cosym.charts import Chart, DomainError, ScalarField
+from cosym.charts import Chart, DomainError, Guard, ScalarField
 from cosym.dynamics import (
     tacs_convention_comparison,
     euler_part,
@@ -389,6 +389,34 @@ class TestIntegrate:
         assert "domain escape" in traj.diagnostic
         assert len(traj.times) < 60
         assert all(s.chart.contains(row) for row in traj.states)
+
+    @pytest.mark.parametrize(
+        "t_end, dt", [(np.inf, 1e-2), (np.nan, 1e-2), (1.0, np.nan), (1.0, np.inf)]
+    )
+    def test_non_finite_t_end_or_dt_is_a_value_error(self, t_end, dt):
+        s = contact1()
+        H = ScalarField.parse(s.chart, "kappa")
+        with pytest.raises(ValueError, match="t_end and dt must be finite"):
+            integrate(s, H, (0.1, 0.2, 0.3), t_end, dt)
+
+    def test_non_finite_right_hand_side_in_the_domain_is_an_eval_error(self):
+        # u' = 1 until u reaches 0.25, then NaN: neither stepper rejects it
+        chart = Chart("line", ("u",))
+        rhs = lambda y: np.array([1.0 if y[0] < 0.25 else np.nan])  # noqa: E731
+        for method in ("rk4", "adaptive-rk45"):
+            with pytest.raises(EvalError, match=r"not finite at t=0\.2\d*, state \[0\.2\d*\]"):
+                dynamics._step(rhs, chart, (0.0,), 1.0, 0.1, method, 1e-9, 1e-9)
+
+    def test_non_finite_right_hand_side_outside_the_domain_is_an_escape(self):
+        chart = Chart("line", ("u",), (Guard("u", 0.5, upper=True),))
+        rhs = lambda y: np.array([1.0 if y[0] < 0.5 else np.nan])  # noqa: E731
+        for method in ("rk4", "adaptive-rk45"):
+            times, states, escaped, diagnostic = dynamics._step(
+                rhs, chart, (0.0,), 1.0, 0.1, method, 1e-9, 1e-9
+            )
+            assert escaped and diagnostic.startswith("domain escape")
+            assert len(times) == len(states) == 5
+            assert np.abs(states[:, 0] - times).max() <= 1e-12
 
     def test_dissipation_residual_tracks_law(self):
         s = contact1()

@@ -63,6 +63,11 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin("xjt_gtacos", ModelParameters(delta=0.0))
 
+    @pytest.mark.parametrize("name", ["k", "nu", "delta", "alpha", "beta", "gamma"])
+    def test_nan_parameters_rejected(self, name):
+        with pytest.raises(ValueError):
+            ModelParameters(**{name: math.nan})
+
 
 class TestVolumeIdentity:
     def test_top_coefficient_matches_wedge_algebra(self, rng):

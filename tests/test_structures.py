@@ -351,6 +351,21 @@ class TestReebRows:
         )
 
 
+    def test_a_non_finite_flat_matrix_is_refused_before_the_svd(self, monkeypatch):
+        def svd(*_):
+            raise AssertionError("LAPACK's SVD need not return on a non-finite matrix")
+
+        rows = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        th = np.array([[0.0, 0.0, 1.0]] * 3)
+        om = np.array([[[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 3)
+        om[1, 0, 1], om[2, 1, 0] = np.inf, np.nan
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        message = _message(reeb_from, th, om, rows)
+        assert message == "flat matrix not finite at [0.4, 0.5, 0.6]"
+        assert message == _message(reeb_from, th[1], om[1], rows[1])
+        assert _message(reeb_from, th[2], om[2], rows[2]).endswith("[0.7, 0.8, 0.9]")
+
+
 class TestRankBoundary:
     # F's smallest singular value is c^2 for theta = c dkappa over dq^dp, so
     # the rank rule c^2 > 3 eps accepts c = 3e-8 and refuses c = 1e-8
