@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .charts import Chart, ChartPoint, ScalarField, central_difference
 from .forms import KForm, exterior_derivative
-from .manifolds import CHART_XJT, ModelParameters, metric_matrix
+from .manifolds import CHART_XJT, ModelParameters
 
 PHI_COORDS = ("x", "y", "q", "p", "kappa")
 
@@ -203,7 +202,9 @@ def solve_phi(
     candidate (Phi, xi, eta, g') at a point.
 
     ``free`` fixes (Phi_yq, Phi_yp, Phi_qp, Phi_pq).  Positive definiteness
-    of g' is reported as a diagnostic, never imposed on the root-find.
+    of g' is reported as a diagnostic, never imposed on the root-find.  A
+    start whose residual is not finite is abandoned; PhiSolveError's
+    best residual is inf when no start gave a finite one.
     """
     point = CHART_XJT.point(at)
     values = point.array
@@ -226,6 +227,8 @@ def solve_phi(
         for it in range(max_iter):
             r = _newton_residual(free, u, zeta)
             rnorm = np.abs(r).max()
+            if not math.isfinite(rnorm):
+                break  # lstsq need not return on a non-finite system
             best_residual = min(best_residual, rnorm)
             if rnorm <= newton_tol:
                 ok = True
@@ -475,52 +478,3 @@ def sasaki_from_potential(potential: SasakiPotential | ScalarField) -> SasakiStr
 def heisenberg_potential() -> SasakiPotential:
     """K = -y^2/2, the potential of the canonical 3-dimensional model."""
     return SasakiPotential(ScalarField.parse(CHART_SASAKI, "-(y^2)/2"))
-
-
-# --------------------------------------------------------------------------
-# Potential-fit diagnostic on the extended chart
-# --------------------------------------------------------------------------
-
-
-def potential_fit_report(params: ModelParameters, at) -> dict:
-    """Pointwise least-squares fit of a potential-generated metric against
-    the invariant metric of the extended half-plane.
-
-    Parametrizes the potential's first derivatives (4 reals) and hermitian
-    second derivatives (4 reals) at the point and reports the best-fit
-    residual; no global conclusion is drawn.
-    """
-    values = CHART_XJT.values(at)
-    x, y, q, p, kappa = values
-    # invariant metric reordered to (x, y, q, p, kappa)
-    mm = metric_matrix(4, params, (x, y, p, q, kappa)).entries
-    order = [0, 1, 3, 2, 4]
-    target = mm[np.ix_(order, order)]
-
-    def model(u):
-        # (B1, A1, B2, A2) are the potential's first partials, (c11, c22)
-        # the diagonal and (d1, d2) the real/imaginary mixed second
-        # partials, scale factors absorbed.  The hermitian origin forces the
-        # sign pattern on the mixed entries.
-        b1, a1, b2, a2, c11, c22, d1, d2 = u
-        eta = np.array([b1, -a1, b2, -a2, 1.0])
-        g = np.outer(eta, eta)
-        block = np.zeros((5, 5))
-        block[0, 0] = block[1, 1] = c11
-        block[2, 2] = block[3, 3] = c22
-        block[0, 2] = block[2, 0] = d1
-        block[1, 3] = block[3, 1] = d1
-        block[1, 2] = block[2, 1] = d2
-        block[0, 3] = block[3, 0] = -d2
-        return g + block
-
-    def objective(u):
-        diff = model(u) - target
-        return diff[np.triu_indices(5)]
-
-    fit = least_squares(objective, np.zeros(8), method="lm", max_nfev=20000)
-    return {
-        "residual": float(np.abs(objective(fit.x)).max()),
-        "fitted": fit.x.tolist(),
-        "target": target.tolist(),
-    }

@@ -19,7 +19,11 @@ metrics blow up at the guard surface).  Every point argument is read by one
 rule, :meth:`Chart.values` (and :meth:`Chart.point` for a point): a
 :class:`ChartPoint` is trusted only on its own chart; a point of another
 chart must have the same coordinates and, like a plain sequence, meets this
-chart's guards unless the caller asks for no check.
+chart's guards.  Only the readers whose callers pass an already checked
+point take ``check_domain=False`` to skip them: here :meth:`Chart.values`
+and :class:`ScalarField`'s ``value``, ``gradient`` and ``at``.
+:meth:`Chart.sample_box` gives the fixed probe box, [-2, 2] per coordinate
+kept 0.25 inside each guard.
 """
 
 from __future__ import annotations
@@ -182,18 +186,19 @@ class Chart:
     def env(self, values: Sequence[float]) -> dict[str, float]:
         return dict(zip(self.coordinates, map(float, values)))
 
-    def sample_box(self, margin: float = 0.25, half_width: float = 2.0):
-        """Axis-aligned box of in-domain points used for probe sampling."""
+    def sample_box(self):
+        """Axis-aligned box of in-domain points used for probe sampling:
+        [-2, 2] per coordinate, kept 0.25 inside each guard."""
         box = []
         for name in self.coordinates:
-            lo, hi = -half_width, half_width
+            lo, hi = -2.0, 2.0
             for g in self.guards:
                 if g.coordinate != name:
                     continue
                 if g.upper:
-                    hi = min(hi, g.bound - margin)
+                    hi = min(hi, g.bound - 0.25)
                 else:
-                    lo = max(lo, g.bound + margin)
+                    lo = max(lo, g.bound + 0.25)
             if lo >= hi:
                 raise ValueError("empty sample box for coordinate %r" % name)
             box.append((lo, hi))

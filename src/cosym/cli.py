@@ -75,6 +75,17 @@ def _number(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type of a count: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("not a positive integer: %r" % text)
+    return value
+
+
 def _point(text: str) -> list[float]:
     """argparse type of a point: comma-separated finite coordinates."""
     return [_number(v) for v in text.replace(" ", "").split(",") if v != ""]
@@ -110,8 +121,6 @@ def _resolve_structure(args) -> structures.StructureSpec:
     if args.structure_json:
         return structures.StructureSpec.from_json(args.structure_json)
     if args.builtin:
-        if args.builtin.endswith(".json"):
-            return structures.StructureSpec.from_json(args.builtin)
         return manifolds.builtin(args.builtin, params)
     raise ValueError("give --builtin NAME or --structure-json PATH")
 
@@ -377,7 +386,8 @@ def cmd_phi_solve(args) -> int:
             tuple(_require(args, "free")), params, _require(args, "at")
         )
     except almost_contact.PhiSolveError as exc:
-        _print_json({"error": str(exc), "best_residual": exc.best_residual})
+        best = exc.best_residual if math.isfinite(exc.best_residual) else None
+        _print_json({"error": str(exc), "best_residual": best})
         return EXIT_NUMERICAL
     doc = {
         "free": list(sol.free),
@@ -537,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-structure", help="classification report")
     structure_flags(p)
-    p.add_argument("--probes", type=int, default=64)
+    p.add_argument("--probes", type=_count, default=64)
     p.add_argument("--probe-point", type=_point, help="comma-separated coordinates")
     p.set_defaults(fn=cmd_check_structure)
 

@@ -66,18 +66,14 @@ def hamiltonian_field_generic(
     return _field_from(th, factors, R, dH, h)
 
 
-def gradient_field(
-    spec: StructureSpec, H: ScalarField, at, check_domain: bool = True
-) -> np.ndarray:
+def gradient_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
     """Solve flat(grad H) = dH at a point."""
-    th, om, values = spec.at(at, check_domain)
+    th, om, values = spec.at(at)
     _, (u, s, vt) = reeb_from(th, om, values)
     return H.gradient(values, check_domain=False) @ u / s @ vt
 
 
-def evolution_field(
-    spec: StructureSpec, H: ScalarField, at, check_domain: bool = True
-) -> np.ndarray:
+def evolution_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
     """Cosymplectic evolution field: grad H - R(H) R + R.
 
     Requires the structure to classify as cosymplectic.
@@ -86,7 +82,7 @@ def evolution_field(
         raise StructureError(
             "evolution field needs a cosymplectic structure; %r is not" % spec.name
         )
-    th, om, values = spec.at(at, check_domain)
+    th, om, values = spec.at(at)
     R, (u, s, vt) = reeb_from(th, om, values)
     dH = H.gradient(values, check_domain=False)
     return dH @ u / s @ vt - (R @ dH) * R + R
@@ -312,6 +308,9 @@ def _guard_events(chart: Chart):
     return events
 
 
+MAX_GRID_STEPS = 1_000_000
+
+
 class _StageEscape(Exception):
     """The right-hand side failed at an out-of-domain stage; args[0] is the
     stage time."""
@@ -355,6 +354,14 @@ def _step(
     in-domain row and sets ``escaped`` with a diagnostic instead of raising.
     So does a right-hand side that fails at an out-of-domain stage; RK45
     then steps again up to the last grid time before that stage.
+
+    Raises ValueError before any work when t_end/dt exceeds MAX_GRID_STEPS
+    = 10**6, so a grid holds at most 10**6 + 1 rows.  The basis is memory:
+    a stored row costs about 1 kB on a five-dimensional chart (its state,
+    and the post-pass's theta, Omega, flat matrix and SVD factors; 105 MB
+    at 10**5 rows), so the bound keeps a run near a gigabyte.  RK45 also
+    refuses an rtol below 100 * eps, which scipy would otherwise raise to
+    that floor with a warning.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -364,9 +371,17 @@ def _step(
         raise ValueError("t_end and dt must be finite")
     if method not in ("rk4", "adaptive-rk45"):
         raise ValueError("unknown method %r (use rk4 or adaptive-rk45)" % method)
+    floor = 100 * np.finfo(float).eps  # scipy's RK45 floor
+    if method == "adaptive-rk45" and not rtol >= floor:
+        raise ValueError("rtol must be at least 100 * eps = %.3g for adaptive-rk45, got %r"
+                         % (floor, rtol))
+    steps = t_end / dt  # inf when the quotient overflows
+    if steps > MAX_GRID_STEPS:
+        raise ValueError("t_end/dt = %.6g asks for %.6g grid rows; t_end/dt is at most %d"
+                         % (steps, steps + 1, MAX_GRID_STEPS))
     x0 = chart.point(x0).array
 
-    n_steps = int(round(t_end / dt))
+    n_steps = int(round(steps))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
     if n_steps == 0:
         return times, x0[None, :], False, ""

@@ -188,8 +188,8 @@ class VectorField:
         if len(self.components) != self.chart.dimension:
             raise ValueError("component count must equal chart dimension")
 
-    def at(self, point, check_domain: bool = True) -> np.ndarray:
-        values = self.chart.values(point, check_domain)
+    def at(self, point) -> np.ndarray:
+        values = self.chart.values(point)
         return np.array([c._eval(values) for c in self.components])
 
     @classmethod

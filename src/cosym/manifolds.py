@@ -69,21 +69,6 @@ class ModelParameters:
     def table(self) -> dict[str, float]:
         return {"k": self.k, "nu": self.nu, "delta": self.delta}
 
-    def sqrt_replaced(self) -> "ModelParameters":
-        """Alternative parametrization k, nu -> sqrt(k), sqrt(nu).
-
-        Both readings of the metric comparison are kept behind this switch;
-        the artifact does not decide between them.
-        """
-        return ModelParameters(
-            k=math.sqrt(self.k),
-            nu=math.sqrt(self.nu),
-            delta=self.delta,
-            alpha=None,
-            beta=self.beta,
-            gamma=None,
-        )
-
 
 @dataclass(frozen=True)
 class MetricMatrix:

@@ -176,7 +176,7 @@ class StructureSpec:
     def flat_matrix(self, at, check_domain: bool = True) -> np.ndarray:
         return flat_from(*self.at(at, check_domain)[:2])
 
-    def volume_coefficient(self, at, check_domain: bool = True) -> float:
+    def volume_coefficient(self, at) -> float:
         """Top coefficient of theta ^ Omega^n (the chart's volume density).
 
         The value is un-normalised: there is no 1/n! factor, so for
@@ -186,7 +186,7 @@ class StructureSpec:
         theta and Omega that :meth:`at` reads; raises EvalError when it
         overflows.
         """
-        th, om, values = self.at(at, check_domain)
+        th, om, values = self.at(at)
         dim = len(values)
         b = np.zeros((dim + 1, dim + 1))
         b[:dim, :dim], b[:dim, dim], b[dim, :dim] = om, th, -th
@@ -435,9 +435,9 @@ def flat_from(th: np.ndarray, om: np.ndarray) -> np.ndarray:
     return om.swapaxes(-1, -2) + th[..., None] * th[..., None, :]
 
 
-def reeb(spec: StructureSpec, at, check_domain: bool = True) -> np.ndarray:
+def reeb(spec: StructureSpec, at) -> np.ndarray:
     """The Reeb vector R = ♯theta, which solves R ⌟ Omega = 0, R ⌟ theta = 1."""
-    return reeb_from(*spec.at(at, check_domain))[0]
+    return reeb_from(*spec.at(at))[0]
 
 
 def reeb_from(th: np.ndarray, om: np.ndarray, values):
@@ -501,15 +501,15 @@ def _first_failure(good, values) -> tuple[int, list[float]]:
     return k, np.asarray(np.atleast_2d(values)[k], dtype=float).tolist()
 
 
-def flat(spec: StructureSpec, X, at, check_domain: bool = True) -> np.ndarray:
+def flat(spec: StructureSpec, X, at) -> np.ndarray:
     """X -> X ⌟ Omega + (X ⌟ theta) theta as a covector at a point."""
-    values = spec.chart.values(at, check_domain)
+    values = spec.chart.values(at)
     xv = X.at(values) if hasattr(X, "at") else np.asarray(X, dtype=float)
     return spec.flat_matrix(values, check_domain=False) @ xv
 
 
-def sharp(spec: StructureSpec, alpha, at, check_domain: bool = True) -> np.ndarray:
+def sharp(spec: StructureSpec, alpha, at) -> np.ndarray:
     """Inverse of flat, from the factors that also give R = ♯theta; raises
     StructureError where :func:`reeb` does."""
-    _, (u, s, vt) = reeb_from(*spec.at(at, check_domain))
+    _, (u, s, vt) = reeb_from(*spec.at(at))
     return np.asarray(alpha, dtype=float) @ u / s @ vt

@@ -6,7 +6,6 @@ from cosym.almost_contact import (
     heisenberg_potential,
     metric_from_defining_relation,
     nijenhuis_n1,
-    potential_fit_report,
     ppp_negative_witness,
     sasaki_from_potential,
     solve_phi,
@@ -94,6 +93,13 @@ class TestSolvePhi:
                 free = tuple(rng.uniform(-2, 2, 4))
                 sol = solve_phi(free, params, pt)
                 assert sol.passes(1e-10), (pt, free, sol.residuals)
+
+    def test_a_start_with_a_non_finite_residual_is_abandoned(self):
+        # before lstsq, which printed LAPACK's DLASCL text and did not converge;
+        # numpy's overflow warnings are off, as under the CLI
+        with pytest.raises(PhiSolveError) as err, np.errstate(all="ignore"):
+            solve_phi((1e300, 0.5, 0.3, -0.2), ModelParameters(), SAMPLE_POINT)
+        assert err.value.best_residual == np.inf
 
     def test_solver_reports_best_residual_on_failure(self):
         with pytest.raises(PhiSolveError) as err:
@@ -218,9 +224,3 @@ class TestNijenhuis:
         with pytest.raises(ValueError):
             nijenhuis_n1(st.phi, st.eta, st.xi, np.array([0, 1.0, 0]), convention="x")
 
-
-class TestPotentialFit:
-    def test_report_structure(self):
-        report = potential_fit_report(ModelParameters(), (0.3, 1.1, 0.2, -0.4, 0.0))
-        assert report["residual"] >= 0.0
-        assert len(report["fitted"]) == 8

@@ -5,7 +5,10 @@ is not finite is an EvalError, pointwise and at many rows alike.  Every
 point argument is read by one rule: a ChartPoint is trusted only on its own
 chart, and any other point meets the guards of the chart it is used on."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -207,3 +210,44 @@ def test_domain_errors_print_plain_floats_for_array_input():
     with pytest.raises(DomainError) as err:
         cosym.reeb(spec, np.array([0, -1, 0, 0, 0.0]))
     assert str(err.value) == "point violates y > 0.0 on chart 'xjt' (got y = -1.0)"
+
+
+CHECK_DOMAIN_READERS = {
+    "charts.Chart.values",
+    "charts.ScalarField.value",
+    "charts.ScalarField.gradient",
+    "charts.ScalarField.at",
+    "forms.KForm.at",
+    "structures.StructureSpec.theta_vector",
+    "structures.StructureSpec.omega_matrix",
+    "structures.StructureSpec.at",
+    "structures.StructureSpec.flat_matrix",
+    "dynamics.hamiltonian_field_generic",
+    "dynamics.hamiltonian_field_closed",
+    "dynamics.tacs_field",
+}
+
+
+def _public_callables():
+    """(module.qualname, callable) for every public function and public
+    method of a public class defined in a cosym module."""
+    for info in pkgutil.iter_modules(cosym.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module("cosym." + info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield "%s.%s" % (info.name, name), obj
+            elif inspect.isclass(obj):
+                for attr, fn in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        yield "%s.%s.%s" % (info.name, name, attr), fn
+
+
+def test_check_domain_only_where_a_caller_passes_it():
+    taking = {name for name, fn in _public_callables()
+              if "check_domain" in inspect.signature(fn).parameters}
+    assert taking == CHECK_DOMAIN_READERS
+    assert list(inspect.signature(Chart.sample_box).parameters) == ["self"]

@@ -107,6 +107,23 @@ class TestCheckStructure:
         assert code == EXIT_INPUT
         assert "moebius" in err
 
+    @pytest.mark.parametrize("count", ["0", "-3", "2.5"])
+    def test_probes_takes_a_positive_integer(self, capsys, count):
+        code, out, err = run(capsys, "check-structure", "--builtin", "heisenberg",
+                             "--probes", count)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "error: argument --probes: " in err
+
+    def test_a_structure_document_is_read_by_structure_json_only(self, capsys, tmp_path):
+        run(capsys, "list-manifolds", "--emit", str(tmp_path))
+        path = str(tmp_path / "heisenberg.json")
+        code, out, err = run(capsys, "check-structure", "--builtin", path)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: unknown structure name %r\n" % path
+        code, out, _ = run(capsys, "check-structure", "--structure-json", path)
+        assert code == EXIT_OK
+        assert json.loads(out)["name"] == "heisenberg"
+
     def test_an_overflowing_flat_matrix_warns_nothing(self, capsys, tmp_path):
         # theta theta^T overflows to inf: the solver refuses it before its
         # SVD, and the volume's EvalError is the report
@@ -677,6 +694,40 @@ def test_python_dash_m_runs_the_cli():
 def test_a_non_finite_solve_ends(argv, code, message):
     got, out, err = fresh_process(*argv, timeout=20)
     assert (got, out, err) == (code, "", message + "\n")
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError("%s is not JSON" % constant)
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # numpy's "negative dimensions are not allowed" from the probe sampler
+        (("check-structure", "--builtin", "heisenberg", "--probes", "-3"),
+         EXIT_INPUT, "argument --probes: not a positive integer: '-3'"),
+        # numpy's "Maximum allowed size exceeded", and a 7 TiB allocation
+        (TestNonFiniteValues.INTEGRATE + ("--dt", "1e-12"),
+         EXIT_INPUT, "error: t_end/dt = 1e+12 asks for 1e+12 grid rows"),
+        # LAPACK's DLASCL text on stdout, then "SVD did not converge"
+        (("phi-solve", "--free", "1e300,0.5,0.3,-0.2", "--at", "0,1,0.1,0.2,0"),
+         EXIT_NUMERICAL, '"best_residual": null'),
+        # scipy's "At least one element of rtol is too small" warning, exit 0
+        (TestNonFiniteValues.INTEGRATE + ("--t-end", "0.01", "--dt", "0.001", "--rtol", "0"),
+         EXIT_INPUT, "error: rtol must be at least 100 * eps"),
+    ],
+)
+def test_an_out_of_range_value_ends_cleanly(argv, code, message):
+    got, out, err = fresh_process(*argv, timeout=20)
+    assert got == code, err
+    for stream in (out, err):
+        for text in ("Traceback", "Warning", "DLASCL"):
+            assert text not in stream
+    assert out == "" or _strict_json(out) is not None
+    assert message in out + err
 
 
 def test_check_structure_on_a_large_darboux_chart_finishes():

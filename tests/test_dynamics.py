@@ -399,6 +399,32 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="t_end and dt must be finite"):
             integrate(s, H, (0.1, 0.2, 0.3), t_end, dt)
 
+    @pytest.mark.parametrize("method", ["rk4", "adaptive-rk45"])
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 1e-12), (1.0, 1e-300), (1e10, 1e-300)])
+    def test_a_grid_beyond_the_step_bound_is_refused_before_it_is_built(self, t_end, dt, method):
+        s = contact1()
+        H = ScalarField.parse(s.chart, "kappa")
+        with pytest.raises(ValueError, match=r"grid rows; t_end/dt is at most 1000000$"):
+            integrate(s, H, (0.1, 0.2, 0.3), t_end, dt, method=method)
+
+    def test_the_grid_bound_is_on_t_end_over_dt(self, monkeypatch):
+        s = contact1()
+        H = ScalarField.parse(s.chart, "kappa")
+        monkeypatch.setattr(dynamics, "MAX_GRID_STEPS", 10)
+        assert len(integrate(s, H, (0.1, 0.2, 0.3), 1.0, 0.1, method="rk4").times) == 11
+        with pytest.raises(ValueError, match=r"t_end/dt = 10\.1 asks for 11\.1 grid rows"):
+            integrate(s, H, (0.1, 0.2, 0.3), 1.01, 0.1, method="rk4")
+
+    def test_rk45_refuses_an_rtol_below_scipys_floor(self):
+        s = contact1()
+        H = ScalarField.parse(s.chart, "kappa")
+        for rtol in (0.0, -1.0, 1e-15):
+            with pytest.raises(ValueError, match=r"rtol must be at least 100 \* eps"):
+                integrate(s, H, (0.1, 0.2, 0.3), 0.01, 0.001, rtol=rtol)
+        # RK4 does not read rtol
+        traj = integrate(s, H, (0.1, 0.2, 0.3), 0.01, 0.001, method="rk4", rtol=0.0)
+        assert len(traj.times) == 11
+
     def test_non_finite_right_hand_side_in_the_domain_is_an_eval_error(self):
         # u' = 1 until u reaches 0.25, then NaN: neither stepper rejects it
         chart = Chart("line", ("u",))

@@ -261,12 +261,6 @@ class TestInvariantOneForms:
         with pytest.raises(ValueError):
             invariant_one_forms(ModelParameters(beta=0.0), pt)
 
-    def test_sqrt_replacement_switch(self):
-        params = ModelParameters(k=4.0, nu=9.0)
-        replaced = params.sqrt_replaced()
-        assert replaced.k == 2.0 and replaced.nu == 3.0
-        assert replaced.alpha == 1.0  # k/2 re-derived
-
 
 class TestCayley:
     def test_center_fixed_point(self):
