@@ -114,11 +114,14 @@ def _derived_components(free, unknowns) -> dict[str, float]:
 
 
 def _newton_residual(free, unknowns, zeta) -> np.ndarray:
-    c = _derived_components(free, unknowns)
-    shared = zeta * c["xq"] * (c["yq"] - c["yp"]) + 1.0
-    r1 = c["xx"] ** 2 + shared + c["xy"] * c["yx"]
-    r2 = c["qq"] ** 2 + shared + c["qp"] * c["pq"]
-    return np.array([r1, r2])
+    """The two Newton residuals; inf or nan where they overflow, without a
+    warning, since :func:`solve_phi` checks them for finiteness."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _derived_components(free, unknowns)
+        shared = zeta * c["xq"] * (c["yq"] - c["yp"]) + 1.0
+        r1 = c["xx"] ** 2 + shared + c["xy"] * c["yx"]
+        r2 = c["qq"] ** 2 + shared + c["qp"] * c["pq"]
+        return np.array([r1, r2])
 
 
 def assemble_phi(components: Mapping[str, float], params: ModelParameters, values) -> np.ndarray:

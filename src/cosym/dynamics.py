@@ -437,15 +437,15 @@ def _step(
         elif sol.status != 0:
             escaped = True
             diagnostic = sol.message
-        states = []
-        for row in sol.y.T:
-            if not chart.contains(row):
-                escaped = True
-                diagnostic = diagnostic or "domain escape on recorded state"
-                break
-            states.append(row)
-        states = states or [x0]
-    states = np.array(states)
+        inside = np.ones(sol.y.shape[1], dtype=bool)  # every guard, column-wise
+        for g in chart.guards:
+            inside &= g.holds(sol.y[chart.index(g.coordinate)])
+        kept = len(inside) if inside.all() else int(np.argmin(inside))
+        if kept < len(inside):
+            escaped = True
+            diagnostic = diagnostic or "domain escape on recorded state"
+        states = sol.y.T[:kept] if kept else [x0]
+    states = np.array(states, order="C")  # sol.y.T is Fortran-ordered
     return times[: len(states)], states, escaped, diagnostic
 
 

@@ -235,13 +235,12 @@ def integrate_riccati(
     xy0,
     t_end: float,
     dt: float,
-    rtol: float = 1e-9,
-    atol: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the derived Riccati right-hand side; returns (times, states)."""
+    """Integrate the derived Riccati right-hand side with RK45 at
+    rtol = atol = 1e-9; returns (times, states)."""
     times, states, _, _ = _step(
         lambda s: riccati_rhs(coeffs, s),
-        CHART_METRIC_X1, xy0, t_end, dt, "adaptive-rk45", rtol, atol,
+        CHART_METRIC_X1, xy0, t_end, dt, "adaptive-rk45", 1e-9, 1e-9,
     )
     return times, states
 
@@ -270,16 +269,12 @@ def integrate_variant(
     t_end: float,
     dt: float,
     params: ModelParameters,
-    method: str = "adaptive-rk45",
-    rtol: float = 1e-9,
-    atol: float = 1e-9,
 ) -> Trajectory:
-    """Trajectory of a 5-dimensional variant under the split energy."""
+    """Trajectory of a 5-dimensional variant under the split energy, by
+    :func:`integrate`'s default RK45 at rtol = atol = 1e-9."""
     spec = _variant_structure(variant, params)
     se = split_energy(coeffs, params)
-    return integrate(
-        spec, se.total, x0, t_end, dt, method=method, rtol=rtol, atol=atol
-    )
+    return integrate(spec, se.total, x0, t_end, dt)
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,10 @@ Hamiltonian, gradient and evolution field at that point.  theta and Omega
 compile into one straight-line kernel on request (:meth:`StructureSpec.kernel`).
 :meth:`StructureSpec.at` gives them at one point and :meth:`StructureSpec.rows`
 at every row of an array, each from that kernel where it is finite, else by
-walking the trees.  :func:`reeb_from` solves one point, or all rows by one
-batched SVD, so ``reeb`` is ``reeb_from(*spec.at(point))[0]``.
+walking the trees.  :func:`reeb_from` solves one point by LAPACK's
+``dgesdd`` through ``scipy.linalg.lapack``, or all rows by numpy's batched
+SVD, with the same factors bit for bit, so ``reeb`` is
+``reeb_from(*spec.at(point))[0]``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.stats import qmc
 
 from .charts import Chart, ChartPoint
@@ -445,31 +448,52 @@ def reeb_from(th: np.ndarray, om: np.ndarray, values):
 
     ``th`` and ``om`` are theta and Omega at the point ``values``, or their
     rows at the rows of ``values``; ``values`` only labels the errors.  Any
-    other right-hand side b is solved as ``b @ u / s @ vt``.  Raises
+    other right-hand side b is solved as ``b @ u / s @ vt``.  A point's F is
+    factored by LAPACK's ``dgesdd`` through ``scipy.linalg.lapack``, which
+    skips numpy's stacked-matrix wrapper; rows are factored by numpy's
+    batched SVD; the factors are the same bit for bit, and C-contiguous
+    either way, so that ``b @ u / s @ vt`` rounds the same.  Raises
     StructureError when F is not finite (checked before the SVD, which need
     not return on such a matrix), when F fails the rank rule
     s_min > eps * dim * s_max (numpy's default ``matrix_rank`` rule), or
     when R leaves a residual above 1e-9 in R ⌟ Omega = 0, R ⌟ theta = 1;
     over rows, the first row that fails the earliest of these checks is
-    reported.
+    reported.  Raises numpy's LinAlgError when the SVD does not converge.
     """
-    F = flat_from(th, om)
-    if not np.isfinite(F).all():
-        point = _first_failure(np.isfinite(F).all(axis=(-2, -1)), values)[1]
-        raise StructureError("flat matrix not finite at %s" % point)
-    u, s, vt = np.linalg.svd(F)
-    _check_flat(s, values)  # before dividing by s
     if th.ndim == 1:
+        F = om.T + th[:, None] * th
+        if not np.isfinite(F).all():
+            _refuse_non_finite(F, values)
+        u, s, vt, info = lapack.dgesdd(F)
+        if info != 0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        if not s[-1] > _EPS * len(s) * s[0]:
+            _check_flat(s, values)  # raises the rank message
+        u, vt = np.ascontiguousarray(u), np.ascontiguousarray(vt)
         R = th @ u / s @ vt
         error = max(np.abs(R @ om).max(), abs(R @ th - 1.0))  # numpy scalar: has .all()
-    else:
-        R = (th[:, None, :] @ u / s[:, None, :] @ vt)[:, 0, :]
-        error = np.maximum(
-            np.abs(R[:, None, :] @ om)[:, 0, :].max(axis=1),
-            np.abs(np.einsum("ij,ij->i", R, th) - 1.0),
-        )
+        if not error <= 1e-9:
+            _check_flat(s, values, error)  # raises the residual message
+        return R, (u, s, vt)
+    F = flat_from(th, om)
+    if not np.isfinite(F).all():
+        _refuse_non_finite(F, values)
+    u, s, vt = np.linalg.svd(F)
+    _check_flat(s, values)  # before dividing by s
+    R = (th[:, None, :] @ u / s[:, None, :] @ vt)[:, 0, :]
+    error = np.maximum(
+        np.abs(R[:, None, :] @ om)[:, 0, :].max(axis=1),
+        np.abs(np.einsum("ij,ij->i", R, th) - 1.0),
+    )
     _check_flat(s, values, error)
     return R, (u, s, vt)
+
+
+def _refuse_non_finite(F: np.ndarray, values) -> None:
+    """Raise StructureError at the first point whose flat matrix in ``F``
+    (one matrix or a stack) is not finite."""
+    point = _first_failure(np.isfinite(F).all(axis=(-2, -1)), values)[1]
+    raise StructureError("flat matrix not finite at %s" % point)
 
 
 def _check_flat(s: np.ndarray, values, error=None) -> None:

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from conftest import random_point, random_polynomial
 from cosym import dynamics
@@ -303,8 +306,13 @@ class TestBrackets:
     ])
     def test_generic_bracket_factors_once_and_keeps_its_bits(self, name, rng, monkeypatch):
         calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+
+        def spy(module, name):
+            factor = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or factor(*a, **k))
+
+        spy(np.linalg, "svd")  # rows
+        spy(lapack, "dgesdd")  # a point
         s = builtin(name)
         for _ in range(5):
             f = random_polynomial(s.chart, rng)
@@ -443,6 +451,32 @@ class TestIntegrate:
             assert escaped and diagnostic.startswith("domain escape")
             assert len(times) == len(states) == 5
             assert np.abs(states[:, 0] - times).max() <= 1e-12
+
+    @pytest.mark.parametrize("recorded, kept", [
+        ([[0.1, 0.2], [0.3, 1.0], [0.5, 0.9], [0.7, -3.0]], 4),
+        ([[0.1, 0.2], [0.3, 1.0], [0.5, np.nan], [0.7, 0.5]], 2),
+        ([[0.1, 0.2], [0.3, 1.5], [-0.5, 0.9], [0.7, 0.5]], 1),
+        ([[0.0, 0.2], [0.3, 1.0], [0.5, 0.9], [0.7, 0.5]], 0),
+    ])
+    def test_rk45_keeps_the_recorded_states_before_the_first_refused_row(
+        self, recorded, kept, monkeypatch
+    ):
+        chart = Chart("plane", ("u", "v"), (Guard("u", 0.0), Guard("v", 1.0, False, True)))
+        recorded = np.array(recorded)
+        sol = SimpleNamespace(status=0, y=recorded.T.copy(), t_events=[], message="")
+        monkeypatch.setattr(dynamics, "solve_ivp", lambda *a, **k: sol)
+        x0 = (0.1, 0.2)
+        times, states, escaped, diagnostic = dynamics._step(
+            lambda y: y, chart, x0, 0.3, 0.1, "adaptive-rk45", 1e-9, 1e-9
+        )
+        # the reference: chart.contains row by row, up to the first refused row
+        assert all(chart.contains(row) for row in recorded[:kept])
+        assert kept == len(recorded) or not chart.contains(recorded[kept])
+        np.testing.assert_array_equal(states, recorded[:kept] if kept else [x0])
+        assert states.flags.c_contiguous and len(times) == len(states)
+        assert (escaped, diagnostic) == (
+            (False, "") if kept == len(recorded) else (True, "domain escape on recorded state")
+        )
 
     def test_dissipation_residual_tracks_law(self):
         s = contact1()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import lapack
 
 from conftest import random_point, random_polynomial
 from cosym import dynamics, forms
@@ -318,6 +319,28 @@ class TestReebRows:
                     tol = 1e-14 * max(1.0, np.abs(expected).max())
                     assert np.abs(R[k] - expected).max() <= tol
 
+    def test_a_point_is_factored_as_its_row_bit_for_bit(self):
+        # dgesdd through scipy at a point, np.linalg.svd over rows: two
+        # LAPACK builds whose factors must agree to the last bit
+        for name in CATALOG_SIZES:
+            s = builtin(name)
+            probes = np.array([pt.array for pt in s.default_probes()])
+            th, om = s.rows(probes)
+            R, factors = reeb_from(th, om, probes)
+            for k, row in enumerate(probes):
+                R_k, factors_k = reeb_from(th[k], om[k], row)
+                np.testing.assert_array_equal(R_k, R[k], err_msg=name)
+                for got, want in zip(factors_k, factors):
+                    assert got.flags.c_contiguous
+                    np.testing.assert_array_equal(got, want[k], err_msg=name)
+
+    def test_an_unconverged_point_svd_raises_linalg_error(self, monkeypatch):
+        dgesdd = lapack.dgesdd
+        monkeypatch.setattr(lapack, "dgesdd", lambda a: (*dgesdd(a)[:3], 1))
+        th, om, values = darboux_contact_1().at((0.1, 0.2, 0.3))
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            reeb_from(th, om, values)
+
     # the flat matrix's smallest singular value is 1e-32 in both cases, far
     # below the rank rule's eps * 3 * s_max
     @pytest.mark.parametrize("theta", [{"q": 1.0, "kappa": 1e-16}, {"kappa": 1e-16}])
@@ -359,7 +382,8 @@ class TestReebRows:
         th = np.array([[0.0, 0.0, 1.0]] * 3)
         om = np.array([[[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 3)
         om[1, 0, 1], om[2, 1, 0] = np.inf, np.nan
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "svd", svd)  # rows
+        monkeypatch.setattr(lapack, "dgesdd", svd)  # a point
         message = _message(reeb_from, th, om, rows)
         assert message == "flat matrix not finite at [0.4, 0.5, 0.6]"
         assert message == _message(reeb_from, th[1], om[1], rows[1])
