@@ -46,22 +46,32 @@ def _fmt(x) -> float:
     return float("%.17g" % float(x))
 
 
-def _jsonify(obj):
+def _jsonify(obj, key=None):
+    """``obj`` as JSON values, floats to 17 digits.  A number that is not
+    finite, which strict JSON cannot hold, raises EvalError naming the key
+    it sits under."""
     if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+        return {k: _jsonify(v, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [_jsonify(v, key) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+        return [_jsonify(v, key) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return _fmt(obj)
+        value = _fmt(obj)
+        if not math.isfinite(value):
+            raise EvalError("%s is not finite: %r" % (json.dumps(key), value))
+        return value
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
 
 
+def _json_text(doc) -> str:
+    return json.dumps(_jsonify(doc), indent=2)
+
+
 def _print_json(doc) -> None:
-    print(json.dumps(_jsonify(doc), indent=2))
+    print(_json_text(doc))
 
 
 def _number(text: str) -> float:
@@ -140,7 +150,7 @@ def cmd_list_manifolds(args) -> int:
         target.mkdir(parents=True, exist_ok=True)
         for spec in specs:
             path = target / ("%s.json" % spec.name.replace("(", "_").replace(")", ""))
-            path.write_text(json.dumps(_jsonify(spec.to_json()), indent=2))
+            path.write_text(_json_text(spec.to_json()))
             print("wrote %s" % path)
     _print_json(entries)
     return EXIT_OK
@@ -401,9 +411,10 @@ def cmd_phi_solve(args) -> int:
         "positive_definite": sol.positive_definite,
         "passes": sol.passes(),
     }
+    text = _json_text(doc)
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(_jsonify(doc), indent=2))
-    _print_json(doc)
+        Path(args.json_out).write_text(text)
+    print(text)
     return EXIT_OK if sol.passes() else EXIT_NUMERICAL
 
 

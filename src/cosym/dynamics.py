@@ -108,14 +108,14 @@ def hamiltonian_field_closed(
             % (chart.coordinates,)
         )
     values = chart.values(at, check_domain)
-    dH = H.gradient(values, check_domain=False)
+    h, dH = H.at(values, check_domain=False)
     Hq, Hp, Hk = dH[:n], dH[n : 2 * n], dH[2 * n]
     a = np.asarray(theta_spec.a)
     b = np.asarray(theta_spec.b)
     RH = Hk / theta_spec.c
     A = Hp - b * RH
     B = -Hq + a * RH
-    C = (-(a @ Hp) + b @ Hq - H.value(values, check_domain=False)) / theta_spec.c
+    C = (-(a @ Hp) + b @ Hq - h) / theta_spec.c
     return HamiltonianFieldCoefficients(A=A, B=B, C=C)
 
 
@@ -180,18 +180,35 @@ def tacs_convention_comparison(epsilon: float, n: int = 1) -> dict:
 # --------------------------------------------------------------------------
 
 
-def poisson_bracket(f: ScalarField, g: ScalarField, at, chart: Chart | None = None) -> float:
+def _finite(result, values, what: str, *args) -> float:
+    """``result`` as a float; EvalError naming ``what % args`` and the point
+    if it is not finite (formatted only then)."""
+    result = float(result)
+    if not math.isfinite(result):
+        raise EvalError(
+            "%s is not finite at %s: %r" % (what % args, values.tolist(), result)
+        )
+    return result
+
+
+def _poisson_sum(pairs, df: list, dg: list) -> float:
+    """sum_i df/dq^i dg/dp_i - dg/dq^i df/dp_i, in pair order.  Python
+    floats round as numpy's do, and overflow to inf without a warning."""
+    return sum(df[q] * dg[p] - dg[q] * df[p] for q, p in pairs)
+
+
+def poisson_bracket(f: ScalarField, g: ScalarField, at) -> float:
     """{f, g} = sum_i df/dq^i dg/dp_i - dg/dq^i df/dp_i on a Darboux chart."""
-    chart = chart or f.chart
+    chart = f.chart
     pairs, _ = darboux_pairs(chart)
     values = chart.values(at)
-    df = f.gradient(values, check_domain=False)
-    dg = g.gradient(values, check_domain=False)
-    return float(sum(df[q] * dg[p] - dg[q] * df[p] for q, p in pairs))
+    df = f.gradient(values, check_domain=False).tolist()
+    dg = g.gradient(values, check_domain=False).tolist()
+    return _finite(_poisson_sum(pairs, df, dg), values, "Poisson bracket")
 
 
 def euler_part(f: ScalarField) -> ScalarField:
-    """Euler operator f_e = f - p_i df/dp_i on a Darboux chart."""
+    """Euler operator f_e = f - p_i df/dp_i on a Darboux chart, as a field."""
     pairs, _ = darboux_pairs(f.chart)
     out = f
     for _, pi in pairs:
@@ -201,17 +218,27 @@ def euler_part(f: ScalarField) -> ScalarField:
 
 
 def jacobi_bracket(f: ScalarField, g: ScalarField, at) -> float:
-    """Contact-chart bracket {f,g}_P + f_e dg/dkappa - g_e df/dkappa."""
+    """Contact-chart bracket {f,g}_P + f_e dg/dkappa - g_e df/dkappa.
+
+    One value and one gradient per field serve every term: f_e =
+    f - p_i df/dp_i is summed in pair order from them, which is the value of
+    :func:`euler_part` but for the sign of a zero, and the bracket is the
+    same bit for bit.  The order is f's gradient and value, then g's, as in
+    :func:`jacobi_bracket_generic`.
+    """
     chart = f.chart
-    _, kappa = darboux_pairs(chart)
+    pairs, kappa = darboux_pairs(chart)
     values = chart.values(at)
-    kname = chart.coordinates[kappa]
-    pb = poisson_bracket(f, g, values, chart)
-    fe = euler_part(f).value(values, check_domain=False)
-    ge = euler_part(g).value(values, check_domain=False)
-    fk = f.partial(kname).value(values, check_domain=False)
-    gk = g.partial(kname).value(values, check_domain=False)
-    return pb + fe * gk - ge * fk
+    fe, df = f.at(values, check_domain=False)
+    ge, dg = g.at(values, check_domain=False)
+    x, df, dg = values.tolist(), df.tolist(), dg.tolist()
+    for _, p in pairs:
+        fe = fe - x[p] * df[p]
+        ge = ge - x[p] * dg[p]
+    fe = _finite(fe, values, "Euler part of %r", f)
+    ge = _finite(ge, values, "Euler part of %r", g)
+    bracket = _poisson_sum(pairs, df, dg) + fe * dg[kappa] - ge * df[kappa]
+    return _finite(bracket, values, "Jacobi bracket")
 
 
 def jacobi_bracket_generic(

@@ -689,6 +689,17 @@ def test_python_dash_m_runs_the_cli():
         # m + c overflows: RK45 never rejected the inf right-hand side
         (("riccati", "--m=1e308", "--c=1e308", "--n=0", "--x0=1,1", "--t-end", "1", "--dt", "0.1"),
          EXIT_INPUT, "error: right-hand side not finite at t=0, state [1.0, 1.0]"),
+        # the sum overflows: "value": Infinity and a NaN residual, exit 0
+        (("bracket", "--kind", "poisson", "--f", "1e200*q", "--g", "1e200*p",
+          "--at=0.1,0.2,0.3"),
+         EXIT_INPUT, "error: Poisson bracket is not finite at [0.1, 0.2, 0.3]: inf"),
+        (("bracket", "--kind", "jacobi", "--f", "1e200*q", "--g", "1e200*p",
+          "--at=0.1,0.2,0.3"),
+         EXIT_INPUT, "error: Jacobi bracket is not finite at [0.1, 0.2, 0.3]: inf"),
+        # X_H and dH are finite, their product is not: printed as Infinity, exit 0
+        (("field", "--builtin", "darboux_contact(1)", "--hamiltonian", "1e200*q + 1e200*p",
+          "--at=0.1,0.2,0.3"),
+         EXIT_INPUT, 'error: "dissipation_identity_residual" is not finite: inf'),
     ],
 )
 def test_a_non_finite_solve_ends(argv, code, message):

@@ -127,6 +127,45 @@ class TestHamiltonianFieldClosed:
             tol = 1e-9 * np.maximum(1.0, np.abs(closed))
             assert np.all(np.abs(closed - generic) <= tol)
 
+    def test_reads_h_through_one_at_call_bit_for_bit(self, rng, monkeypatch):
+        cases = []
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            spec = CanonicalThetaSpec(
+                a=tuple(rng.uniform(-2, 2, n)),
+                b=tuple(rng.uniform(-2, 2, n)),
+                c=float(rng.uniform(0.5, 3.0)),
+            )
+            H = random_polynomial(darboux_chart(n), rng)
+            cases.append((spec, H, random_point(H.chart, rng)))
+        # The coefficients from H's gradient and then its value.
+        wants = []
+        for spec, H, pt in cases:
+            n = spec.n
+            dH, h = H.gradient(pt), H.value(pt)
+            a, b = np.asarray(spec.a), np.asarray(spec.b)
+            RH = dH[2 * n] / spec.c
+            wants.append(np.concatenate([
+                dH[n : 2 * n] - b * RH,
+                -dH[:n] + a * RH,
+                [(-(a @ dH[n : 2 * n]) + b @ dH[:n] - h) / spec.c],
+            ]))
+        calls = []
+        for name in ("at", "value", "gradient"):
+            method = getattr(ScalarField, name)
+            monkeypatch.setattr(
+                ScalarField, name,
+                lambda self, *a, _n=name, _m=method, **k: calls.append(_n) or _m(self, *a, **k),
+            )
+        for (spec, H, pt), want in zip(cases, wants):
+            for kept_kernel in (False, True):
+                if kept_kernel:
+                    H.kernel()
+                del calls[:]
+                got = hamiltonian_field_closed(spec, H, pt).vector()
+                assert calls == ["at"]
+                assert got.tobytes() == want.tobytes()
+
     def test_tacs_specialization_contracts_to_minus_h(self, rng):
         chart = darboux_chart(2)
         for epsilon in (-1.0, 0.5, 2.0):
@@ -300,6 +339,75 @@ class TestBrackets:
             )
             assert abs(total) <= 1e-6
 
+    @pytest.mark.parametrize("kept_kernels", [False, True])
+    def test_jacobi_bracket_equals_the_euler_part_formula_bit_for_bit(
+        self, kept_kernels, rng
+    ):
+        def fields(chart):
+            yield ScalarField.constant(chart, 0.0), random_polynomial(chart, rng)
+            yield ScalarField.constant(chart, -1.5), random_polynomial(chart, rng)
+            p_free = " - ".join(c for c in chart.coordinates if not c.startswith("p"))
+            yield ScalarField.parse(chart, "-" + p_free), random_polynomial(chart, rng)
+            for _ in range(100):
+                yield random_polynomial(chart, rng), random_polynomial(chart, rng)
+
+        for n in (1, 2, 3):
+            chart = darboux_chart(n)
+            for f, g in fields(chart):
+                at = random_point(chart, rng)
+                if kept_kernels:
+                    f.kernel()
+                    g.kernel()
+                for pt in (at, chart.point(np.zeros(chart.dimension))):
+                    for a, b in ((f, g), (g, f)):
+                        got, want = jacobi_bracket(a, b, pt), _jacobi_by_euler_fields(a, b, pt)
+                        assert type(got) is float
+                        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_jacobi_bracket_builds_no_field_and_walks_each_tree_once(
+        self, rng, monkeypatch
+    ):
+        built = []
+        init = ScalarField.__init__
+        monkeypatch.setattr(
+            ScalarField, "__init__",
+            lambda self, *a, **k: built.append(1) or init(self, *a, **k),
+        )
+        walks = []
+        at = ScalarField.at
+        monkeypatch.setattr(
+            ScalarField, "at", lambda self, *a, **k: walks.append(self) or at(self, *a, **k)
+        )
+        for n in (1, 2, 3):
+            chart = darboux_chart(n)
+            f = random_polynomial(chart, rng)
+            g = random_polynomial(chart, rng)
+            pt = random_point(chart, rng)
+            del built[:], walks[:]
+            jacobi_bracket(f, g, pt)
+            assert built == []
+            assert walks == [f, g]
+
+    def test_a_non_finite_bracket_raises_naming_the_point(self):
+        chart = darboux_chart(1)
+        f = ScalarField.parse(chart, "1e200*q")
+        g = ScalarField.parse(chart, "1e200*p")
+        at = (0.1, 0.2, 0.3)
+        with pytest.raises(EvalError) as err:
+            poisson_bracket(f, g, at)
+        assert str(err.value) == "Poisson bracket is not finite at [0.1, 0.2, 0.3]: inf"
+        with pytest.raises(EvalError) as err:
+            jacobi_bracket(f, g, at)
+        assert str(err.value) == "Jacobi bracket is not finite at [0.1, 0.2, 0.3]: inf"
+        # f and its gradient are finite, p df/dp overflows
+        f = ScalarField.parse(chart, "1e300*p^2")
+        with pytest.raises(EvalError) as err:
+            jacobi_bracket(f, g, (0.0, 1e4, 0.0))
+        assert str(err.value) == (
+            "Euler part of ScalarField(1e300*p^2 on darboux1) is not finite"
+            " at [0.0, 10000.0, 0.0]: -inf"
+        )
+
     @pytest.mark.parametrize("name", [
         "darboux_contact(1)", "darboux_contact(2)", "darboux_contact(3)",
         "heisenberg", "xjt_contact",
@@ -339,6 +447,18 @@ class TestBrackets:
             assert jacobi_bracket_generic(s, f, g, at) == pytest.approx(
                 jacobi_bracket(f, g, at), abs=1e-9
             )
+
+
+def _jacobi_by_euler_fields(f, g, at):
+    """{f,g}_P + f_e dg/dkappa - g_e df/dkappa from the symbolic Euler-part
+    and kappa-partial fields, each evaluated on its own."""
+    values = f.chart.values(at)
+    pb = poisson_bracket(f, g, values)
+    fe = euler_part(f).value(values, check_domain=False)
+    ge = euler_part(g).value(values, check_domain=False)
+    fk = f.partial("kappa").value(values, check_domain=False)
+    gk = g.partial("kappa").value(values, check_domain=False)
+    return pb + fe * gk - ge * fk
 
 
 class TestIntegrate:
