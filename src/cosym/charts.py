@@ -140,6 +140,11 @@ class Chart:
                 "chart %r expects %d values, got %d"
                 % (self.name, self.dimension, len(values))
             )
+        for name, v in zip(self.coordinates, values):
+            if not math.isfinite(v):
+                raise DomainError(
+                    "point is not finite on chart %r (got %s = %r)" % (self.name, name, float(v))
+                )
         for g in self.guards:
             v = values[self.index(g.coordinate)]
             if not g.holds(v):

@@ -246,7 +246,7 @@ def cmd_integrate(args) -> int:
     solver = {k: getattr(args, k) for k in ("t_end", "dt", "method", "rtol", "atol")}
 
     if args.sweep:
-        points = json.loads(Path(args.sweep).read_text())
+        points = _sweep_points(args.sweep)
         with ProcessPoolExecutor(initializer=np.seterr, initargs=("ignore",)) as pool:
             futures = [
                 pool.submit(_sweep_worker, spec.to_json(), hamiltonian, pt, solver)
@@ -269,6 +269,24 @@ def cmd_integrate(args) -> int:
         )
     _print_json(_trajectory_summary(spec, traj))
     return EXIT_NUMERICAL if traj.escaped else EXIT_OK
+
+
+def _sweep_points(path: str) -> list[list[float]]:
+    """The initial points of a ``--sweep`` file: a JSON list of coordinate
+    lists, each number read by :func:`_point`'s finite rule; a ValueError
+    names the file and the entry index."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, list):
+        raise ValueError("--sweep %s holds a JSON list of coordinate lists" % path)
+    points = []
+    for i, entry in enumerate(doc):
+        try:
+            if not isinstance(entry, list):
+                raise argparse.ArgumentTypeError("not a list of coordinates: %r" % entry)
+            points.append([_number(str(v)) for v in entry])
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError("--sweep %s, entry %d: %s" % (path, i, exc)) from None
+    return points
 
 
 def _sweep_worker(spec_json, hamiltonian, x0, solver):

@@ -25,6 +25,7 @@ from .structures import (
     StructureSpec,
     darboux_pairs,
     reeb_from,
+    reeb_rows,
 )
 
 
@@ -384,9 +385,10 @@ def _step(
 
     Raises ValueError before any work when t_end/dt exceeds MAX_GRID_STEPS
     = 10**6, so a grid holds at most 10**6 + 1 rows.  The basis is memory:
-    a stored row costs about 1 kB on a five-dimensional chart (its state,
-    and the post-pass's theta, Omega, flat matrix and SVD factors; 105 MB
-    at 10**5 rows), so the bound keeps a run near a gigabyte.  RK45 also
+    a stored row costs under 1 kB on a five-dimensional chart (its state,
+    and the post-pass's theta, Omega and copies of the flat matrix for the
+    rank certificate and the LU solve; a 66 MB peak at 10**5 rows), so the
+    bound keeps a run under a gigabyte.  RK45 also
     refuses an rtol below 100 * eps, which scipy would otherwise raise to
     that floor with a warning.
     """
@@ -515,7 +517,7 @@ def _dissipation_rows(spec: StructureSpec, H: ScalarField, states: np.ndarray):
     """H and R(H) at every stored row, in the right-hand side's order
     (theta, Omega, the flat solve, dH, then H), so that the first failing
     row raises what the right-hand side raises there."""
-    R = reeb_from(*spec.rows(states), states)[0]
+    R = reeb_rows(*spec.rows(states), states)
     h_values, dH = H.rows(states)
     return h_values, np.einsum("ij,ij->i", R, dH)
 

@@ -15,9 +15,11 @@ compile into one straight-line kernel on request (:meth:`StructureSpec.kernel`).
 :meth:`StructureSpec.at` gives them at one point and :meth:`StructureSpec.rows`
 at every row of an array, each from that kernel where it is finite, else by
 walking the trees.  :func:`reeb_from` solves one point by LAPACK's
-``dgesdd`` through ``scipy.linalg.lapack``, or all rows by numpy's batched
-SVD, with the same factors bit for bit, so ``reeb`` is
-``reeb_from(*spec.at(point))[0]``.
+``dgesdd`` through ``scipy.linalg.lapack``, so ``reeb`` is
+``reeb_from(*spec.at(point))[0]``.  :func:`reeb_rows` solves all rows of a
+trajectory or probe set: by one batched LU where a determinant certificate
+proves the rank rule at every row, else row by row through
+:func:`reeb_from`; it needs R only, never the factors.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .forms import KForm
 
 CLASSIFY_TOL = 1e-9
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 class StructureError(ValueError):
@@ -391,7 +394,7 @@ def match_tacs_pattern(theta: KForm, chart: Chart) -> float | None:
 
 def classify(spec: StructureSpec, probes=None, seed: int = 42) -> StructureClass:
     """Sample-based classification at probe points (default 64 quasi-random):
-    acos when :func:`reeb_from` accepts theta and Omega at every probe, and
+    acos when :func:`reeb_rows` accepts theta and Omega at every probe, and
     dOmega = 0, dtheta = 0, dtheta = Omega within ``CLASSIFY_TOL`` from one
     evaluation of dtheta and of dOmega per probe."""
     if probes is None:
@@ -401,7 +404,7 @@ def classify(spec: StructureSpec, probes=None, seed: int = 42) -> StructureClass
     points = np.array([spec.chart.values(pt) for pt in probes])
     th, om = spec.rows(points)
     try:
-        reeb_from(th, om, points)
+        reeb_rows(th, om, points)
         acos = True
     except StructureError:
         acos = False
@@ -444,85 +447,119 @@ def reeb(spec: StructureSpec, at) -> np.ndarray:
 
 
 def reeb_from(th: np.ndarray, om: np.ndarray, values):
-    """R = F^-1 theta and the SVD factors (u, s, vt) of the flat matrix F.
+    """R = F^-1 theta and the SVD factors (u, s, vt) of the flat matrix F at
+    one point.
 
-    ``th`` and ``om`` are theta and Omega at the point ``values``, or their
-    rows at the rows of ``values``; ``values`` only labels the errors.  Any
-    other right-hand side b is solved as ``b @ u / s @ vt``.  A point's F is
-    factored by LAPACK's ``dgesdd`` through ``scipy.linalg.lapack``, which
-    skips numpy's stacked-matrix wrapper; rows are factored by numpy's
-    batched SVD; the factors are the same bit for bit, and C-contiguous
-    either way, so that ``b @ u / s @ vt`` rounds the same.  Raises
-    StructureError when F is not finite (checked before the SVD, which need
-    not return on such a matrix), when F fails the rank rule
-    s_min > eps * dim * s_max (numpy's default ``matrix_rank`` rule), or
-    when R leaves a residual above 1e-9 in R ⌟ Omega = 0, R ⌟ theta = 1;
-    over rows, the first row that fails the earliest of these checks is
-    reported.  Raises numpy's LinAlgError when the SVD does not converge.
+    ``th`` and ``om`` are theta and Omega at the point ``values``, which only
+    labels the errors.  Any other right-hand side b is solved as
+    ``b @ u / s @ vt``.  F is factored by LAPACK's ``dgesdd`` through
+    ``scipy.linalg.lapack``, which skips numpy's stacked-matrix wrapper; the
+    factors are made C-contiguous, so that ``b @ u / s @ vt`` always rounds
+    the same.  Raises StructureError when F is not finite (checked before the
+    SVD, which need not return on such a matrix), when F fails the rank rule
+    s_min > eps * dim * s_max (numpy's default ``matrix_rank`` rule), or when
+    R leaves a residual above 1e-9 in R ⌟ Omega = 0, R ⌟ theta = 1.  Raises
+    numpy's LinAlgError when the SVD does not converge.
     """
-    if th.ndim == 1:
-        F = om.T + th[:, None] * th
-        if not np.isfinite(F).all():
-            _refuse_non_finite(F, values)
-        u, s, vt, info = lapack.dgesdd(F)
-        if info != 0:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        if not s[-1] > _EPS * len(s) * s[0]:
-            _check_flat(s, values)  # raises the rank message
-        u, vt = np.ascontiguousarray(u), np.ascontiguousarray(vt)
-        R = th @ u / s @ vt
-        error = max(np.abs(R @ om).max(), abs(R @ th - 1.0))  # numpy scalar: has .all()
-        if not error <= 1e-9:
-            _check_flat(s, values, error)  # raises the residual message
-        return R, (u, s, vt)
+    F = om.T + th[:, None] * th
+    if not np.isfinite(F).all():
+        _refuse_non_finite(F, values)
+    u, s, vt, info = lapack.dgesdd(F)
+    if info != 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    dim = len(s)
+    if not s[-1] > _EPS * dim * s[0]:
+        raise StructureError(
+            "degenerate structure at %s: flat matrix has rank %d < %d"
+            % (_plain(values), np.count_nonzero(s > _EPS * dim * s[0]), dim)
+        )
+    u, vt = np.ascontiguousarray(u), np.ascontiguousarray(vt)
+    R = th @ u / s @ vt
+    error = max(np.abs(R @ om).max(), abs(R @ th - 1.0))
+    if not error <= 1e-9:
+        raise StructureError(
+            "Reeb system inconsistent at %s (residual %.3e)" % (_plain(values), error)
+        )
+    return R, (u, s, vt)
+
+
+# The determinant certificate of :func:`reeb_rows`; see :func:`_certified`.
+_CERT_TAU = 1e-10
+_CERT_MAX_DIM = 9
+
+
+def reeb_rows(th: np.ndarray, om: np.ndarray, values) -> np.ndarray:
+    """R = F^-1 theta at every row: ``th`` (N, dim) and ``om`` (N, dim, dim)
+    are theta and Omega at the rows of ``values``, which only label the
+    errors.
+
+    The flat matrices are checked finite first (the first non-finite row is
+    reported).  When :func:`_certified` proves the rank rule at every row,
+    R comes from one batched ``np.linalg.solve`` (LU), and is returned if
+    every row passes :func:`reeb_from`'s residual check.  Otherwise every
+    row goes through :func:`reeb_from`, in order: the first row failing any
+    check raises the pointwise error, and each R is the point's bit for
+    bit.  So the rank rule decides each row as at a point, certified rows
+    agree with the point's R to rounding, and no SVD is taken when every
+    row is certified and solved.
+    """
     F = flat_from(th, om)
     if not np.isfinite(F).all():
         _refuse_non_finite(F, values)
-    u, s, vt = np.linalg.svd(F)
-    _check_flat(s, values)  # before dividing by s
-    R = (th[:, None, :] @ u / s[:, None, :] @ vt)[:, 0, :]
-    error = np.maximum(
-        np.abs(R[:, None, :] @ om)[:, 0, :].max(axis=1),
-        np.abs(np.einsum("ij,ij->i", R, th) - 1.0),
-    )
-    _check_flat(s, values, error)
-    return R, (u, s, vt)
+    if _certified(F).all():
+        R = np.linalg.solve(F, th[..., None])[..., 0]
+        error = np.maximum(
+            np.abs(R[:, None, :] @ om)[:, 0, :].max(axis=1),
+            np.abs(np.einsum("ij,ij->i", R, th) - 1.0),
+        )
+        if (error <= 1e-9).all():
+            return R
+    R = np.empty(th.shape)
+    for k in range(len(R)):
+        R[k] = reeb_from(th[k], om[k], values[k])[0]
+    return R
+
+
+def _certified(F: np.ndarray) -> np.ndarray:
+    """One flag per finite flat matrix of the stack ``F`` (N, dim, dim): true
+    where LU's |det(F / ||F||_F)| > tau = 1e-10 proves the rank rule
+    s_min > eps * dim * s_max, for dim <= 9.
+
+    Basis: s_max <= ||F||_F and |det F| = prod s_i <= s_min s_max^(dim-1),
+    so G = F / ||F||_F has sigma_max(G) <= 1 and
+    s_min / s_max >= sigma_min(G) >= |det G|.  LU with partial pivoting
+    returns the exact determinant of G + dG with
+    |dG_ij| <= gamma_dim * dim * 2^(dim-1), gamma_dim = dim u / (1 - dim u),
+    u = 2^-53, growth at most 2^(dim-1) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 9.3 and Sec. 9.4), so
+    delta = ||dG||_2 <= gamma_dim * dim^2 * 2^(dim-1), and
+    sigma_min(G) >= |det(G + dG)| / (1 + delta)^(dim-1) - delta.  At dim = 9
+    delta <= 2.1e-11, so a certified row has s_min / s_max > 7.9e-11, far
+    above eps * 9 = 2e-15 and above what the rounding of forming G, of the
+    determinant's product and of the SVD's own singular values can move; at
+    dim = 11 delta reaches 1.5e-10 > tau, hence the cap.  ||F||_F^2 must be
+    a normal float: summed from subnormal squares it can be too small by any
+    factor, which would scale det G up by that factor's dim/2-th power.  A
+    row the certificate cannot prove (a larger dim, a norm that overflows or
+    underflows, a determinant that underflows) is left to the SVD rule."""
+    if F.shape[-1] > _CERT_MAX_DIM:
+        return np.zeros(len(F), dtype=bool)
+    with np.errstate(all="ignore"):  # an inf norm gives G = 0, a zero one NaN
+        squares = np.einsum("kij,kij->k", F, F)
+        G = F / np.sqrt(squares)[:, None, None]
+        return (np.abs(np.linalg.det(G)) > _CERT_TAU) & (squares >= _TINY)
 
 
 def _refuse_non_finite(F: np.ndarray, values) -> None:
     """Raise StructureError at the first point whose flat matrix in ``F``
     (one matrix or a stack) is not finite."""
-    point = _first_failure(np.isfinite(F).all(axis=(-2, -1)), values)[1]
-    raise StructureError("flat matrix not finite at %s" % point)
+    k = int(np.argmin(np.isfinite(F).all(axis=(-2, -1))))
+    raise StructureError("flat matrix not finite at %s" % _plain(np.atleast_2d(values)[k]))
 
 
-def _check_flat(s: np.ndarray, values, error=None) -> None:
-    """Without ``error``, raise StructureError at the first point whose flat
-    matrix, with singular values ``s`` (descending), fails the rank rule
-    s_min > eps * dim * s_max; with it, at the first point whose Reeb
-    residual is above 1e-9."""
-    dim = s.shape[-1]
-    good = s.T[-1] > _EPS * dim * s.T[0] if error is None else error <= 1e-9
-    if good.all():
-        return
-    k, point = _first_failure(good, values)
-    if error is None:
-        s = np.atleast_2d(s)[k]
-        raise StructureError(
-            "degenerate structure at %s: flat matrix has rank %d < %d"
-            % (point, np.count_nonzero(s > _EPS * dim * s[0]), dim)
-        )
-    raise StructureError(
-        "Reeb system inconsistent at %s (residual %.3e)"
-        % (point, np.atleast_1d(error)[k])
-    )
-
-
-def _first_failure(good, values) -> tuple[int, list[float]]:
-    """The index and the coordinates of the first point where ``good``, one
-    flag per point of ``values`` (a point or rows), is false."""
-    k = int(np.argmin(good))
-    return k, np.asarray(np.atleast_2d(values)[k], dtype=float).tolist()
+def _plain(values) -> list[float]:
+    """The coordinates of a point as plain floats, for messages."""
+    return np.asarray(values, dtype=float).tolist()
 
 
 def flat(spec: StructureSpec, X, at) -> np.ndarray:

@@ -212,6 +212,22 @@ def test_domain_errors_print_plain_floats_for_array_input():
     assert str(err.value) == "point violates y > 0.0 on chart 'xjt' (got y = -1.0)"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_coordinate_is_refused_by_name(bad):
+    chart = cosym.builtin("xjt_gtacos").chart
+    expected = "point is not finite on chart 'xjt' (got kappa = %r)" % bad
+    for values in ([0, 1, 0, 0, bad], np.array([0, 1, 0, 0, bad])):
+        with pytest.raises(DomainError) as err:
+            chart.point(values)
+        assert str(err.value) == expected
+        assert not chart.contains(values)
+    # an unguarded chart refuses it too, and names the first such coordinate
+    with pytest.raises(DomainError, match=r"\(got x = nan\)"):
+        Chart("free", ("x", "y")).point((math.nan, bad))
+    # reads without domain checks pay nothing and keep the value
+    assert math.isnan(chart.values([0, 1, 0, 0, math.nan], check_domain=False)[4])
+
+
 CHECK_DOMAIN_READERS = {
     "charts.Chart.values",
     "charts.ScalarField.value",

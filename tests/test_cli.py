@@ -383,6 +383,28 @@ class TestSweep:
         assert sweep[0]["escaped"] is True
         assert sweep[1]["escaped"] is False
 
+    @pytest.mark.parametrize("doc, message", [
+        ('[[0, 1, 0, 0, "nan"]]', ", entry 0: not a finite number: 'nan'"),
+        ("[[0.2, 1.0, 0.3, -0.2, 0.0], [0, 1, 0, 0, NaN]]",
+         ", entry 1: not a finite number: 'nan'"),
+        ("[[0, 1, 0, 0, 1e999]]", ", entry 0: not a finite number: 'inf'"),
+        ('[[0, 1, 0, 0, "a"]]', ", entry 0: invalid float value: 'a'"),
+        ("[[0, 1, 0, 0, true]]", ", entry 0: invalid float value: 'True'"),
+        ("[[0, 1, 0, 0, 0], 3]", ", entry 1: not a list of coordinates: 3"),
+        ('{"a": 1}', " holds a JSON list of coordinate lists"),
+    ], ids=["nan_string", "nan_literal", "overflow", "text", "bool", "not_a_list", "object"])
+    def test_a_bad_sweep_file_is_an_input_error_naming_the_entry(
+        self, capsys, tmp_path, doc, message
+    ):
+        points = tmp_path / "points.json"
+        points.write_text(doc)
+        code, out, err = run(
+            capsys, "integrate", "--config", self._config(tmp_path), "--sweep", str(points),
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: --sweep %s%s\n" % (points, message)
+
 
 class TestCompare:
     def test_gtacos_vs_base(self, capsys):

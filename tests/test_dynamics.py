@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -419,7 +420,7 @@ class TestBrackets:
             factor = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or factor(*a, **k))
 
-        spy(np.linalg, "svd")  # rows
+        spy(np.linalg, "svd")  # any other SVD
         spy(lapack, "dgesdd")  # a point
         s = builtin(name)
         for _ in range(5):
@@ -486,6 +487,15 @@ class TestIntegrate:
         loose = Chart("loose", s.chart.coordinates).point((0.2, -1.0, 0.3, -0.2, 0.0))
         with pytest.raises(DomainError):
             integrate(s, H, loose, 0.1, 0.01, "rk4")
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive-rk45"])
+    def test_a_non_finite_x0_is_refused(self, method):
+        # not 11 NaN rows with escaped False
+        s = builtin("xjt_gtacos")
+        H = ScalarField.parse(s.chart, "x^2")
+        with pytest.raises(DomainError) as err:
+            integrate(s, H, [0, 1, 0, 0, math.nan], 1.0, 0.1, method)
+        assert str(err.value) == "point is not finite on chart 'xjt' (got kappa = nan)"
 
     def test_zero_hamiltonian_is_stationary(self):
         s = contact1()

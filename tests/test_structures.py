@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import lapack
 
 from conftest import random_point, random_polynomial
-from cosym import dynamics, forms
+from cosym import dynamics, forms, structures
 from cosym.charts import Chart, ScalarField
 from cosym.expressions import EvalError
 from cosym.forms import KForm
@@ -22,6 +23,7 @@ from cosym.structures import (
     flat_from,
     reeb,
     reeb_from,
+    reeb_rows,
     sharp,
 )
 
@@ -298,7 +300,20 @@ def _message(fn, *args):
 
 
 def _reeb_rows(s, rows):
-    return reeb_from(*s.rows(rows), rows)[0]
+    return reeb_rows(*s.rows(rows), rows)
+
+
+def _walk_every_stack(monkeypatch):
+    """Certify no row, so that reeb_rows decides every row by the SVD."""
+    monkeypatch.setattr(structures, "_certified", lambda F: np.zeros(len(F), dtype=bool))
+
+
+def _refuse_svd(monkeypatch):
+    def svd(*_):
+        raise AssertionError("an SVD was taken")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(lapack, "dgesdd", svd)
 
 
 class TestReebRows:
@@ -319,20 +334,41 @@ class TestReebRows:
                     tol = 1e-14 * max(1.0, np.abs(expected).max())
                     assert np.abs(R[k] - expected).max() <= tol
 
-    def test_a_point_is_factored_as_its_row_bit_for_bit(self):
-        # dgesdd through scipy at a point, np.linalg.svd over rows: two
-        # LAPACK builds whose factors must agree to the last bit
+    def test_an_uncertified_stack_is_solved_as_its_points_bit_for_bit(self, monkeypatch):
+        # theta = 3e-8 dkappa passes the rank rule, but det(F / |F|_F) is
+        # about 3e-16, far below the certificate's 1e-10
+        s = _nearly_degenerate({"kappa": 3e-8})
+        rows = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        th, om = s.rows(rows)
+        assert not structures._certified(flat_from(th, om)).any()
+        R = reeb_rows(th, om, rows)
+        for k, row in enumerate(rows):
+            np.testing.assert_array_equal(R[k], reeb(s, row))
+        # so is every catalog stack when the certificate is withheld
+        _walk_every_stack(monkeypatch)
         for name in CATALOG_SIZES:
             s = builtin(name)
             probes = np.array([pt.array for pt in s.default_probes()])
-            th, om = s.rows(probes)
-            R, factors = reeb_from(th, om, probes)
+            R = _reeb_rows(s, probes)
             for k, row in enumerate(probes):
-                R_k, factors_k = reeb_from(th[k], om[k], row)
-                np.testing.assert_array_equal(R_k, R[k], err_msg=name)
-                for got, want in zip(factors_k, factors):
-                    assert got.flags.c_contiguous
-                    np.testing.assert_array_equal(got, want[k], err_msg=name)
+                np.testing.assert_array_equal(R[k], reeb(s, row), err_msg=name)
+
+    def test_certified_stacks_take_no_svd(self, monkeypatch):
+        stacks = []
+        for name in CATALOG_SIZES:
+            s = builtin(name)
+            probes = np.array([pt.array for pt in s.default_probes()])
+            stacks.append((s, probes, [reeb(s, row) for row in probes]))
+        s = builtin("xjt_gtacos", ModelParameters(k=1.0, nu=1.0, delta=1.0))
+        H = ScalarField.parse(s.chart, "q^2 + p^2 + x^2 + (y-1)^2 + 0.5*kappa", s.params)
+        traj = dynamics.integrate(s, H, s.chart.point((0.1, 1.0, 0.2, 0.3, 0.0)), 1.0, 1e-3)
+        assert len(traj.states) == 1001
+        stacks.append((s, traj.states, [reeb(s, row) for row in traj.states]))
+        _refuse_svd(monkeypatch)
+        for s, rows, expected in stacks:
+            R = _reeb_rows(s, rows)
+            for got, want in zip(R, expected):
+                assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
     def test_an_unconverged_point_svd_raises_linalg_error(self, monkeypatch):
         dgesdd = lapack.dgesdd
@@ -359,7 +395,7 @@ class TestReebRows:
         rows = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
         th = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         om = np.array([np.eye(3), np.eye(3)])
-        message = _message(reeb_from, th, om, rows)
+        message = _message(reeb_rows, th, om, rows)
         assert message.startswith("Reeb system inconsistent")
         assert message == _message(reeb_from, th[0], om[0], rows[0])
 
@@ -369,22 +405,31 @@ class TestReebRows:
         th, om = good.rows(rows)
         om[1:] = np.eye(3)
         th[1:] = [0.0, 0.0, 1.0]
-        assert _message(reeb_from, th, om, rows) == _message(
+        assert _message(reeb_rows, th, om, rows) == _message(
             reeb_from, th[1], om[1], rows[1]
         )
 
+    def test_a_walked_stack_reports_the_first_row_failing_any_check(self):
+        # row 1 leaves a residual, row 2 fails the rank rule: row 1 is
+        # reported, as the right-hand side would fail there first
+        rows = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        th, om = _nearly_degenerate({"kappa": 3e-8}).rows(rows)
+        om[1], th[1] = np.eye(3), [0.0, 0.0, 1.0]
+        th[2] = [0.0, 0.0, 1e-8]
+        assert not structures._certified(flat_from(th, om))[[0, 2]].any()
+        message = _message(reeb_rows, th, om, rows)
+        assert message.startswith("Reeb system inconsistent")
+        assert message == _message(reeb_from, th[1], om[1], rows[1])
+        assert "rank 2 < 3" in _message(reeb_from, th[2], om[2], rows[2])
 
     def test_a_non_finite_flat_matrix_is_refused_before_the_svd(self, monkeypatch):
-        def svd(*_):
-            raise AssertionError("LAPACK's SVD need not return on a non-finite matrix")
-
+        # LAPACK's SVD need not return on a non-finite matrix
         rows = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
         th = np.array([[0.0, 0.0, 1.0]] * 3)
         om = np.array([[[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 3)
         om[1, 0, 1], om[2, 1, 0] = np.inf, np.nan
-        monkeypatch.setattr(np.linalg, "svd", svd)  # rows
-        monkeypatch.setattr(lapack, "dgesdd", svd)  # a point
-        message = _message(reeb_from, th, om, rows)
+        _refuse_svd(monkeypatch)
+        message = _message(reeb_rows, th, om, rows)
         assert message == "flat matrix not finite at [0.4, 0.5, 0.6]"
         assert message == _message(reeb_from, th[1], om[1], rows[1])
         assert _message(reeb_from, th[2], om[2], rows[2]).endswith("[0.7, 0.8, 0.9]")
@@ -430,7 +475,9 @@ class TestOneNondegeneracyRule:
             ({"kappa": 1e-6}, 1e-3, True),
         ],
     )
-    def test_acos_is_the_flat_solve_accepting_every_probe(self, theta, omega, solvable):
+    def test_acos_is_the_flat_solve_accepting_every_probe(
+        self, theta, omega, solvable, monkeypatch
+    ):
         s = _nearly_degenerate(theta, omega)
         probes = s.default_probes(count=8)
         solved = []
@@ -441,7 +488,18 @@ class TestOneNondegeneracyRule:
             except StructureError:
                 solved.append(False)
         assert all(solved) == solvable
-        assert classify(s, probes=probes).acos == all(solved)
+        flags = classify(s, probes=probes)
+        assert flags.acos == all(solved)
+        _walk_every_stack(monkeypatch)  # the SVD alone decides every probe
+        assert classify(s, probes=probes) == flags
+
+    @pytest.mark.parametrize("name", CATALOG_SIZES)
+    def test_the_certificate_leaves_the_catalog_flags_as_the_svd_sets_them(
+        self, name, monkeypatch
+    ):
+        flags = builtin(name).classification()
+        _walk_every_stack(monkeypatch)
+        assert builtin(name).classification() == flags
 
     def test_classify_reads_each_form_once_per_probe(self, monkeypatch):
         s = builtin("xjt_gtacos")
@@ -491,6 +549,56 @@ class TestOneNondegeneracyRule:
         assert abs(spec.volume_coefficient(np.zeros(dim)) - top_coefficient) <= 1e-10 * abs(
             top_coefficient
         )
+
+
+@st.composite
+def flat_matrices(draw):
+    """F = Omega^T + theta theta^T for dim 3, 5, 7: theta random or c dkappa
+    with c in [1e-9, 1e-3], and F scaled by 1e+-150 or 1e+-300 (theta by
+    the square root), so that the Frobenius norm may overflow or underflow."""
+    dim = draw(st.sampled_from([3, 5, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(dim, dim))
+    if draw(st.booleans()):
+        th = rng.normal(size=dim)
+    else:
+        th = np.zeros(dim)
+        th[-1] = 10.0 ** draw(st.floats(-9.0, -3.0))
+    exponent = draw(st.sampled_from([0, 0, -150, 150, -300, 300]))
+    F = flat_from(th * 10.0 ** (exponent // 2), (a - a.T) * 10.0**exponent)
+    assume(np.isfinite(F).all())
+    return F
+
+
+class TestRankCertificate:
+    @settings(max_examples=500, deadline=None)
+    @given(flat_matrices())
+    def test_a_certified_matrix_passes_the_rank_rule(self, F):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            certified = structures._certified(F[None])
+        assert certified.shape == (1,)
+        if certified[0]:
+            s = np.linalg.svd(F, compute_uv=False)
+            assert s[-1] > np.finfo(float).eps * len(F) * s[0]
+
+    def test_overflow_and_underflow_are_uncertified_without_warnings(self):
+        F = flat_from(np.array([0.0, 0.0, 1.0]), np.array(
+            [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        assert structures._certified(F[None])[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e-160, 1e160, 0.0):
+                assert not structures._certified((F * scale)[None])[0]
+
+    def test_a_larger_dimension_is_left_to_the_svd(self):
+        s = builtin("darboux_contact(5)")
+        probes = np.array([pt.array for pt in s.default_probes(count=4)])
+        th, om = s.rows(probes)
+        assert not structures._certified(flat_from(th, om)).any()
+        R = reeb_rows(th, om, probes)
+        for k, row in enumerate(probes):
+            np.testing.assert_array_equal(R[k], reeb(s, row))
 
 
 class TestStructureErrorMessages:
