@@ -447,12 +447,11 @@ def cmd_invariant_suite(args) -> int:
 
     for name in manifolds.CATALOG:
         spec = manifolds.builtin(name, params)
-        worst_omega, worst_theta = 0.0, 0.0
-        for pt in spec.default_probes(seed=seed):
-            th, om, values = spec.at(pt)
-            R = structures.reeb_from(th, om, values)[0]
-            worst_omega = max(worst_omega, float(np.abs(R @ om).max()))
-            worst_theta = max(worst_theta, abs(float(R @ th) - 1.0))
+        points = np.array([pt.array for pt in spec.default_probes(seed=seed)])
+        th, om = spec.rows(points)
+        R = structures.reeb_rows(th, om, points)
+        worst_omega = float(np.abs(R[:, None, :] @ om).max())
+        worst_theta = float(np.abs(np.einsum("ij,ij->i", R, th) - 1.0).max())
         push("reeb_contraction[%s]" % spec.name, worst_omega, 1e-11)
         push("reeb_normalization[%s]" % spec.name, worst_theta, 1e-11)
 

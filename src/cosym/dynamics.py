@@ -23,6 +23,7 @@ from .structures import (
     CanonicalThetaSpec,
     StructureError,
     StructureSpec,
+    _solve,
     darboux_pairs,
     reeb_from,
     reeb_rows,
@@ -48,8 +49,7 @@ class HamiltonianFieldCoefficients:
 
 def _field_from(th, factors, R, dH, h) -> np.ndarray:
     """X_H from flat(X_H) = dH - (R(H) + H) theta and the factors of F."""
-    u, s, vt = factors
-    return (dH - (R @ dH + h) * th) @ u / s @ vt
+    return _solve(factors, dH - (R @ dH + h) * th)
 
 
 def hamiltonian_field_generic(
@@ -59,8 +59,9 @@ def hamiltonian_field_generic(
 
     The order is theta, Omega, the flat solve, dH, then H, as over the
     stored rows of a trajectory, so a degenerate structure is reported
-    before a failing H.  The SVD factors of the flat matrix that give R
-    solve every field, flat(X) = b being X = b @ u / s @ vt."""
+    before a failing H.  The factors of the flat matrix F that give R
+    (:func:`structures.reeb_from`: an LU where the rank rule is certified,
+    else an SVD) solve every field."""
     th, om, values = spec.at(at, check_domain)
     R, factors = reeb_from(th, om, values)
     h, dH = H.at(values, check_domain=False)
@@ -70,8 +71,8 @@ def hamiltonian_field_generic(
 def gradient_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
     """Solve flat(grad H) = dH at a point."""
     th, om, values = spec.at(at)
-    _, (u, s, vt) = reeb_from(th, om, values)
-    return H.gradient(values, check_domain=False) @ u / s @ vt
+    _, factors = reeb_from(th, om, values)
+    return _solve(factors, H.gradient(values, check_domain=False))
 
 
 def evolution_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
@@ -84,9 +85,9 @@ def evolution_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
             "evolution field needs a cosymplectic structure; %r is not" % spec.name
         )
     th, om, values = spec.at(at)
-    R, (u, s, vt) = reeb_from(th, om, values)
+    R, factors = reeb_from(th, om, values)
     dH = H.gradient(values, check_domain=False)
-    return dH @ u / s @ vt - (R @ dH) * R + R
+    return _solve(factors, dH) - (R @ dH) * R + R
 
 
 def hamiltonian_field_closed(

@@ -8,18 +8,19 @@ one nondegeneracy rule, and :func:`classify` calls acos what it accepts.
 theta ^ Omega^n / n! is itself the Pfaffian of [[Omega, theta], [-theta^T, 0]],
 which is how :meth:`StructureSpec.volume_coefficient` computes it.
 The Reeb conditions R ⌟ Omega = 0, R ⌟ theta = 1 say flat(R) = theta, so
-R = sharp(theta) = F^-1 theta: one SVD of F, rank- and residual-checked by
-:func:`reeb_from`, gives R, and the same factors solve sharp and every
+R = sharp(theta) = F^-1 theta: :func:`reeb_from` factors F once, rank- and
+residual-checks R, and the same factors solve sharp and every
 Hamiltonian, gradient and evolution field at that point.  theta and Omega
 compile into one straight-line kernel on request (:meth:`StructureSpec.kernel`).
 :meth:`StructureSpec.at` gives them at one point and :meth:`StructureSpec.rows`
 at every row of an array, each from that kernel where it is finite, else by
-walking the trees.  :func:`reeb_from` solves one point by LAPACK's
-``dgesdd`` through ``scipy.linalg.lapack``, so ``reeb`` is
+walking the trees.  :func:`reeb_from` factors one point by LAPACK's
+``dgetrf`` (LU) through ``scipy.linalg.lapack`` where a determinant
+certificate proves the rank rule, else by ``dgesdd`` (SVD), so ``reeb`` is
 ``reeb_from(*spec.at(point))[0]``.  :func:`reeb_rows` solves all rows of a
-trajectory or probe set: by one batched LU where a determinant certificate
-proves the rank rule at every row, else row by row through
-:func:`reeb_from`; it needs R only, never the factors.
+trajectory or probe set: by one batched LU where the certificate proves
+the rank rule at every row, else row by row through :func:`reeb_from`; it
+needs R only, never the factors.
 """
 
 from __future__ import annotations
@@ -447,43 +448,61 @@ def reeb(spec: StructureSpec, at) -> np.ndarray:
 
 
 def reeb_from(th: np.ndarray, om: np.ndarray, values):
-    """R = F^-1 theta and the SVD factors (u, s, vt) of the flat matrix F at
-    one point.
+    """R = F^-1 theta and the factors of the flat matrix F at one point.
 
     ``th`` and ``om`` are theta and Omega at the point ``values``, which only
-    labels the errors.  Any other right-hand side b is solved as
-    ``b @ u / s @ vt``.  F is factored by LAPACK's ``dgesdd`` through
-    ``scipy.linalg.lapack``, which skips numpy's stacked-matrix wrapper; the
-    factors are made C-contiguous, so that ``b @ u / s @ vt`` always rounds
-    the same.  Raises StructureError when F is not finite (checked before the
-    SVD, which need not return on such a matrix), when F fails the rank rule
-    s_min > eps * dim * s_max (numpy's default ``matrix_rank`` rule), or when
-    R leaves a residual above 1e-9 in R ⌟ Omega = 0, R ⌟ theta = 1.  Raises
-    numpy's LinAlgError when the SVD does not converge.
+    labels the errors.  Any other right-hand side b is solved from the
+    factors by :func:`_solve`.  Where :func:`_certified_lu` proves the rank
+    rule s_min > eps * dim * s_max (numpy's default ``matrix_rank`` rule)
+    from LAPACK's LU of F, the factors are that LU, (lu, piv).  Elsewhere F
+    is factored by LAPACK's ``dgesdd``, (u, s, vt) made C-contiguous so
+    that a solve always rounds the same, and the rank rule is read from s.
+    Both go through ``scipy.linalg.lapack``, which skips numpy's
+    stacked-matrix wrapper.  Raises StructureError when F is not finite
+    (checked before the SVD, which need not return on such a matrix), when
+    F fails the rank rule, or when R leaves a residual above 1e-9 in
+    R ⌟ Omega = 0, R ⌟ theta = 1.  Raises numpy's LinAlgError when the SVD
+    does not converge.
     """
     F = om.T + th[:, None] * th
-    if not np.isfinite(F).all():
-        _refuse_non_finite(F, values)
-    u, s, vt, info = lapack.dgesdd(F)
-    if info != 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    dim = len(s)
-    if not s[-1] > _EPS * dim * s[0]:
-        raise StructureError(
-            "degenerate structure at %s: flat matrix has rank %d < %d"
-            % (_plain(values), np.count_nonzero(s > _EPS * dim * s[0]), dim)
-        )
-    u, vt = np.ascontiguousarray(u), np.ascontiguousarray(vt)
-    R = th @ u / s @ vt
+    factors = _certified_lu(F)
+    if factors is None:
+        if not np.isfinite(F).all():
+            _refuse_non_finite(F, values)
+        u, s, vt, info = lapack.dgesdd(F)
+        if info != 0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        dim = len(s)
+        if not s[-1] > _EPS * dim * s[0]:
+            raise StructureError(
+                "degenerate structure at %s: flat matrix has rank %d < %d"
+                % (_plain(values), np.count_nonzero(s > _EPS * dim * s[0]), dim)
+            )
+        factors = np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
+    R = _solve(factors, th)
     error = max(np.abs(R @ om).max(), abs(R @ th - 1.0))
     if not error <= 1e-9:
         raise StructureError(
             "Reeb system inconsistent at %s (residual %.3e)" % (_plain(values), error)
         )
-    return R, (u, s, vt)
+    return R, factors
 
 
-# The determinant certificate of :func:`reeb_rows`; see :func:`_certified`.
+def _solve(factors, b: np.ndarray) -> np.ndarray:
+    """X with flat(X) = b, that is F X = b, from :func:`reeb_from`'s
+    factors of F: an LU (lu, piv) or an SVD (u, s, vt).  A zero of X is
+    +0.0, as in :func:`reeb_rows` (LU's substitutions can round to -0.0)."""
+    if len(factors) == 2:
+        x = lapack.dgetrs(*factors, b)[0]
+    else:
+        u, s, vt = factors
+        x = b @ u / s @ vt
+    x += 0.0
+    return x
+
+
+# The determinant certificate of :func:`reeb_from` and :func:`reeb_rows`;
+# see :func:`_certified` and :func:`_certified_lu`.
 _CERT_TAU = 1e-10
 _CERT_MAX_DIM = 9
 
@@ -507,7 +526,7 @@ def reeb_rows(th: np.ndarray, om: np.ndarray, values) -> np.ndarray:
     if not np.isfinite(F).all():
         _refuse_non_finite(F, values)
     if _certified(F).all():
-        R = np.linalg.solve(F, th[..., None])[..., 0]
+        R = np.linalg.solve(F, th[..., None])[..., 0] + 0.0  # a zero is +0.0, as in _solve
         error = np.maximum(
             np.abs(R[:, None, :] @ om)[:, 0, :].max(axis=1),
             np.abs(np.einsum("ij,ij->i", R, th) - 1.0),
@@ -550,6 +569,37 @@ def _certified(F: np.ndarray) -> np.ndarray:
         return (np.abs(np.linalg.det(G)) > _CERT_TAU) & (squares >= _TINY)
 
 
+def _certified_lu(F: np.ndarray):
+    """LAPACK's LU of one flat matrix F (dim, dim), as (lu, piv), when its
+    diagonal proves the rank rule s_min > eps * dim * s_max as
+    :func:`_certified` does, |det(F / ||F||_F)| > tau for dim <= 9; else
+    None, leaving F to the SVD rule.
+
+    The factors are of F, not of G = F / ||F||_F, and the proof carries
+    over: ``dgetrf`` returns the exact LU of P (F + dF) with
+    |dF_ij| <= gamma_dim * dim * 2^(dim-1) * max |F_kl| (the same Thm 9.3
+    and growth bound), and max |F_kl| <= ||F||_F, so dG = dF / ||F||_F
+    obeys :func:`_certified`'s bound on dG, and
+    prod_i (u_ii / ||F||_F) = +-det(G + dG).  Dividing each u_ii by the
+    norm before the product keeps every factor at most 2^(dim-1) in
+    magnitude, so the product cannot overflow, and its underflow only
+    withholds the certificate; the divisions, the product and the norm's
+    own sum round it by a relative 1e-14 or less at dim <= 9, far inside
+    the margin.  ||F||_F^2 must be a normal float, as in
+    :func:`_certified`; being finite, it also proves F finite, so a
+    non-finite F is left to :func:`reeb_from`'s check."""
+    if len(F) > _CERT_MAX_DIM:
+        return None
+    squares = float(np.vdot(F, F))
+    if not _TINY <= squares < math.inf:
+        return None
+    lu, piv, _ = lapack.dgetrf(F)
+    norm = math.sqrt(squares)
+    if abs(math.prod([u / norm for u in lu.diagonal().tolist()])) > _CERT_TAU:
+        return lu, piv
+    return None
+
+
 def _refuse_non_finite(F: np.ndarray, values) -> None:
     """Raise StructureError at the first point whose flat matrix in ``F``
     (one matrix or a stack) is not finite."""
@@ -570,7 +620,7 @@ def flat(spec: StructureSpec, X, at) -> np.ndarray:
 
 
 def sharp(spec: StructureSpec, alpha, at) -> np.ndarray:
-    """Inverse of flat, from the factors that also give R = ♯theta; raises
-    StructureError where :func:`reeb` does."""
-    _, (u, s, vt) = reeb_from(*spec.at(at))
-    return np.asarray(alpha, dtype=float) @ u / s @ vt
+    """Inverse of flat, solved from the factors of F that also give
+    R = ♯theta (see :func:`reeb_from`); raises StructureError where
+    :func:`reeb` does."""
+    return _solve(reeb_from(*spec.at(at))[1], np.asarray(alpha, dtype=float))

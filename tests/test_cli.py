@@ -151,6 +151,15 @@ class TestFieldAndReeb:
         assert code == EXIT_OK
         assert np.array(json.loads(out)["reeb"]) == pytest.approx([0, 0, 1], abs=1e-12)
 
+    def test_reeb_prints_no_negative_zero(self, capsys):
+        # LU's substitutions round these components to -0.0; R prints +0.0
+        code, out, _ = run(
+            capsys, "reeb", "--builtin", "xjt_gtacos", "--at=0.2,1.0,0.3,-0.2,0.0"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["reeb"] == [0.0, 0.0, 0.0, 0.0, 1.0]
+        assert "-0.0" not in out
+
     def test_field_command(self, capsys):
         code, out, _ = run(
             capsys,

@@ -421,7 +421,8 @@ class TestBrackets:
             monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or factor(*a, **k))
 
         spy(np.linalg, "svd")  # any other SVD
-        spy(lapack, "dgesdd")  # a point
+        spy(lapack, "dgesdd")  # a point's SVD
+        spy(lapack, "dgetrf")  # a point's LU
         s = builtin(name)
         for _ in range(5):
             f = random_polynomial(s.chart, rng)

@@ -263,7 +263,8 @@ class TestBuiltOncePerStructure:
                 h, dH = H.at(pt)
                 np.testing.assert_array_equal(X, dynamics._field_from(th, factors, R, dH, h))
                 np.testing.assert_array_equal(R, reeb(s, pt))
-                for got, want in zip(factors, np.linalg.svd(s.flat_matrix(pt))):
+                assert len(factors) == 2  # a certified LU
+                for got, want in zip(factors, lapack.dgetrf(s.flat_matrix(pt))[:2]):
                     np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(th, s.theta_vector(pt))
                 np.testing.assert_array_equal(dH, H.gradient(pt))
@@ -370,10 +371,21 @@ class TestReebRows:
             for got, want in zip(R, expected):
                 assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
+    def test_a_zero_of_r_is_positive_in_rows_as_at_a_point(self):
+        # LU's substitutions round R's zero components to -0.0 here
+        s = builtin("xjt_gtacos")
+        rows = np.array([[0.2, 1.0, 0.3, -0.2, 0.0]] * 2)
+        assert structures._certified(flat_from(*s.rows(rows))).all()
+        for R in (*_reeb_rows(s, rows), reeb(s, rows[0])):
+            np.testing.assert_array_equal(R, [0.0, 0.0, 0.0, 0.0, 1.0])
+            assert not np.signbit(R).any()
+
     def test_an_unconverged_point_svd_raises_linalg_error(self, monkeypatch):
         dgesdd = lapack.dgesdd
         monkeypatch.setattr(lapack, "dgesdd", lambda a: (*dgesdd(a)[:3], 1))
-        th, om, values = darboux_contact_1().at((0.1, 0.2, 0.3))
+        # an uncertified point, so that the SVD is taken
+        th, om, values = _nearly_degenerate({"kappa": 3e-8}).at((0.1, 0.2, 0.3))
+        assert structures._certified_lu(flat_from(th, om)) is None
         with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
             reeb_from(th, om, values)
 
@@ -599,6 +611,66 @@ class TestRankCertificate:
         R = reeb_rows(th, om, probes)
         for k, row in enumerate(probes):
             np.testing.assert_array_equal(R[k], reeb(s, row))
+
+
+def _svd_solve(th, om):
+    """R and the factors of F as a point's SVD solve gives them."""
+    u, s, vt, info = lapack.dgesdd(flat_from(th, om))
+    assert info == 0
+    u, vt = np.ascontiguousarray(u), np.ascontiguousarray(vt)
+    return th @ u / s @ vt, (u, s, vt)
+
+
+class TestPointCertificate:
+    @settings(max_examples=500, deadline=None)
+    @given(flat_matrices())
+    def test_a_point_factored_by_lu_passes_the_rank_rule(self, F):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factors = structures._certified_lu(F)
+        if factors is not None:
+            s = np.linalg.svd(F, compute_uv=False)
+            assert s[-1] > np.finfo(float).eps * len(F) * s[0]
+
+    def test_overflow_underflow_and_non_finite_are_uncertified_without_warnings(self):
+        F = flat_from(np.array([0.0, 0.0, 1.0]), np.array(
+            [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        assert structures._certified_lu(F) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for G in (F * 1e-160, F * 1e160, F * 0.0, F + np.inf, F + np.nan):
+                assert structures._certified_lu(G) is None
+
+    @pytest.mark.parametrize("name", ["xjt_gtacos", "darboux_contact(3)"])
+    def test_a_certified_rk4_run_takes_no_svd(self, name, monkeypatch):
+        s = builtin(name)
+        dim = s.chart.dimension
+        H = ScalarField.parse(s.chart, "".join(c + "^2 + " for c in s.chart.coordinates[:-1])
+                              + "0.5*kappa")
+        x0 = s.chart.point([0.1] + [1.0] * (dim - 2) + [0.0])
+        expected = dynamics.integrate(s, H, x0, 0.2, 0.01, method="rk4")
+        _refuse_svd(monkeypatch)
+        traj = dynamics.integrate(s, H, x0, 0.2, 0.01, method="rk4")
+        assert len(traj.states) == 21 and not traj.escaped
+        np.testing.assert_array_equal(traj.states, expected.states)
+        np.testing.assert_array_equal(traj.dissipation_residuals, expected.dissipation_residuals)
+
+    def test_an_uncertified_point_is_solved_by_the_svd_bit_for_bit(self):
+        # theta = 3e-8 dkappa (det(F / |F|_F) about 3e-16) and dim = 11
+        # (past the certificate's cap) keep the SVD's R and factors
+        cases = [(_nearly_degenerate({"kappa": 3e-8}), [(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)])]
+        s = builtin("darboux_contact(5)")
+        cases.append((s, s.default_probes(count=8)))
+        for s, points in cases:
+            for pt in points:
+                th, om, values = s.at(pt)
+                assert structures._certified_lu(flat_from(th, om)) is None
+                R, factors = reeb_from(th, om, values)
+                want_R, want_factors = _svd_solve(th, om)
+                np.testing.assert_array_equal(R, want_R)
+                assert len(factors) == 3
+                for got, want in zip(factors, want_factors):
+                    np.testing.assert_array_equal(got, want)
 
 
 class TestStructureErrorMessages:
