@@ -13,6 +13,17 @@ to central finite differences with step ``h_i = max(1, |x_i|) * eps**(1/3)``.
 A value or gradient that is not finite (an overflow to inf, or NaN) raises
 :class:`EvalError`.
 
+An expression-backed field with no kernel also keeps the value and the
+gradient of its last tree walk, each keyed by the exact bytes of the
+point's coordinates (so +0.0 and -0.0 are different points): a repeat at
+the same point returns the kept result, a gradient as a new array.  An
+error is never kept, and a failing point leaves the previous one's result
+in place.  The kernel path builds no key and stores nothing, and building
+the kernel drops what was kept, so :func:`cosym.dynamics.integrate`, which
+steps and post-processes through kernels at ever new points, never keeps a
+point; a callable-backed field keeps nothing, as its function may hold
+state.
+
 Domain guards are hard constraints: evaluating at a violating point raises
 :class:`DomainError` rather than returning NaN (the built-in half-plane
 metrics blow up at the guard surface).  Every point argument is read by one
@@ -264,6 +275,8 @@ class ScalarField:
         self.source = source
         self._partials: dict[str, Expr] = {}
         self._kernel: Kernel | None = None
+        # (key, result) of the last tree walk; see _kept_value
+        self._last_value = self._last_gradient = (None, None)
         overlap = set(self.params) & set(chart.coordinates)
         if overlap:
             raise ValueError("parameters shadow coordinates: %s" % sorted(overlap))
@@ -296,9 +309,36 @@ class ScalarField:
     # -- evaluation --------------------------------------------------------
 
     def value(self, at, check_domain: bool = True) -> float:
-        return self._eval(self.chart.values(at, check_domain))
+        """The field at a point, by walking the trees (or calling the
+        function); a field that keeps its last point answers a repeat from
+        it (see the module docstring)."""
+        return self._kept_value(self.chart.values(at, check_domain))
 
     __call__ = value
+
+    def _keeps(self) -> bool:
+        """Whether tree walks are kept: expression-backed, no kernel."""
+        return self.expr is not None and self._kernel is None
+
+    def _kept_value(self, values: np.ndarray) -> float:
+        """:meth:`_eval`, kept for a repeat at the same coordinate bytes."""
+        if not self._keeps():
+            return self._eval(values)
+        # one read of the slot, so a concurrent call cannot swap in its point
+        key, kept = values.tobytes(), self._last_value
+        if kept[0] != key:
+            kept = self._last_value = key, self._eval(values)
+        return kept[1]
+
+    def _kept_gradient(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`_gradient`, kept for a repeat at the same coordinate
+        bytes; always a new array."""
+        if not self._keeps():
+            return self._gradient(values)
+        key, kept = values.tobytes(), self._last_gradient
+        if kept[0] != key:
+            kept = self._last_gradient = key, self._gradient(values)
+        return kept[1].copy()
 
     def _eval(self, values: np.ndarray) -> float:
         if self.expr is not None:
@@ -339,7 +379,10 @@ class ScalarField:
         )
 
     def gradient(self, at, check_domain: bool = True) -> np.ndarray:
-        return self._gradient(self.chart.values(at, check_domain))
+        """The partial derivatives at a point as a new array, exact for an
+        expression, by central differences for a callable; a field that
+        keeps its last point answers a repeat from it."""
+        return self._kept_gradient(self.chart.values(at, check_domain))
 
     def _gradient(self, values: np.ndarray) -> np.ndarray:
         if self.expr is not None:
@@ -358,24 +401,28 @@ class ScalarField:
 
     def kernel(self) -> Kernel | None:
         """The value and the partials as one straight-line kernel, built on
-        first request and kept; None for a callable-backed field."""
+        first request and kept; None for a callable-backed field.  Building
+        it drops the kept last point: an owner with a kernel keeps none."""
         if self._kernel is None and self.expr is not None:
             coords = self.chart.coordinates
             exprs = [self.expr] + [self._partial_expr(c) for c in coords]
             self._kernel = Kernel(exprs, coords, [self.params] * len(exprs))
+            self._last_value = self._last_gradient = (None, None)
         return self._kernel
 
     def at(self, at, check_domain: bool = True):
         """(value, gradient) at a point, bit for bit as ``value`` and
         ``gradient`` give them: from the kept kernel where it is finite,
         else by walking the gradient's and then the value's trees, whose
-        errors are the reference.  Never builds a kernel."""
+        errors are the reference; a field with no kernel answers a repeat
+        from its kept last point, the gradient as a new array.  Never
+        builds a kernel."""
         values = self.chart.values(at, check_domain)
         out = None if self._kernel is None else self._kernel.finite_at(values.tolist())
         if out is not None:
             return out[0], np.array(out[1:])
-        grad = self._gradient(values)
-        return self._eval(values), grad
+        grad = self._kept_gradient(values)
+        return self._kept_value(values), grad
 
     def rows(self, states):
         """(values, gradients) at every row of an (N, dim) array, without

@@ -191,18 +191,16 @@ def cmd_field(args) -> int:
     xh = dynamics.hamiltonian_field_generic(spec, H, point)
     grad = dynamics.gradient_field(spec, H, point)
     R = structures.reeb(spec, point)
-    dH = H.gradient(point.array, check_domain=False)
+    h, dH = H.at(point)
     _print_json(
         {
             "name": spec.name,
             "at": list(point.values),
-            "H": H.value(point),
+            "H": h,
             "hamiltonian_field": xh,
             "gradient_field": grad,
             "reeb": R,
-            "dissipation_identity_residual": float(
-                abs(xh @ dH + H.value(point) * (R @ dH))
-            ),
+            "dissipation_identity_residual": float(abs(xh @ dH + h * (R @ dH))),
         }
     )
     return EXIT_OK

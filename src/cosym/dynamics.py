@@ -25,7 +25,6 @@ from .structures import (
     StructureSpec,
     _solve,
     darboux_pairs,
-    reeb_from,
     reeb_rows,
 )
 
@@ -61,17 +60,16 @@ def hamiltonian_field_generic(
     stored rows of a trajectory, so a degenerate structure is reported
     before a failing H.  The factors of the flat matrix F that give R
     (:func:`structures.reeb_from`: an LU where the rank rule is certified,
-    else an SVD) solve every field."""
-    th, om, values = spec.at(at, check_domain)
-    R, factors = reeb_from(th, om, values)
+    else an SVD) solve every field; a repeat at the spec's and H's kept
+    last point walks no tree and factors nothing."""
+    th, _, values, R, factors = spec._solved(at, check_domain)
     h, dH = H.at(values, check_domain=False)
     return _field_from(th, factors, R, dH, h)
 
 
 def gradient_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
     """Solve flat(grad H) = dH at a point."""
-    th, om, values = spec.at(at)
-    _, factors = reeb_from(th, om, values)
+    _, _, values, _, factors = spec._solved(at)
     return _solve(factors, H.gradient(values, check_domain=False))
 
 
@@ -84,8 +82,7 @@ def evolution_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
         raise StructureError(
             "evolution field needs a cosymplectic structure; %r is not" % spec.name
         )
-    th, om, values = spec.at(at)
-    R, factors = reeb_from(th, om, values)
+    _, _, values, R, factors = spec._solved(at)
     dH = H.gradient(values, check_domain=False)
     return _solve(factors, dH) - (R @ dH) * R + R
 
@@ -256,8 +253,7 @@ def jacobi_bracket_generic(
     # and R.  The order is theta, Omega, the flat solve, then f's dH and H
     # before g's, so errors are those of two hamiltonian_field_generic calls
     # in turn.
-    th, om, values = spec.at(at)
-    R, factors = reeb_from(th, om, values)
+    th, om, values, R, factors = spec._solved(at)
     fv, df = f.at(values, check_domain=False)
     gv, dg = g.at(values, check_domain=False)
     Xf = _field_from(th, factors, R, df, fv)

@@ -16,11 +16,20 @@ compile into one straight-line kernel on request (:meth:`StructureSpec.kernel`).
 at every row of an array, each from that kernel where it is finite, else by
 walking the trees.  :func:`reeb_from` factors one point by LAPACK's
 ``dgetrf`` (LU) through ``scipy.linalg.lapack`` where a determinant
-certificate proves the rank rule, else by ``dgesdd`` (SVD), so ``reeb`` is
-``reeb_from(*spec.at(point))[0]``.  :func:`reeb_rows` solves all rows of a
+certificate proves the rank rule, else by ``dgesdd`` (SVD), so ``reeb``
+equals ``reeb_from(*spec.at(point))[0]``.  :func:`reeb_rows` solves all rows of a
 trajectory or probe set: by one batched LU where the certificate proves
 the rank rule at every row, else row by row through :func:`reeb_from`; it
 needs R only, never the factors.
+
+A spec whose forms are symbolic keeps its last tree-walked point: theta and
+Omega, and once taken, :func:`reeb_from`'s (R, factors) there, keyed by the
+exact bytes of the coordinates.  :meth:`StructureSpec.at`, :func:`reeb`,
+:func:`sharp` and the field solves of :mod:`cosym.dynamics` read a repeat
+from it, so one point is walked and factored once; what they hand out is
+a copy.  Domain checks still run on every call, an error is never kept,
+and the kernel path builds no key and stores nothing; building the kernel
+drops the kept point, so :func:`cosym.dynamics.integrate` keeps none.
 """
 
 from __future__ import annotations
@@ -116,6 +125,8 @@ class StructureSpec:
         self.params = dict(params or {})
         self._classification: StructureClass | None = None
         self._kernel: Kernel | None = None
+        self._symbolic = theta.symbolic() and omega.symbolic()
+        self._last: list | None = None  # the kept point; see _point
 
     # -- pointwise data ------------------------------------------------------
 
@@ -146,29 +157,63 @@ class StructureSpec:
                         entries.append((f.expr if i < j else Neg(f.expr), f.params))
             exprs, bound = zip(*entries)
             self._kernel = Kernel(exprs, self.chart.coordinates, bound)
+            self._last = None
         return self._kernel
+
+    def _point(self, values: np.ndarray) -> list:
+        """[key, theta, Omega, solve] at ``values``: theta and Omega from the
+        kept kernel where it is finite, else the kept last point's when the
+        coordinates have its bytes, else by walking theta's and then Omega's
+        trees, whose errors are the reference.  ``solve`` is
+        :func:`reeb_from`'s (R, factors) once :meth:`_solved` has taken it.
+        A walk is kept only by a spec with symbolic forms and no kernel; a
+        kept entry's arrays are shared, so they are read, never handed out."""
+        keeps = self._kernel is None and self._symbolic
+        if self._kernel is not None:
+            out = self._kernel.finite_at(values.tolist())
+            if out is not None:
+                dim = len(values)
+                return [None, np.array(out[:dim], dtype=float),
+                        np.array(out[dim:], dtype=float).reshape(dim, dim), None]
+        elif keeps:
+            key, last = values.tobytes(), self._last
+            if last is not None and last[0] == key:
+                return last
+        point = [None, self.theta_vector(values, check_domain=False),
+                 self.omega_matrix(values, check_domain=False), None]
+        if keeps:
+            point[0] = key
+            self._last = point
+        return point
 
     def at(self, at, check_domain: bool = True):
         """(theta, Omega, values) at a point: theta (dim,) and Omega
         (dim, dim) from the kept kernel where it is finite, else by walking
         theta's and then Omega's trees, whose errors are the reference;
         ``values`` are the point's coordinates as the chart reads them.  Bit
-        for bit the same either way; never builds a kernel."""
+        for bit the same either way; never builds a kernel.  A spec with no
+        kernel answers a repeat from its kept last point, with new arrays."""
         values = self.chart.values(at, check_domain)
-        out = None if self._kernel is None else self._kernel.finite_at(values.tolist())
-        if out is None:
-            return (self.theta_vector(values, check_domain=False),
-                    self.omega_matrix(values, check_domain=False), values)
-        dim = len(values)
-        return (np.array(out[:dim], dtype=float),
-                np.array(out[dim:], dtype=float).reshape(dim, dim), values)
+        _, th, om, _ = self._point(values)
+        return th.copy(), om.copy(), values
+
+    def _solved(self, at, check_domain: bool = True):
+        """(theta, Omega, values, R, factors) at a point: :meth:`at`'s theta
+        and Omega and :func:`reeb_from`'s solve, each read from the kept last
+        point when it is there and kept with it otherwise.  The arrays may be
+        the kept ones: read them, and copy what is handed out."""
+        values = self.chart.values(at, check_domain)
+        point = self._point(values)
+        if point[3] is None:
+            point[3] = reeb_from(point[1], point[2], values)
+        return (point[1], point[2], values, *point[3])
 
     def rows(self, states):
         """(theta, Omega) at every row of an (N, dim) array, shaped (N, dim)
         and (N, dim, dim), without domain checks, bit for bit as :meth:`at`
         gives them: from the kept kernel when it is finite at every row, else
-        row by row through :meth:`at`, so that the first failing row raises
-        the pointwise error.  Never builds a kernel."""
+        row by row as :meth:`at` reads a point, so that the first failing row
+        raises the pointwise error.  Never builds a kernel."""
         states = np.asarray(states, dtype=float)
         out = None if self._kernel is None else self._kernel.finite_rows(states)
         n, dim = states.shape
@@ -177,7 +222,7 @@ class StructureSpec:
                     np.ascontiguousarray(out[:, dim:]).reshape(n, dim, dim))
         th, om = np.empty((n, dim)), np.empty((n, dim, dim))
         for k, row in enumerate(states):
-            th[k], om[k], _ = self.at(row, check_domain=False)
+            _, th[k], om[k], _ = self._point(row)
         return th, om
 
     def flat_matrix(self, at, check_domain: bool = True) -> np.ndarray:
@@ -443,8 +488,10 @@ def flat_from(th: np.ndarray, om: np.ndarray) -> np.ndarray:
 
 
 def reeb(spec: StructureSpec, at) -> np.ndarray:
-    """The Reeb vector R = ♯theta, which solves R ⌟ Omega = 0, R ⌟ theta = 1."""
-    return reeb_from(*spec.at(at))[0]
+    """The Reeb vector R = ♯theta, which solves R ⌟ Omega = 0, R ⌟ theta = 1,
+    as a new array: :func:`reeb_from` at the point, or the spec's kept
+    solve of its last tree-walked point on a repeat."""
+    return spec._solved(at)[3].copy()
 
 
 def reeb_from(th: np.ndarray, om: np.ndarray, values):
@@ -622,5 +669,6 @@ def flat(spec: StructureSpec, X, at) -> np.ndarray:
 def sharp(spec: StructureSpec, alpha, at) -> np.ndarray:
     """Inverse of flat, solved from the factors of F that also give
     R = ♯theta (see :func:`reeb_from`); raises StructureError where
-    :func:`reeb` does."""
-    return _solve(reeb_from(*spec.at(at))[1], np.asarray(alpha, dtype=float))
+    :func:`reeb` does.  Repeats at one point reuse the spec's kept factors,
+    so many right-hand sides there cost one factorisation."""
+    return _solve(spec._solved(at)[4], np.asarray(alpha, dtype=float))

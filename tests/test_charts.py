@@ -3,7 +3,9 @@ differentiated at most once per field, and the kept trees give the same
 values, bit for bit, as differentiating afresh.  A value or gradient that
 is not finite is an EvalError, pointwise and at many rows alike.  Every
 point argument is read by one rule: a ChartPoint is trusted only on its own
-chart, and any other point meets the guards of the chart it is used on."""
+chart, and any other point meets the guards of the chart it is used on.
+A field keeps its last tree-walked point, and a repeat there answers as a
+fresh field does, bit for bit."""
 
 import importlib
 import inspect
@@ -12,8 +14,10 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_polynomial
+from test_expressions import ROW_NAMES, finite_floats, trees
 import cosym
 from cosym import expressions
 from cosym.charts import Chart, ChartMap, ChartMismatchError, DomainError, ScalarField
@@ -147,6 +151,119 @@ def test_non_finite_callable_results_are_eval_errors():
     message = _raised(step.gradient, [0.0, 0.0, 0.0])
     assert message.startswith("gradient of ") and "not finite" in message
     assert _raised(step.rows, [[5.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) == message
+
+
+# --------------------------------------------------------------------------
+# The kept last point: a repeat at the same coordinate bytes walks no tree
+# --------------------------------------------------------------------------
+
+TREE_CHART = Chart("trees", ROW_NAMES)
+
+
+def _outcome(call, *args):
+    """``call(*args)`` as bytes (value, then gradient), or its EvalError's
+    message."""
+    try:
+        out = call(*args)
+    except EvalError as exc:
+        return "error: %s" % exc
+    parts = out if isinstance(out, tuple) else (out,)
+    return b"".join(np.asarray(part, dtype=float).tobytes() for part in parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees, st.tuples(finite_floats, finite_floats, finite_floats),
+       st.tuples(finite_floats, finite_floats, finite_floats))
+def test_a_kept_field_answers_as_a_fresh_one_bit_for_bit(expr, a, b):
+    kept = ScalarField.from_expr(TREE_CHART, expr)
+    for point in (a, b, a, a):
+        for method in ("value", "gradient", "at"):
+            fresh = ScalarField.from_expr(TREE_CHART, expr)
+            want = _outcome(getattr(fresh, method), point)
+            assert _outcome(getattr(kept, method), point) == want
+
+
+def _counted(H):
+    """Count H's tree walks: the value's and the gradient's."""
+    walks = []
+    for name in ("_eval", "_gradient"):
+        walk = getattr(H, name)
+        setattr(H, name, lambda values, _w=walk, _n=name: walks.append(_n) or _w(values))
+    return walks
+
+
+class TestKeptLastPoint:
+    def test_a_repeat_walks_no_tree(self):
+        H = ScalarField.parse(darboux_chart(1), "q^2*p + kappa")
+        walks = _counted(H)
+        pt = darboux_chart(1).point((0.3, -0.2, 0.1))
+        value, grad = H.at(pt)
+        assert walks == ["_gradient", "_eval"]
+        assert H.value(pt) == value and H.value(pt.array) == value
+        assert H.gradient([0.3, -0.2, 0.1]).tobytes() == grad.tobytes()
+        assert walks == ["_gradient", "_eval"]
+
+    def test_signed_zeros_are_different_points(self):
+        H = ScalarField.parse(darboux_chart(1), "sqrt(q)")
+        assert math.copysign(1.0, H.value((0.0, 0.0, 0.0))) == 1.0
+        assert math.copysign(1.0, H.value((-0.0, 0.0, 0.0))) == -1.0
+
+    def test_a_returned_gradient_is_a_new_array(self):
+        H = ScalarField.parse(darboux_chart(1), "q*p + kappa^2")
+        pt = (0.5, 2.0, -1.0)
+        want = H.gradient(pt).tobytes()
+        H.gradient(pt)[:] = 7.0
+        H.at(pt)[1][:] = 7.0
+        assert H.gradient(pt).tobytes() == want
+        assert H.at(pt)[1].tobytes() == want
+
+    def test_a_callable_field_calls_its_function_every_time(self):
+        calls = []
+        H = ScalarField.from_callable(
+            darboux_chart(1), lambda v: calls.append(1) or float(v[0] * v[1]))
+        for _ in range(3):
+            H.value((0.5, 2.0, 0.0))
+        assert len(calls) == 3
+        H.gradient((0.5, 2.0, 0.0))
+        H.gradient((0.5, 2.0, 0.0))
+        assert len(calls) == 3 + 2 * 2 * 3  # two central differences per coordinate
+
+    def test_a_failing_point_raises_every_time_and_keeps_the_last_good_one(self):
+        chart = darboux_chart(1)
+        H = ScalarField.parse(chart, "log(q)")
+        good = (2.0, 0.0, 0.0)
+        value, grad = H.at(good)
+        walks = _counted(H)
+        messages = {_raised(call, (-1.0, 0.0, 0.0))
+                    for call in (H.value, H.at, H.value, H.at)}
+        assert len(messages) == 1 and "log" in messages.pop()
+        # the gradient 1/q is finite at q = -1 and is kept; the value's
+        # error is walked again on every call
+        assert walks == ["_eval", "_gradient", "_eval", "_eval", "_eval"]
+        del walks[:]
+        assert H.value(good) == value
+        assert walks == []
+        assert H.gradient(good).tobytes() == grad.tobytes()
+
+    def test_domain_checks_run_before_the_lookup(self):
+        H = ScalarField.parse(CHART_XJT, "q^2 + y")
+        off_guard = (0.0, -1.0, 0.1, 0.2, 0.0)  # y = -1
+        H.at(off_guard, check_domain=False)
+        for call in (H.value, H.gradient, H.at):
+            with pytest.raises(DomainError, match="y > 0"):
+                call(off_guard)
+
+    def test_a_kernel_drops_the_kept_point_and_keeps_none(self):
+        H = ScalarField.parse(darboux_chart(1), "q^2*p + kappa")
+        pt = (0.3, -0.2, 0.1)
+        want = H.at(pt)
+        assert H._last_value[0] is not None and H._last_gradient[0] is not None
+        H.kernel()
+        assert H._last_value == H._last_gradient == (None, None)
+        got = H.at(pt)
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+        H.value(pt), H.gradient(pt)
+        assert H._last_value == H._last_gradient == (None, None)
 
 
 # A chart with the coordinates of a guarded chart but none of its guards.

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cosym import cli
+from cosym import cli, dynamics
+from cosym.charts import ScalarField
 from cosym.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from cosym.manifolds import builtin
 from cosym.structures import StructureSpec, reeb
 
 
@@ -175,6 +177,31 @@ class TestFieldAndReeb:
         doc = json.loads(out)
         assert np.array(doc["hamiltonian_field"]) == pytest.approx([0, -2, -3])
         assert doc["dissipation_identity_residual"] <= 1e-10
+
+    def test_field_prints_each_quantity_of_fresh_objects_bit_for_bit(self, capsys):
+        source, at = "q^2 + p^2 + x^2 + (y-1)^2", (0.2, 1.0, 0.3, -0.2, 0.0)
+        code, out, _ = run(capsys, "field", "--builtin", "xjt_gtacos",
+                           "--hamiltonian", source, "--at=0.2,1.0,0.3,-0.2,0.0")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+
+        def fresh():
+            spec = builtin("xjt_gtacos")
+            return spec, ScalarField.parse(spec.chart, source, spec.params)
+
+        X = dynamics.hamiltonian_field_generic(*fresh(), at)
+        R = reeb(fresh()[0], at)
+        h, dH = fresh()[1].value(at), fresh()[1].gradient(at)
+        want = {
+            "H": h,
+            "hamiltonian_field": X,
+            "gradient_field": dynamics.gradient_field(*fresh(), at),
+            "reeb": R,
+            "dissipation_identity_residual": abs(X @ dH + h * (R @ dH)),
+        }
+        for key, value in want.items():
+            assert np.array(doc[key]).tobytes() == np.asarray(value, dtype=float).tobytes(), key
+        assert doc["at"] == list(at)
 
     def test_domain_violation_exits_2(self, capsys):
         code, _, err = run(

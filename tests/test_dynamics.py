@@ -788,6 +788,19 @@ class TestCompiledKernels:
         integrate(s, H, pt, 0.05, 0.01, "rk4")
         assert s._kernel is not None and H._kernel is not None
 
+    def test_integrate_keeps_no_point(self):
+        s = builtin("xjt_gtacos")
+        H = ScalarField.parse(s.chart, "q^2 + p^2 + x^2 + (y-1)^2", s.params)
+        pt = s.chart.point((0.2, 1.0, 0.3, -0.2, 0.0))
+        want = hamiltonian_field_generic(s, H, pt)
+        assert s._last is not None and H._last_gradient[0] is not None
+        for method in ("rk4", "adaptive-rk45"):
+            integrate(s, H, pt, 0.05, 0.01, method)
+            assert s._last is None
+            assert H._last_value == H._last_gradient == (None, None)
+        assert hamiltonian_field_generic(s, H, pt).tobytes() == want.tobytes()
+        assert s._last is None and H._last_gradient == (None, None)
+
     def test_callable_fields_keep_the_tree_walk(self):
         s = contact1()
         H = ScalarField.from_callable(s.chart, lambda v: 0.5 * (v[0] ** 2 + v[1] ** 2))

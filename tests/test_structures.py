@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import lapack
 
 from conftest import random_point, random_polynomial
-from cosym import dynamics, forms, structures
-from cosym.charts import Chart, ScalarField
+from cosym import cli, dynamics, forms, structures
+from cosym.charts import Chart, DomainError, ScalarField
 from cosym.expressions import EvalError
 from cosym.forms import KForm
 from cosym.manifolds import CATALOG, ModelParameters, builtin
@@ -258,7 +258,7 @@ class TestBuiltOncePerStructure:
                 assert s._kernel is None and H._kernel is None  # the trees were walked
                 del degrees[:]
                 th, om, values = s.at(pt)
-                assert sorted(degrees) == [1, 2]
+                assert degrees == []  # the kept last point: no walk on a repeat
                 R, factors = reeb_from(th, om, values)
                 h, dH = H.at(pt)
                 np.testing.assert_array_equal(X, dynamics._field_from(th, factors, R, dH, h))
@@ -268,6 +268,9 @@ class TestBuiltOncePerStructure:
                     np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(th, s.theta_vector(pt))
                 np.testing.assert_array_equal(dH, H.gradient(pt))
+                del degrees[:]
+                s.at(random_point(s.chart, rng))
+                assert sorted(degrees) == [1, 2]  # a fresh point is walked
 
     def test_field_solve_keeps_the_reeb_rank_check(self):
         chart = darboux_chart(1)
@@ -281,6 +284,108 @@ class TestBuiltOncePerStructure:
         H = ScalarField.parse(chart, "q^2 + p^2")
         with pytest.raises(StructureError, match="rank"):
             dynamics.hamiltonian_field_generic(s, H, (0.1, 0.2, 0.3))
+
+
+class TestKeptLastPoint:
+    """A spec keeps theta, Omega and the point solve of its last tree-walked
+    point; what it hands out equals a fresh spec's, bit for bit."""
+
+    @staticmethod
+    def _outputs(s, H, G, pt):
+        th, om, _ = s.at(pt)
+        alpha = np.linspace(-1.0, 1.0, s.chart.dimension)
+        return [th, om, reeb(s, pt), sharp(s, alpha, pt),
+                dynamics.hamiltonian_field_generic(s, H, pt),
+                dynamics.gradient_field(s, H, pt),
+                np.float64(dynamics.jacobi_bracket_generic(s, H, G, pt))]
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_SIZES))
+    def test_points_a_b_a_answer_as_a_fresh_spec(self, name, rng):
+        s = builtin(name)
+        H, G = random_polynomial(s.chart, rng), random_polynomial(s.chart, rng)
+        a, b = random_point(s.chart, rng), random_point(s.chart, rng)
+        for pt in (a, b, a, a.array, a):
+            fresh = builtin(name)
+            H_fresh = ScalarField.from_expr(fresh.chart, H.expr, H.params)
+            G_fresh = ScalarField.from_expr(fresh.chart, G.expr, G.params)
+            got = self._outputs(s, H, G, pt)
+            want = self._outputs(fresh, H_fresh, G_fresh, pt)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    def test_one_walk_and_one_factorisation_per_point(self, rng, monkeypatch):
+        walks, factorisations = [], []
+        at, dgetrf = KForm.at, lapack.dgetrf
+        monkeypatch.setattr(KForm, "at", lambda self, *a: walks.append(1) or at(self, *a))
+        monkeypatch.setattr(lapack, "dgetrf", lambda *a: factorisations.append(1) or dgetrf(*a))
+        s = builtin("xjt_gtacos")
+        H = random_polynomial(s.chart, rng)
+        for _ in range(3):
+            pt = random_point(s.chart, rng)
+            del walks[:], factorisations[:]
+            for _ in range(2):
+                self._outputs(s, H, H, pt)
+                s.flat_matrix(pt), flat(s, np.ones(5), pt)
+            assert len(walks) == 2 and len(factorisations) == 1
+
+    def test_returned_arrays_are_new(self):
+        s = builtin("xjt_gtacos")
+        pt = (0.2, 1.0, 0.3, -0.2, 0.0)
+        want = [x.tobytes() for x in (*s.at(pt)[:2], reeb(s, pt))]
+        for out in (*s.at(pt)[:2], reeb(s, pt)):
+            out[...] = 7.0
+        got = [x.tobytes() for x in (*s.at(pt)[:2], reeb(s, pt))]
+        assert got == want
+        assert sharp(s, s.theta_vector(pt), pt).tobytes() == reeb(s, pt).tobytes()
+
+    def test_a_failed_solve_is_never_kept(self):
+        s = _nearly_degenerate({"q": 1.0, "kappa": 1e-16})
+        pt = (0.1, 0.2, 0.3)
+        messages = {_message(reeb, s, pt), _message(sharp, s, np.ones(3), pt),
+                    _message(reeb, s, pt)}
+        assert len(messages) == 1 and "rank" in messages.pop()
+        assert s._last[3] is None  # theta and Omega are kept, the solve is not
+
+    def test_domain_checks_run_before_the_lookup(self):
+        s = builtin("xjt_gtacos")
+        off_guard = (0.0, -1.0, 0.1, 0.2, 0.0)  # y = -1
+        s.at(off_guard, check_domain=False)
+        dynamics.hamiltonian_field_generic(
+            s, ScalarField.parse(s.chart, "q"), off_guard, check_domain=False)
+        for fn in (s.at, s.flat_matrix, lambda pt: reeb(s, pt)):
+            with pytest.raises(DomainError, match="y > 0"):
+                fn(off_guard)
+
+    def test_callable_coefficients_and_kernels_keep_nothing(self):
+        chart = darboux_chart(1)
+        theta = KForm.one_form(chart, {
+            "q": ScalarField.from_callable(chart, lambda v: float(v[1])), "kappa": 1.0})
+        opaque = StructureSpec("opaque", chart, theta, KForm.two_form(chart, {"q,p": 1.0}), 1)
+        reeb(opaque, (0.1, 0.2, 0.3))
+        assert opaque._last is None
+        s = builtin("xjt_gtacos")
+        reeb(s, (0.2, 1.0, 0.3, -0.2, 0.0))
+        assert s._last is not None
+        s.kernel()
+        assert s._last is None
+        reeb(s, (0.2, 1.0, 0.3, -0.2, 0.0))
+        s.at((0.1, 1.0, 0.3, -0.2, 0.0))
+        assert s._last is None
+
+    def test_invariant_suite_factors_once_per_sharp_point(self, monkeypatch, capsys):
+        factorisations, per_sharp = [], []
+        dgetrf, sharp_ = lapack.dgetrf, structures.sharp
+        monkeypatch.setattr(lapack, "dgetrf", lambda *a: factorisations.append(1) or dgetrf(*a))
+
+        def counted_sharp(*args):
+            before = len(factorisations)
+            out = sharp_(*args)
+            per_sharp.append(len(factorisations) - before)
+            return out
+
+        monkeypatch.setattr(structures, "sharp", counted_sharp)
+        assert cli.main(["invariant-suite", "--seed", "42"]) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert len(per_sharp) == 16 * 8 and sum(per_sharp) == 16
 
 
 def _nearly_degenerate(theta, omega=1.0):
