@@ -1,10 +1,10 @@
 """Coordinate charts, domain guards, scalar fields and chart maps.
 
 Fields are evaluated pointwise, or at every row of an (N, dim) array at once.
-:meth:`ScalarField.at` gives the value and the gradient at one point and
-:meth:`ScalarField.rows` at every row, from the field's kept kernel where it
-is finite, else by walking the trees; bit-identical either way.  A field
-backed by an expression tree has exact first and second partial
+:meth:`ScalarField.value`, ``gradient`` and ``at`` (the two at once) read a
+point, and :meth:`ScalarField.rows` every row, from the field's kept kernel
+where it is finite, else by walking the trees; bit-identical either way.  A
+field backed by an expression tree has exact first and second partial
 derivatives; each partial-derivative tree is built on first use and kept on
 the field, so a field is differentiated at most once per coordinate; its
 value and partials compile into one straight-line kernel on request
@@ -309,10 +309,10 @@ class ScalarField:
     # -- evaluation --------------------------------------------------------
 
     def value(self, at, check_domain: bool = True) -> float:
-        """The field at a point, by walking the trees (or calling the
-        function); a field that keeps its last point answers a repeat from
-        it (see the module docstring)."""
-        return self._kept_value(self.chart.values(at, check_domain))
+        """The field at a point, read as :meth:`at` reads it."""
+        values = self.chart.values(at, check_domain)
+        out = self._kernel_at(values)
+        return self._kept_value(values) if out is None else out[0]
 
     __call__ = value
 
@@ -379,10 +379,12 @@ class ScalarField:
         )
 
     def gradient(self, at, check_domain: bool = True) -> np.ndarray:
-        """The partial derivatives at a point as a new array, exact for an
-        expression, by central differences for a callable; a field that
-        keeps its last point answers a repeat from it."""
-        return self._kept_gradient(self.chart.values(at, check_domain))
+        """The partial derivatives at a point as a new array, read as
+        :meth:`at` reads them: exact for an expression, by central
+        differences for a callable."""
+        values = self.chart.values(at, check_domain)
+        out = self._kernel_at(values)
+        return self._kept_gradient(values) if out is None else np.array(out[1:])
 
     def _gradient(self, values: np.ndarray) -> np.ndarray:
         if self.expr is not None:
@@ -410,6 +412,10 @@ class ScalarField:
             self._last_value = self._last_gradient = (None, None)
         return self._kernel
 
+    def _kernel_at(self, values: np.ndarray):
+        """The kept kernel's (value, *gradient) where it is finite, else None."""
+        return None if self._kernel is None else self._kernel.finite_at(values.tolist())
+
     def at(self, at, check_domain: bool = True):
         """(value, gradient) at a point, bit for bit as ``value`` and
         ``gradient`` give them: from the kept kernel where it is finite,
@@ -418,7 +424,7 @@ class ScalarField:
         from its kept last point, the gradient as a new array.  Never
         builds a kernel."""
         values = self.chart.values(at, check_domain)
-        out = None if self._kernel is None else self._kernel.finite_at(values.tolist())
+        out = self._kernel_at(values)
         if out is not None:
             return out[0], np.array(out[1:])
         grad = self._kept_gradient(values)

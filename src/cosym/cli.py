@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -238,19 +237,24 @@ def _trajectory_summary(spec, traj) -> dict:
 
 
 def cmd_integrate(args) -> int:
+    for key in ("x0", "csv", "json_out"):
+        if args.sweep and getattr(args, key) is not None:
+            raise ValueError("--sweep cannot be combined with --%s" % key.replace("_", "-"))
     spec = _resolve_structure(args)
     hamiltonian = _require(args, "hamiltonian")
     H = ScalarField.parse(spec.chart, hamiltonian, spec.params)
     solver = {k: getattr(args, k) for k in ("t_end", "dt", "method", "rtol", "atol")}
 
     if args.sweep:
-        points = _sweep_points(args.sweep)
-        with ProcessPoolExecutor(initializer=np.seterr, initargs=("ignore",)) as pool:
-            futures = [
-                pool.submit(_sweep_worker, spec.to_json(), hamiltonian, pt, solver)
-                for pt in points
-            ]
-            outputs = [fut.result() for fut in futures]
+        outputs = []
+        for x0 in _sweep_points(args.sweep, spec.chart):
+            traj = dynamics.integrate(spec, H, x0, **solver)
+            outputs.append({
+                "x0": list(x0.values),
+                "final": traj.states[-1].tolist(),
+                "max_dissipation_residual": traj.max_dissipation_residual,
+                "escaped": traj.escaped,
+            })
         _print_json({"sweep": outputs})
         return EXIT_NUMERICAL if any(o["escaped"] for o in outputs) else EXIT_OK
 
@@ -269,10 +273,11 @@ def cmd_integrate(args) -> int:
     return EXIT_NUMERICAL if traj.escaped else EXIT_OK
 
 
-def _sweep_points(path: str) -> list[list[float]]:
-    """The initial points of a ``--sweep`` file: a JSON list of coordinate
-    lists, each number read by :func:`_point`'s finite rule; a ValueError
-    names the file and the entry index."""
+def _sweep_points(path: str, chart) -> list:
+    """The initial points of a ``--sweep`` file on ``chart``: a JSON list of
+    coordinate lists, each number read by :func:`_point`'s finite rule and
+    each entry by ``chart.point``; a ValueError names the file and the entry
+    index."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, list):
         raise ValueError("--sweep %s holds a JSON list of coordinate lists" % path)
@@ -281,23 +286,10 @@ def _sweep_points(path: str) -> list[list[float]]:
         try:
             if not isinstance(entry, list):
                 raise argparse.ArgumentTypeError("not a list of coordinates: %r" % entry)
-            points.append([_number(str(v)) for v in entry])
-        except argparse.ArgumentTypeError as exc:
+            points.append(chart.point([_number(str(v)) for v in entry]))
+        except (argparse.ArgumentTypeError, DomainError) as exc:
             raise ValueError("--sweep %s, entry %d: %s" % (path, i, exc)) from None
     return points
-
-
-def _sweep_worker(spec_json, hamiltonian, x0, solver):
-    spec = structures.StructureSpec.from_json(spec_json)
-    H = ScalarField.parse(spec.chart, hamiltonian, spec.params)
-    x0 = spec.chart.point(x0)
-    traj = dynamics.integrate(spec, H, x0, **solver)
-    return {
-        "x0": list(x0.values),
-        "final": traj.states[-1].tolist(),
-        "max_dissipation_residual": traj.max_dissipation_residual,
-        "escaped": traj.escaped,
-    }
 
 
 COEFFICIENT_FLAGS = ("a", "b", "c", "m", "n")

@@ -511,7 +511,7 @@ def reeb_from(th: np.ndarray, om: np.ndarray, values):
     R ⌟ Omega = 0, R ⌟ theta = 1.  Raises numpy's LinAlgError when the SVD
     does not converge.
     """
-    F = om.T + th[:, None] * th
+    F = flat_from(th, om)
     factors = _certified_lu(F)
     if factors is None:
         if not np.isfinite(F).all():

@@ -19,11 +19,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_polynomial
 from test_expressions import ROW_NAMES, finite_floats, trees
 import cosym
-from cosym import expressions
+from cosym import dynamics, expressions
 from cosym.charts import Chart, ChartMap, ChartMismatchError, DomainError, ScalarField
 from cosym.expressions import EvalError
 from cosym.forms import KForm
-from cosym.manifolds import CHART_XJ1, CHART_XJT, ModelParameters
+from cosym.manifolds import CHART_XJ1, CHART_XJT, ModelParameters, builtin
 from cosym.structures import darboux_chart
 
 
@@ -264,6 +264,31 @@ class TestKeptLastPoint:
         assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
         H.value(pt), H.gradient(pt)
         assert H._last_value == H._last_gradient == (None, None)
+
+    def test_value_and_gradient_read_the_kept_kernel(self):
+        spec = builtin("xjt_gtacos")
+        source = "q^2 + p^2 + x^2 + (y-1)^2 + 0.5*kappa"
+        H = ScalarField.parse(spec.chart, source, spec.params)
+        dynamics.integrate(spec, H, spec.chart.point((0.2, 1.0, 0.3, -0.2, 0.0)),
+                           t_end=0.05, dt=0.01, method="rk4")  # 5 steps
+        walks = _counted(H)
+        pt = (0.3, 1.1, 0.2, -0.1, 0.4)
+        value, grad = H.value(pt), H.gradient(pt)
+        assert walks == []
+        fresh = ScalarField.parse(spec.chart, source, spec.params)
+        assert np.float64(value).tobytes() == np.float64(fresh.value(pt)).tobytes()
+        assert grad.tobytes() == fresh.gradient(pt).tobytes()
+
+    def test_where_the_kept_kernel_is_not_finite_value_and_gradient_walk(self):
+        # sqrt(q) is 0 at q = 0 but its derivative 1/(2 sqrt(q)) is not
+        H = ScalarField.parse(darboux_chart(1), "sqrt(q)")
+        H.kernel()
+        walks = _counted(H)
+        at = (0.0, 0.0, 0.0)
+        assert H.value(at) == 0.0
+        fresh = ScalarField.parse(darboux_chart(1), "sqrt(q)")
+        assert _raised(H.gradient, at) == _raised(fresh.gradient, at)
+        assert walks == ["_eval", "_gradient"]
 
 
 # A chart with the coordinates of a guarded chart but none of its guards.

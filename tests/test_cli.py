@@ -428,10 +428,17 @@ class TestSweep:
         ("[[0, 1, 0, 0, true]]", ", entry 0: invalid float value: 'True'"),
         ("[[0, 1, 0, 0, 0], 3]", ", entry 1: not a list of coordinates: 3"),
         ('{"a": 1}', " holds a JSON list of coordinate lists"),
-    ], ids=["nan_string", "nan_literal", "overflow", "text", "bool", "not_a_list", "object"])
+        ("[[0.2, 1, 0.3, -0.2, 0], [0.1, -1, 0, 0, 0]]",
+         ", entry 1: point violates y > 0.0 on chart 'xjt' (got y = -1.0)"),
+        ("[[0.2, 1, 0.3, -0.2, 0], [0.2, 1, 0.3, -0.2]]",
+         ", entry 1: chart 'xjt' expects 5 values, got 4"),
+    ], ids=["nan_string", "nan_literal", "overflow", "text", "bool", "not_a_list", "object",
+            "off_guard", "wrong_length"])
     def test_a_bad_sweep_file_is_an_input_error_naming_the_entry(
-        self, capsys, tmp_path, doc, message
+        self, capsys, tmp_path, monkeypatch, doc, message
     ):
+        calls = []
+        monkeypatch.setattr(dynamics, "integrate", lambda *a, **k: calls.append(a))
         points = tmp_path / "points.json"
         points.write_text(doc)
         code, out, err = run(
@@ -440,6 +447,81 @@ class TestSweep:
         assert code == EXIT_INPUT
         assert out == ""
         assert err == "error: --sweep %s%s\n" % (points, message)
+        assert calls == []  # every entry is read before any point flows
+
+    @pytest.mark.parametrize("flag, value", [
+        ("x0", "0.2,1,0,0,0"), ("csv", "out.csv"), ("json-out", "out.json"),
+    ])
+    @pytest.mark.parametrize("via", ["command_line", "config"])
+    def test_single_run_flags_are_refused_with_a_sweep(
+        self, capsys, tmp_path, flag, value, via
+    ):
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps(self.POINTS))
+        config = self._config(tmp_path)
+        if flag != "x0":
+            value = str(tmp_path / value)  # a file a single run would write
+        if via == "config":
+            doc = json.loads(Path(config).read_text())
+            doc[flag] = value
+            Path(config).write_text(json.dumps(doc))
+            extra = ()
+        else:
+            extra = ("--%s=%s" % (flag, value),)
+        code, out, err = run(
+            capsys, "integrate", "--config", config, "--sweep", str(points), *extra,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: --sweep cannot be combined with --%s\n" % flag
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["points.json", "run.json"]
+
+    def test_rk4_matches_single_runs_bit_for_bit_with_an_escape(self, capsys, tmp_path):
+        config = self._config(tmp_path)
+        x0s = [[0.0, 0.5, 0.0, 0.0, 0.0], [0.2, 2.0, 0.3, -0.2, 0.0]]
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps(x0s))
+        flags = ("--hamiltonian", "x/y^2", "--t-end", "1", "--method", "rk4")
+        code, out, _ = run(
+            capsys, "integrate", "--config", config, "--sweep", str(points), *flags
+        )
+        assert code == EXIT_NUMERICAL
+        sweep = json.loads(out)["sweep"]
+        assert [entry["escaped"] for entry in sweep] == [True, False]
+        for i, (entry, x0) in enumerate(zip(sweep, x0s)):
+            single = tmp_path / ("single%d.json" % i)
+            code, out, _ = run(
+                capsys, "integrate", "--config", config, *flags,
+                "--x0=" + ",".join(repr(v) for v in x0), "--json-out", str(single),
+            )
+            assert code == (EXIT_NUMERICAL if entry["escaped"] else EXIT_OK)
+            summary = json.loads(out)
+            assert entry["x0"] == x0
+            assert entry["final"] == json.loads(single.read_text())["states"][-1]
+            assert entry["max_dissipation_residual"] == summary["max_dissipation_residual"]
+            assert entry["escaped"] is summary["escaped"]
+
+    def test_every_point_flows_the_one_spec_and_hamiltonian(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        seen = []
+        integrate = dynamics.integrate
+
+        def spy(spec, H, x0, **solver):
+            seen.append((spec, H))
+            return integrate(spec, H, x0, **solver)
+
+        monkeypatch.setattr(dynamics, "integrate", spy)
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps(self.POINTS * 2))
+        code, out, _ = run(
+            capsys, "integrate", "--config", self._config(tmp_path), "--sweep", str(points),
+            "--method", "rk4",
+        )
+        assert code == EXIT_OK
+        assert len(json.loads(out)["sweep"]) == len(seen) == 4
+        spec, H = seen[0]
+        assert all(s is spec and h is H for s, h in seen)
 
 
 class TestCompare:
