@@ -4,25 +4,24 @@ Fields are evaluated pointwise, or at every row of an (N, dim) array at once.
 :meth:`ScalarField.value`, ``gradient`` and ``at`` (the two at once) read a
 point, and :meth:`ScalarField.rows` every row, from the field's kept kernel
 where it is finite, else by walking the trees; bit-identical either way.  A
-field backed by an expression tree has exact first and second partial
+field is an expression tree with exact first and second partial
 derivatives; each partial-derivative tree is built on first use and kept on
 the field, so a field is differentiated at most once per coordinate; its
 value and partials compile into one straight-line kernel on request
-(:meth:`ScalarField.kernel`).  A field backed by an opaque callable falls back
-to central finite differences with step ``h_i = max(1, |x_i|) * eps**(1/3)``.
-A value or gradient that is not finite (an overflow to inf, or NaN) raises
-:class:`EvalError`.
+(:meth:`ScalarField.kernel`).  A value or gradient that is not finite (an
+overflow to inf, or NaN) raises :class:`EvalError`.  The one
+finite-difference rule, :func:`central_difference` with step
+``h_i = max(1, |x_i|) * eps**(1/3)``, serves what is not an expression:
+Newton Jacobians and matrix-valued maps in :mod:`cosym.almost_contact`.
 
-An expression-backed field with no kernel also keeps the value and the
-gradient of its last tree walk, each keyed by the exact bytes of the
-point's coordinates (so +0.0 and -0.0 are different points): a repeat at
-the same point returns the kept result, a gradient as a new array.  An
-error is never kept, and a failing point leaves the previous one's result
-in place.  The kernel path builds no key and stores nothing, and building
-the kernel drops what was kept, so :func:`cosym.dynamics.integrate`, which
-steps and post-processes through kernels at ever new points, never keeps a
-point; a callable-backed field keeps nothing, as its function may hold
-state.
+A field with no kernel also keeps the value and the gradient of its last
+tree walk, each keyed by the exact bytes of the point's coordinates (so
++0.0 and -0.0 are different points): a repeat at the same point returns
+the kept result, a gradient as a new array.  An error is never kept, and a
+failing point leaves the previous one's result in place.  The kernel path
+builds no key and stores nothing, and building the kernel drops what was
+kept, so :func:`cosym.dynamics.integrate`, which steps and post-processes
+through kernels at ever new points, never keeps a point.
 
 Domain guards are hard constraints: evaluating at a violating point raises
 :class:`DomainError` rather than returning NaN (the built-in half-plane
@@ -256,21 +255,17 @@ class ChartPoint:
 
 
 class ScalarField:
-    """Real-valued field on a chart, symbolic or opaque-callable backed."""
+    """Real-valued field on a chart, given by an expression tree."""
 
     def __init__(
         self,
         chart: Chart,
-        expr: Expr | None = None,
-        fn: Callable[[np.ndarray], float] | None = None,
+        expr: Expr,
         params: Mapping[str, float] | None = None,
         source: str | None = None,
     ):
-        if (expr is None) == (fn is None):
-            raise ValueError("exactly one of expr / fn must be given")
         self.chart = chart
         self.expr = expr
-        self.fn = fn
         self.params = dict(params or {})
         self.source = source
         self._partials: dict[str, Expr] = {}
@@ -280,13 +275,12 @@ class ScalarField:
         overlap = set(self.params) & set(chart.coordinates)
         if overlap:
             raise ValueError("parameters shadow coordinates: %s" % sorted(overlap))
-        if expr is not None:
-            unbound = expr.names() - set(chart.coordinates) - set(self.params)
-            if unbound:
-                raise EvalError(
-                    "expression references unbound names %s on chart %r"
-                    % (sorted(unbound), chart.name)
-                )
+        unbound = expr.names() - set(chart.coordinates) - set(self.params)
+        if unbound:
+            raise EvalError(
+                "expression references unbound names %s on chart %r"
+                % (sorted(unbound), chart.name)
+            )
 
     # -- constructors ------------------------------------------------------
 
@@ -297,10 +291,6 @@ class ScalarField:
     @classmethod
     def from_expr(cls, chart: Chart, expr: Expr, params=None) -> "ScalarField":
         return cls(chart, expr=expr, params=params)
-
-    @classmethod
-    def from_callable(cls, chart: Chart, fn, params=None) -> "ScalarField":
-        return cls(chart, fn=fn, params=params)
 
     @classmethod
     def constant(cls, chart: Chart, value: float) -> "ScalarField":
@@ -316,13 +306,9 @@ class ScalarField:
 
     __call__ = value
 
-    def _keeps(self) -> bool:
-        """Whether tree walks are kept: expression-backed, no kernel."""
-        return self.expr is not None and self._kernel is None
-
     def _kept_value(self, values: np.ndarray) -> float:
         """:meth:`_eval`, kept for a repeat at the same coordinate bytes."""
-        if not self._keeps():
+        if self._kernel is not None:
             return self._eval(values)
         # one read of the slot, so a concurrent call cannot swap in its point
         key, kept = values.tobytes(), self._last_value
@@ -333,7 +319,7 @@ class ScalarField:
     def _kept_gradient(self, values: np.ndarray) -> np.ndarray:
         """:meth:`_gradient`, kept for a repeat at the same coordinate
         bytes; always a new array."""
-        if not self._keeps():
+        if self._kernel is not None:
             return self._gradient(values)
         key, kept = values.tobytes(), self._last_gradient
         if kept[0] != key:
@@ -341,12 +327,9 @@ class ScalarField:
         return kept[1].copy()
 
     def _eval(self, values: np.ndarray) -> float:
-        if self.expr is not None:
-            env = self.chart.env(values)
-            env.update(self.params)
-            v = self.expr.eval(env)
-        else:
-            v = float(self.fn(values))
+        env = self.chart.env(values)
+        env.update(self.params)
+        v = self.expr.eval(env)
         if not math.isfinite(v):
             raise self._not_finite("value", v, values)
         return v
@@ -368,44 +351,33 @@ class ScalarField:
             return tree
 
     def partial(self, coordinate: str) -> "ScalarField":
-        i = self.chart.index(coordinate)
-        if self.expr is not None:
-            return ScalarField(
-                self.chart, expr=self._partial_expr(coordinate), params=self.params
-            )
-        f = self._eval
+        self.chart.index(coordinate)  # KeyError for a coordinate not on the chart
         return ScalarField(
-            self.chart, fn=lambda v: central_difference(f, v, i), params=self.params
+            self.chart, expr=self._partial_expr(coordinate), params=self.params
         )
 
     def gradient(self, at, check_domain: bool = True) -> np.ndarray:
-        """The partial derivatives at a point as a new array, read as
-        :meth:`at` reads them: exact for an expression, by central
-        differences for a callable."""
+        """The exact partial derivatives at a point as a new array, read as
+        :meth:`at` reads them."""
         values = self.chart.values(at, check_domain)
         out = self._kernel_at(values)
         return self._kept_gradient(values) if out is None else np.array(out[1:])
 
     def _gradient(self, values: np.ndarray) -> np.ndarray:
-        if self.expr is not None:
-            env = self.chart.env(values)
-            env.update(self.params)
-            grad = [self._partial_expr(c).eval(env) for c in self.chart.coordinates]
-        else:
-            dim = self.chart.dimension
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                grad = [central_difference(self._eval, values, i) for i in range(dim)]
+        env = self.chart.env(values)
+        env.update(self.params)
+        grad = [self._partial_expr(c).eval(env) for c in self.chart.coordinates]
         if not all(map(math.isfinite, grad)):
             raise self._not_finite("gradient", grad, values)
         return np.array(grad)
 
     # -- compiled evaluation -------------------------------------------------
 
-    def kernel(self) -> Kernel | None:
+    def kernel(self) -> Kernel:
         """The value and the partials as one straight-line kernel, built on
-        first request and kept; None for a callable-backed field.  Building
-        it drops the kept last point: an owner with a kernel keeps none."""
-        if self._kernel is None and self.expr is not None:
+        first request and kept.  Building it drops the kept last point: an
+        owner with a kernel keeps none."""
+        if self._kernel is None:
             coords = self.chart.coordinates
             exprs = [self.expr] + [self._partial_expr(c) for c in coords]
             self._kernel = Kernel(exprs, coords, [self.params] * len(exprs))
@@ -445,7 +417,7 @@ class ScalarField:
             values[k], grads[k] = self.at(row, check_domain=False)
         return values, grads
 
-    # -- algebra (symbolic when both operands are) ---------------------------
+    # -- algebra -------------------------------------------------------------
 
     def _merge_params(self, other: "ScalarField") -> dict[str, float]:
         merged = dict(self.params)
@@ -455,53 +427,43 @@ class ScalarField:
             merged[k] = v
         return merged
 
-    def _combine(self, other, op_expr, op_val) -> "ScalarField":
+    def _combine(self, other, op) -> "ScalarField":
         if isinstance(other, (int, float)):
             other = ScalarField.constant(self.chart, other)
         if other.chart.coordinates != self.chart.coordinates:
             raise ChartMismatchError("field algebra across different charts")
         params = self._merge_params(other)
-        if self.expr is not None and other.expr is not None:
-            return ScalarField(
-                self.chart, expr=op_expr(self.expr, other.expr), params=params
-            )
-        f, g = self._eval, other._eval
-        return ScalarField(
-            self.chart, fn=lambda v: op_val(f(v), g(v)), params=params
-        )
+        return ScalarField(self.chart, expr=op(self.expr, other.expr), params=params)
 
     def __add__(self, other):
         from .expressions import add
 
-        return self._combine(other, add, lambda a, b: a + b)
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         from .expressions import sub
 
-        return self._combine(other, sub, lambda a, b: a - b)
+        return self._combine(other, sub)
 
     def __mul__(self, other):
         from .expressions import mul
 
-        return self._combine(other, mul, lambda a, b: a * b)
+        return self._combine(other, mul)
 
     __rmul__ = __mul__
 
     def __neg__(self):
         from .expressions import neg
 
-        if self.expr is not None:
-            return ScalarField(self.chart, expr=neg(self.expr), params=self.params)
-        f = self._eval
-        return ScalarField(self.chart, fn=lambda v: -f(v), params=self.params)
+        return ScalarField(self.chart, expr=neg(self.expr), params=self.params)
 
     def is_zero(self) -> bool:
         return isinstance(self.expr, Num) and self.expr.value == 0.0
 
     def __repr__(self):
-        body = self.source or (str(self.expr) if self.expr is not None else "<fn>")
+        body = self.source or str(self.expr)
         return "ScalarField(%s on %s)" % (body, self.chart.name)
 
 
@@ -543,7 +505,7 @@ class ChartMap:
             raise DomainError("image point leaves target domain: %s" % exc) from None
 
     def jacobian(self, at) -> np.ndarray:
-        """d(target_i)/d(source_j), symbolic when possible, else central FD."""
+        """d(target_i)/d(source_j), exact from the component fields."""
         values = self.source.values(at)
         return np.vstack([c.gradient(values) for c in self.components])
 

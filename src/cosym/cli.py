@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 success, 1 numerical failure (reported), 2 input error.
-Numbers are serialized with 17 significant digits so round trips are
-bit-faithful.  The default seed is 42; the COSYM_SEED environment variable
+Floats are written as Python's shortest repr, which reads back bit for
+bit.  The default seed is 42; the COSYM_SEED environment variable
 overrides it.
 
 argparse reads all input: its types read numbers (finite only) and
@@ -41,14 +41,10 @@ DEFAULT_SEED = 42
 PARAMETER_NAMES = tuple(f.name for f in dataclasses.fields(manifolds.ModelParameters))
 
 
-def _fmt(x) -> float:
-    return float("%.17g" % float(x))
-
-
 def _jsonify(obj, key=None):
-    """``obj`` as JSON values, floats to 17 digits.  A number that is not
-    finite, which strict JSON cannot hold, raises EvalError naming the key
-    it sits under."""
+    """``obj`` as JSON values, numpy floats as Python floats.  A number that
+    is not finite, which strict JSON cannot hold, raises EvalError naming
+    the key it sits under."""
     if isinstance(obj, dict):
         return {k: _jsonify(v, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -56,7 +52,7 @@ def _jsonify(obj, key=None):
     if isinstance(obj, np.ndarray):
         return [_jsonify(v, key) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        value = _fmt(obj)
+        value = float(obj)
         if not math.isfinite(value):
             raise EvalError("%s is not finite: %r" % (json.dumps(key), value))
         return value
@@ -248,15 +244,19 @@ def cmd_integrate(args) -> int:
     if args.sweep:
         outputs = []
         for x0 in _sweep_points(args.sweep, spec.chart):
-            traj = dynamics.integrate(spec, H, x0, **solver)
-            outputs.append({
-                "x0": list(x0.values),
-                "final": traj.states[-1].tolist(),
-                "max_dissipation_residual": traj.max_dissipation_residual,
-                "escaped": traj.escaped,
-            })
+            out = {"x0": list(x0.values)}
+            try:
+                traj = dynamics.integrate(spec, H, x0, **solver)
+            except structures.StructureError as exc:  # this point only; the rest flow
+                out["failure"] = str(exc)
+            else:
+                out.update(final=traj.states[-1].tolist(),
+                           max_dissipation_residual=traj.max_dissipation_residual,
+                           escaped=traj.escaped)
+            outputs.append(out)
         _print_json({"sweep": outputs})
-        return EXIT_NUMERICAL if any(o["escaped"] for o in outputs) else EXIT_OK
+        failed = any("failure" in o or o["escaped"] for o in outputs)
+        return EXIT_NUMERICAL if failed else EXIT_OK
 
     x0 = spec.chart.point(_require(args, "x0"))
     traj = dynamics.integrate(spec, H, x0, **solver)

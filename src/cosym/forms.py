@@ -165,9 +165,6 @@ class KForm:
             {idx: factor * f for idx, f in self.coeffs.items()},
         )
 
-    def symbolic(self) -> bool:
-        return all(f.expr is not None for f in self.coeffs.values())
-
     def to_json_coeffs(self) -> dict[str, str]:
         out = {}
         for idx, f in self.coeffs.items():
@@ -267,7 +264,7 @@ def differential(f: ScalarField) -> KForm:
 
 
 def exterior_derivative(f: KForm | ScalarField) -> KForm:
-    """d on forms; exact in symbolic mode, FD step rule otherwise."""
+    """d on forms, exact: each coefficient's partials are expression trees."""
     if isinstance(f, ScalarField):
         return differential(f)
     chart = f.chart
@@ -313,8 +310,8 @@ def interior_product(X, f: KForm | FormValue, at) -> FormValue:
 def pullback(m: ChartMap, f: KForm, at) -> FormValue:
     """Pullback of f through m, evaluated at a source point.
 
-    Coefficients transform by Jacobian minors; the Jacobian is exact for
-    symbolic component fields and central-FD otherwise.
+    Coefficients transform by Jacobian minors of the exact Jacobian of the
+    map's component fields.
     """
     if f.chart.coordinates != m.target.coordinates:
         raise ChartMismatchError("form does not live on the map's target chart")

@@ -22,7 +22,7 @@ trajectory or probe set: by one batched LU where the certificate proves
 the rank rule at every row, else row by row through :func:`reeb_from`; it
 needs R only, never the factors.
 
-A spec whose forms are symbolic keeps its last tree-walked point: theta and
+A spec with no kernel keeps its last tree-walked point: theta and
 Omega, and once taken, :func:`reeb_from`'s (R, factors) there, keyed by the
 exact bytes of the coordinates.  :meth:`StructureSpec.at`, :func:`reeb`,
 :func:`sharp` and the field solves of :mod:`cosym.dynamics` read a repeat
@@ -125,7 +125,6 @@ class StructureSpec:
         self.params = dict(params or {})
         self._classification: StructureClass | None = None
         self._kernel: Kernel | None = None
-        self._symbolic = theta.symbolic() and omega.symbolic()
         self._last: list | None = None  # the kept point; see _point
 
     # -- pointwise data ------------------------------------------------------
@@ -136,12 +135,12 @@ class StructureSpec:
     def omega_matrix(self, at, check_domain: bool = True) -> np.ndarray:
         return self.omega.at(at, check_domain).as_matrix()
 
-    def kernel(self) -> Kernel | None:
+    def kernel(self) -> Kernel:
         """theta and Omega as one straight-line kernel, built on first
-        request and kept; None when a coefficient is callable-backed.  It
-        returns theta's dim entries, then Omega's dim x dim entries row by
-        row, zeros and the negated lower triangle included."""
-        if self._kernel is None and self.theta.symbolic() and self.omega.symbolic():
+        request and kept.  It returns theta's dim entries, then Omega's
+        dim x dim entries row by row, zeros and the negated lower triangle
+        included."""
+        if self._kernel is None:
             dim = self.chart.dimension
             zero = (Num(0.0), {})
             entries = []
@@ -166,23 +165,22 @@ class StructureSpec:
         coordinates have its bytes, else by walking theta's and then Omega's
         trees, whose errors are the reference.  ``solve`` is
         :func:`reeb_from`'s (R, factors) once :meth:`_solved` has taken it.
-        A walk is kept only by a spec with symbolic forms and no kernel; a
-        kept entry's arrays are shared, so they are read, never handed out."""
-        keeps = self._kernel is None and self._symbolic
+        A walk is kept exactly when there is no kernel; a kept entry's arrays
+        are shared, so they are read, never handed out."""
         if self._kernel is not None:
             out = self._kernel.finite_at(values.tolist())
             if out is not None:
                 dim = len(values)
                 return [None, np.array(out[:dim], dtype=float),
                         np.array(out[dim:], dtype=float).reshape(dim, dim), None]
-        elif keeps:
+            key = None
+        else:
             key, last = values.tobytes(), self._last
             if last is not None and last[0] == key:
                 return last
-        point = [None, self.theta_vector(values, check_domain=False),
+        point = [key, self.theta_vector(values, check_domain=False),
                  self.omega_matrix(values, check_domain=False), None]
-        if keeps:
-            point[0] = key
+        if key is not None:
             self._last = point
         return point
 
@@ -417,8 +415,6 @@ def match_tacs_pattern(theta: KForm, chart: Chart) -> float | None:
     try:
         pairs, kappa = darboux_pairs(chart)
     except StructureError:
-        return None
-    if not theta.symbolic():
         return None
     coeffs = {idx[0]: f.expr for idx, f in theta.coeffs.items()}
     kappa_coeff = coeffs.pop(kappa, None)

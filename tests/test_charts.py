@@ -113,6 +113,22 @@ def test_algebra_gives_a_field_with_its_own_cache(diff_calls):
     np.testing.assert_array_equal(G.gradient(pt), dG)
 
 
+def test_every_field_is_an_expression_with_a_kernel():
+    chart = darboux_chart(1)
+    H = ScalarField.parse(chart, "q^2*p")
+    G = ScalarField.parse(chart, "sin(kappa)")
+    pt = (0.3, -0.7, 1.1)
+    built = (H + G, H - 2.0, 3.0 * H * G, -G, H.partial("q"), ScalarField.constant(chart, 2.5))
+    for F in built:
+        walked = F.at(pt)
+        assert isinstance(F.kernel(), expressions.Kernel)
+        compiled = F.at(pt)
+        assert compiled[0] == walked[0] and compiled[1].tobytes() == walked[1].tobytes()
+    assert not hasattr(ScalarField, "from_callable")
+    with pytest.raises(TypeError):
+        ScalarField(chart, fn=lambda v: 0.0)
+
+
 def _raised(fn, *args):
     with pytest.raises(EvalError) as err:
         fn(*args)
@@ -137,20 +153,6 @@ def test_non_finite_results_are_eval_errors(source, bad, what):
     assert _raised(H.rows, rows) == message
     H.kernel()  # the kept kernel is not finite there: the rows are walked
     assert _raised(H.rows, rows) == message
-
-
-def test_non_finite_callable_results_are_eval_errors():
-    chart = darboux_chart(1)
-    nan = ScalarField.from_callable(chart, lambda v: math.nan if v[0] > 0 else 1.0)
-    rows = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    # rows are walked gradient first, as the right-hand side evaluates them
-    assert _raised(nan.gradient, rows[1]) == _raised(nan.rows, rows)
-    # finite values whose central difference overflows
-    step = ScalarField.from_callable(chart, lambda v: math.copysign(1.7e308, v[0]))
-    assert step.value(rows[0]) == -1.7e308
-    message = _raised(step.gradient, [0.0, 0.0, 0.0])
-    assert message.startswith("gradient of ") and "not finite" in message
-    assert _raised(step.rows, [[5.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) == message
 
 
 # --------------------------------------------------------------------------
@@ -216,17 +218,6 @@ class TestKeptLastPoint:
         H.at(pt)[1][:] = 7.0
         assert H.gradient(pt).tobytes() == want
         assert H.at(pt)[1].tobytes() == want
-
-    def test_a_callable_field_calls_its_function_every_time(self):
-        calls = []
-        H = ScalarField.from_callable(
-            darboux_chart(1), lambda v: calls.append(1) or float(v[0] * v[1]))
-        for _ in range(3):
-            H.value((0.5, 2.0, 0.0))
-        assert len(calls) == 3
-        H.gradient((0.5, 2.0, 0.0))
-        H.gradient((0.5, 2.0, 0.0))
-        assert len(calls) == 3 + 2 * 2 * 3  # two central differences per coordinate
 
     def test_a_failing_point_raises_every_time_and_keeps_the_last_good_one(self):
         chart = darboux_chart(1)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cosym import cli, dynamics
 from cosym.charts import ScalarField
@@ -523,6 +524,40 @@ class TestSweep:
         spec, H = seen[0]
         assert all(s is spec and h is H for s, h in seen)
 
+    @pytest.mark.parametrize("method", ["adaptive-rk45", "rk4"])
+    def test_a_degenerate_point_reports_its_failure_and_the_others_their_runs(
+        self, capsys, tmp_path, method
+    ):
+        # under H = x^2 the second point runs y up to 2e7, where F has rank 3
+        x0s = [[0.2, 1.0, 0.3, -0.2, 0.0], [-0.485, 1.497, -0.414, 0.345, -0.132],
+               [0.1, 0.8, 0.0, 0.1, 0.0]]
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps(x0s))
+        command = ("integrate", "--builtin", "xjt_gtacos", "--hamiltonian", "x^2",
+                   "--method", method)
+        code, out, err = run(capsys, *command, "--sweep", str(points))
+        assert (code, err) == (EXIT_NUMERICAL, "")
+        sweep = json.loads(out)["sweep"]
+        assert len(sweep) == 3
+        for i, (entry, x0) in enumerate(zip(sweep, x0s)):
+            single = tmp_path / ("single%d.json" % i)
+            code, out, err = run(
+                capsys, *command, "--x0=" + ",".join(map(repr, x0)), "--json-out", str(single),
+            )
+            assert entry["x0"] == x0
+            if i == 1:
+                assert (code, out) == (EXIT_NUMERICAL, "") and not single.exists()
+                assert list(entry) == ["x0", "failure"]
+                assert err == "numerical failure: %s\n" % entry["failure"]
+                assert "rank 3 < 5" in entry["failure"]
+                continue
+            assert (code, err) == (EXIT_OK, "")
+            summary = json.loads(out)
+            final = json.loads(single.read_text())["states"][-1]
+            assert json.dumps(entry["final"]) == json.dumps(final)
+            assert entry["max_dissipation_residual"] == summary["max_dissipation_residual"]
+            assert entry["escaped"] is summary["escaped"] is False
+
 
 class TestCompare:
     def test_gtacos_vs_base(self, capsys):
@@ -852,6 +887,20 @@ def _strict_json(text):
         raise ValueError("%s is not JSON" % constant)
 
     return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)  # the smallest subnormal
+@example(-2.5e-310)
+@example(1.7e308)
+@example(-1.7e308)
+def test_json_text_reads_back_every_finite_float_bit_for_bit(x):
+    for value in (x, np.float64(x)):
+        back = json.loads(cli._json_text([value, np.array([value])]))
+        for got in (back[0], back[1][0]):
+            assert np.float64(got).tobytes() == np.float64(x).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -648,15 +648,6 @@ class TestPostPass:
         assert traj.hamiltonian_values.tobytes() == h.tobytes()
         assert np.abs(traj.dissipation_residuals - residuals).max() <= 1e-14 * scale
 
-    def test_callable_hamiltonian(self):
-        s = contact1()
-        H = ScalarField.from_callable(
-            s.chart, lambda v: 0.5 * (v[0] ** 2 + v[1] ** 2) + 0.3 * v[2] ** 3
-        )
-        traj = integrate(s, H, s.chart.point((0.4, -0.3, 0.5)), 0.2, 1e-2)
-        assert len(traj.times) == 21 and not traj.escaped
-        self.check(s, H, traj)
-
     def test_zero_t_end_single_row(self):
         s = builtin("xjt_gtacos")
         H = ScalarField.parse(s.chart, "q^2 + p^2 + x^2 + (y-1)^2 + 0.5*kappa", s.params)
@@ -800,23 +791,3 @@ class TestCompiledKernels:
             assert H._last_value == H._last_gradient == (None, None)
         assert hamiltonian_field_generic(s, H, pt).tobytes() == want.tobytes()
         assert s._last is None and H._last_gradient == (None, None)
-
-    def test_callable_fields_keep_the_tree_walk(self):
-        s = contact1()
-        H = ScalarField.from_callable(s.chart, lambda v: 0.5 * (v[0] ** 2 + v[1] ** 2))
-        traj = integrate(s, H, s.chart.point((0.4, -0.3, 0.5)), 0.1, 1e-2)
-        assert H.kernel() is None
-        value, grad = H.at([0.4, -0.3, 0.5])
-        assert value == H.value([0.4, -0.3, 0.5])
-        assert grad.tobytes() == H.gradient([0.4, -0.3, 0.5]).tobytes()
-        assert len(traj.times) == 11
-        # theta and Omega still come from the structure's kernel, bit for bit.
-        assert s._kernel is not None
-        fresh = contact1()
-        for row in traj.states:
-            got = hamiltonian_field_generic(s, H, row)
-            assert got.tobytes() == hamiltonian_field_generic(fresh, H, row).tobytes()
-        for got, want in zip(dynamics._dissipation_rows(s, H, traj.states),
-                             dynamics._dissipation_rows(fresh, H, traj.states)):
-            assert got.tobytes() == want.tobytes()
-        assert fresh._kernel is None
