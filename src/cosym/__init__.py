@@ -62,6 +62,7 @@ from .jacobi_flows import (
     paper_discrepancy_report,
     red_green_decomposition,
     riccati_rhs,
+    split_energy,
 )
 
 __version__ = "0.1.0"

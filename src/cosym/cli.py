@@ -247,8 +247,8 @@ def cmd_integrate(args) -> int:
             out = {"x0": list(x0.values)}
             try:
                 traj = dynamics.integrate(spec, H, x0, **solver)
-            except structures.StructureError as exc:  # this point only; the rest flow
-                out["failure"] = str(exc)
+            except (structures.StructureError, EvalError) as exc:
+                out["failure"] = str(exc)  # this point only; the rest flow
             else:
                 out.update(final=traj.states[-1].tolist(),
                            max_dissipation_residual=traj.max_dissipation_residual,
@@ -306,24 +306,26 @@ def _coeffs_from_args(args) -> jacobi_flows.LinearHamiltonianCoefficients:
 
 def cmd_compare(args) -> int:
     params = _params(args)
-    coeffs = _coeffs_from_args(args)
     variants = [v.strip() for v in args.variants.split(",")]
-    for v in variants:
+    for i, v in enumerate(variants):
         if v not in jacobi_flows.VARIANTS:
             raise ValueError("unknown variant %r" % v)
+        if v in variants[:i]:
+            raise ValueError("variant %r given twice" % v)
     x0 = _require(args, "x0")
     if len(x0) != 5:
         raise ValueError("compare needs a 5-coordinate initial point")
+    model = jacobi_flows.split_energy(_coeffs_from_args(args), params)
 
     trajectories = {}
     for variant in variants:
         if variant == "base_xj1":
             trajectories[variant] = jacobi_flows.integrate_base(
-                coeffs, x0[:4], args.t_end, args.dt, params
+                model, x0[:4], args.t_end, args.dt
             )
         else:
             traj = jacobi_flows.integrate_variant(
-                coeffs, variant, manifolds.CHART_XJT.point(x0), args.t_end, args.dt, params
+                model, variant, manifolds.CHART_XJT.point(x0), args.t_end, args.dt
             )
             trajectories[variant] = (traj.times, traj.states)
 
@@ -341,7 +343,7 @@ def cmd_compare(args) -> int:
     for variant in variants:
         if variant == "base_xj1":
             continue
-        base, corr = jacobi_flows.red_green_decomposition(coeffs, variant, x0, params)
+        base, corr = jacobi_flows.red_green_decomposition(model, variant, x0)
         activity[variant] = {
             "base": base,
             "correction": corr,
@@ -354,9 +356,7 @@ def cmd_compare(args) -> int:
 
     report = {"variants": variants, "deltas": deltas, "corrections": activity}
     if args.paper_verbatim:
-        report["paper_verbatim"] = jacobi_flows.paper_discrepancy_report(
-            coeffs, x0, params
-        )
+        report["paper_verbatim"] = jacobi_flows.paper_discrepancy_report(model, x0)
     if args.csv:
         _write_compare_csv(args.csv, trajectories)
     _print_json(report)
@@ -380,9 +380,10 @@ def cmd_riccati(args) -> int:
         explicit = any(
             getattr(args, key) is not None for key in COEFFICIENT_FLAGS + ("h_kappa",)
         )
-        _print_json(
-            jacobi_flows.paper_discrepancy_report(coeffs if explicit else None, None, params)
+        model = jacobi_flows.split_energy(
+            coeffs if explicit else jacobi_flows.REFERENCE_COEFFS, params
         )
+        _print_json(jacobi_flows.paper_discrepancy_report(model))
         return EXIT_OK
     times, states = jacobi_flows.integrate_riccati(coeffs, args.x0, args.t_end, args.dt)
     if args.csv:

@@ -6,6 +6,13 @@ quadratic Riccati system on the upper half-plane; the remaining components
 carry the correction terms that distinguish the extended 5-dimensional flow
 from the 4-dimensional base flow.
 
+One model, :class:`SplitEnergy` (built by :func:`split_energy`), stands for
+one (coefficients, parameters) pair: it keeps the split energy's fields and
+the two variant structures, xjt_gtacos and xjt_contact, each built on first
+use.  Every function that flows, splits or checks the energy reads that
+model, so each field is differentiated, and each kernel compiled, once per
+model; the Riccati right-hand sides read only the coefficients.
+
 The right-hand sides shipped here are derived through the generic
 flat-equation solve (symbolic differentiation of the split energy); the
 verbatim printed variants are retained only inside the discrepancy report,
@@ -15,7 +22,7 @@ which quantifies how far they deviate from the derived forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import ChartPoint, ScalarField
@@ -69,18 +76,32 @@ class LinearHamiltonianCoefficients:
 
 @dataclass(frozen=True)
 class SplitEnergy:
-    """Energy split H_pq(q, p) + H_xy(x, y) + h(kappa) on the 5-chart."""
+    """The model of one (coefficients, parameters) pair: the energy split
+    H_pq(q, p) + H_xy(x, y) + h(kappa) on the 5-chart, and the variant
+    structures of :meth:`structure`."""
 
+    coeffs: LinearHamiltonianCoefficients
+    params: ModelParameters
     h_pq: ScalarField
     h_xy: ScalarField
     h_kappa: ScalarField
     total: ScalarField
+    _structures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def structure(self, variant: str) -> StructureSpec:
+        """The xjt_<variant> structure ("gtacos" or "contact") at the
+        model's parameters, built on first use and kept."""
+        if variant not in ("gtacos", "contact"):
+            raise ValueError("variant must be one of %s" % (VARIANTS,))
+        if variant not in self._structures:
+            self._structures[variant] = builtin("xjt_" + variant, self.params)
+        return self._structures[variant]
 
 
 def split_energy(
     coeffs: LinearHamiltonianCoefficients, params: ModelParameters
 ) -> SplitEnergy:
-    """Symbolic split energy:
+    """The model of ``coeffs`` at ``params``, with the symbolic split energy
 
         H(q,p) = nu [ (m+c) q^2 + (c-m) p^2 + 2 n q p + 2 (a q + b p) ]
         H(x,y) = k { (1/y) [ (m+c)(x^2+y^2) - 2 (n x + c y) ] + 3c - m }
@@ -108,15 +129,13 @@ def split_energy(
     if h_expr is not None:
         total_expr = total_expr + h_expr
     total = ScalarField.from_expr(CHART_XJT, total_expr)
-    return SplitEnergy(h_pq=h_pq, h_xy=h_xy, h_kappa=h_field, total=total)
+    return SplitEnergy(coeffs, params, h_pq=h_pq, h_xy=h_xy, h_kappa=h_field, total=total)
 
 
-def energy(coeffs: LinearHamiltonianCoefficients, at, params: ModelParameters) -> float:
+def energy(model: SplitEnergy, at) -> float:
     """H_pq + H_xy at a point (x, y, q, p)."""
-    values = CHART_XJ1.values(at)
-    se = split_energy(coeffs, params)
-    padded = np.append(values, 0.0)
-    return se.h_pq.value(padded, check_domain=False) + se.h_xy.value(
+    padded = np.append(CHART_XJ1.values(at), 0.0)
+    return model.h_pq.value(padded, check_domain=False) + model.h_xy.value(
         padded, check_domain=False
     )
 
@@ -126,29 +145,18 @@ def energy(coeffs: LinearHamiltonianCoefficients, at, params: ModelParameters) -
 # --------------------------------------------------------------------------
 
 
-def _variant_structure(variant: str, params: ModelParameters) -> StructureSpec:
-    if variant == "gtacos":
-        return builtin("xjt_gtacos", params)
-    if variant == "contact":
-        return builtin("xjt_contact", params)
-    raise ValueError("variant must be one of %s" % (VARIANTS,))
-
-
-def base_field(
-    coeffs: LinearHamiltonianCoefficients, at, params: ModelParameters
-) -> np.ndarray:
+def base_field(model: SplitEnergy, at) -> np.ndarray:
     """Symplectic flow on the 4-chart (x, y, q, p): solve X ⌟ omega = dH for
     omega = (k/y^2) dx^dy + 2 nu dq^dp."""
-    values = CHART_XJ1.values(at)
-    return _base_velocity(split_energy(coeffs, params).total, values, params)
+    return _base_velocity(model, CHART_XJ1.values(at))
 
 
-def _base_velocity(total: ScalarField, values, params: ModelParameters) -> np.ndarray:
-    """:func:`base_field` at (x, y, q, p) for a given split-energy total."""
+def _base_velocity(model: SplitEnergy, values) -> np.ndarray:
+    """:func:`base_field` at already checked coordinates (x, y, q, p)."""
     padded = np.append(values, 0.0)
-    dH = total.gradient(padded, check_domain=False)[:4]
+    dH = model.total.gradient(padded, check_domain=False)[:4]
     y = values[1]
-    k, nu = params.k, params.nu
+    k, nu = model.params.k, model.params.nu
     return np.array(
         [
             (y**2 / k) * dH[1],
@@ -159,12 +167,7 @@ def _base_velocity(total: ScalarField, values, params: ModelParameters) -> np.nd
     )
 
 
-def eom(
-    coeffs: LinearHamiltonianCoefficients,
-    variant: str,
-    at,
-    params: ModelParameters,
-) -> np.ndarray:
+def eom(model: SplitEnergy, variant: str, at) -> np.ndarray:
     """Velocity vector of the chosen variant at a point.
 
     gtacos/contact go through the generic flat-equation solve on the
@@ -172,18 +175,14 @@ def eom(
     the 4-chart.
     """
     if variant == "base_xj1":
-        return base_field(coeffs, at, params)
-    spec = _variant_structure(variant, params)
-    se = split_energy(coeffs, params)
+        return base_field(model, at)
+    spec = model.structure(variant)
     values = CHART_XJT.values(at)
-    return hamiltonian_field_generic(spec, se.total, values, check_domain=False)
+    return hamiltonian_field_generic(spec, model.total, values, check_domain=False)
 
 
 def red_green_decomposition(
-    coeffs: LinearHamiltonianCoefficients,
-    variant: str,
-    at,
-    params: ModelParameters,
+    model: SplitEnergy, variant: str, at
 ) -> tuple[np.ndarray, np.ndarray]:
     """(base_terms, correction_terms) with base + correction = eom(variant).
 
@@ -193,10 +192,9 @@ def red_green_decomposition(
     if variant not in ("gtacos", "contact"):
         raise ValueError("decomposition applies to the 5-dimensional variants")
     values = CHART_XJT.values(at)
-    spec = _variant_structure(variant, params)
-    total = split_energy(coeffs, params).total
-    full = hamiltonian_field_generic(spec, total, values, check_domain=False)
-    base = np.append(_base_velocity(total, values[:4], params), 0.0)
+    spec = model.structure(variant)
+    full = hamiltonian_field_generic(spec, model.total, values, check_domain=False)
+    base = np.append(_base_velocity(model, values[:4]), 0.0)
     return base, full - base
 
 
@@ -246,35 +244,23 @@ def integrate_riccati(
 
 
 def integrate_base(
-    coeffs: LinearHamiltonianCoefficients,
-    x0,
-    t_end: float,
-    dt: float,
-    params: ModelParameters,
+    model: SplitEnergy, x0, t_end: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the 4-dimensional base flow on (x, y, q, p) with RK45 at
     rtol = atol = 1e-9; returns (times, states)."""
-    total = split_energy(coeffs, params).total
     times, states, _, _ = _step(
-        lambda s: _base_velocity(total, s, params),
+        lambda s: _base_velocity(model, s),
         CHART_XJ1, x0, t_end, dt, "adaptive-rk45", 1e-9, 1e-9,
     )
     return times, states
 
 
 def integrate_variant(
-    coeffs: LinearHamiltonianCoefficients,
-    variant: str,
-    x0: ChartPoint,
-    t_end: float,
-    dt: float,
-    params: ModelParameters,
+    model: SplitEnergy, variant: str, x0: ChartPoint, t_end: float, dt: float
 ) -> Trajectory:
     """Trajectory of a 5-dimensional variant under the split energy, by
     :func:`integrate`'s default RK45 at rtol = atol = 1e-9."""
-    spec = _variant_structure(variant, params)
-    se = split_energy(coeffs, params)
-    return integrate(spec, se.total, x0, t_end, dt)
+    return integrate(model.structure(variant), model.total, x0, t_end, dt)
 
 
 # --------------------------------------------------------------------------
@@ -287,14 +273,14 @@ REFERENCE_COEFFS = LinearHamiltonianCoefficients(
 )
 
 
-def _contact_field_printed(total: ScalarField, values, params: ModelParameters) -> np.ndarray:
-    """Verbatim printed contact equations of motion of the split energy
-    ``total``, including the kappa-line's trailing dH/dkappa factor, exactly
-    as published."""
-    dH = total.gradient(values, check_domain=False)
-    H = total.value(values, check_domain=False)
+def _contact_field_printed(model: SplitEnergy, values) -> np.ndarray:
+    """Verbatim printed contact equations of motion of the split energy,
+    including the kappa-line's trailing dH/dkappa factor, exactly as
+    published."""
+    dH = model.total.gradient(values, check_domain=False)
+    H = model.total.value(values, check_domain=False)
     x, y, q, p, kappa = values
-    k, nu = params.k, params.nu
+    k, nu = model.params.k, model.params.nu
     hx, hy, hq, hp, hk = dH
     return np.array(
         [
@@ -307,38 +293,34 @@ def _contact_field_printed(total: ScalarField, values, params: ModelParameters) 
     )
 
 
-def _gtacos_pq_printed(
-    coeffs: LinearHamiltonianCoefficients, values, params: ModelParameters
-) -> np.ndarray:
+def _gtacos_pq_printed(model: SplitEnergy, values) -> np.ndarray:
     """Verbatim printed (q', p') lines of the linear-Hamiltonian flow."""
+    coeffs = model.coeffs
     a, b, c = coeffs.a, coeffs.b, coeffs.c_lin
     m, n = coeffs.m, coeffs.n_lin
-    nu = params.nu
+    nu = model.params.nu
     x, y, q, p, kappa = values
-    h_expr = coeffs.h_expr()
-    hk = h_expr.diff("kappa").eval({"kappa": kappa}) if h_expr is not None else 0.0
+    hk = model.h_kappa.gradient(values, check_domain=False)[4]
     qdot = -(m + c) * q - n * p - a - (q / (2.0 * nu)) * hk
     pdot = q * n + (c - m) * p + b - (p / (2.0 * nu)) * hk
     return np.array([qdot, pdot])
 
 
-def _gtacos_kappa_printed(
-    coeffs: LinearHamiltonianCoefficients, values, params: ModelParameters
-) -> float:
+def _gtacos_kappa_printed(model: SplitEnergy, values) -> float:
     """Verbatim printed kappa' of the linear-Hamiltonian flow, with the
     opaque 'q a^2' token evaluated literally."""
+    coeffs = model.coeffs
     a, b, c = coeffs.a, coeffs.b, coeffs.c_lin
     m, n = coeffs.m, coeffs.n_lin
     x, y, q, p, kappa = values
-    h_expr = coeffs.h_expr()
-    h = h_expr.eval({"kappa": kappa}) if h_expr is not None else 0.0
+    h = model.h_kappa.value(values, check_domain=False)
     return (
         (c + m) * q * a**2
         + (-c + m) * p**2
         + (m - n) * p * q
         + n * q
         + b * p
-        - h / math.sqrt(params.delta)
+        - h / math.sqrt(model.params.delta)
     )
 
 
@@ -367,20 +349,18 @@ def _xjt_poisson_derived(f: ScalarField, g: ScalarField, values, params) -> floa
     ) / (2.0 * nu)
 
 
-def paper_discrepancy_report(
-    coeffs: LinearHamiltonianCoefficients | None = None,
-    at=None,
-    params: ModelParameters | None = None,
-) -> dict:
+def paper_discrepancy_report(model: SplitEnergy | None = None, at=None) -> dict:
     """Residuals between the printed equations and the oracle-derived forms
-    at a reference point.
+    of ``model`` (by default the reference coefficients at unit parameters)
+    at a point (by default the reference point).
 
     Every entry carries the printed value, the derived value and their
     absolute deviation; nonzero deviations document transcription defects in
     the printed equations rather than in this implementation.
     """
-    coeffs = coeffs or REFERENCE_COEFFS
-    params = params or ModelParameters()
+    if model is None:
+        model = split_energy(REFERENCE_COEFFS, ModelParameters())
+    coeffs, params = model.coeffs, model.params
     values = CHART_XJT.values(at if at is not None else REFERENCE_POINT)
 
     report: dict[str, dict] = {}
@@ -389,18 +369,17 @@ def paper_discrepancy_report(
     printed_xy = riccati_rhs_printed(coeffs, values[:2])
     report["riccati_xy"] = _entry(printed_xy, derived_xy)
 
-    total = split_energy(coeffs, params).total
-    gtacos = builtin("xjt_gtacos", params)
-    full = hamiltonian_field_generic(gtacos, total, values, check_domain=False)
-    printed_pq = _gtacos_pq_printed(coeffs, values, params)
+    gtacos = model.structure("gtacos")
+    full = hamiltonian_field_generic(gtacos, model.total, values, check_domain=False)
+    printed_pq = _gtacos_pq_printed(model, values)
     report["linear_pq"] = _entry(printed_pq, full[2:4])
 
-    printed_kappa = _gtacos_kappa_printed(coeffs, values, params)
+    printed_kappa = _gtacos_kappa_printed(model, values)
     report["linear_kappa"] = _entry(printed_kappa, full[4])
 
-    contact = builtin("xjt_contact", params)
-    contact_full = hamiltonian_field_generic(contact, total, values, check_domain=False)
-    printed_contact = _contact_field_printed(total, values, params)
+    contact = model.structure("contact")
+    contact_full = hamiltonian_field_generic(contact, model.total, values, check_domain=False)
+    printed_contact = _contact_field_printed(model, values)
     report["contact_field"] = _entry(printed_contact, contact_full)
     report["contact_kappa"] = _entry(printed_contact[4], contact_full[4])
 

@@ -42,7 +42,6 @@ from typing import Mapping
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.stats import qmc
 
 from .charts import Chart, ChartPoint
 from .expressions import EvalError, Expr, Kernel, Mul, Name, Neg, Num
@@ -254,6 +253,8 @@ class StructureSpec:
     def default_probes(self, count: int = 64, seed: int = 42) -> list[ChartPoint]:
         """Quasi-random in-domain probe points (Halton sequence in the
         chart's sample box)."""
+        from scipy.stats import qmc  # its only user, and most of the import time
+
         box = self.chart.sample_box()
         sampler = qmc.Halton(d=self.chart.dimension, seed=seed)
         raw = sampler.random(count)

@@ -558,6 +558,34 @@ class TestSweep:
             assert entry["max_dissipation_residual"] == summary["max_dissipation_residual"]
             assert entry["escaped"] is summary["escaped"] is False
 
+    @pytest.mark.parametrize("method", ["adaptive-rk45", "rk4"])
+    def test_a_point_whose_expression_fails_reports_its_failure(
+        self, capsys, tmp_path, method
+    ):
+        # sqrt(q) has no real value once q < 0, where the second point starts
+        x0s = [[0.2, 1.0, 0.3, -0.2, 0.0], [0.2, 1.0, -0.3, -0.2, 0.0]]
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps(x0s))
+        command = ("integrate", "--builtin", "xjt_gtacos", "--hamiltonian", "sqrt(q)",
+                   "--t-end", "0.1", "--dt", "0.01", "--method", method)
+        code, out, err = run(capsys, *command, "--sweep", str(points))
+        assert (code, err) == (EXIT_NUMERICAL, "")
+        first, second = json.loads(out)["sweep"]
+        single = tmp_path / "single.json"
+        code, out, err = run(
+            capsys, *command, "--x0=" + ",".join(map(repr, x0s[0])), "--json-out", str(single),
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert first["x0"] == x0s[0]
+        final = json.loads(single.read_text())["states"][-1]
+        assert json.dumps(first["final"]) == json.dumps(final)
+        assert first["escaped"] is False
+        code, out, err = run(capsys, *command, "--x0=" + ",".join(map(repr, x0s[1])))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert list(second) == ["x0", "failure"] and second["x0"] == x0s[1]
+        assert err == "error: %s\n" % second["failure"]
+        assert "sqrt() domain error" in second["failure"]
+
 
 class TestCompare:
     def test_gtacos_vs_base(self, capsys):
@@ -589,16 +617,21 @@ class TestCompare:
         assert "q" in active and "p" in active
         assert doc["deltas"]["gtacos_vs_base_xj1"]["max"] > 1e-4
 
-    def test_identical_variants_zero_delta(self, capsys):
-        code, out, _ = run(
+    @pytest.mark.parametrize("variants, message", [
+        ("gtacos,gtacos", "variant 'gtacos' given twice"),
+        ("contact,base_xj1,gtacos,base_xj1", "variant 'base_xj1' given twice"),
+        ("gtacos,sasaki", "unknown variant 'sasaki'"),
+    ], ids=["repeated", "repeated_later", "unknown"])
+    def test_a_bad_variant_list_exits_2(self, capsys, variants, message):
+        code, out, err = run(
             capsys,
             "compare",
-            "--variants", "gtacos,gtacos",
+            "--variants", variants,
             "--c", "0.4",
             "--x0", "0.1,1,0.2,-0.1,0",
             "--t-end", "0.2", "--dt", "0.01",
         )
-        assert code == EXIT_OK
+        assert (code, out, err) == (EXIT_INPUT, "", "error: %s\n" % message)
 
     def test_paper_verbatim_report(self, capsys):
         code, out, _ = run(
@@ -832,8 +865,8 @@ class TestInvariantSuite:
         assert "(seed 7)" in out
 
 
-def fresh_process(*argv, seed_env=None, timeout=120):
-    """(exit code, stdout, stderr) of ``python -m cosym ARGV`` in a new
+def fresh_process(*argv, seed_env=None, timeout=120, python_args=("-m", "cosym")):
+    """(exit code, stdout, stderr) of ``python PYTHON_ARGS ARGV`` in a new
     process, with COSYM_SEED set to ``seed_env`` or unset; raises
     TimeoutExpired after ``timeout`` seconds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -843,10 +876,16 @@ def fresh_process(*argv, seed_env=None, timeout=120):
         env["COSYM_SEED"] = seed_env
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "cosym", *argv],
+        [sys.executable, *python_args, *argv],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # only the probe sampler uses scipy.stats, and it is most of the import time
+    script = "import cosym.cli, sys; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    assert fresh_process(python_args=("-c", script)) == (0, "[]\n", "")
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cosym import cli, jacobi_flows, manifolds
 from cosym.charts import ScalarField
 from cosym.jacobi_flows import (
+    REFERENCE_COEFFS,
     LinearHamiltonianCoefficients,
+    SplitEnergy,
     base_field,
     energy,
     eom,
@@ -34,13 +39,13 @@ def random_coeffs(rng, h_kappa=None):
 class TestEnergy:
     def test_reference_value(self):
         coeffs = LinearHamiltonianCoefficients(c_lin=0.5, m=0.5)
-        assert energy(coeffs, (0.0, 1.0, 0.0, 0.0), UNIT) == pytest.approx(1.0)
+        assert energy(split_energy(coeffs, UNIT), (0.0, 1.0, 0.0, 0.0)) == pytest.approx(1.0)
 
     def test_zero_coefficients(self, rng):
-        coeffs = LinearHamiltonianCoefficients()
+        model = split_energy(LinearHamiltonianCoefficients(), UNIT)
         for _ in range(5):
             pt = (rng.uniform(-1, 1), rng.uniform(0.2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1))
-            assert energy(coeffs, pt, UNIT) == 0.0
+            assert energy(model, pt) == 0.0
 
     def test_matches_expression_tree_oracle(self, rng):
         # independent path: parse the closed-form energy as one expression
@@ -66,7 +71,7 @@ class TestEnergy:
             )
             x, y = rng.uniform(-1, 1), rng.uniform(0.2, 2.0)
             q, p = rng.uniform(-1, 1), rng.uniform(-1, 1)
-            got = energy(coeffs, (x, y, q, p), params)
+            got = energy(split_energy(coeffs, params), (x, y, q, p))
             want = oracle.value((x, y, q, p, 0.0), check_domain=False)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -102,18 +107,18 @@ class TestEquationsOfMotion:
     def test_pure_q_linear_hamiltonian(self):
         # H = q comes from a = 1/(2 nu); the flow drifts p and dissipates kappa
         coeffs = LinearHamiltonianCoefficients(a=0.5)
-        got = eom(coeffs, "gtacos", (0.0, 1.0, 2.0, 3.0, 0.0), UNIT)
+        got = eom(split_energy(coeffs, UNIT), "gtacos", (0.0, 1.0, 2.0, 3.0, 0.0))
         assert got == pytest.approx([0.0, 0.0, 0.0, -0.5, -1.0], abs=1e-12)
 
     def test_zero_hamiltonian_zero_velocity(self):
-        coeffs = LinearHamiltonianCoefficients()
+        model = split_energy(LinearHamiltonianCoefficients(), UNIT)
         for variant in ("base_xj1", "gtacos", "contact"):
             at = (0.2, 1.1, 0.4, -0.3, 0.5) if variant != "base_xj1" else (0.2, 1.1, 0.4, -0.3)
-            assert np.abs(eom(coeffs, variant, at, UNIT)).max() == 0.0
+            assert np.abs(eom(model, variant, at)).max() == 0.0
 
     def test_gtacos_matches_base_when_h_zero(self, rng):
         for _ in range(10):
-            coeffs = random_coeffs(rng)
+            model = split_energy(random_coeffs(rng), UNIT)
             at = (
                 float(rng.uniform(-1, 1)),
                 float(rng.uniform(0.3, 2)),
@@ -121,8 +126,8 @@ class TestEquationsOfMotion:
                 float(rng.uniform(-1, 1)),
                 float(rng.uniform(-1, 1)),
             )
-            full = eom(coeffs, "gtacos", at, UNIT)
-            base = base_field(coeffs, at[:4], UNIT)
+            full = eom(model, "gtacos", at)
+            base = base_field(model, at[:4])
             assert full[:4] == pytest.approx(base, abs=1e-12)
 
     def test_gtacos_kappa_component(self, rng):
@@ -140,7 +145,7 @@ class TestEquationsOfMotion:
                     rng.uniform(-1, 1),
                 ]
             )
-            got = eom(coeffs, "gtacos", at, params)
+            got = eom(se, "gtacos", at)
             dH = se.total.gradient(at, check_domain=False)
             h = se.total.value(at, check_domain=False)
             expect = (at[3] * dH[3] + at[2] * dH[2]) / (2 * params.nu) - h / 2.0
@@ -148,7 +153,7 @@ class TestEquationsOfMotion:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            eom(LinearHamiltonianCoefficients(), "sasaki", (0, 1, 0, 0, 0), UNIT)
+            eom(split_energy(LinearHamiltonianCoefficients(), UNIT), "sasaki", (0, 1, 0, 0, 0))
 
 
 class TestRiccati:
@@ -203,21 +208,21 @@ class TestRiccati:
 class TestRedGreenDecomposition:
     def test_base_plus_correction_reconstructs(self, rng):
         for variant in ("gtacos", "contact"):
-            coeffs = random_coeffs(rng, h_kappa="kappa")
+            model = split_energy(random_coeffs(rng, h_kappa="kappa"), UNIT)
             at = (0.2, 1.3, 0.5, -0.4, 0.7)
-            base, corr = red_green_decomposition(coeffs, variant, at, UNIT)
-            assert base + corr == pytest.approx(eom(coeffs, variant, at, UNIT), abs=1e-12)
+            base, corr = red_green_decomposition(model, variant, at)
+            assert base + corr == pytest.approx(eom(model, variant, at), abs=1e-12)
             assert base[4] == 0.0
 
     def test_kappa_independent_gtacos_corrections_vanish_on_plane(self, rng):
-        coeffs = random_coeffs(rng)
-        base, corr = red_green_decomposition(coeffs, "gtacos", (0.2, 1.3, 0.5, -0.4, 0.7), UNIT)
+        model = split_energy(random_coeffs(rng), UNIT)
+        base, corr = red_green_decomposition(model, "gtacos", (0.2, 1.3, 0.5, -0.4, 0.7))
         assert np.abs(corr[:4]).max() <= 1e-12
 
     def test_kappa_term_activates_q_correction(self):
         coeffs = LinearHamiltonianCoefficients(h_kappa="kappa")
         base, corr = red_green_decomposition(
-            coeffs, "gtacos", (0.0, 1.0, 1.0, 1.0, 0.0), UNIT
+            split_energy(coeffs, UNIT), "gtacos", (0.0, 1.0, 1.0, 1.0, 0.0)
         )
         assert corr[2] == pytest.approx(-0.5)  # -q/(2 nu) dh/dkappa
         assert corr[3] == pytest.approx(-0.5)  # -p/(2 nu) dh/dkappa
@@ -225,21 +230,21 @@ class TestRedGreenDecomposition:
     def test_contact_corrections_for_kappa_independent_h(self, rng):
         coeffs = random_coeffs(rng)
         at = (0.2, 1.3, 0.5, -0.4, 0.7)
-        base, corr = red_green_decomposition(coeffs, "contact", at, UNIT)
+        base, corr = red_green_decomposition(split_energy(coeffs, UNIT), "contact", at)
         # dH/dkappa = 0 kills the green terms on x and y (and also q, p)
         assert np.abs(corr[:4]).max() <= 1e-12
 
     def test_contact_y_correction_tracks_kappa_derivative(self):
         coeffs = LinearHamiltonianCoefficients(h_kappa="2*kappa")
         at = (0.0, 1.5, 0.0, 0.0, 0.0)
-        base, corr = red_green_decomposition(coeffs, "contact", at, UNIT)
+        base, corr = red_green_decomposition(split_energy(coeffs, UNIT), "contact", at)
         # y' correction = (y / sqrt(delta)) dh/dkappa
         assert corr[1] == pytest.approx(1.5 * 2.0, rel=1e-12)
 
     def test_base_variant_rejected(self):
         with pytest.raises(ValueError):
             red_green_decomposition(
-                LinearHamiltonianCoefficients(), "base_xj1", (0, 1, 0, 0, 0), UNIT
+                split_energy(LinearHamiltonianCoefficients(), UNIT), "base_xj1", (0, 1, 0, 0, 0)
             )
 
 
@@ -254,7 +259,7 @@ class TestTrajectoryEquivalence:
                 n_lin=float(rng.uniform(-0.5, 0.5)),
             )
             x0 = CHART_XJT.point((0.1, 1.0, 0.2, -0.1, 0.0))
-            traj = integrate_variant(coeffs, "gtacos", x0, 1.0, 1e-2, UNIT)
+            traj = integrate_variant(split_energy(coeffs, UNIT), "gtacos", x0, 1.0, 1e-2)
             times, states = integrate_riccati(coeffs, (0.1, 1.0), 1.0, 1e-2)
             assert np.abs(traj.states[:, :2] - states).max() <= 1e-6
 
@@ -264,7 +269,7 @@ class TestTrajectoryEquivalence:
             a=0.2, b=-0.1, c_lin=0.3, m=0.1, n_lin=0.2, h_kappa="kappa"
         )
         x0 = CHART_XJT.point((0.1, 1.0, 0.2, -0.1, 0.3))
-        traj = integrate_variant(coeffs, "gtacos", x0, 1.0, 1e-3, params)
+        traj = integrate_variant(split_energy(coeffs, params), "gtacos", x0, 1.0, 1e-3)
         assert traj.max_dissipation_residual <= 1e-6
 
 
@@ -289,3 +294,62 @@ class TestDiscrepancyReport:
         report = paper_discrepancy_report()
         entry = report["entries"]["volume_coefficient"]
         assert entry["derived"][0] == pytest.approx(2.0 * entry["printed"][0], rel=1e-12)
+
+
+class TestOneModel:
+    def test_a_compare_command_builds_one_model_and_each_structure_once(self, monkeypatch):
+        models, structures = [], []
+        build_model, build_structure = jacobi_flows.split_energy, manifolds.builtin
+
+        def model_spy(*args):
+            models.append(build_model(*args))
+            return models[-1]
+
+        def structure_spy(name, params=None):
+            structures.append(name)
+            return build_structure(name, params)
+
+        monkeypatch.setattr(jacobi_flows, "split_energy", model_spy)
+        for module in (manifolds, jacobi_flows):  # every binding site
+            monkeypatch.setattr(module, "builtin", structure_spy)
+        code = cli.main([
+            "compare", "--variants", "gtacos,base_xj1,contact",
+            "--a", "0.1", "--c", "0.4", "--m", "0.2", "--h-kappa", "kappa^2",
+            "--x0", "0.1,1,0.2,-0.1,0.3", "--t-end", "0.1", "--dt", "0.01",
+            "--paper-verbatim",
+        ])
+        assert code == 0
+        assert len(models) == 1
+        assert sorted(structures) == ["xjt_contact", "xjt_gtacos"]
+
+    def test_a_replaced_model_builds_its_own_structures(self):
+        model = split_energy(REFERENCE_COEFFS, UNIT)
+        with pytest.raises(TypeError):
+            SplitEnergy(**vars(model))  # the kept structures are no constructor argument
+        old = model.structure("gtacos")
+        moved = dataclasses.replace(model, params=ModelParameters(delta=2.0))
+        assert moved.structure("gtacos") is not old
+        assert model.structure("gtacos") is old
+
+    def test_kernels_do_not_move_results(self, rng):
+        coeffs = random_coeffs(rng, h_kappa="kappa^2")
+        flowed = split_energy(coeffs, UNIT)
+        x0 = CHART_XJT.point((0.1, 1.0, 0.2, -0.1, 0.3))
+        for variant in ("gtacos", "contact"):
+            integrate_variant(flowed, variant, x0, 0.1, 1e-2)
+            assert flowed.structure(variant)._kernel is not None
+        assert flowed.total._kernel is not None
+        for _ in range(10):
+            at = (
+                float(rng.uniform(-1, 1)),
+                float(rng.uniform(0.3, 2)),
+                float(rng.uniform(-1, 1)),
+                float(rng.uniform(-1, 1)),
+                float(rng.uniform(-1, 1)),
+            )
+            fresh = split_energy(coeffs, UNIT)
+            for variant in ("gtacos", "contact"):
+                got = (eom(flowed, variant, at), *red_green_decomposition(flowed, variant, at))
+                want = (eom(fresh, variant, at), *red_green_decomposition(fresh, variant, at))
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert fresh.total._kernel is None  # the fresh model walked the trees
