@@ -359,7 +359,8 @@ def nijenhuis_n1(
         raise ValueError("convention must be factor1 or factor2")
     factor = 1.0 if convention == "factor1" else 2.0
     chart = chart or eta.chart
-    values = chart.values(at)
+    point = chart.point(at)
+    values = point.array
     dim = chart.dimension
 
     if callable(phi):
@@ -373,7 +374,7 @@ def nijenhuis_n1(
     # dphi[m] = d(Phi)/d(coord m)
     dphi = np.array([central_difference(phi_fn, values, m) for m in range(dim)])
 
-    d_eta = exterior_derivative(eta).at(values, check_domain=False).as_matrix()
+    d_eta = exterior_derivative(eta).at(point).as_matrix()
 
     worst = 0.0
     for i in range(dim):
@@ -448,23 +449,23 @@ def sasaki_from_potential(potential: SasakiPotential | ScalarField) -> SasakiStr
     xi[ik] = 1.0
 
     def metric(values) -> np.ndarray:
-        values = chart.values(values, check_domain=False)
-        ev = eta.at(values, check_domain=False).as_covector()
-        lap = laplacian.value(values, check_domain=False)
+        point = chart.point(values)
+        ev = eta.at(point).as_covector()
+        lap = laplacian.value(point)
         g = np.outer(ev, ev)
         g[chart.index("x"), chart.index("x")] += -lap
         g[chart.index("y"), chart.index("y")] += -lap
         return g
 
     def phi(values) -> np.ndarray:
-        values = chart.values(values, check_domain=False)
-        lap = laplacian.value(values, check_domain=False)
+        point = chart.point(values)
+        lap = laplacian.value(point)
         if abs(lap) < 1e-12:
             raise ValueError(
-                "degenerate potential: K_xx + K_yy vanishes at %s" % list(values)
+                "degenerate potential: K_xx + K_yy vanishes at %s" % list(point.array)
             )
-        g = metric(values)
-        d = d_eta.at(values, check_domain=False).as_matrix()
+        g = metric(point)
+        d = d_eta.at(point).as_matrix()
         return np.linalg.solve(g, d)
 
     return SasakiStructure(

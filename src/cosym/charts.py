@@ -29,9 +29,10 @@ metrics blow up at the guard surface).  Every point argument is read by one
 rule, :meth:`Chart.values` (and :meth:`Chart.point` for a point): a
 :class:`ChartPoint` is trusted only on its own chart; a point of another
 chart must have the same coordinates and, like a plain sequence, meets this
-chart's guards.  Only the readers whose callers pass an already checked
-point take ``check_domain=False`` to skip them: here :meth:`Chart.values`
-and :class:`ScalarField`'s ``value``, ``gradient`` and ``at``.
+chart's guards.  A caller that has checked a point passes the ChartPoint
+on.  Only the private readers (``_at``, ``_value_at``, ``_gradient_at``)
+take unchecked coordinates: the flows' Runge-Kutta stages may lie past a
+guard, and the rows of a trajectory are walked without checks.
 :meth:`Chart.sample_box` gives the fixed probe box, [-2, 2] per coordinate
 kept 0.25 inside each guard.
 """
@@ -170,25 +171,29 @@ class Chart:
             return False
         return True
 
-    def values(self, at, check_domain: bool = True) -> np.ndarray:
+    def values(self, at) -> np.ndarray:
         """The coordinates of ``at`` as an array of floats.  This is the one
         rule for reading a point: a ChartPoint of this chart is trusted as it
         stands; a ChartPoint of another chart must have this chart's
         coordinates (else ChartMismatchError), and it or a plain sequence is
-        checked against this chart's guards unless ``check_domain`` is
-        False."""
+        checked against this chart's guards."""
+        if isinstance(at, ChartPoint) and at.chart == self:
+            return at.array
+        values = self._coordinates(at)
+        self.check(values)
+        return values
+
+    def _coordinates(self, at) -> np.ndarray:
+        """:meth:`values` unchecked but for the length (:meth:`check`'s error)."""
         if isinstance(at, ChartPoint):
-            if at.chart == self:
-                return at.array
             if at.chart.coordinates != self.coordinates:
                 raise ChartMismatchError(
                     "point on chart %r used with chart %r" % (at.chart.name, self.name)
                 )
-            values = at.array
-        else:
-            values = np.asarray(at, dtype=float)
-        if check_domain:
-            self.check(values)
+            return at.array
+        values = np.asarray(at, dtype=float)
+        if len(values) != self.dimension:
+            self.check(values)  # raises the length error
         return values
 
     def point(self, values) -> "ChartPoint":
@@ -196,7 +201,7 @@ class Chart:
         rule; a point of this chart is returned as it is."""
         if isinstance(values, ChartPoint) and values.chart == self:
             return values
-        return ChartPoint(self, tuple(self.values(values, check_domain=False).tolist()))
+        return ChartPoint(self, tuple(self._coordinates(values).tolist()))
 
     def env(self, values: Sequence[float]) -> dict[str, float]:
         return dict(zip(self.coordinates, map(float, values)))
@@ -270,7 +275,7 @@ class ScalarField:
         self.source = source
         self._partials: dict[str, Expr] = {}
         self._kernel: Kernel | None = None
-        # (key, result) of the last tree walk; see _kept_value
+        # (key, result) of the last tree walk; see _value_at
         self._last_value = self._last_gradient = (None, None)
         overlap = set(self.params) & set(chart.coordinates)
         if overlap:
@@ -298,29 +303,31 @@ class ScalarField:
 
     # -- evaluation --------------------------------------------------------
 
-    def value(self, at, check_domain: bool = True) -> float:
+    def value(self, at) -> float:
         """The field at a point, read as :meth:`at` reads it."""
-        values = self.chart.values(at, check_domain)
-        out = self._kernel_at(values)
-        return self._kept_value(values) if out is None else out[0]
+        return self._value_at(self.chart.values(at))
 
     __call__ = value
 
-    def _kept_value(self, values: np.ndarray) -> float:
-        """:meth:`_eval`, kept for a repeat at the same coordinate bytes."""
+    def _value_at(self, values: np.ndarray) -> float:
+        """:meth:`value` at unchecked coordinates: the kept kernel's where it
+        is finite, else :meth:`_eval`, kept for a repeat at the same
+        coordinate bytes when there is no kernel."""
         if self._kernel is not None:
-            return self._eval(values)
+            out = self._kernel.finite_at(values.tolist())
+            return self._eval(values) if out is None else out[0]
         # one read of the slot, so a concurrent call cannot swap in its point
         key, kept = values.tobytes(), self._last_value
         if kept[0] != key:
             kept = self._last_value = key, self._eval(values)
         return kept[1]
 
-    def _kept_gradient(self, values: np.ndarray) -> np.ndarray:
-        """:meth:`_gradient`, kept for a repeat at the same coordinate
-        bytes; always a new array."""
+    def _gradient_at(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`gradient` at unchecked coordinates, as :meth:`_value_at`
+        reads the value; always a new array."""
         if self._kernel is not None:
-            return self._gradient(values)
+            out = self._kernel.finite_at(values.tolist())
+            return self._gradient(values) if out is None else np.array(out[1:])
         key, kept = values.tobytes(), self._last_gradient
         if kept[0] != key:
             kept = self._last_gradient = key, self._gradient(values)
@@ -356,12 +363,10 @@ class ScalarField:
             self.chart, expr=self._partial_expr(coordinate), params=self.params
         )
 
-    def gradient(self, at, check_domain: bool = True) -> np.ndarray:
+    def gradient(self, at) -> np.ndarray:
         """The exact partial derivatives at a point as a new array, read as
         :meth:`at` reads them."""
-        values = self.chart.values(at, check_domain)
-        out = self._kernel_at(values)
-        return self._kept_gradient(values) if out is None else np.array(out[1:])
+        return self._gradient_at(self.chart.values(at))
 
     def _gradient(self, values: np.ndarray) -> np.ndarray:
         env = self.chart.env(values)
@@ -384,37 +389,36 @@ class ScalarField:
             self._last_value = self._last_gradient = (None, None)
         return self._kernel
 
-    def _kernel_at(self, values: np.ndarray):
-        """The kept kernel's (value, *gradient) where it is finite, else None."""
-        return None if self._kernel is None else self._kernel.finite_at(values.tolist())
-
-    def at(self, at, check_domain: bool = True):
+    def at(self, at):
         """(value, gradient) at a point, bit for bit as ``value`` and
         ``gradient`` give them: from the kept kernel where it is finite,
         else by walking the gradient's and then the value's trees, whose
         errors are the reference; a field with no kernel answers a repeat
         from its kept last point, the gradient as a new array.  Never
         builds a kernel."""
-        values = self.chart.values(at, check_domain)
-        out = self._kernel_at(values)
+        return self._at(self.chart.values(at))
+
+    def _at(self, values: np.ndarray):
+        """:meth:`at` at unchecked coordinates."""
+        out = None if self._kernel is None else self._kernel.finite_at(values.tolist())
         if out is not None:
             return out[0], np.array(out[1:])
-        grad = self._kept_gradient(values)
-        return self._kept_value(values), grad
+        grad = self._gradient_at(values)
+        return self._value_at(values), grad
 
     def rows(self, states):
         """(values, gradients) at every row of an (N, dim) array, without
         domain checks, bit for bit as ``value`` and ``gradient`` give them:
         from the kept kernel when it is finite at every row, else row by row
-        through :meth:`at`, so that the first failing row raises the
-        pointwise error.  Never builds a kernel."""
+        as :meth:`at` reads a point, so that the first failing row raises
+        the pointwise error.  Never builds a kernel."""
         states = np.asarray(states, dtype=float)
         out = None if self._kernel is None else self._kernel.finite_rows(states)
         if out is not None:
             return out[:, 0].copy(), np.ascontiguousarray(out[:, 1:])
         values, grads = np.empty(len(states)), np.empty(states.shape)
         for k, row in enumerate(states):
-            values[k], grads[k] = self.at(row, check_domain=False)
+            values[k], grads[k] = self._at(row)
         return values, grads
 
     # -- algebra -------------------------------------------------------------
@@ -506,8 +510,8 @@ class ChartMap:
 
     def jacobian(self, at) -> np.ndarray:
         """d(target_i)/d(source_j), exact from the component fields."""
-        values = self.source.values(at)
-        return np.vstack([c.gradient(values) for c in self.components])
+        point = self.source.point(at)
+        return np.vstack([c.gradient(point) for c in self.components])
 
     @staticmethod
     def identity(chart: Chart) -> "ChartMap":

@@ -436,8 +436,8 @@ def cmd_invariant_suite(args) -> int:
     def push(name, value, tol):
         checks.append((name, bool(value <= tol), float(value)))
 
-    for name in manifolds.CATALOG:
-        spec = manifolds.builtin(name, params)
+    specs = {name: manifolds.builtin(name, params) for name in manifolds.CATALOG}
+    for spec in specs.values():
         points = np.array([pt.array for pt in spec.default_probes(seed=seed)])
         th, om = spec.rows(points)
         R = structures.reeb_rows(th, om, points)
@@ -446,7 +446,7 @@ def cmd_invariant_suite(args) -> int:
         push("reeb_contraction[%s]" % spec.name, worst_omega, 1e-11)
         push("reeb_normalization[%s]" % spec.name, worst_theta, 1e-11)
 
-    spec = manifolds.builtin("xjt_gtacos", params)
+    spec = specs["xjt_gtacos"]
     worst = 0.0
     for pt in spec.default_probes(count=16, seed=seed):
         F = spec.flat_matrix(pt)
@@ -477,7 +477,7 @@ def cmd_invariant_suite(args) -> int:
     for pt in spec.default_probes(count=30, seed=seed):
         H = random_polynomial(spec.chart, rng)
         X = dynamics.hamiltonian_field_generic(spec, H, pt)
-        dH = H.gradient(pt.array, check_domain=False)
+        dH = H.gradient(pt)
         R = structures.reeb(spec, pt)
         worst = max(
             worst, abs(float(X @ dH) + H.value(pt) * float(R @ dH))
@@ -497,7 +497,7 @@ def cmd_invariant_suite(args) -> int:
         worst = max(worst, dd_theta.at(pt).max_norm())
     push("d_squared_zero[xjt_gtacos.theta]", worst, 1e-10)
 
-    contact = manifolds.builtin("xjt_contact", params)
+    contact = specs["xjt_contact"]
     worst = 0.0
     d_eta = exterior_derivative(contact.theta)
     for pt in contact.default_probes(count=16, seed=seed):

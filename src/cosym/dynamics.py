@@ -24,6 +24,7 @@ from .structures import (
     StructureError,
     StructureSpec,
     _solve,
+    darboux_chart,
     darboux_pairs,
     reeb_rows,
 )
@@ -61,16 +62,19 @@ def hamiltonian_field_generic(
     before a failing H.  The factors of the flat matrix F that give R
     (:func:`structures.reeb_from`: an LU where the rank rule is certified,
     else an SVD) solve every field; a repeat at the spec's and H's kept
-    last point walks no tree and factors nothing."""
-    th, _, values, R, factors = spec._solved(at, check_domain)
-    h, dH = H.at(values, check_domain=False)
+    last point walks no tree and factors nothing.  ``check_domain=False``
+    skips the guards but not the length check: :func:`integrate`'s
+    Runge-Kutta stages may lie past a guard and are evaluated there."""
+    values = spec.chart.values(at) if check_domain else spec.chart._coordinates(at)
+    th, _, R, factors = spec._solved(values)
+    h, dH = H._at(values)
     return _field_from(th, factors, R, dH, h)
 
 
 def gradient_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
     """Solve flat(grad H) = dH at a point."""
-    _, _, values, _, factors = spec._solved(at)
-    return _solve(factors, H.gradient(values, check_domain=False))
+    point = spec.chart.point(at)
+    return _solve(spec._solved(point.array)[3], H.gradient(point))
 
 
 def evolution_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
@@ -82,13 +86,14 @@ def evolution_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
         raise StructureError(
             "evolution field needs a cosymplectic structure; %r is not" % spec.name
         )
-    _, _, values, R, factors = spec._solved(at)
-    dH = H.gradient(values, check_domain=False)
+    point = spec.chart.point(at)
+    _, _, R, factors = spec._solved(point.array)
+    dH = H.gradient(point)
     return _solve(factors, dH) - (R @ dH) * R + R
 
 
 def hamiltonian_field_closed(
-    theta_spec: CanonicalThetaSpec, H: ScalarField, at, check_domain: bool = True
+    theta_spec: CanonicalThetaSpec, H: ScalarField, at
 ) -> HamiltonianFieldCoefficients:
     """Closed-form coefficients over the canonical constant theta and the
     Darboux two-form:
@@ -97,17 +102,13 @@ def hamiltonian_field_closed(
         B_i = -dH/dq^i + a_i R(H)
         C   = (1/c) (-a_i dH/dp_i + b_i dH/dq^i - H)
     """
-    from .structures import darboux_chart
-
     n = theta_spec.n
-    chart = H.chart
-    if chart.coordinates != darboux_chart(n).coordinates:
+    if H.chart.coordinates != darboux_chart(n).coordinates:
         raise ValueError(
             "closed form needs the (q^i..., p_i..., kappa) chart layout, got %s"
-            % (chart.coordinates,)
+            % (H.chart.coordinates,)
         )
-    values = chart.values(at, check_domain)
-    h, dH = H.at(values, check_domain=False)
+    h, dH = H.at(at)
     Hq, Hp, Hk = dH[:n], dH[n : 2 * n], dH[2 * n]
     a = np.asarray(theta_spec.a)
     b = np.asarray(theta_spec.b)
@@ -118,21 +119,17 @@ def hamiltonian_field_closed(
     return HamiltonianFieldCoefficients(A=A, B=B, C=C)
 
 
-def tacs_field(
-    epsilon: float, H: ScalarField, at, check_domain: bool = True
-) -> np.ndarray:
+def tacs_field(epsilon: float, H: ScalarField, at) -> np.ndarray:
     """Corrected transitive-almost-contact field for theta = dkappa + eps p_i dq^i.
 
     This is the canonical closed form with a_i = eps p_i (evaluated at the
     point), b_i = 0, c = 1; it satisfies X_H ⌟ theta = -H.
     """
-    chart = H.chart
-    pairs, kappa = darboux_pairs(chart)
-    n = len(pairs)
-    values = chart.values(at, check_domain)
-    a = tuple(epsilon * values[pi] for _, pi in pairs)
-    spec = CanonicalThetaSpec(a=a, b=(0.0,) * n, c=1.0)
-    return hamiltonian_field_closed(spec, H, values, check_domain=False).vector()
+    pairs, _ = darboux_pairs(H.chart)
+    point = H.chart.point(at)
+    a = tuple(epsilon * point.values[pi] for _, pi in pairs)
+    spec = CanonicalThetaSpec(a=a, b=(0.0,) * len(pairs), c=1.0)
+    return hamiltonian_field_closed(spec, H, point).vector()
 
 
 def tacs_convention_comparison(epsilon: float, n: int = 1) -> dict:
@@ -147,8 +144,6 @@ def tacs_convention_comparison(epsilon: float, n: int = 1) -> dict:
     as a comparison; the corrected convention X_f ⌟ theta = -f is what every
     solver in this package uses.
     """
-    from .structures import darboux_chart
-
     chart = darboux_chart(n)
     pairs, kappa = darboux_pairs(chart)
     fields = {}
@@ -158,12 +153,12 @@ def tacs_convention_comparison(epsilon: float, n: int = 1) -> dict:
     fields["X_kappa"] = ScalarField.parse(chart, "kappa")
 
     def report(values) -> dict:
-        values = chart.values(values)
+        point = chart.point(values)
         out = {}
         for key, H in fields.items():
-            corrected = tacs_field(epsilon, H, values, check_domain=False)
+            corrected = tacs_field(epsilon, H, point)
             uncorrected = corrected.copy()
-            uncorrected[kappa] += (1.0 + epsilon) * H.value(values, check_domain=False)
+            uncorrected[kappa] += (1.0 + epsilon) * H.value(point)
             out[key] = {
                 "corrected": corrected.tolist(),
                 "uncorrected": uncorrected.tolist(),
@@ -179,13 +174,13 @@ def tacs_convention_comparison(epsilon: float, n: int = 1) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _finite(result, values, what: str, *args) -> float:
+def _finite(result, point, what: str, *args) -> float:
     """``result`` as a float; EvalError naming ``what % args`` and the point
     if it is not finite (formatted only then)."""
     result = float(result)
     if not math.isfinite(result):
         raise EvalError(
-            "%s is not finite at %s: %r" % (what % args, values.tolist(), result)
+            "%s is not finite at %s: %r" % (what % args, point.array.tolist(), result)
         )
     return result
 
@@ -198,12 +193,11 @@ def _poisson_sum(pairs, df: list, dg: list) -> float:
 
 def poisson_bracket(f: ScalarField, g: ScalarField, at) -> float:
     """{f, g} = sum_i df/dq^i dg/dp_i - dg/dq^i df/dp_i on a Darboux chart."""
-    chart = f.chart
-    pairs, _ = darboux_pairs(chart)
-    values = chart.values(at)
-    df = f.gradient(values, check_domain=False).tolist()
-    dg = g.gradient(values, check_domain=False).tolist()
-    return _finite(_poisson_sum(pairs, df, dg), values, "Poisson bracket")
+    pairs, _ = darboux_pairs(f.chart)
+    point = f.chart.point(at)
+    df = f.gradient(point).tolist()
+    dg = g.gradient(point).tolist()
+    return _finite(_poisson_sum(pairs, df, dg), point, "Poisson bracket")
 
 
 def euler_part(f: ScalarField) -> ScalarField:
@@ -225,19 +219,18 @@ def jacobi_bracket(f: ScalarField, g: ScalarField, at) -> float:
     same bit for bit.  The order is f's gradient and value, then g's, as in
     :func:`jacobi_bracket_generic`.
     """
-    chart = f.chart
-    pairs, kappa = darboux_pairs(chart)
-    values = chart.values(at)
-    fe, df = f.at(values, check_domain=False)
-    ge, dg = g.at(values, check_domain=False)
-    x, df, dg = values.tolist(), df.tolist(), dg.tolist()
+    pairs, kappa = darboux_pairs(f.chart)
+    point = f.chart.point(at)
+    fe, df = f.at(point)
+    ge, dg = g.at(point)
+    x, df, dg = point.values, df.tolist(), dg.tolist()
     for _, p in pairs:
         fe = fe - x[p] * df[p]
         ge = ge - x[p] * dg[p]
-    fe = _finite(fe, values, "Euler part of %r", f)
-    ge = _finite(ge, values, "Euler part of %r", g)
+    fe = _finite(fe, point, "Euler part of %r", f)
+    ge = _finite(ge, point, "Euler part of %r", g)
     bracket = _poisson_sum(pairs, df, dg) + fe * dg[kappa] - ge * df[kappa]
-    return _finite(bracket, values, "Jacobi bracket")
+    return _finite(bracket, point, "Jacobi bracket")
 
 
 def jacobi_bracket_generic(
@@ -253,9 +246,10 @@ def jacobi_bracket_generic(
     # and R.  The order is theta, Omega, the flat solve, then f's dH and H
     # before g's, so errors are those of two hamiltonian_field_generic calls
     # in turn.
-    th, om, values, R, factors = spec._solved(at)
-    fv, df = f.at(values, check_domain=False)
-    gv, dg = g.at(values, check_domain=False)
+    point = spec.chart.point(at)
+    th, om, R, factors = spec._solved(point.array)
+    fv, df = f.at(point)
+    gv, dg = g.at(point)
     Xf = _field_from(th, factors, R, df, fv)
     Xg = _field_from(th, factors, R, dg, gv)
     return float(Xf @ om @ Xg + fv * (R @ dg) - gv * (R @ df))

@@ -139,8 +139,11 @@ class KForm:
 
     # -- evaluation / algebra -----------------------------------------------
 
-    def at(self, point, check_domain: bool = True) -> FormValue:
-        values = self.chart.values(point, check_domain)
+    def at(self, point) -> FormValue:
+        return self._at(self.chart.values(point))
+
+    def _at(self, values: np.ndarray) -> FormValue:
+        """:meth:`at` at unchecked coordinates."""
         return FormValue(
             self.chart,
             self.degree,

@@ -134,10 +134,8 @@ def split_energy(
 
 def energy(model: SplitEnergy, at) -> float:
     """H_pq + H_xy at a point (x, y, q, p)."""
-    padded = np.append(CHART_XJ1.values(at), 0.0)
-    return model.h_pq.value(padded, check_domain=False) + model.h_xy.value(
-        padded, check_domain=False
-    )
+    point = CHART_XJT.point(np.append(CHART_XJ1.values(at), 0.0))
+    return model.h_pq.value(point) + model.h_xy.value(point)
 
 
 # --------------------------------------------------------------------------
@@ -152,9 +150,9 @@ def base_field(model: SplitEnergy, at) -> np.ndarray:
 
 
 def _base_velocity(model: SplitEnergy, values) -> np.ndarray:
-    """:func:`base_field` at already checked coordinates (x, y, q, p)."""
-    padded = np.append(values, 0.0)
-    dH = model.total.gradient(padded, check_domain=False)[:4]
+    """:func:`base_field` at unchecked coordinates (x, y, q, p), as
+    :func:`integrate_base`'s stages may lie past the guard."""
+    dH = model.total._gradient_at(np.append(values, 0.0))[:4]
     y = values[1]
     k, nu = model.params.k, model.params.nu
     return np.array(
@@ -176,9 +174,7 @@ def eom(model: SplitEnergy, variant: str, at) -> np.ndarray:
     """
     if variant == "base_xj1":
         return base_field(model, at)
-    spec = model.structure(variant)
-    values = CHART_XJT.values(at)
-    return hamiltonian_field_generic(spec, model.total, values, check_domain=False)
+    return hamiltonian_field_generic(model.structure(variant), model.total, at)
 
 
 def red_green_decomposition(
@@ -191,10 +187,9 @@ def red_green_decomposition(
     """
     if variant not in ("gtacos", "contact"):
         raise ValueError("decomposition applies to the 5-dimensional variants")
-    values = CHART_XJT.values(at)
-    spec = model.structure(variant)
-    full = hamiltonian_field_generic(spec, model.total, values, check_domain=False)
-    base = np.append(_base_velocity(model, values[:4]), 0.0)
+    point = CHART_XJT.point(at)
+    full = hamiltonian_field_generic(model.structure(variant), model.total, point)
+    base = np.append(_base_velocity(model, point.array[:4]), 0.0)
     return base, full - base
 
 
@@ -273,13 +268,13 @@ REFERENCE_COEFFS = LinearHamiltonianCoefficients(
 )
 
 
-def _contact_field_printed(model: SplitEnergy, values) -> np.ndarray:
+def _contact_field_printed(model: SplitEnergy, point: ChartPoint) -> np.ndarray:
     """Verbatim printed contact equations of motion of the split energy,
     including the kappa-line's trailing dH/dkappa factor, exactly as
     published."""
-    dH = model.total.gradient(values, check_domain=False)
-    H = model.total.value(values, check_domain=False)
-    x, y, q, p, kappa = values
+    dH = model.total.gradient(point)
+    H = model.total.value(point)
+    x, y, q, p, kappa = point.array
     k, nu = model.params.k, model.params.nu
     hx, hy, hq, hp, hk = dH
     return np.array(
@@ -293,27 +288,27 @@ def _contact_field_printed(model: SplitEnergy, values) -> np.ndarray:
     )
 
 
-def _gtacos_pq_printed(model: SplitEnergy, values) -> np.ndarray:
+def _gtacos_pq_printed(model: SplitEnergy, point: ChartPoint) -> np.ndarray:
     """Verbatim printed (q', p') lines of the linear-Hamiltonian flow."""
     coeffs = model.coeffs
     a, b, c = coeffs.a, coeffs.b, coeffs.c_lin
     m, n = coeffs.m, coeffs.n_lin
     nu = model.params.nu
-    x, y, q, p, kappa = values
-    hk = model.h_kappa.gradient(values, check_domain=False)[4]
+    x, y, q, p, kappa = point.array
+    hk = model.h_kappa.gradient(point)[4]
     qdot = -(m + c) * q - n * p - a - (q / (2.0 * nu)) * hk
     pdot = q * n + (c - m) * p + b - (p / (2.0 * nu)) * hk
     return np.array([qdot, pdot])
 
 
-def _gtacos_kappa_printed(model: SplitEnergy, values) -> float:
+def _gtacos_kappa_printed(model: SplitEnergy, point: ChartPoint) -> float:
     """Verbatim printed kappa' of the linear-Hamiltonian flow, with the
     opaque 'q a^2' token evaluated literally."""
     coeffs = model.coeffs
     a, b, c = coeffs.a, coeffs.b, coeffs.c_lin
     m, n = coeffs.m, coeffs.n_lin
-    x, y, q, p, kappa = values
-    h = model.h_kappa.value(values, check_domain=False)
+    x, y, q, p, kappa = point.array
+    h = model.h_kappa.value(point)
     return (
         (c + m) * q * a**2
         + (-c + m) * p**2
@@ -324,12 +319,12 @@ def _gtacos_kappa_printed(model: SplitEnergy, values) -> float:
     )
 
 
-def _xjt_poisson_printed(f: ScalarField, g: ScalarField, values, params) -> float:
+def _xjt_poisson_printed(f: ScalarField, g: ScalarField, point, params) -> float:
     """Verbatim printed Poisson bracket of the extended contact chart."""
     k, nu = params.k, params.nu
-    y = values[1]
-    df = f.gradient(values, check_domain=False)
-    dg = g.gradient(values, check_domain=False)
+    y = point.array[1]
+    df = f.gradient(point)
+    dg = g.gradient(point)
     fx, fy, fq, fp = df[0], df[1], df[2], df[3]
     gx, gy, gq, gp = dg[0], dg[1], dg[2], dg[3]
     return (1.0 / k) * ((y**2 + 1.0) / y**2) * (fx * gy - gx * fy) + (
@@ -337,13 +332,13 @@ def _xjt_poisson_printed(f: ScalarField, g: ScalarField, values, params) -> floa
     ) * (fq * gp - gq * fp + (fq * gy - gq * fy) / y**2)
 
 
-def _xjt_poisson_derived(f: ScalarField, g: ScalarField, values, params) -> float:
+def _xjt_poisson_derived(f: ScalarField, g: ScalarField, point, params) -> float:
     """Poisson bracket transported through the Darboux identification:
     (y^2/k)(f_x g_y - g_x f_y) + (1/2nu)(f_q g_p - g_q f_p)."""
     k, nu = params.k, params.nu
-    y = values[1]
-    df = f.gradient(values, check_domain=False)
-    dg = g.gradient(values, check_domain=False)
+    y = point.array[1]
+    df = f.gradient(point)
+    dg = g.gradient(point)
     return (y**2 / k) * (df[0] * dg[1] - dg[0] * df[1]) + (
         df[2] * dg[3] - dg[2] * df[3]
     ) / (2.0 * nu)
@@ -361,43 +356,43 @@ def paper_discrepancy_report(model: SplitEnergy | None = None, at=None) -> dict:
     if model is None:
         model = split_energy(REFERENCE_COEFFS, ModelParameters())
     coeffs, params = model.coeffs, model.params
-    values = CHART_XJT.values(at if at is not None else REFERENCE_POINT)
+    point = CHART_XJT.point(at if at is not None else REFERENCE_POINT)
 
     report: dict[str, dict] = {}
 
-    derived_xy = riccati_rhs(coeffs, values[:2])
-    printed_xy = riccati_rhs_printed(coeffs, values[:2])
+    derived_xy = riccati_rhs(coeffs, point.values[:2])
+    printed_xy = riccati_rhs_printed(coeffs, point.values[:2])
     report["riccati_xy"] = _entry(printed_xy, derived_xy)
 
     gtacos = model.structure("gtacos")
-    full = hamiltonian_field_generic(gtacos, model.total, values, check_domain=False)
-    printed_pq = _gtacos_pq_printed(model, values)
+    full = hamiltonian_field_generic(gtacos, model.total, point)
+    printed_pq = _gtacos_pq_printed(model, point)
     report["linear_pq"] = _entry(printed_pq, full[2:4])
 
-    printed_kappa = _gtacos_kappa_printed(model, values)
+    printed_kappa = _gtacos_kappa_printed(model, point)
     report["linear_kappa"] = _entry(printed_kappa, full[4])
 
     contact = model.structure("contact")
-    contact_full = hamiltonian_field_generic(contact, model.total, values, check_domain=False)
-    printed_contact = _contact_field_printed(model, values)
+    contact_full = hamiltonian_field_generic(contact, model.total, point)
+    printed_contact = _contact_field_printed(model, point)
     report["contact_field"] = _entry(printed_contact, contact_full)
     report["contact_kappa"] = _entry(printed_contact[4], contact_full[4])
 
     f = ScalarField.parse(CHART_XJT, "x*p + q^2")
     g = ScalarField.parse(CHART_XJT, "y + q*p")
     report["xjt_poisson_bracket"] = _entry(
-        _xjt_poisson_printed(f, g, values, params),
-        _xjt_poisson_derived(f, g, values, params),
+        _xjt_poisson_printed(f, g, point, params),
+        _xjt_poisson_derived(f, g, point, params),
     )
 
-    y = values[1]
+    y = point.array[1]
     printed_volume = 2.0 * params.k * params.nu * math.sqrt(params.delta) / y**2
     report["volume_coefficient"] = _entry(
-        printed_volume, gtacos.volume_coefficient(values)
+        printed_volume, gtacos.volume_coefficient(point)
     )
 
     return {
-        "reference_point": [float(v) for v in values],
+        "reference_point": [float(v) for v in point.values],
         "coefficients": coeffs.to_json(),
         "parameters": params.table(),
         "entries": report,

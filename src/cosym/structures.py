@@ -27,7 +27,7 @@ Omega, and once taken, :func:`reeb_from`'s (R, factors) there, keyed by the
 exact bytes of the coordinates.  :meth:`StructureSpec.at`, :func:`reeb`,
 :func:`sharp` and the field solves of :mod:`cosym.dynamics` read a repeat
 from it, so one point is walked and factored once; what they hand out is
-a copy.  Domain checks still run on every call, an error is never kept,
+a copy.  Public readers check a point before the lookup, an error is never kept,
 and the kernel path builds no key and stores nothing; building the kernel
 drops the kept point, so :func:`cosym.dynamics.integrate` keeps none.
 """
@@ -122,17 +122,17 @@ class StructureSpec:
         self.omega = omega
         self.n = n
         self.params = dict(params or {})
-        self._classification: StructureClass | None = None
+        self._classifications: dict[int, StructureClass] = {}  # per seed, default probes
         self._kernel: Kernel | None = None
         self._last: list | None = None  # the kept point; see _point
 
     # -- pointwise data ------------------------------------------------------
 
-    def theta_vector(self, at, check_domain: bool = True) -> np.ndarray:
-        return self.theta.at(at, check_domain).as_covector()
+    def theta_vector(self, at) -> np.ndarray:
+        return self.theta.at(at).as_covector()
 
-    def omega_matrix(self, at, check_domain: bool = True) -> np.ndarray:
-        return self.omega.at(at, check_domain).as_matrix()
+    def omega_matrix(self, at) -> np.ndarray:
+        return self.omega.at(at).as_matrix()
 
     def kernel(self) -> Kernel:
         """theta and Omega as one straight-line kernel, built on first
@@ -177,33 +177,32 @@ class StructureSpec:
             key, last = values.tobytes(), self._last
             if last is not None and last[0] == key:
                 return last
-        point = [key, self.theta_vector(values, check_domain=False),
-                 self.omega_matrix(values, check_domain=False), None]
+        point = [key, self.theta._at(values).as_covector(),
+                 self.omega._at(values).as_matrix(), None]
         if key is not None:
             self._last = point
         return point
 
-    def at(self, at, check_domain: bool = True):
+    def at(self, at):
         """(theta, Omega, values) at a point: theta (dim,) and Omega
         (dim, dim) from the kept kernel where it is finite, else by walking
         theta's and then Omega's trees, whose errors are the reference;
         ``values`` are the point's coordinates as the chart reads them.  Bit
         for bit the same either way; never builds a kernel.  A spec with no
         kernel answers a repeat from its kept last point, with new arrays."""
-        values = self.chart.values(at, check_domain)
+        values = self.chart.values(at)
         _, th, om, _ = self._point(values)
         return th.copy(), om.copy(), values
 
-    def _solved(self, at, check_domain: bool = True):
-        """(theta, Omega, values, R, factors) at a point: :meth:`at`'s theta
-        and Omega and :func:`reeb_from`'s solve, each read from the kept last
-        point when it is there and kept with it otherwise.  The arrays may be
-        the kept ones: read them, and copy what is handed out."""
-        values = self.chart.values(at, check_domain)
+    def _solved(self, values: np.ndarray):
+        """(theta, Omega, R, factors) at unchecked coordinates: :meth:`at`'s
+        theta and Omega and :func:`reeb_from`'s solve, each read from the kept
+        last point when it is there and kept with it otherwise.  The arrays
+        may be the kept ones: read them, and copy what is handed out."""
         point = self._point(values)
         if point[3] is None:
             point[3] = reeb_from(point[1], point[2], values)
-        return (point[1], point[2], values, *point[3])
+        return (point[1], point[2], *point[3])
 
     def rows(self, states):
         """(theta, Omega) at every row of an (N, dim) array, shaped (N, dim)
@@ -222,8 +221,8 @@ class StructureSpec:
             _, th[k], om[k], _ = self._point(row)
         return th, om
 
-    def flat_matrix(self, at, check_domain: bool = True) -> np.ndarray:
-        return flat_from(*self.at(at, check_domain)[:2])
+    def flat_matrix(self, at) -> np.ndarray:
+        return flat_from(*self.at(at)[:2])
 
     def volume_coefficient(self, at) -> float:
         """Top coefficient of theta ^ Omega^n (the chart's volume density).
@@ -264,12 +263,11 @@ class StructureSpec:
         return [self.chart.point(row) for row in pts]
 
     def classification(self, probes=None, seed: int = 42) -> StructureClass:
-        if probes is None and self._classification is not None:
-            return self._classification
-        result = classify(self, probes=probes, seed=seed)
-        if probes is None:
-            self._classification = result
-        return result
+        if probes is not None:
+            return classify(self, probes=probes, seed=seed)
+        if seed not in self._classifications:
+            self._classifications[seed] = classify(self, seed=seed)
+        return self._classifications[seed]
 
     # -- serialization --------------------------------------------------------
 
@@ -444,7 +442,8 @@ def classify(spec: StructureSpec, probes=None, seed: int = 42) -> StructureClass
         probes = spec.default_probes(seed=seed)
     if not probes:
         raise ValueError("probe set must be nonempty")
-    points = np.array([spec.chart.values(pt) for pt in probes])
+    probes = [spec.chart.point(pt) for pt in probes]
+    points = np.array([pt.values for pt in probes])
     th, om = spec.rows(points)
     try:
         reeb_rows(th, om, points)
@@ -455,9 +454,9 @@ def classify(spec: StructureSpec, probes=None, seed: int = 42) -> StructureClass
     d_omega = forms.exterior_derivative(spec.omega)
     d_theta = forms.exterior_derivative(spec.theta)
     worst = np.zeros(3)  # |dOmega|, |dtheta|, |dtheta - Omega|
-    for values, om_k in zip(points, om):
-        dth = d_theta.at(values, check_domain=False).as_matrix()
-        dom = d_omega.at(values, check_domain=False).max_norm()
+    for pt, om_k in zip(probes, om):
+        dth = d_theta.at(pt).as_matrix()
+        dom = d_omega.at(pt).max_norm()
         worst = np.maximum(worst, (dom, np.abs(dth).max(), np.abs(dth - om_k).max()))
     d_omega_zero, d_theta_zero, contact_match = (bool(w <= CLASSIFY_TOL) for w in worst)
 
@@ -488,7 +487,7 @@ def reeb(spec: StructureSpec, at) -> np.ndarray:
     """The Reeb vector R = ♯theta, which solves R ⌟ Omega = 0, R ⌟ theta = 1,
     as a new array: :func:`reeb_from` at the point, or the spec's kept
     solve of its last tree-walked point on a repeat."""
-    return spec._solved(at)[3].copy()
+    return spec._solved(spec.chart.values(at))[2].copy()
 
 
 def reeb_from(th: np.ndarray, om: np.ndarray, values):
@@ -658,9 +657,9 @@ def _plain(values) -> list[float]:
 
 def flat(spec: StructureSpec, X, at) -> np.ndarray:
     """X -> X ⌟ Omega + (X ⌟ theta) theta as a covector at a point."""
-    values = spec.chart.values(at)
-    xv = X.at(values) if hasattr(X, "at") else np.asarray(X, dtype=float)
-    return spec.flat_matrix(values, check_domain=False) @ xv
+    point = spec.chart.point(at)
+    xv = X.at(point) if hasattr(X, "at") else np.asarray(X, dtype=float)
+    return spec.flat_matrix(point) @ xv
 
 
 def sharp(spec: StructureSpec, alpha, at) -> np.ndarray:
@@ -668,4 +667,4 @@ def sharp(spec: StructureSpec, alpha, at) -> np.ndarray:
     R = ♯theta (see :func:`reeb_from`); raises StructureError where
     :func:`reeb` does.  Repeats at one point reuse the spec's kept factors,
     so many right-hand sides there cost one factorisation."""
-    return _solve(spec._solved(at)[4], np.asarray(alpha, dtype=float))
+    return _solve(spec._solved(spec.chart.values(at))[3], np.asarray(alpha, dtype=float))

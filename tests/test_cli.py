@@ -864,6 +864,17 @@ class TestInvariantSuite:
         assert code == EXIT_OK
         assert "(seed 7)" in out
 
+    def test_each_catalog_structure_is_built_once(self, capsys, monkeypatch):
+        from cosym import manifolds
+
+        names = []
+        build = manifolds.builtin
+        monkeypatch.setattr(manifolds, "builtin",
+                            lambda name, *a: names.append(name) or build(name, *a))
+        code, _, _ = run(capsys, "invariant-suite")
+        assert code == EXIT_OK
+        assert sorted(names) == sorted(manifolds.CATALOG)
+
 
 def fresh_process(*argv, seed_env=None, timeout=120, python_args=("-m", "cosym")):
     """(exit code, stdout, stderr) of ``python PYTHON_ARGS ARGV`` in a new

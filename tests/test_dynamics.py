@@ -65,7 +65,7 @@ class TestHamiltonianFieldGeneric:
             pt = random_point(s.chart, rng)
             X = hamiltonian_field_generic(s, H, pt)
             F = s.flat_matrix(pt)
-            dH = H.gradient(pt.array, check_domain=False)
+            dH = H.gradient(pt)
             R = reeb(s, pt)
             rhs = dH - (R @ dH + H.value(pt)) * s.theta_vector(pt)
             assert np.abs(F @ X - rhs).max() <= 1e-10
@@ -88,7 +88,7 @@ class TestHamiltonianFieldGeneric:
                 H = random_polynomial(s.chart, rng)
                 pt = random_point(s.chart, rng)
                 X = hamiltonian_field_generic(s, H, pt)
-                dH = H.gradient(pt.array, check_domain=False)
+                dH = H.gradient(pt)
                 R = reeb(s, pt)
                 assert abs(X @ dH + H.value(pt) * (R @ dH)) <= 1e-8
 
@@ -220,7 +220,7 @@ class TestGradient:
                 X = hamiltonian_field_generic(s, H, pt)
                 G = gradient_field(s, H, pt)
                 R = reeb(s, pt)
-                RH = R @ H.gradient(pt.array, check_domain=False)
+                RH = R @ H.gradient(pt)
                 residual = X - (G - (H.value(pt) + RH) * R)
                 assert np.abs(residual).max() <= 1e-9
 
@@ -454,12 +454,12 @@ class TestBrackets:
 def _jacobi_by_euler_fields(f, g, at):
     """{f,g}_P + f_e dg/dkappa - g_e df/dkappa from the symbolic Euler-part
     and kappa-partial fields, each evaluated on its own."""
-    values = f.chart.values(at)
-    pb = poisson_bracket(f, g, values)
-    fe = euler_part(f).value(values, check_domain=False)
-    ge = euler_part(g).value(values, check_domain=False)
-    fk = f.partial("kappa").value(values, check_domain=False)
-    gk = g.partial("kappa").value(values, check_domain=False)
+    point = f.chart.point(at)
+    pb = poisson_bracket(f, g, point)
+    fe = euler_part(f).value(point)
+    ge = euler_part(g).value(point)
+    fk = f.partial("kappa").value(point)
+    gk = g.partial("kappa").value(point)
     return pb + fe * gk - ge * fk
 
 
@@ -623,6 +623,26 @@ class TestIntegrate:
         traj.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "t,q,p,kappa,H,dissipation_residual"
+
+    # H = x/y^2 on xjt_gtacos drives y from 0.5 onto the guard y = 0 by
+    # t = 0.5: (rows, diagnostic, repr of the least y) per (method, t_end).
+    # Runge-Kutta stages past the guard are evaluated, not refused; refusing
+    # them moves the RK45 run to t_end = 1 onto the t_end = 0.5 figures.
+    ESCAPES = {
+        ("adaptive-rk45", 1.0): (50, "domain escape near t=0.5", "0.009999999999999953"),
+        ("adaptive-rk45", 0.5): (50, "domain escape near t=0.5", "0.009999999999999898"),
+        ("rk4", 1.0): (50, "domain escape at t=0.5", "0.009999999999999787"),
+        ("rk4", 0.5): (50, "domain escape at t=0.5", "0.009999999999999787"),
+    }
+
+    @pytest.mark.parametrize("method, t_end", sorted(ESCAPES))
+    def test_stages_past_the_guard_are_evaluated(self, method, t_end):
+        s = builtin("xjt_gtacos")
+        H = ScalarField.parse(s.chart, "x/y^2")
+        traj = integrate(s, H, (0.0, 0.5, 0.0, 0.0, 0.0), t_end, 0.01, method=method)
+        assert traj.escaped
+        got = (len(traj.times), traj.diagnostic, repr(float(traj.states[:, 1].min())))
+        assert got == self.ESCAPES[method, t_end]
 
 
 def _per_row_post_pass(spec, H, traj):

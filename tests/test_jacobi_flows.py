@@ -72,7 +72,7 @@ class TestEnergy:
             x, y = rng.uniform(-1, 1), rng.uniform(0.2, 2.0)
             q, p = rng.uniform(-1, 1), rng.uniform(-1, 1)
             got = energy(split_energy(coeffs, params), (x, y, q, p))
-            want = oracle.value((x, y, q, p, 0.0), check_domain=False)
+            want = oracle.value((x, y, q, p, 0.0))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_split_independence(self):
@@ -89,11 +89,11 @@ class TestEnergy:
         coeffs = random_coeffs(rng, h_kappa="kappa^2")
         se = split_energy(coeffs, UNIT)
         v = np.array([0.3, 1.2, -0.4, 0.8, 0.6])
-        total = se.total.value(v, check_domain=False)
+        total = se.total.value(v)
         parts = (
-            se.h_pq.value(v, check_domain=False)
-            + se.h_xy.value(v, check_domain=False)
-            + se.h_kappa.value(v, check_domain=False)
+            se.h_pq.value(v)
+            + se.h_xy.value(v)
+            + se.h_kappa.value(v)
         )
         assert total == pytest.approx(parts, rel=1e-14)
 
@@ -146,8 +146,8 @@ class TestEquationsOfMotion:
                 ]
             )
             got = eom(se, "gtacos", at)
-            dH = se.total.gradient(at, check_domain=False)
-            h = se.total.value(at, check_domain=False)
+            dH = se.total.gradient(at)
+            h = se.total.value(at)
             expect = (at[3] * dH[3] + at[2] * dH[2]) / (2 * params.nu) - h / 2.0
             assert got[4] == pytest.approx(expect, rel=1e-10, abs=1e-10)
 
@@ -179,7 +179,7 @@ class TestRiccati:
             se = split_energy(coeffs, params)
             x, y = float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.2, 2.5))
             v = np.array([x, y, 0.3, -0.4, 0.0])
-            dH = se.h_xy.gradient(v, check_domain=False)
+            dH = se.h_xy.gradient(v)
             expect = np.array([(y**2 / params.k) * dH[1], -(y**2 / params.k) * dH[0]])
             assert riccati_rhs(coeffs, (x, y)) == pytest.approx(expect, rel=1e-11)
 

@@ -366,9 +366,7 @@ class TestDarbouxTransport:
                 b=(0.0, sd * image["q2"] / (2 * params.nu)),
                 c=sd,
             )
-            closed = hamiltonian_field_closed(
-                theta_spec, H_darboux, image, check_domain=False
-            ).vector()
+            closed = hamiltonian_field_closed(theta_spec, H_darboux, image).vector()
             jac = fwd.jacobian(pt)
             transported = np.linalg.solve(jac, closed)
             generic = hamiltonian_field_generic(s, H, pt)

@@ -66,6 +66,22 @@ class TestClassify:
             if cls.tacs:
                 assert cls.gtacos
 
+    def test_each_seed_keeps_its_own_flags(self):
+        # dtheta = Omega but for a 1e-3 bump at the first seed-7 probe, which
+        # no seed-42 probe comes near: contact at seed 42 only
+        chart = darboux_chart(1)
+        a, b, c = StructureSpec(
+            "plain", chart, KForm.one_form(chart, {"kappa": 1.0}),
+            KForm.two_form(chart, {"q,p": 1.0}), 1,
+        ).default_probes(seed=7)[0].values
+        bump = "1 + 1e-3*exp(-((q - %r)^2 + (p - %r)^2 + (kappa - %r)^2)/0.01)" % (a, b, c)
+        s = StructureSpec("bump", chart, KForm.one_form(chart, {"kappa": 1.0, "q": "-p"}),
+                          KForm.two_form(chart, {"q,p": bump}), 1)
+        assert classify(s, seed=42).contact and not classify(s, seed=7).contact
+        for seed in (42, 7, 42, 7):
+            assert s.classification(seed=seed) == classify(s, seed=seed)
+        assert s.classification() is s.classification(seed=42)
+
 
 class TestReeb:
     def test_canonical_theta_reeb_is_inverse_c(self, rng):
@@ -243,9 +259,9 @@ class TestBuiltOncePerStructure:
 
     def test_field_solve_shares_one_evaluation_of_theta_and_omega(self, rng, monkeypatch):
         degrees = []
-        at = KForm.at
+        walk = KForm._at
         monkeypatch.setattr(
-            KForm, "at", lambda self, *args: degrees.append(self.degree) or at(self, *args)
+            KForm, "_at", lambda self, *args: degrees.append(self.degree) or walk(self, *args)
         )
         for name in CATALOG_SIZES:
             s = builtin(name)
@@ -314,8 +330,8 @@ class TestKeptLastPoint:
 
     def test_one_walk_and_one_factorisation_per_point(self, rng, monkeypatch):
         walks, factorisations = [], []
-        at, dgetrf = KForm.at, lapack.dgetrf
-        monkeypatch.setattr(KForm, "at", lambda self, *a: walks.append(1) or at(self, *a))
+        walk, dgetrf = KForm._at, lapack.dgetrf
+        monkeypatch.setattr(KForm, "_at", lambda self, *a: walks.append(1) or walk(self, *a))
         monkeypatch.setattr(lapack, "dgetrf", lambda *a: factorisations.append(1) or dgetrf(*a))
         s = builtin("xjt_gtacos")
         H = random_polynomial(s.chart, rng)
@@ -348,7 +364,7 @@ class TestKeptLastPoint:
     def test_domain_checks_run_before_the_lookup(self):
         s = builtin("xjt_gtacos")
         off_guard = (0.0, -1.0, 0.1, 0.2, 0.0)  # y = -1
-        s.at(off_guard, check_domain=False)
+        s._point(np.array(off_guard))
         dynamics.hamiltonian_field_generic(
             s, ScalarField.parse(s.chart, "q"), off_guard, check_domain=False)
         for fn in (s.at, s.flat_matrix, lambda pt: reeb(s, pt)):
@@ -616,13 +632,13 @@ class TestOneNondegeneracyRule:
         s = builtin("xjt_gtacos")
         probes = s.default_probes(count=10)
         calls = []
-        at = KForm.at
+        walk = KForm._at
 
-        def counting_at(self, *args, **kwargs):
+        def counting_walk(self, *args, **kwargs):
             calls.append(self)
-            return at(self, *args, **kwargs)
+            return walk(self, *args, **kwargs)
 
-        monkeypatch.setattr(KForm, "at", counting_at)
+        monkeypatch.setattr(KForm, "_at", counting_walk)
         expected = classify(s, probes=probes)
         assert len(calls) <= 4 * len(probes)  # theta, Omega, dtheta, dOmega
         s.kernel()
