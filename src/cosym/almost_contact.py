@@ -462,7 +462,7 @@ def sasaki_from_potential(potential: SasakiPotential | ScalarField) -> SasakiStr
         lap = laplacian.value(point)
         if abs(lap) < 1e-12:
             raise ValueError(
-                "degenerate potential: K_xx + K_yy vanishes at %s" % list(point.array)
+                "degenerate potential: K_xx + K_yy vanishes at %s" % point.array.tolist()
             )
         g = metric(point)
         d = d_eta.at(point).as_matrix()

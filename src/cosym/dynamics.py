@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .charts import Chart, DomainError, ScalarField
 from .expressions import EvalError
@@ -26,6 +25,7 @@ from .structures import (
     _solve,
     darboux_chart,
     darboux_pairs,
+    reeb_from,
     reeb_rows,
 )
 
@@ -62,10 +62,25 @@ def hamiltonian_field_generic(
     before a failing H.  The factors of the flat matrix F that give R
     (:func:`structures.reeb_from`: an LU where the rank rule is certified,
     else an SVD) solve every field; a repeat at the spec's and H's kept
-    last point walks no tree and factors nothing.  ``check_domain=False``
-    skips the guards but not the length check: :func:`integrate`'s
-    Runge-Kutta stages may lie past a guard and are evaluated there."""
+    last point walks no tree and factors nothing.  When both keep a kernel,
+    as inside :func:`integrate`, the point is one read of the two kernels,
+    one finiteness test and one array whose slices are theta, Omega and
+    dH; where that read raises or is not finite, theta, Omega and the solve
+    come from ``spec``'s point reader and H and dH from H's, each walking
+    its trees where its own kernel fails, so the errors are the walk's.
+    ``check_domain=False`` skips the guards but not the length check:
+    :func:`integrate`'s Runge-Kutta stages may lie past a guard and are
+    evaluated there."""
     values = spec.chart.values(at) if check_domain else spec.chart._coordinates(at)
+    if spec._kernel is not None and H._kernel is not None:
+        out = spec._kernel.finite_at(values.tolist(), H._kernel)
+        if out is not None:
+            dim = len(values)
+            m = dim + dim * dim  # theta, Omega row by row, then H and dH
+            a = np.array(out, dtype=float)
+            th = a[:dim]
+            R, factors = reeb_from(th, a[dim:m].reshape(dim, dim), values)
+            return _field_from(th, factors, R, a[m + 1:], out[m])
     th, _, R, factors = spec._solved(values)
     h, dH = H._at(values)
     return _field_from(th, factors, R, dH, h)
@@ -430,6 +445,8 @@ def _step(
                 break
             states.append(y.copy())
     else:
+        from scipy.integrate import solve_ivp  # RK45 is its only user, and it is slow to import
+
         t_eval = times
         while True:
             try:

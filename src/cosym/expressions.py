@@ -555,12 +555,14 @@ class Kernel:
         with np.errstate(over="ignore", invalid="ignore"):
             return self._rows(*args)
 
-    def finite_at(self, point: Sequence[float]) -> tuple | None:
-        """``scalar(*point)``, or None where it raises or a value is not
-        finite; the caller then walks the trees, whose errors are the
-        reference."""
+    def finite_at(self, point: Sequence[float], *more: "Kernel") -> tuple | None:
+        """``scalar(*point)``, followed by each of ``more``'s values at the
+        same point, or None where one raises or a value is not finite; the
+        caller then walks the trees, whose errors are the reference."""
         try:
             out = self.scalar(*point)
+            for kernel in more:
+                out += kernel.scalar(*point)
         except (ArithmeticError, ValueError):  # EvalError is a ValueError
             return None
         # inf or NaN anywhere makes the sum so (as may an overflowing sum

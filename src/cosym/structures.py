@@ -17,10 +17,13 @@ at every row of an array, each from that kernel where it is finite, else by
 walking the trees.  :func:`reeb_from` factors one point by LAPACK's
 ``dgetrf`` (LU) through ``scipy.linalg.lapack`` where a determinant
 certificate proves the rank rule, else by ``dgesdd`` (SVD), so ``reeb``
-equals ``reeb_from(*spec.at(point))[0]``.  :func:`reeb_rows` solves all rows of a
-trajectory or probe set: by one batched LU where the certificate proves
-the rank rule at every row, else row by row through :func:`reeb_from`; it
-needs R only, never the factors.
+equals ``reeb_from(*spec.at(point))[0]``.  It is the one point solve:
+:meth:`StructureSpec._solved` calls it, and so does
+:func:`cosym.dynamics.hamiltonian_field_generic` on views of its one read
+of the kept structure and Hamiltonian kernels.  :func:`reeb_rows` solves
+all rows of a trajectory or probe set: by one batched LU where the
+certificate proves the rank rule at every row, else row by row through
+:func:`reeb_from`; it needs R only, never the factors.
 
 A spec with no kernel keeps its last tree-walked point: theta and
 Omega, and once taken, :func:`reeb_from`'s (R, factors) there, keyed by the
@@ -501,15 +504,23 @@ def reeb_from(th: np.ndarray, om: np.ndarray, values):
     is factored by LAPACK's ``dgesdd``, (u, s, vt) made C-contiguous so
     that a solve always rounds the same, and the rank rule is read from s.
     Both go through ``scipy.linalg.lapack``, which skips numpy's
-    stacked-matrix wrapper.  Raises StructureError when F is not finite
+    stacked-matrix wrapper.  F is built with :func:`flat_from`'s operations
+    and R on the LU branch by ``dgetrs`` as :func:`_solve` takes it, so the
+    bits are theirs; the residual is read from one list of floats, since
+    numpy's per-call cost on arrays this small exceeds the factorisation's.
+    ``th`` and ``om`` may be views (a slice of one array and its reshape).
+    Raises StructureError when F is not finite
     (checked before the SVD, which need not return on such a matrix), when
     F fails the rank rule, or when R leaves a residual above 1e-9 in
     R ⌟ Omega = 0, R ⌟ theta = 1.  Raises numpy's LinAlgError when the SVD
     does not converge.
     """
-    F = flat_from(th, om)
+    F = om.T + th[:, None] * th  # flat_from's operations, without its stack handling
     factors = _certified_lu(F)
-    if factors is None:
+    if factors is not None:
+        R = lapack.dgetrs(*factors, th)[0]
+        R += 0.0  # as in _solve
+    else:
         if not np.isfinite(F).all():
             _refuse_non_finite(F, values)
         u, s, vt, info = lapack.dgesdd(F)
@@ -522,8 +533,10 @@ def reeb_from(th: np.ndarray, om: np.ndarray, values):
                 % (_plain(values), np.count_nonzero(s > _EPS * dim * s[0]), dim)
             )
         factors = np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
-    R = _solve(factors, th)
-    error = max(np.abs(R @ om).max(), abs(R @ th - 1.0))
+        R = _solve(factors, th)
+    # F passed the rank rule, so R and its residual are finite: no NaN can
+    # hide from the max.
+    error = max(map(abs, (R @ om).tolist() + [R @ th - 1.0]))
     if not error <= 1e-9:
         raise StructureError(
             "Reeb system inconsistent at %s (residual %.3e)" % (_plain(values), error)

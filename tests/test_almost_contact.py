@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -183,7 +185,9 @@ class TestSasakiFromPotential:
         st = sasaki_from_potential(
             SasakiPotential(ScalarField.parse(CHART_SASAKI, "x*y"))
         )
-        with pytest.raises(ValueError):
+        # the point in plain floats, not numpy 2's np.float64(0.0) reprs
+        message = "degenerate potential: K_xx + K_yy vanishes at [0.0, 0.0, 0.0]"
+        with pytest.raises(ValueError, match=re.escape(message)):
             st.phi(np.array([0.0, 0.0, 0.0]))
 
 

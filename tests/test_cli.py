@@ -899,6 +899,20 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert fresh_process(python_args=("-c", script)) == (0, "[]\n", "")
 
 
+def test_the_cli_and_an_rk4_flow_leave_scipy_integrate_unloaded():
+    # only RK45 uses scipy.integrate, and it is over a quarter of the CLI's import time
+    script = "; ".join([
+        "import sys, cosym.cli",
+        "loaded = lambda: [m for m in sys.modules if m.startswith('scipy.integrate')]",
+        "print(loaded())",
+        "s = cosym.builtin('darboux_contact')",
+        "H = cosym.ScalarField.parse(s.chart, 'kappa')",
+        "cosym.integrate(s, H, (0.0, 1.0, 1.0), 0.1, 0.01, method='rk4')",
+        "print(loaded())",
+    ])
+    assert fresh_process(python_args=("-c", script)) == (0, "[]\n[]\n", "")
+
+
 def test_python_dash_m_runs_the_cli():
     code, out, err = fresh_process("list-manifolds")
     assert code == EXIT_OK, err

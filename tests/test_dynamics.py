@@ -595,7 +595,7 @@ class TestIntegrate:
         chart = Chart("plane", ("u", "v"), (Guard("u", 0.0), Guard("v", 1.0, False, True)))
         recorded = np.array(recorded)
         sol = SimpleNamespace(status=0, y=recorded.T.copy(), t_events=[], message="")
-        monkeypatch.setattr(dynamics, "solve_ivp", lambda *a, **k: sol)
+        monkeypatch.setattr("scipy.integrate.solve_ivp", lambda *a, **k: sol)
         x0 = (0.1, 0.2)
         times, states, escaped, diagnostic = dynamics._step(
             lambda y: y, chart, x0, 0.3, 0.1, "adaptive-rk45", 1e-9, 1e-9
@@ -711,6 +711,8 @@ FAILING = {
     # solve still comes first.
     "degenerate_where_dh_fails": (
         {"kappa": "q + 1"}, {"q,p": 1.0}, "sqrt((q+1)^2)", (-1.0, 0.5, 0.1)),
+    # theta and Omega are finite while H's kernel raises, not overflows
+    "hamiltonian_raises": ({"kappa": 1.0}, {"q,p": 1.0}, "sqrt(q)", (-0.3, 0.5, 0.1)),
 }
 
 
@@ -766,18 +768,28 @@ class TestCompiledKernels:
         assert _error(dynamics._dissipation_rows, s, H, rows) == expected
         assert fresh._kernel is None and fresh_H._kernel is None
 
-    @pytest.mark.parametrize("name", ["darboux_contact(3)", "xjt_gtacos", "heisenberg"])
+    @pytest.mark.parametrize("name", [
+        *CATALOG, "darboux_contact(3)", "canonical(1)", "canonical(2)", "canonical(3)",
+    ])
     def test_compiled_values_are_the_tree_values(self, name, rng):
-        compiled, fresh = builtin(name), builtin(name)
+        if name.startswith("canonical"):
+            n = int(name[-2])
+            theta = CanonicalThetaSpec(a=tuple(rng.uniform(-2, 2, n)),
+                                       b=tuple(rng.uniform(-2, 2, n)),
+                                       c=float(rng.uniform(0.5, 3.0)))
+            compiled, fresh = theta.structure(), theta.structure()
+        else:
+            compiled, fresh = builtin(name), builtin(name)
         H = random_polynomial(compiled.chart, rng, max_degree=3)
         H_fresh = ScalarField.from_expr(fresh.chart, H.expr, H.params)
         compiled.kernel()
         H.kernel()
-        rows = np.array([random_point(compiled.chart, rng).array for _ in range(20)])
+        rows = np.array([random_point(compiled.chart, rng).array for _ in range(30)])
         for row in rows:
+            # one read of both kernels gives the walk's X_H bit for bit
+            assert compiled._kernel.finite_at(row.tolist(), H._kernel) is not None
             got = hamiltonian_field_generic(compiled, H, row)
             assert got.tobytes() == hamiltonian_field_generic(fresh, H_fresh, row).tobytes()
-            assert compiled._kernel.finite_at(row.tolist()) is not None
             th, om, _ = compiled.at(row)
             assert th.tobytes() == fresh.theta_vector(row).tobytes()
             assert om.tobytes() == fresh.omega_matrix(row).tobytes()
@@ -785,6 +797,28 @@ class TestCompiledKernels:
                              dynamics._dissipation_rows(fresh, H_fresh, rows)):
             assert got.tobytes() == want.tobytes()
         assert fresh._kernel is None and H_fresh._kernel is None
+
+    def test_a_right_hand_side_reads_each_kernel_once(self, monkeypatch):
+        s = builtin("xjt_gtacos")
+        H = ScalarField.parse(s.chart, "q^2 + p^2 + x^2 + (y-1)^2", s.params)
+        at = (0.2, 1.0, 0.3, -0.2, 0.0)
+        want = hamiltonian_field_generic(s, H, at)
+        calls = []
+
+        def spy(owner, name, label):
+            real = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *a, **k: calls.append(label) or real(*a, **k))
+
+        spy(s.kernel(), "scalar", "structure kernel")
+        spy(H.kernel(), "scalar", "H kernel")
+        spy(KForm, "_at", "walk")
+        spy(ScalarField, "_eval", "walk")
+        spy(ScalarField, "_gradient", "walk")
+        spy(lapack, "dgetrf", "LU")
+        got = hamiltonian_field_generic(s, H, np.array(at), check_domain=False)
+        assert sorted(calls) == ["H kernel", "LU", "structure kernel"]
+        assert got.tobytes() == want.tobytes()
 
     def test_only_integrate_builds_kernels(self, rng):
         s = builtin("xjt_gtacos")
