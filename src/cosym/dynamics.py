@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import Chart, DomainError, ScalarField
+from .charts import Chart, ChartMismatchError, DomainError, ScalarField
 from .expressions import EvalError
 from .structures import (
     CanonicalThetaSpec,
@@ -52,6 +52,13 @@ def _field_from(th, factors, R, dH, h) -> np.ndarray:
     return _solve(factors, dH - (R @ dH + h) * th)
 
 
+def _same_chart(spec: StructureSpec, H: ScalarField) -> None:
+    if H.chart.coordinates != spec.chart.coordinates:
+        raise ChartMismatchError(
+            "field on chart %r used with chart %r" % (H.chart.name, spec.chart.name)
+        )
+
+
 def hamiltonian_field_generic(
     spec: StructureSpec, H: ScalarField, at, check_domain: bool = True
 ) -> np.ndarray:
@@ -68,10 +75,15 @@ def hamiltonian_field_generic(
     dH; where that read raises or is not finite, theta, Omega and the solve
     come from ``spec``'s point reader and H and dH from H's, each walking
     its trees where its own kernel fails, so the errors are the walk's.
-    ``check_domain=False`` skips the guards but not the length check:
-    :func:`integrate`'s Runge-Kutta stages may lie past a guard and are
-    evaluated there."""
-    values = spec.chart.values(at) if check_domain else spec.chart._coordinates(at)
+    An H on another chart's coordinates raises ChartMismatchError.
+    ``check_domain=False`` skips that check and the guards but not the
+    length check: :func:`integrate` checks the charts once, and its
+    Runge-Kutta stages may lie past a guard and are evaluated there."""
+    if check_domain:
+        _same_chart(spec, H)
+        values = spec.chart.values(at)
+    else:
+        values = spec.chart._coordinates(at)
     if spec._kernel is not None and H._kernel is not None:
         out = spec._kernel.finite_at(values.tolist(), H._kernel)
         if out is not None:
@@ -500,7 +512,9 @@ def integrate(
 
     Recorded states are guard-checked; a mid-flow domain escape truncates the
     trajectory and sets ``escaped`` with a diagnostic instead of raising.
+    An H on another chart's coordinates raises ChartMismatchError first.
     """
+    _same_chart(spec, H)
     spec.kernel()
     H.kernel()
     times, states, escaped, diagnostic = _step(

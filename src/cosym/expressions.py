@@ -13,6 +13,14 @@ time.  The reserved function names are sin, cos, exp, log, sqrt.  Parse
 errors carry the byte offset of the failure and the set of token kinds that
 would have been accepted there.
 
+Trees are immutable.  The parser and ``diff`` build them through the
+folding constructors (``add``, ``mul``, ...), which fold constants and drop
+zeros and ones.  Each node with operands keeps its name set and its
+derivative for the names it lacks, both computed on first request: a
+gradient walks a subtree once for every name it contains and once for all
+the others.  The kept derivative is the one the node's own ``diff`` rule
+builds, so a tree does not depend on what was asked before.
+
 :class:`Kernel` compiles a list of trees into one straight-line Python
 function, bound either to scalar helpers (one point) or to row helpers
 (many points at once); both give what :meth:`Expr.eval` gives at each
@@ -124,6 +132,45 @@ class Expr:
         return neg(self)
 
 
+class Operation(Expr):
+    """A node with operands.  It keeps its name set and its derivative for
+    the names it lacks, each on the first request; until then the two slots
+    stay unset, so building a node costs nothing more."""
+
+    __slots__ = ("_names", "_absent")
+
+
+def _keep(node: Operation, slot: str, value):
+    object.__setattr__(node, slot, value)  # the node classes are frozen
+    return value
+
+
+def _kept_names(rule):
+    """An operation's ``names``: ``rule`` on the first call, then the kept set."""
+
+    def names(self):
+        kept = getattr(self, "_names", None)
+        return _keep(self, "_names", rule(self)) if kept is None else kept
+
+    return names
+
+
+def _once_for_absent_names(rule):
+    """An operation's ``diff``: ``rule`` for a name the node contains; for
+    any other name, ``rule``'s tree, built on the first such request and
+    kept.  That tree is the same for every absent name: below the node,
+    each Name differentiates to Num(0.0), and the rules read the name
+    nowhere else."""
+
+    def diff(self, name):
+        if name in self.names():
+            return rule(self, name)
+        kept = getattr(self, "_absent", None)
+        return _keep(self, "_absent", rule(self, name)) if kept is None else kept
+
+    return diff
+
+
 @dataclass(frozen=True, slots=True)
 class Num(Expr):
     value: float
@@ -172,16 +219,18 @@ class Name(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Neg(Expr):
+class Neg(Operation):
     arg: Expr
     precedence = 2
 
     def eval(self, env):
         return -self.arg.eval(env)
 
+    @_once_for_absent_names
     def diff(self, name):
         return neg(self.arg.diff(name))
 
+    @_kept_names
     def names(self):
         return self.arg.names()
 
@@ -193,7 +242,7 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Add(Expr):
+class Add(Operation):
     left: Expr
     right: Expr
     precedence = 1
@@ -201,9 +250,11 @@ class Add(Expr):
     def eval(self, env):
         return self.left.eval(env) + self.right.eval(env)
 
+    @_once_for_absent_names
     def diff(self, name):
         return add(self.left.diff(name), self.right.diff(name))
 
+    @_kept_names
     def names(self):
         return self.left.names() | self.right.names()
 
@@ -215,7 +266,7 @@ class Add(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Sub(Expr):
+class Sub(Operation):
     left: Expr
     right: Expr
     precedence = 1
@@ -223,9 +274,11 @@ class Sub(Expr):
     def eval(self, env):
         return self.left.eval(env) - self.right.eval(env)
 
+    @_once_for_absent_names
     def diff(self, name):
         return sub(self.left.diff(name), self.right.diff(name))
 
+    @_kept_names
     def names(self):
         return self.left.names() | self.right.names()
 
@@ -237,7 +290,7 @@ class Sub(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Mul(Expr):
+class Mul(Operation):
     left: Expr
     right: Expr
     precedence = 2
@@ -245,12 +298,14 @@ class Mul(Expr):
     def eval(self, env):
         return self.left.eval(env) * self.right.eval(env)
 
+    @_once_for_absent_names
     def diff(self, name):
         return add(
             mul(self.left.diff(name), self.right),
             mul(self.left, self.right.diff(name)),
         )
 
+    @_kept_names
     def names(self):
         return self.left.names() | self.right.names()
 
@@ -262,7 +317,7 @@ class Mul(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Div(Expr):
+class Div(Operation):
     left: Expr
     right: Expr
     precedence = 2
@@ -273,6 +328,7 @@ class Div(Expr):
             raise EvalError("division by zero in expression")
         return self.left.eval(env) / denom
 
+    @_once_for_absent_names
     def diff(self, name):
         return div(
             sub(
@@ -282,6 +338,7 @@ class Div(Expr):
             pow_(self.right, Num(2.0)),
         )
 
+    @_kept_names
     def names(self):
         return self.left.names() | self.right.names()
 
@@ -293,7 +350,7 @@ class Div(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Pow(Expr):
+class Pow(Operation):
     base: Expr
     exponent: Expr
     precedence = 3
@@ -305,6 +362,7 @@ class Pow(Expr):
         except (ValueError, OverflowError):
             raise _no_real_power(base, exponent) from None
 
+    @_once_for_absent_names
     def diff(self, name):
         # Power rule when the exponent is constant; full u^v rule otherwise.
         if isinstance(self.exponent, Num):
@@ -320,6 +378,7 @@ class Pow(Expr):
             ),
         )
 
+    @_kept_names
     def names(self):
         return self.base.names() | self.exponent.names()
 
@@ -331,7 +390,7 @@ class Pow(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Call(Expr):
+class Call(Operation):
     fn: str
     arg: Expr
     precedence = 9
@@ -343,6 +402,7 @@ class Call(Expr):
         except (ValueError, OverflowError) as exc:
             raise _call_failure(self.fn, arg, exc) from None
 
+    @_once_for_absent_names
     def diff(self, name):
         u = self.arg
         du = u.diff(name)
@@ -360,6 +420,7 @@ class Call(Expr):
             raise EvalError("unknown function %r" % self.fn)
         return mul(outer, du)
 
+    @_kept_names
     def names(self):
         return self.arg.names()
 
@@ -593,74 +654,78 @@ def as_expr(value) -> Expr:
     return Num(float(value))
 
 
-def _is_num(e: Expr, v: float | None = None) -> bool:
-    return isinstance(e, Num) and (v is None or e.value == v)
-
-
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_num(a) and _is_num(b):
-        return Num(a.value + b.value)
-    if _is_num(a, 0.0):
-        return b
-    if _is_num(b, 0.0):
+    if type(a) is Num:
+        if type(b) is Num:
+            return Num(a.value + b.value)
+        return b if a.value == 0.0 else Add(a, b)
+    if type(b) is Num and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_num(a) and _is_num(b):
-        return Num(a.value - b.value)
-    if _is_num(b, 0.0):
-        return a
-    if _is_num(a, 0.0):
+    if type(b) is Num:
+        if type(a) is Num:
+            return Num(a.value - b.value)
+        return a if b.value == 0.0 else Sub(a, b)
+    if type(a) is Num and a.value == 0.0:
         return neg(b)
     return Sub(a, b)
 
 
 def neg(a: Expr) -> Expr:
-    if _is_num(a):
+    kind = type(a)
+    if kind is Num:
         return Num(-a.value)
-    if isinstance(a, Neg):
+    if kind is Neg:
         return a.arg
     return Neg(a)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_num(a) and _is_num(b):
-        return Num(a.value * b.value)
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
+    if type(a) is Num:
+        if type(b) is Num:
+            return Num(a.value * b.value)
+        v, other = a.value, b
+    elif type(b) is Num:
+        v, other = b.value, a
+    else:
+        return Mul(a, b)
+    if v == 0.0:
         return Num(0.0)
-    if _is_num(a, 1.0):
-        return b
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(a, -1.0):
-        return neg(b)
-    if _is_num(b, -1.0):
-        return neg(a)
+    if v == 1.0:
+        return other
+    if v == -1.0:
+        return neg(other)
     return Mul(a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0) and not _is_num(b, 0.0):
+    if type(b) is Num:
+        w = b.value
+        if type(a) is Num and w != 0.0:
+            if a.value == 0.0:
+                return Num(0.0)
+            return a if w == 1.0 else Num(a.value / w)
+        return a if w == 1.0 else Div(a, b)
+    if type(a) is Num and a.value == 0.0:
         return Num(0.0)
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(a) and _is_num(b) and b.value != 0.0:
-        return Num(a.value / b.value)
     return Div(a, b)
 
 
 def pow_(a: Expr, b: Expr) -> Expr:
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(b, 0.0):
-        return Num(1.0)
-    if _is_num(a) and _is_num(b):
-        try:
-            return Num(math.pow(a.value, b.value))
-        except (ValueError, OverflowError):
-            pass  # left unfolded; evaluating it raises EvalError
+    if type(b) is Num:
+        k = b.value
+        if k == 1.0:
+            return a
+        if k == 0.0:
+            return Num(1.0)
+        if type(a) is Num:
+            try:
+                return Num(math.pow(a.value, k))
+            except (ValueError, OverflowError):
+                pass  # left unfolded; evaluating it raises EvalError
     return Pow(a, b)
 
 

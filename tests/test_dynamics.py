@@ -7,7 +7,7 @@ from scipy.linalg import lapack
 
 from conftest import random_point, random_polynomial
 from cosym import dynamics
-from cosym.charts import Chart, DomainError, Guard, ScalarField
+from cosym.charts import Chart, ChartMismatchError, DomainError, Guard, ScalarField
 from cosym.dynamics import (
     tacs_convention_comparison,
     euler_part,
@@ -91,6 +91,19 @@ class TestHamiltonianFieldGeneric:
                 dH = H.gradient(pt)
                 R = reeb(s, pt)
                 assert abs(X @ dH + H.value(pt) * (R @ dH)) <= 1e-8
+
+    @pytest.mark.parametrize("kept", [False, True])
+    def test_an_h_on_another_chart_is_refused(self, kept):
+        # both readers of H: the joint read of the two kept kernels, and
+        # the tree walk, whose env would take the first 3 of 5 coordinates
+        s = builtin("darboux_contact(2)")
+        H = ScalarField.parse(contact1().chart, "q^2 + p^2 + kappa")
+        if kept:
+            s.kernel()
+            H.kernel()
+        with pytest.raises(ChartMismatchError) as err:
+            hamiltonian_field_generic(s, H, (0.1, 0.2, 0.3, 0.4, 0.5))
+        assert str(err.value) == "field on chart 'darboux1' used with chart 'darboux2'"
 
 
 class TestHamiltonianFieldClosed:
@@ -488,6 +501,15 @@ class TestIntegrate:
         loose = Chart("loose", s.chart.coordinates).point((0.2, -1.0, 0.3, -0.2, 0.0))
         with pytest.raises(DomainError):
             integrate(s, H, loose, 0.1, 0.01, "rk4")
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive-rk45"])
+    def test_an_h_on_another_chart_is_refused_before_any_work(self, method):
+        s = builtin("darboux_contact(2)")
+        H = ScalarField.parse(contact1().chart, "q^2 + p^2 + kappa")
+        with pytest.raises(ChartMismatchError) as err:
+            integrate(s, H, (0.1, 0.2, 0.3, 0.4, 0.5), 0.1, 0.01, method)
+        assert str(err.value) == "field on chart 'darboux1' used with chart 'darboux2'"
+        assert s._kernel is None and H._kernel is None  # nothing was compiled
 
     @pytest.mark.parametrize("method", ["rk4", "adaptive-rk45"])
     def test_a_non_finite_x0_is_refused(self, method):

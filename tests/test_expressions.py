@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import re
 
@@ -6,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosym.charts import Chart, ScalarField, random_polynomial
+from cosym import expressions
+from cosym.charts import Chart, ScalarField, central_difference, fd_step, random_polynomial
 from cosym.expressions import (
     FUNCTIONS,
     Add,
     Call,
     Div,
     EvalError,
+    Expr,
     Kernel,
     Mul,
     Name,
@@ -24,6 +27,8 @@ from cosym.expressions import (
     parse,
 )
 from cosym.structures import darboux_chart
+
+EPS = float(np.finfo(float).eps)
 
 
 def test_precedence_and_literals():
@@ -363,3 +368,337 @@ def test_unbound_name_raises_where_eval_meets_it():
     assert outcome(lambda: kernel.scalar(0.0)) == outcome(lambda: expr.eval({"x": 0.0}))
     assert outcome(lambda: kernel.scalar(1.0)) == outcome(lambda: expr.eval({"x": 1.0}))
     assert "unbound name 'w'" in outcome(lambda: kernel.scalar(1.0))
+
+
+# --------------------------------------------------------------------------
+# Differentiation: each node keeps its names and its derivative for the
+# names it lacks; the trees must be the ones the plain rules build
+# --------------------------------------------------------------------------
+
+# The reference: the folding constructors and diff rules as they stood
+# before nodes kept anything, with several type tests per constructor and a
+# full walk for every name.
+
+
+def _ref_is_num(e, v=None):
+    return isinstance(e, Num) and (v is None or e.value == v)
+
+
+def ref_add(a, b):
+    if _ref_is_num(a) and _ref_is_num(b):
+        return Num(a.value + b.value)
+    if _ref_is_num(a, 0.0):
+        return b
+    if _ref_is_num(b, 0.0):
+        return a
+    return Add(a, b)
+
+
+def ref_sub(a, b):
+    if _ref_is_num(a) and _ref_is_num(b):
+        return Num(a.value - b.value)
+    if _ref_is_num(b, 0.0):
+        return a
+    if _ref_is_num(a, 0.0):
+        return ref_neg(b)
+    return Sub(a, b)
+
+
+def ref_neg(a):
+    if _ref_is_num(a):
+        return Num(-a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    return Neg(a)
+
+
+def ref_mul(a, b):
+    if _ref_is_num(a) and _ref_is_num(b):
+        return Num(a.value * b.value)
+    if _ref_is_num(a, 0.0) or _ref_is_num(b, 0.0):
+        return Num(0.0)
+    if _ref_is_num(a, 1.0):
+        return b
+    if _ref_is_num(b, 1.0):
+        return a
+    if _ref_is_num(a, -1.0):
+        return ref_neg(b)
+    if _ref_is_num(b, -1.0):
+        return ref_neg(a)
+    return Mul(a, b)
+
+
+def ref_div(a, b):
+    if _ref_is_num(a, 0.0) and not _ref_is_num(b, 0.0):
+        return Num(0.0)
+    if _ref_is_num(b, 1.0):
+        return a
+    if _ref_is_num(a) and _ref_is_num(b) and b.value != 0.0:
+        return Num(a.value / b.value)
+    return Div(a, b)
+
+
+def ref_pow(a, b):
+    if _ref_is_num(b, 1.0):
+        return a
+    if _ref_is_num(b, 0.0):
+        return Num(1.0)
+    if _ref_is_num(a) and _ref_is_num(b):
+        try:
+            return Num(math.pow(a.value, b.value))
+        except (ValueError, OverflowError):
+            pass
+    return Pow(a, b)
+
+
+def ref_names(e):
+    if isinstance(e, Num):
+        return frozenset()
+    if isinstance(e, Name):
+        return frozenset((e.ident,))
+    if isinstance(e, (Neg, Call)):
+        return ref_names(e.arg)
+    if isinstance(e, Pow):
+        return ref_names(e.base) | ref_names(e.exponent)
+    return ref_names(e.left) | ref_names(e.right)
+
+
+def ref_diff(e, name):
+    d = lambda sub: ref_diff(sub, name)  # noqa: E731
+    if isinstance(e, Num):
+        return Num(0.0)
+    if isinstance(e, Name):
+        return Num(1.0 if name == e.ident else 0.0)
+    if isinstance(e, Neg):
+        return ref_neg(d(e.arg))
+    if isinstance(e, Add):
+        return ref_add(d(e.left), d(e.right))
+    if isinstance(e, Sub):
+        return ref_sub(d(e.left), d(e.right))
+    if isinstance(e, Mul):
+        return ref_add(ref_mul(d(e.left), e.right), ref_mul(e.left, d(e.right)))
+    if isinstance(e, Div):
+        return ref_div(
+            ref_sub(ref_mul(d(e.left), e.right), ref_mul(e.left, d(e.right))),
+            ref_pow(e.right, Num(2.0)),
+        )
+    if isinstance(e, Pow):
+        if isinstance(e.exponent, Num):
+            k = e.exponent.value
+            return ref_mul(ref_mul(Num(k), ref_pow(e.base, Num(k - 1.0))), d(e.base))
+        return ref_mul(e, ref_add(
+            ref_mul(d(e.exponent), Call("log", e.base)),
+            ref_mul(e.exponent, ref_div(d(e.base), e.base)),
+        ))
+    u, du = e.arg, d(e.arg)
+    if e.fn == "sin":
+        return ref_mul(Call("cos", u), du)
+    if e.fn == "cos":
+        return ref_mul(ref_neg(Call("sin", u)), du)
+    if e.fn == "exp":
+        return ref_mul(e, du)
+    if e.fn == "log":
+        return ref_div(du, u)
+    return ref_div(du, ref_mul(Num(2.0), e))
+
+
+def field_values(node):
+    return [getattr(node, f.name) for f in dataclasses.fields(node)]
+
+
+def clone(e):
+    """A copy of ``e`` with new node objects, so nothing is kept on them yet;
+    a node met twice is copied once, so shared subtrees stay shared."""
+    memo = {}
+
+    def copy(node):
+        if isinstance(node, (Num, Name)):
+            return node
+        if id(node) not in memo:
+            memo[id(node)] = type(node)(*(
+                copy(v) if isinstance(v, Expr) else v for v in field_values(node)
+            ))
+        return memo[id(node)]
+
+    return copy(e)
+
+
+# ``w`` occurs in no generated tree: the derivative every node keeps.
+DIFF_NAMES = ROW_NAMES + ("w",)
+
+
+def assert_diff_matches_reference(tree):
+    expected = {n: repr(ref_diff(tree, n)) for n in DIFF_NAMES}
+    for n in DIFF_NAMES:
+        cold = clone(tree)
+        assert repr(cold.diff(n)) == expected[n]
+        assert repr(cold.diff(n)) == expected[n]  # and again, now kept
+        warm = clone(tree)
+        for other in DIFF_NAMES:
+            if other != n:
+                assert repr(warm.diff(other)) == expected[other]
+        assert repr(warm.diff(n)) == expected[n]
+        assert warm.names() == ref_names(tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_diff_builds_the_reference_tree_on_raw_trees(tree):
+    assert_diff_matches_reference(tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_diff_builds_the_reference_tree_on_parsed_trees(tree):
+    assert_diff_matches_reference(parse(str(tree)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees)
+def test_diff_of_shared_subtrees_builds_the_reference_tree(tree):
+    # one node object under both operands, and a derivative differentiated
+    # again, whose nodes may be kept derivatives of other nodes
+    shared = Mul(tree, Add(tree, Name("x")))
+    assert_diff_matches_reference(shared)
+    first = shared.diff("x")
+    assert_diff_matches_reference(first)
+
+
+special_nums = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, math.inf, -math.inf, math.nan]
+).map(Num)
+operands = st.one_of(special_nums, finite_floats.map(Num), trees)
+CONSTRUCTORS = [
+    (expressions.add, ref_add),
+    (expressions.sub, ref_sub),
+    (expressions.mul, ref_mul),
+    (expressions.div, ref_div),
+    (expressions.pow_, ref_pow),
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.tuples(special_nums, special_nums), st.tuples(operands, operands)))
+def test_folding_constructors_build_the_reference_tree(pair):
+    a, b = pair
+    for new, ref in CONSTRUCTORS:
+        assert repr(new(a, b)) == repr(ref(a, b))
+        assert repr(new(b, a)) == repr(ref(b, a))
+    assert repr(expressions.neg(a)) == repr(ref_neg(a))
+
+
+# --------------------------------------------------------------------------
+# Differentiation against independent oracles: central differences and sympy
+# --------------------------------------------------------------------------
+
+smooth_trees = st.recursive(
+    st.one_of(st.floats(-2.0, 2.0).map(Num), st.sampled_from(ROW_NAMES).map(Name)),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.tuples(st.sampled_from([Add, Sub, Mul, Div]), sub, sub).map(
+            lambda t: t[0](t[1], t[2])
+        ),
+        st.tuples(st.sampled_from(sorted(FUNCTIONS)), sub).map(lambda t: Call(*t)),
+        st.tuples(sub, st.sampled_from([2.0, 3.0, -1.0])).map(lambda t: Pow(t[0], Num(t[1]))),
+    ),
+    max_leaves=8,
+)
+
+# Skip a point where |f'''| or any subtree's magnitude exceeds FD_BOUND, or
+# where a sqrt's argument is below 1/FD_BOUND.  The trees are smooth where
+# they evaluate except where a sqrt's argument touches 0 (sqrt(x^2) = |x|);
+# the bounds keep the sample point away from that and from the poles of 1/x
+# and log.
+FD_BOUND = 1e4
+
+
+def subtrees(e):
+    """``e`` and every node below it."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(v for v in field_values(node) if isinstance(v, Expr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(smooth_trees, st.tuples(*[st.floats(-2.0, 2.0)] * len(ROW_NAMES)))
+def test_diff_matches_central_differences(tree, point):
+    # charts.central_difference with h = fd_step(x) = max(1, |x|) eps^(1/3)
+    # errs by at most h^2/6 max|f'''| over [x - h, x + h] (truncation) plus
+    # r/h, where r bounds the rounding error of one evaluation of f.  Here
+    # max|f'''| is taken as twice the largest |f'''| at x and x +- h, and for
+    # these trees of at most 8 leaves r as 1e3 eps S, S the largest subtree
+    # magnitude at those points.  Both terms are of order eps^(2/3) = 3.7e-11
+    # times the scale of f; the exact derivative's own rounding is inside r/h.
+    env = dict(zip(ROW_NAMES, point))
+    fn = lambda v: tree.eval(dict(zip(ROW_NAMES, map(float, v))))  # noqa: E731
+    for j, n in enumerate(ROW_NAMES):
+        d1 = tree.diff(n)
+        d3 = d1.diff(n).diff(n)
+        h = fd_step(point[j])
+        near = [dict(env, **{n: point[j] + step}) for step in (0.0, h, -h)]
+        try:
+            exact = d1.eval(env)
+            third = max(abs(d3.eval(e)) for e in near)
+            scale = max(abs(t.eval(e)) for t in subtrees(tree) for e in near)
+            gap = min((abs(t.arg.eval(e)) for t in subtrees(tree)
+                       if type(t) is Call and t.fn == "sqrt" for e in near), default=math.inf)
+        except (EvalError, ArithmeticError):
+            continue  # eval raises at or beside the point
+        if not (third <= FD_BOUND and scale <= FD_BOUND and gap >= 1.0 / FD_BOUND):
+            continue  # also skips inf and NaN, before numpy subtracts them
+        fd = float(central_difference(fn, point, j))
+        tol = h * h / 3.0 * third + 1e3 * EPS * scale / h
+        assert abs(exact - fd) <= tol, (str(tree), n, exact, fd, tol)
+
+
+# sympy differentiates the same trees by its own rules; both sides are then
+# evaluated in double precision, in different operation orders, on values
+# of order one, so they agree to far better than this relative bound.
+SYMPY_REL = 1e-9
+
+
+def to_sympy(e, sympy):
+    if isinstance(e, Num):
+        return sympy.Float(e.value)
+    if isinstance(e, Name):
+        return sympy.Symbol(e.ident)
+    if isinstance(e, Neg):
+        return -to_sympy(e.arg, sympy)
+    if isinstance(e, Call):
+        return getattr(sympy, e.fn)(to_sympy(e.arg, sympy))
+    if isinstance(e, Pow):
+        return to_sympy(e.base, sympy) ** to_sympy(e.exponent, sympy)
+    left, right = to_sympy(e.left, sympy), to_sympy(e.right, sympy)
+    return {Add: left + right, Sub: left - right, Mul: left * right,
+            Div: left / right}[type(e)]
+
+
+def test_diff_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(20261019)
+    chart = Chart("xyz", ROW_NAMES)
+    symbols = [sympy.Symbol(n) for n in ROW_NAMES]
+    shapes = (
+        "{0}",
+        "sin({0})*cos({1})",
+        "exp(({0})/4) - {1}",
+        "log(1 + ({0})^2)",
+        "sqrt(2 + ({0})^2)*({1})",
+        "({0})/(1 + ({1})^2)",
+        "(1 + ({0})^2)^(sin({1}))",
+    )
+    for _ in range(2):
+        for shape in shapes:
+            polys = [str(random_polynomial(chart, rng, max_degree=3).expr) for _ in range(2)]
+            tree = parse(shape.format(*polys))
+            theirs = to_sympy(tree, sympy)
+            for n, s in zip(ROW_NAMES, symbols):
+                expected = sympy.lambdify(symbols, sympy.diff(theirs, s), "math")
+                ours = tree.diff(n)
+                for point in rng.uniform(-1.5, 1.5, (4, len(ROW_NAMES))).tolist():
+                    want = expected(*point)
+                    got = ours.eval(dict(zip(ROW_NAMES, point)))
+                    assert abs(got - want) <= SYMPY_REL * max(1.0, abs(want)), (
+                        str(tree), n, point, got, want)
