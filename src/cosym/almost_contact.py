@@ -22,6 +22,9 @@ from .forms import KForm, exterior_derivative
 from .manifolds import CHART_XJT, ModelParameters
 
 PHI_COORDS = ("x", "y", "q", "p", "kappa")
+PASS_TOL = 1e-10  # the largest axiom residual of a passing solution
+RANK_TOL = 1e-8  # singular values of Phi at or below this do not count to its rank
+_NEWTON_TOL = 1e-12
 
 
 class PhiSolveError(RuntimeError):
@@ -40,8 +43,8 @@ class PhiTensor:
     def zeta(self) -> float:
         return self.tau / self.sigma
 
-    def rank(self, tol: float = 1e-8) -> int:
-        return int(np.linalg.matrix_rank(self.entries, tol=tol))
+    def rank(self) -> int:
+        return int(np.linalg.matrix_rank(self.entries, tol=RANK_TOL))
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,9 @@ class AcmsSolution:
         "square_xx", "square_xq", "square_xp", "square_yq", "square_yp", "square_qq",
     )
 
-    def passes(self, tol: float = 1e-10) -> bool:
+    def passes(self) -> bool:
         keys = ("phi_squared", "eta_phi", "phi_xi") + self.INDEPENDENT_EQUATIONS
-        return all(self.residuals[k] <= tol for k in keys) and self.phi.rank() == 4
+        return all(self.residuals[k] <= PASS_TOL for k in keys) and self.phi.rank() == 4
 
 
 def eta_covector(params: ModelParameters, values) -> np.ndarray:
@@ -78,10 +81,16 @@ def xi_vector(params: ModelParameters) -> np.ndarray:
     return np.array([0.0, 0.0, 0.0, 0.0, 1.0 / math.sqrt(params.delta)])
 
 
+def _tau_sigma_zeta(params: ModelParameters, y) -> tuple[float, float, float]:
+    """tau = k/y^2, sigma = 2 nu and zeta = tau/sigma at ordinate y."""
+    tau = params.k / y**2
+    sigma = 2.0 * params.nu
+    return tau, sigma, tau / sigma
+
+
 def phi_hat_matrix(params: ModelParameters, values) -> np.ndarray:
     """Antisymmetric coefficient matrix of d(eta): tau on (x,y), sigma on (q,p)."""
-    tau = params.k / values[1] ** 2
-    sigma = 2.0 * params.nu
+    tau, sigma, _ = _tau_sigma_zeta(params, values[1])
     out = np.zeros((5, 5))
     out[0, 1] = tau
     out[1, 0] = -tau
@@ -131,9 +140,7 @@ def assemble_phi(components: Mapping[str, float], params: ModelParameters, value
     x, y, q, p, _ = values
     k, nu = params.k, params.nu
     sd = math.sqrt(params.delta)
-    tau = k / y**2
-    sigma = 2.0 * nu
-    zeta = tau / sigma
+    _, _, zeta = _tau_sigma_zeta(params, y)
     c = components
     phi = np.zeros((5, 5))
     phi[0, :4] = (c["xx"], c["xy"], c["xq"], c["xp"])
@@ -152,8 +159,7 @@ def assemble_g_prime(components: Mapping[str, float], params: ModelParameters, v
     x, y, q, p, _ = values
     k, nu = params.k, params.nu
     sd = math.sqrt(params.delta)
-    tau = k / y**2
-    sigma = 2.0 * nu
+    tau, sigma, _ = _tau_sigma_zeta(params, y)
     c = components
     g = np.zeros((5, 5))
     g[0, 0] = k**2 / y**2 - tau * c["xx"]
@@ -197,7 +203,6 @@ def solve_phi(
     free,
     params: ModelParameters,
     at,
-    tol: float = 1e-10,
     max_iter: int = 80,
     starts=_DEFAULT_STARTS,
 ) -> AcmsSolution:
@@ -214,14 +219,11 @@ def solve_phi(
     free = tuple(float(v) for v in free)
     if len(free) != 4:
         raise ValueError("free components are (Phi_yq, Phi_yp, Phi_qp, Phi_pq)")
-    tau = params.k / values[1] ** 2
-    sigma = 2.0 * params.nu
-    zeta = tau / sigma
+    _, _, zeta = _tau_sigma_zeta(params, values[1])
 
     best_residual = math.inf
     solution = None
     iterations = 0
-    newton_tol = min(tol, 1e-12)
     for start in starts:
         u = np.array(start, dtype=float)
         if abs(u[1]) < _BRANCH_FLOOR:
@@ -233,7 +235,7 @@ def solve_phi(
             if not math.isfinite(rnorm):
                 break  # lstsq need not return on a non-finite system
             best_residual = min(best_residual, rnorm)
-            if rnorm <= newton_tol:
+            if rnorm <= _NEWTON_TOL:
                 ok = True
                 iterations = it
                 break
@@ -258,7 +260,7 @@ def solve_phi(
         if abs(u[0]) < _BRANCH_FLOOR or abs(u[1]) < _BRANCH_FLOOR:
             continue  # outside the derivation hypotheses Phi_xy, Phi_xq != 0
         candidate = _finish(free, u, params, point, iterations)
-        if candidate.passes(tol):
+        if candidate.passes():
             return candidate
         if solution is None:
             solution = candidate
@@ -271,9 +273,7 @@ def solve_phi(
 
 def _finish(free, unknowns, params, point, iterations) -> AcmsSolution:
     values = point.array
-    tau = params.k / values[1] ** 2
-    sigma = 2.0 * params.nu
-    zeta = tau / sigma
+    tau, sigma, zeta = _tau_sigma_zeta(params, values[1])
     comp = _derived_components(free, unknowns)
     phi = assemble_phi(comp, params, values)
     eta = eta_covector(params, values)
@@ -344,7 +344,6 @@ def nijenhuis_n1(
     xi,
     at,
     convention: str = "factor1",
-    chart: Chart | None = None,
 ) -> float:
     """Max-norm of the normality obstruction [Phi, Phi] + f * d(eta) (x) xi
     over coordinate vector-field pairs, with f = 1 or 2 by convention.
@@ -358,7 +357,7 @@ def nijenhuis_n1(
     if convention not in ("factor1", "factor2"):
         raise ValueError("convention must be factor1 or factor2")
     factor = 1.0 if convention == "factor1" else 2.0
-    chart = chart or eta.chart
+    chart = eta.chart
     point = chart.point(at)
     values = point.array
     dim = chart.dimension

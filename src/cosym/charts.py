@@ -45,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expressions import Expr, EvalError, Kernel, Name, Num, parse
+from .expressions import Expr, EvalError, Kernel, Name, Num, add, mul, neg, parse, sub
 
 FD_STEP_EXPONENT = 1.0 / 3.0
 _EPS_CBRT = float(np.finfo(float).eps) ** FD_STEP_EXPONENT
@@ -440,27 +440,19 @@ class ScalarField:
         return ScalarField(self.chart, expr=op(self.expr, other.expr), params=params)
 
     def __add__(self, other):
-        from .expressions import add
-
         return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        from .expressions import sub
-
         return self._combine(other, sub)
 
     def __mul__(self, other):
-        from .expressions import mul
-
         return self._combine(other, mul)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        from .expressions import neg
-
         return ScalarField(self.chart, expr=neg(self.expr), params=self.params)
 
     def is_zero(self) -> bool:

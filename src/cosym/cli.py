@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 numerical failure (reported), 2 input error.
 Floats are written as Python's shortest repr, which reads back bit for
-bit.  The default seed is 42; the COSYM_SEED environment variable
-overrides it.
+bit.  ``list-manifolds``, ``check-structure`` and ``invariant-suite`` take
+``--seed`` (default 42; the COSYM_SEED environment variable overrides it);
+no other command draws random numbers or takes the flag.
 
 argparse reads all input: its types read numbers (finite only) and
 comma-separated points, so a bad value is a usage error naming its flag.
@@ -154,7 +155,7 @@ def cmd_list_manifolds(args) -> int:
 def cmd_check_structure(args) -> int:
     spec = _resolve_structure(args)
     probes = spec.default_probes(count=args.probes, seed=_seed(args))
-    cls = spec.classification(probes=probes)
+    cls = structures.classify(spec, probes=probes)
     probe = spec.chart.point(args.probe_point) if args.probe_point else probes[0]
     try:
         R = structures.reeb(spec, probe)
@@ -539,10 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config=True):
         p.add_argument("-P", "--param", action="append", type=_param, metavar="NAME=VALUE",
                        help="model parameter override (k, nu, delta, alpha, beta, gamma)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for randomized checks (default 42; COSYM_SEED overrides)")
         if config:
             p.add_argument("--config", help="JSON config file; flags take precedence")
+
+    def seed_flag(p):
+        """The flag of the commands that draw random probes or inputs."""
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="seed for randomized checks (default 42; COSYM_SEED overrides)")
 
     def structure_flags(p):
         common(p)
@@ -561,11 +565,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list-manifolds", help="list the built-in structure catalog")
     common(p, config=False)
+    seed_flag(p)
     p.add_argument("--emit", metavar="DIR", help="write each entry as a JSON document")
     p.set_defaults(fn=cmd_list_manifolds)
 
     p = sub.add_parser("check-structure", help="classification report")
     structure_flags(p)
+    seed_flag(p)
     p.add_argument("--probes", type=_count, default=64)
     p.add_argument("--probe-point", type=_point, help="comma-separated coordinates")
     p.set_defaults(fn=cmd_check_structure)
@@ -582,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_field)
 
     p = sub.add_parser("bracket", help="Poisson or contact bracket of two fields")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=argparse.SUPPRESS)
     p.add_argument("--kind", choices=("poisson", "jacobi"), default="poisson")
     p.add_argument("--n", type=int, default=1, help="number of (q, p) pairs")
     p.add_argument("--f", required=True)
@@ -626,8 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_phi_solve)
 
     p = sub.add_parser("invariant-suite", help="run the built-in invariant battery")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed for randomized checks (default 42; COSYM_SEED overrides)")
+    seed_flag(p)
     p.set_defaults(fn=cmd_invariant_suite)
 
     return parser

@@ -61,20 +61,43 @@ class EvalError(ValueError):
     pass
 
 
-def _no_real_power(base: float, exponent: float) -> EvalError:
-    return EvalError(
-        "(%r)^(%r) has no finite real value in expression" % (base, exponent)
-    )
-
-
-def _call_failure(fn: str, arg: float, exc: Exception) -> EvalError:
-    if isinstance(exc, OverflowError):
-        return EvalError("%s(%r) overflows in expression" % (fn, arg))
-    return EvalError("%s() domain error: %s" % (fn, exc))
-
-
 def _unbound(ident: str) -> EvalError:
     return EvalError("unbound name %r in expression" % ident)
+
+
+# The checked operations: ``eval`` calls them, the scalar kernel binds them
+# and the row kernel maps them, so every path raises the same EvalError.
+
+
+def _pow(base: float, exponent: float) -> float:
+    try:
+        return math.pow(base, exponent)
+    except (ValueError, OverflowError):
+        raise EvalError(
+            "(%r)^(%r) has no finite real value in expression" % (base, exponent)
+        ) from None
+
+
+def _checked_call(fn: str) -> Callable[[float], float]:
+    f = FUNCTIONS[fn]
+
+    def apply(arg: float) -> float:
+        try:
+            return f(arg)
+        except OverflowError:
+            raise EvalError("%s(%r) overflows in expression" % (fn, arg)) from None
+        except ValueError as exc:
+            raise EvalError("%s() domain error: %s" % (fn, exc)) from None
+
+    return apply
+
+
+_CHECKED_CALLS = {fn: _checked_call(fn) for fn in FUNCTIONS}
+
+
+def _zero_divisor(denom) -> None:
+    if denom == 0.0:
+        raise EvalError("division by zero in expression")
 
 
 # --------------------------------------------------------------------------
@@ -133,26 +156,28 @@ class Expr:
 
 
 class Operation(Expr):
-    """A node with operands.  It keeps its name set and its derivative for
+    """A node with operands, the fields its class names in ``operands``.  It
+    keeps its name set, the union of its operands', and its derivative for
     the names it lacks, each on the first request; until then the two slots
     stay unset, so building a node costs nothing more."""
 
     __slots__ = ("_names", "_absent")
+    operands: tuple[str, ...]
+
+    def names(self):
+        kept = getattr(self, "_names", None)
+        if kept is None:
+            fields = self.operands
+            kept = getattr(self, fields[0]).names()
+            for field in fields[1:]:
+                kept = kept | getattr(self, field).names()
+            _keep(self, "_names", kept)
+        return kept
 
 
 def _keep(node: Operation, slot: str, value):
     object.__setattr__(node, slot, value)  # the node classes are frozen
     return value
-
-
-def _kept_names(rule):
-    """An operation's ``names``: ``rule`` on the first call, then the kept set."""
-
-    def names(self):
-        kept = getattr(self, "_names", None)
-        return _keep(self, "_names", rule(self)) if kept is None else kept
-
-    return names
 
 
 def _once_for_absent_names(rule):
@@ -189,8 +214,9 @@ class Num(Expr):
         return self
 
     def __str__(self):
-        if self.value < 0:
-            return "(%s)" % _fmt(self.value)
+        # -0.0 prints as (-0), which parses back to -0.0
+        if self.value < 0 or (self.value == 0.0 and math.copysign(1.0, self.value) < 0):
+            return "(-%s)" % _fmt(-self.value)
         return _fmt(self.value)
 
 
@@ -222,6 +248,7 @@ class Name(Expr):
 class Neg(Operation):
     arg: Expr
     precedence = 2
+    operands = ("arg",)
 
     def eval(self, env):
         return -self.arg.eval(env)
@@ -229,10 +256,6 @@ class Neg(Operation):
     @_once_for_absent_names
     def diff(self, name):
         return neg(self.arg.diff(name))
-
-    @_kept_names
-    def names(self):
-        return self.arg.names()
 
     def substitute(self, mapping):
         return neg(self.arg.substitute(mapping))
@@ -246,6 +269,7 @@ class Add(Operation):
     left: Expr
     right: Expr
     precedence = 1
+    operands = ("left", "right")
 
     def eval(self, env):
         return self.left.eval(env) + self.right.eval(env)
@@ -253,10 +277,6 @@ class Add(Operation):
     @_once_for_absent_names
     def diff(self, name):
         return add(self.left.diff(name), self.right.diff(name))
-
-    @_kept_names
-    def names(self):
-        return self.left.names() | self.right.names()
 
     def substitute(self, mapping):
         return add(self.left.substitute(mapping), self.right.substitute(mapping))
@@ -270,6 +290,7 @@ class Sub(Operation):
     left: Expr
     right: Expr
     precedence = 1
+    operands = ("left", "right")
 
     def eval(self, env):
         return self.left.eval(env) - self.right.eval(env)
@@ -277,10 +298,6 @@ class Sub(Operation):
     @_once_for_absent_names
     def diff(self, name):
         return sub(self.left.diff(name), self.right.diff(name))
-
-    @_kept_names
-    def names(self):
-        return self.left.names() | self.right.names()
 
     def substitute(self, mapping):
         return sub(self.left.substitute(mapping), self.right.substitute(mapping))
@@ -294,6 +311,7 @@ class Mul(Operation):
     left: Expr
     right: Expr
     precedence = 2
+    operands = ("left", "right")
 
     def eval(self, env):
         return self.left.eval(env) * self.right.eval(env)
@@ -304,10 +322,6 @@ class Mul(Operation):
             mul(self.left.diff(name), self.right),
             mul(self.left, self.right.diff(name)),
         )
-
-    @_kept_names
-    def names(self):
-        return self.left.names() | self.right.names()
 
     def substitute(self, mapping):
         return mul(self.left.substitute(mapping), self.right.substitute(mapping))
@@ -321,11 +335,11 @@ class Div(Operation):
     left: Expr
     right: Expr
     precedence = 2
+    operands = ("left", "right")
 
     def eval(self, env):
         denom = self.right.eval(env)
-        if denom == 0.0:
-            raise EvalError("division by zero in expression")
+        _zero_divisor(denom)
         return self.left.eval(env) / denom
 
     @_once_for_absent_names
@@ -337,10 +351,6 @@ class Div(Operation):
             ),
             pow_(self.right, Num(2.0)),
         )
-
-    @_kept_names
-    def names(self):
-        return self.left.names() | self.right.names()
 
     def substitute(self, mapping):
         return div(self.left.substitute(mapping), self.right.substitute(mapping))
@@ -354,13 +364,10 @@ class Pow(Operation):
     base: Expr
     exponent: Expr
     precedence = 3
+    operands = ("base", "exponent")
 
     def eval(self, env):
-        base, exponent = self.base.eval(env), self.exponent.eval(env)
-        try:
-            return math.pow(base, exponent)
-        except (ValueError, OverflowError):
-            raise _no_real_power(base, exponent) from None
+        return _pow(self.base.eval(env), self.exponent.eval(env))
 
     @_once_for_absent_names
     def diff(self, name):
@@ -378,10 +385,6 @@ class Pow(Operation):
             ),
         )
 
-    @_kept_names
-    def names(self):
-        return self.base.names() | self.exponent.names()
-
     def substitute(self, mapping):
         return pow_(self.base.substitute(mapping), self.exponent.substitute(mapping))
 
@@ -394,13 +397,10 @@ class Call(Operation):
     fn: str
     arg: Expr
     precedence = 9
+    operands = ("arg",)
 
     def eval(self, env):
-        arg = self.arg.eval(env)
-        try:
-            return FUNCTIONS[self.fn](arg)
-        except (ValueError, OverflowError) as exc:
-            raise _call_failure(self.fn, arg, exc) from None
+        return _CHECKED_CALLS[self.fn](self.arg.eval(env))
 
     @_once_for_absent_names
     def diff(self, name):
@@ -419,10 +419,6 @@ class Call(Operation):
         else:  # pragma: no cover - constructor rejects unknown functions
             raise EvalError("unknown function %r" % self.fn)
         return mul(outer, du)
-
-    @_kept_names
-    def names(self):
-        return self.arg.names()
 
     def substitute(self, mapping):
         return call(self.fn, self.arg.substitute(mapping))
@@ -446,30 +442,9 @@ def _paren(e: Expr, minimum: int) -> str:
 # Evaluation at many points
 # --------------------------------------------------------------------------
 
-def _pow(base: float, exponent: float) -> float:
-    try:
-        return math.pow(base, exponent)
-    except (ValueError, OverflowError):
-        raise _no_real_power(base, exponent) from None
-
-
-def _checked_call(fn: str) -> Callable[[float], float]:
-    f = FUNCTIONS[fn]
-
-    def apply(arg: float) -> float:
-        try:
-            return f(arg)
-        except (ValueError, OverflowError) as exc:
-            raise _call_failure(fn, arg, exc) from None
-
-    return apply
-
-
 # numpy's +, -, *, / are correctly rounded, as Python's are, but its power,
 # exp and log differ from libm's by an ulp on a few percent of inputs; powers
-# and calls therefore map the scalar functions over the points.
-_POW_ROWS = np.frompyfunc(_pow, 2, 1)
-_CALL_ROWS = {fn: np.frompyfunc(_checked_call(fn), 1, 1) for fn in FUNCTIONS}
+# and calls therefore map the checked scalar functions over the points.
 
 
 def _floats(ufunc: np.ufunc) -> Callable:
@@ -480,11 +455,6 @@ def _floats(ufunc: np.ufunc) -> Callable:
         return out.astype(float) if isinstance(out, np.ndarray) else out
 
     return apply
-
-
-def _zero_divisor(denom) -> None:
-    if denom == 0.0:
-        raise EvalError("division by zero in expression")
 
 
 def _zero_divisor_rows(denom) -> None:
@@ -499,10 +469,11 @@ def _zero_divisor_rows(denom) -> None:
 # The emitted code calls these names; a kernel binds one source to either set.
 _CALL_HELPERS = {fn: "_call_" + fn for fn in FUNCTIONS}
 _SCALAR_HELPERS = {"_pow": _pow, "_divisor": _zero_divisor, "_unbound": _unbound}
-_SCALAR_HELPERS.update({_CALL_HELPERS[fn]: _checked_call(fn) for fn in FUNCTIONS})
-_ROW_HELPERS = {"_pow": _floats(_POW_ROWS), "_divisor": _zero_divisor_rows,
-                "_unbound": _unbound}
-_ROW_HELPERS.update({_CALL_HELPERS[fn]: _floats(_CALL_ROWS[fn]) for fn in FUNCTIONS})
+_SCALAR_HELPERS.update({_CALL_HELPERS[fn]: f for fn, f in _CHECKED_CALLS.items()})
+_ROW_HELPERS = {"_pow": _floats(np.frompyfunc(_pow, 2, 1)),
+                "_divisor": _zero_divisor_rows, "_unbound": _unbound}
+_ROW_HELPERS.update({_CALL_HELPERS[fn]: _floats(np.frompyfunc(f, 1, 1))
+                     for fn, f in _CHECKED_CALLS.items()})
 _OPERATORS = {Add: "+", Sub: "-", Mul: "*"}
 
 

@@ -131,12 +131,6 @@ class StructureSpec:
 
     # -- pointwise data ------------------------------------------------------
 
-    def theta_vector(self, at) -> np.ndarray:
-        return self.theta.at(at).as_covector()
-
-    def omega_matrix(self, at) -> np.ndarray:
-        return self.omega.at(at).as_matrix()
-
     def kernel(self) -> Kernel:
         """theta and Omega as one straight-line kernel, built on first
         request and kept.  It returns theta's dim entries, then Omega's
@@ -265,9 +259,8 @@ class StructureSpec:
         pts = lo + raw * (hi - lo)
         return [self.chart.point(row) for row in pts]
 
-    def classification(self, probes=None, seed: int = 42) -> StructureClass:
-        if probes is not None:
-            return classify(self, probes=probes, seed=seed)
+    def classification(self, seed: int = 42) -> StructureClass:
+        """:func:`classify` at the default probes for ``seed``, kept per seed."""
         if seed not in self._classifications:
             self._classifications[seed] = classify(self, seed=seed)
         return self._classifications[seed]

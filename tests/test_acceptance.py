@@ -85,8 +85,9 @@ def test_criterion_02_reeb_identities(rng):
         s = builtin(name)
         for pt in s.default_probes(count=64):
             R = reeb(s, pt)
-            worst_omega = max(worst_omega, float(np.abs(R @ s.omega_matrix(pt)).max()))
-            worst_theta = max(worst_theta, abs(float(R @ s.theta_vector(pt)) - 1.0))
+            th, om, _ = s.at(pt)
+            worst_omega = max(worst_omega, float(np.abs(R @ om).max()))
+            worst_theta = max(worst_theta, abs(float(R @ th) - 1.0))
     contraction_ok = worst_omega <= 1e-11 and worst_theta <= 1e-11
 
     canonical_ok = True

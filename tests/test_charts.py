@@ -400,8 +400,6 @@ def _point_readers():
         "ScalarField.gradient": ("xjt", H.gradient),
         "ScalarField.at": ("xjt", H.at),
         "KForm.at": ("xjt", spec.omega.at),
-        "StructureSpec.theta_vector": ("xjt", spec.theta_vector),
-        "StructureSpec.omega_matrix": ("xjt", spec.omega_matrix),
         "StructureSpec.at": ("xjt", spec.at),
         "StructureSpec.flat_matrix": ("xjt", spec.flat_matrix),
         "StructureSpec.volume_coefficient": ("xjt", spec.volume_coefficient),

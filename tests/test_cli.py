@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -14,7 +15,7 @@ from cosym import cli, dynamics
 from cosym.charts import ScalarField
 from cosym.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from cosym.manifolds import builtin
-from cosym.structures import StructureSpec, reeb
+from cosym.structures import StructureSpec, classify, reeb
 
 
 def run(capsys, *argv):
@@ -45,8 +46,8 @@ class TestListManifolds:
             # reload classifies identically and the Reeb vector matches
             reloaded = StructureSpec.from_json(json.loads(path.read_text()))
             assert (
-                reloaded.classification(probes=probes).flags()
-                == spec.classification(probes=probes).flags()
+                classify(reloaded, probes=probes).flags()
+                == classify(spec, probes=probes).flags()
             )
             for pt in probes[:2]:
                 assert reeb(reloaded, pt) == pytest.approx(reeb(spec, pt), abs=1e-15)
@@ -849,6 +850,23 @@ class TestNonFiniteValues:
         assert code == EXIT_INPUT
         assert out == ""
         assert "error: argument -P/--param: expected NAME=VALUE" in err
+
+
+class TestSeedFlag:
+    def test_only_the_commands_that_draw_random_numbers_take_it(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        taking = {name for name, p in commands.items()
+                  if any("--seed" in a.option_strings for a in p._actions)}
+        assert taking == {"list-manifolds", "check-structure", "invariant-suite"}
+
+    def test_another_command_refuses_it_naming_the_flag(self, capsys):
+        code, out, err = run(capsys, "field", "--seed", "1", "--builtin", "heisenberg",
+                             "--hamiltonian", "x", "--at", "0,1,0")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "unrecognized arguments: --seed 1" in err
 
 
 class TestInvariantSuite:

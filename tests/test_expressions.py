@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cosym import expressions
 from cosym.charts import Chart, ScalarField, central_difference, fd_step, random_polynomial
@@ -585,6 +585,31 @@ def test_folding_constructors_build_the_reference_tree(pair):
         assert repr(new(a, b)) == repr(ref(a, b))
         assert repr(new(b, a)) == repr(ref(b, a))
     assert repr(expressions.neg(a)) == repr(ref_neg(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, row_sets)
+def test_printer_round_trip_on_folded_trees(tree, rows):
+    # substitute rebuilds the tree through the folding constructors, as the
+    # parser builds it; a raw tree need not come back, since "0 + x" parses
+    # to x, which differs from 0 + x at x = -0.0
+    tree = tree.substitute({})
+    assume(all(math.isfinite(t.value) for t in subtrees(tree) if type(t) is Num))
+    reparsed = parse(str(tree))
+    assert repr(reparsed) == repr(tree)
+    for row in rows:
+        env = dict(zip(ROW_NAMES, row))
+        got, expected = outcome(lambda: reparsed.eval(env)), outcome(lambda: tree.eval(env))
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert_bits_equal(got, expected)
+
+
+def test_a_negative_zero_prints_and_parses_back_negative():
+    for tree in (Num(-0.0), parse("-0"), parse("-x").diff("y"), Mul(Name("x"), Num(-0.0))):
+        assert "(-0)" in str(tree)
+        assert repr(parse(str(tree))) == repr(tree.substitute({}))
 
 
 # --------------------------------------------------------------------------

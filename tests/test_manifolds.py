@@ -27,7 +27,7 @@ class TestBuiltins:
     def test_xjt_gtacos_forms(self):
         s = builtin("xjt_gtacos", ModelParameters(k=1.0, nu=1.0, delta=1.0))
         pt = s.chart.point((0.0, 1.0, 0.3, -0.4, 0.2))
-        th = s.theta_vector(pt)
+        th = s.at(pt)[0]
         # theta = dkappa - p dq + q dp at unit delta
         assert th == pytest.approx([0.0, 0.0, 0.4, 0.3, 1.0])
         om = s.omega.at(pt)
@@ -37,7 +37,7 @@ class TestBuiltins:
     def test_heisenberg_contact(self):
         s = builtin("heisenberg")
         pt = s.chart.point((0.2, 1.5, -0.3))
-        assert s.theta_vector(pt) == pytest.approx([-1.5, 0.0, 1.0])
+        assert s.at(pt)[0] == pytest.approx([-1.5, 0.0, 1.0])
         assert s.classification().contact
 
     def test_darboux_contact_2_volume(self):
