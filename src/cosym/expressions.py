@@ -400,7 +400,11 @@ class Call(Operation):
     operands = ("arg",)
 
     def eval(self, env):
-        return _CHECKED_CALLS[self.fn](self.arg.eval(env))
+        try:
+            fn = _CHECKED_CALLS[self.fn]
+        except KeyError:  # a Call built directly; parse and call refuse the name
+            raise EvalError("unknown function %r" % self.fn) from None
+        return fn(self.arg.eval(env))
 
     @_once_for_absent_names
     def diff(self, name):

@@ -23,7 +23,9 @@ equals ``reeb_from(*spec.at(point))[0]``.  It is the one point solve:
 of the kept structure and Hamiltonian kernels.  :func:`reeb_rows` solves
 all rows of a trajectory or probe set: by one batched LU where the
 certificate proves the rank rule at every row, else row by row through
-:func:`reeb_from`; it needs R only, never the factors.
+:func:`reeb_from`; it needs R only, never the factors.  :func:`classify`
+reads theta, Omega, dtheta and dOmega at its probes, the points of
+:func:`halton`, through one kernel of its own, built per call and not kept.
 
 A spec with no kernel keeps its last tree-walked point: theta and
 Omega, and once taken, :func:`reeb_from`'s (R, factors) there, keyed by the
@@ -37,8 +39,10 @@ drops the kept point, so :func:`cosym.dynamics.integrate` keeps none.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -247,13 +251,11 @@ class StructureSpec:
     # -- probe sampling -------------------------------------------------------
 
     def default_probes(self, count: int = 64, seed: int = 42) -> list[ChartPoint]:
-        """Quasi-random in-domain probe points (Halton sequence in the
-        chart's sample box)."""
-        from scipy.stats import qmc  # its only user, and most of the import time
-
+        """The first ``count`` points of the scrambled Halton sequence of
+        ``seed`` (:func:`halton`, scipy's ``qmc.Halton``) scaled into the
+        chart's sample box, each checked in-domain."""
         box = self.chart.sample_box()
-        sampler = qmc.Halton(d=self.chart.dimension, seed=seed)
-        raw = sampler.random(count)
+        raw = halton(count, self.chart.dimension, seed)
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
         pts = lo + raw * (hi - lo)
@@ -379,6 +381,71 @@ def darboux_pairs(chart: Chart) -> tuple[list[tuple[int, int]], int]:
 
 
 # --------------------------------------------------------------------------
+# Probe sequence
+# --------------------------------------------------------------------------
+
+
+def _primes(count: int) -> list[int]:
+    out, k = [], 2
+    while len(out) < count:
+        if all(k % p for p in out if p * p <= k):
+            out.append(k)
+        k += 1
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _halton_kept(d: int, seed: int) -> list:
+    """[digit tables, points] of the scrambled Halton sequence of (d, seed).
+
+    Base b, the i-th prime, gets m = ceil(54 / log2 b) - 1 digit
+    permutations, each an ``rng.shuffle`` of ``arange(b)``, drawn in
+    dimension order from ``default_rng(seed)``, and digit j weighs
+    ``perm[j, digit] * scale[j]``, where scale starts at 1/b and is divided
+    by b per digit (Owen's scrambled Halton, as scipy's ``qmc.Halton``
+    draws and sums it).  A table is (b^j, b, the weights); ``points`` is
+    the longest read-only prefix computed so far."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for base in _primes(d):
+        m = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], m, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        scales, b2r = np.empty(m), 1.0 / base
+        for j in range(m):
+            scales[j] = b2r
+            b2r /= base
+        tables.append((base ** np.arange(m), base, perms * scales[:, None]))
+    return [tables, np.empty((0, d))]
+
+
+def halton(count: int, d: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of the scrambled Halton sequence in
+    [0, 1)^d as a read-only (count, d) array, equal bit for bit to scipy's
+    ``qmc.Halton(d=d, seed=seed).random(count)``.  The permutations and
+    the longest prefix computed are kept per (d, seed), so a shorter count
+    is a prefix of a longer one."""
+    count = operator.index(count)
+    if count < 0:
+        raise ValueError("probe count must be nonnegative, not %d" % count)
+    kept = _halton_kept(d, seed)
+    done = len(kept[1])
+    if done < count:
+        points = np.empty((count, d))
+        points[:done] = kept[1]
+        for start in range(done, count, 1024):  # bounds the (rows, digits) temporaries
+            index = np.arange(start, min(start + 1024, count))[:, None]
+            for k, (powers, base, weights) in enumerate(kept[0]):
+                terms = weights[np.arange(len(powers)), index // powers % base]
+                # scipy adds the digits left to right; np.sum would pair them
+                points[start:start + len(index), k] = np.cumsum(terms, axis=1)[:, -1]
+        points.flags.writeable = False
+        kept[1] = points
+    return kept[1][:count]
+
+
+# --------------------------------------------------------------------------
 # Classification
 # --------------------------------------------------------------------------
 
@@ -430,30 +497,17 @@ def match_tacs_pattern(theta: KForm, chart: Chart) -> float | None:
 
 
 def classify(spec: StructureSpec, probes=None, seed: int = 42) -> StructureClass:
-    """Sample-based classification at probe points (default 64 quasi-random):
-    acos when :func:`reeb_rows` accepts theta and Omega at every probe, and
-    dOmega = 0, dtheta = 0, dtheta = Omega within ``CLASSIFY_TOL`` from one
-    evaluation of dtheta and of dOmega per probe."""
+    """Sample-based classification at probe points (default the 64 of
+    :meth:`StructureSpec.default_probes`): acos when :func:`reeb_rows`
+    accepts theta and Omega at every probe, and dOmega = 0, dtheta = 0,
+    dtheta = Omega within ``CLASSIFY_TOL`` from the largest |dOmega|,
+    |dtheta| and |dtheta - Omega| over the probes (:func:`_criteria`)."""
     if probes is None:
         probes = spec.default_probes(seed=seed)
     if not probes:
         raise ValueError("probe set must be nonempty")
     probes = [spec.chart.point(pt) for pt in probes]
-    points = np.array([pt.values for pt in probes])
-    th, om = spec.rows(points)
-    try:
-        reeb_rows(th, om, points)
-        acos = True
-    except StructureError:
-        acos = False
-
-    d_omega = forms.exterior_derivative(spec.omega)
-    d_theta = forms.exterior_derivative(spec.theta)
-    worst = np.zeros(3)  # |dOmega|, |dtheta|, |dtheta - Omega|
-    for pt, om_k in zip(probes, om):
-        dth = d_theta.at(pt).as_matrix()
-        dom = d_omega.at(pt).max_norm()
-        worst = np.maximum(worst, (dom, np.abs(dth).max(), np.abs(dth - om_k).max()))
+    acos, worst = _criteria(spec, np.array([pt.values for pt in probes]))
     d_omega_zero, d_theta_zero, contact_match = (bool(w <= CLASSIFY_TOL) for w in worst)
 
     eps = match_tacs_pattern(spec.theta, spec.chart) if d_omega_zero else None
@@ -465,6 +519,58 @@ def classify(spec: StructureSpec, probes=None, seed: int = 42) -> StructureClass
         tacs=acos and d_omega_zero and eps is not None,
         tacs_epsilon=eps,
     )
+
+
+def _criteria(spec: StructureSpec, points: np.ndarray) -> tuple[bool, np.ndarray]:
+    """(acos, worst) at the rows of ``points``: whether :func:`reeb_rows`
+    accepts theta and Omega at every row, and the largest |dOmega|,
+    |dtheta| and |dtheta - Omega| over the rows.
+
+    The four forms are read in one pass of one kernel over their nonzero
+    coefficients, built for the call and not kept (:func:`_read_forms`).
+    Where that kernel is not finite at every row, theta and Omega come from
+    :meth:`StructureSpec.rows` and dtheta and dOmega from one walk per row,
+    whose errors are the reference.  Bit for bit the same either way."""
+    d_theta = forms.exterior_derivative(spec.theta)
+    d_omega = forms.exterior_derivative(spec.omega)
+    read = _read_forms(spec, d_theta, d_omega, points)
+    th, om = spec.rows(points) if read is None else read[:2]
+    try:
+        reeb_rows(th, om, points)
+        acos = True
+    except StructureError:
+        acos = False
+    if read is None:
+        walks = [(d_theta._at(v).as_matrix(), d_omega._at(v).max_norm()) for v in points]
+        dth, dom = np.array([w[0] for w in walks]), np.array([w[1] for w in walks])
+    else:
+        dth, dom = read[2:]
+    return acos, np.array([np.abs(dom).max(initial=0.0), np.abs(dth).max(),
+                           np.abs(dth - om).max()])
+
+
+def _read_forms(spec: StructureSpec, d_theta: KForm, d_omega: KForm, points: np.ndarray):
+    """(theta, Omega, dtheta, dOmega) at every row of ``points``: theta
+    (N, dim), Omega and dtheta (N, dim, dim) as the walks' covectors and
+    matrices, and dOmega's nonzero coefficients (N, k), from one kernel's
+    :meth:`Kernel.finite_rows`; None where that is None."""
+    fields = [f for form in (spec.theta, spec.omega, d_theta, d_omega)
+              for f in form.coeffs.values()]
+    table = Kernel([f.expr for f in fields], spec.chart.coordinates,
+                   [f.params for f in fields]).finite_rows(points)
+    if table is None:
+        return None
+    n, dim = points.shape
+    columns = iter(table.T)
+    th = np.zeros((n, dim))
+    for (i,) in spec.theta.coeffs:
+        th[:, i] = next(columns)
+    om, dth = np.zeros((n, dim, dim)), np.zeros((n, dim, dim))
+    for out, form in ((om, spec.omega), (dth, d_theta)):
+        for i, j in form.coeffs:
+            out[:, i, j] = column = next(columns)
+            out[:, j, i] = -column
+    return th, om, dth, table[:, table.shape[1] - len(d_omega.coeffs):]
 
 
 # --------------------------------------------------------------------------

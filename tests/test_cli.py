@@ -912,9 +912,20 @@ def fresh_process(*argv, seed_env=None, timeout=120, python_args=("-m", "cosym")
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # only the probe sampler uses scipy.stats, and it is most of the import time
-    script = "import cosym.cli, sys; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    # the probes are scipy's scrambled Halton points computed in the package:
+    # importing the CLI loads no scipy.stats, nor does a fresh check-structure
+    # or list-manifolds, which classify at them
+    loaded = "print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    script = "import cosym.cli, sys; " + loaded
     assert fresh_process(python_args=("-c", script)) == (0, "[]\n", "")
+    for argv in (["check-structure", "--builtin", "xjt_gtacos"], ["list-manifolds"]):
+        script = "\n".join([
+            "import contextlib, io, sys, cosym.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cosym.cli.main(%r) == 0" % argv,
+            loaded,
+        ])
+        assert fresh_process(python_args=("-c", script)) == (0, "[]\n", "")
 
 
 def test_the_cli_and_an_rk4_flow_leave_scipy_integrate_unloaded():

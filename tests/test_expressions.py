@@ -370,6 +370,16 @@ def test_unbound_name_raises_where_eval_meets_it():
     assert "unbound name 'w'" in outcome(lambda: kernel.scalar(1.0))
 
 
+def test_an_unknown_function_is_an_eval_error_everywhere():
+    # parse and call refuse the name; a Call built directly reaches eval,
+    # the kernel and diff, and each raises the one message
+    expr = Call("foo", Name("x"))
+    for fn in (lambda: expr.eval({"x": 1.0}), lambda: Kernel([expr], ("x",)),
+               lambda: expr.diff("x")):
+        with pytest.raises(EvalError, match=r"^unknown function 'foo'$"):
+            fn()
+
+
 # --------------------------------------------------------------------------
 # Differentiation: each node keeps its names and its derivative for the
 # names it lacks; the trees must be the ones the plain rules build

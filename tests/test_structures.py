@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -232,6 +233,139 @@ class TestJsonRoundTrip:
 
 
 CATALOG_SIZES = CATALOG + ("darboux_contact(3)", "darboux_cosymplectic(3)")
+
+
+class TestProbeSequence:
+    @pytest.mark.parametrize("d", [1, 3, 5, 7, 11, 81])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 2])
+    def test_halton_is_scipys_bit_for_bit(self, d, seed):
+        from scipy.stats import qmc  # the reference; the package never imports it
+
+        for count in (1, 16, 30, 64):
+            structures._halton_kept.cache_clear()
+            want = qmc.Halton(d=d, seed=seed).random(count)
+            assert structures.halton(count, d, seed).tobytes() == want.tobytes()
+
+    def test_a_shorter_count_is_a_prefix(self):
+        from scipy.stats import qmc
+
+        structures._halton_kept.cache_clear()
+        longest = structures.halton(2500, 3, 5)  # three blocks of 1024 rows
+        assert longest.tobytes() == qmc.Halton(d=3, seed=5).random(2500).tobytes()
+        structures._halton_kept.cache_clear()
+        for count in (16, 64, 2500, 30):  # grown from the kept prefix, then cut
+            assert structures.halton(count, 3, 5).tobytes() == longest[:count].tobytes()
+
+    def test_a_returned_array_is_read_only(self):
+        pts = structures.halton(16, 3, 42)
+        want = pts.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0, 0] = 0.5
+        assert structures.halton(16, 3, 42).tobytes() == want.tobytes()
+        assert structures.halton(64, 3, 42)[:16].tobytes() == want.tobytes()
+
+    def test_a_count_must_be_a_nonnegative_integer(self):
+        assert structures.halton(0, 3, 42).shape == (0, 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            structures.halton(-3, 3, 42)
+        with pytest.raises(TypeError):
+            structures.halton(2.0, 3, 42)
+
+
+def _polynomial_structure(n, rng):
+    """theta and Omega with random polynomial coefficients on the Darboux
+    pairs, so that dOmega, dtheta and dtheta - Omega vary over the probes."""
+    chart = darboux_chart(n)
+    theta = KForm(chart, 1, {(i,): random_polynomial(chart, rng) for i in range(2 * n + 1)})
+    omega = KForm(chart, 2, {(i, n + i): random_polynomial(chart, rng) for i in range(n)})
+    return StructureSpec("polynomial", chart, theta, omega, n)
+
+
+def _walked(monkeypatch):
+    """Make every kernel's finite_rows decline, so classify walks."""
+    monkeypatch.setattr(structures.Kernel, "finite_rows", lambda self, rows: None)
+
+
+class TestClassifyReadsTheFormsOnce:
+    def _specs(self, rng):
+        specs = [builtin(name) for name in CATALOG_SIZES]
+        for _ in range(8):
+            n = int(rng.integers(1, 4))
+            specs.append(CanonicalThetaSpec(
+                a=tuple(rng.uniform(-2, 2, n)), b=tuple(rng.uniform(-2, 2, n)),
+                c=float(rng.uniform(0.5, 3.0)),
+            ).structure())
+            specs.append(_polynomial_structure(n, rng))
+        return specs
+
+    def test_the_kernel_tables_equal_the_walks_bit_for_bit(self, rng):
+        for s in self._specs(rng):
+            points = np.array([pt.values for pt in s.default_probes()])
+            d_theta = forms.exterior_derivative(s.theta)
+            d_omega = forms.exterior_derivative(s.omega)
+            th, om, dth, dom = structures._read_forms(s, d_theta, d_omega, points)
+            want_th, want_om = s.rows(points)  # no kernel kept: the tree walks
+            assert th.tobytes() == want_th.tobytes()
+            assert om.tobytes() == want_om.tobytes()
+            want_dth = np.array([d_theta._at(v).as_matrix() for v in points])
+            assert dth.tobytes() == want_dth.tobytes()
+            want_dom = np.array([d_omega._at(v).max_norm() for v in points])
+            assert np.abs(dom).max(axis=1, initial=0.0).tobytes() == want_dom.tobytes()
+
+    def test_residuals_and_flags_equal_the_walks_bit_for_bit(self, rng, monkeypatch):
+        got = []
+        for s in self._specs(rng):
+            points = np.array([pt.values for pt in s.default_probes()])
+            got.append((s, points, structures._criteria(s, points), classify(s)))
+        _walked(monkeypatch)
+        for s, points, (acos, worst), flags in got:
+            want_acos, want_worst = structures._criteria(s, points)
+            assert acos == want_acos
+            assert worst.tobytes() == want_worst.tobytes()
+            assert classify(s) == flags
+        assert all(any(w[k] > 0.0 for _, _, (_, w), _ in got) for k in range(3))
+
+    def test_one_kernel_per_call_and_none_kept(self, rng, monkeypatch):
+        built = []
+
+        class Counted(structures.Kernel):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(structures, "Kernel", Counted)
+        for s in self._specs(rng):
+            built.clear()
+            classify(s)
+            assert len(built) == 1
+            assert s._kernel is None
+
+    def test_a_coefficient_failing_at_one_probe_raises_the_walks_error(self):
+        # sqrt(p + 1) fails at the first of these probes only, where p = -1.39
+        chart = darboux_chart(1)
+        s = StructureSpec("root", chart, KForm.one_form(chart, {"kappa": 1.0, "q": "sqrt(p + 1)"}),
+                          KForm.two_form(chart, {"q,p": 1.0}), 1)
+        probes = s.default_probes(count=6)
+        assert [pt["p"] + 1 < 0 for pt in probes] == [True] + [False] * 5
+        with pytest.raises(EvalError, match=r"^sqrt\(\) domain error: math domain error$"):
+            classify(s, probes=probes)
+        assert classify(s, probes=probes[1:]).acos
+
+    def test_an_overflowing_coefficient_takes_the_walk(self, monkeypatch):
+        chart = darboux_chart(1)
+        s = StructureSpec("overflow", chart,
+                          KForm.one_form(chart, {"kappa": 1.0, "q": "1e200*p*1e200*q"}),
+                          KForm.two_form(chart, {"q,p": 1.0}), 1)
+        walks = []
+        walk = KForm._at
+        monkeypatch.setattr(KForm, "_at", lambda self, values: walks.append(1) or walk(self, values))
+        message = (
+            "value of ScalarField(1e200*p*1e200*q on darboux1) is not finite at "
+            "[0.20522347796603935, -1.3929280802587178, -1.4291792292618604]: -inf"
+        )
+        with pytest.raises(EvalError, match="^%s$" % re.escape(message)):
+            classify(s)
+        assert walks
 
 
 class TestBuiltOncePerStructure:
@@ -640,11 +774,10 @@ class TestOneNondegeneracyRule:
 
         monkeypatch.setattr(KForm, "_at", counting_walk)
         expected = classify(s, probes=probes)
-        assert len(calls) <= 4 * len(probes)  # theta, Omega, dtheta, dOmega
+        assert calls == []  # one kernel pass reads theta, Omega, dtheta, dOmega
         s.kernel()
-        calls.clear()
         assert classify(s, probes=probes) == expected
-        assert len(calls) <= 2 * len(probes)  # dtheta, dOmega
+        assert calls == []
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
