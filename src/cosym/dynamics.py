@@ -7,6 +7,7 @@ test suite validates against it.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -340,21 +341,139 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(["%.17g" % v for v in row] for row in rows)
 
 
-def _guard_events(chart: Chart):
-    events = []
-    for g in chart.guards:
-        i = chart.index(g.coordinate)
-
-        def ev(t, y, _i=i, _g=g):
-            return (y[_i] - _g.bound) * (-1.0 if _g.upper else 1.0)
-
-        ev.terminal = True
-        ev.direction = -1.0
-        events.append(ev)
-    return events
-
-
 MAX_GRID_STEPS = 1_000_000
+
+# The Dormand-Prince 5(4) pair (Dormand and Prince, J. Comput. Appl. Math. 6,
+# 1980) with Shampine's quartic interpolant (Math. Comp. 46, 1986), written
+# as scipy 1.17.1's RK45 writes it: the stages after the first as (c, row of
+# A), then B, E and P.
+_STAGES = [(c, np.array(a)) for c, a in [
+    (1 / 5, [1 / 5]),
+    (3 / 10, [3 / 40, 9 / 40]),
+    (4 / 5, [44 / 45, -56 / 15, 32 / 9]),
+    (8 / 9, [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    (1, [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+]]
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_ROOT_TOL = 4 * np.finfo(float).eps  # brentq's xtol and rtol for a guard crossing
+
+
+def _rms(x: np.ndarray) -> float:
+    """RMS norm: np.linalg.norm(x) is sqrt(x.dot(x))."""
+    return math.sqrt(x.dot(x)) / len(x) ** 0.5
+
+
+def _initial_step(fun, y, f, t_bound: float, rtol: float, atol: float) -> float:
+    """The first step from t = 0 (Hairer, Norsett and Wanner, Solving ODEs I,
+    Sec. II.4), as scipy's ``select_initial_step`` takes it for RK45."""
+    if t_bound == 0.0:
+        return 0.0
+    scale = atol + np.abs(y) * rtol
+    d0 = _rms(y / scale)
+    d1 = _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    d2 = _rms((fun(h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_bound)
+
+
+def _dense(step, s):
+    """A step's quartic interpolant, as scipy's RK45 evaluates it, at a time
+    or an array of times (one column per time).  ``step`` is (t_old, h,
+    y_old, Q), with Q None where no step was taken: the constant y_old."""
+    t_old, h, y_old, Q = step
+    if Q is None:
+        return y_old if np.ndim(s) == 0 else np.repeat(y_old[:, None], len(s), axis=1)
+    x = (s - t_old) / h
+    if np.ndim(x) == 0:
+        return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
+    return h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
+
+
+def _rk45(fun, y, t_eval: np.ndarray, rtol: float, atol: float, guards):
+    """RK45 from y at t = 0 to t_eval[-1], sampled at the times t_eval.
+
+    This is scipy 1.17.1's ``solve_ivp(fun, (0, t_eval[-1]), y, "RK45",
+    t_eval=t_eval, rtol=rtol, atol=atol, events=...)`` with one terminal
+    event per guard (index, bound, sign) that fires where (y_i - bound) *
+    sign goes from >= 0 to <= 0, operation for operation, so its states
+    are scipy's bit for bit: the same initial step, stages,
+    RMS error norm, step controller (safety 0.9, factors 0.2 to 10,
+    exponent -1/5, no growth after a rejection), interpolant, and crossing
+    time from ``scipy.optimize.brentq`` at xtol = rtol = 4 eps.  Returns
+    (rows, status, root): the states at the grid times reached as an
+    (m, n) array, and status 0 at t_eval[-1], 1 at a guard crossing (the
+    rows stop at its time ``root``) or -1 when the step fell below ten ulps
+    of t (:data:`TOO_SMALL_STEP`)."""
+    t, t_bound = 0.0, float(t_eval[-1])
+    grid = t_eval.tolist()
+    f = fun(t, y)
+    h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
+    K = np.empty((7, len(y)))
+    g = [(y[i] - bound) * sign for i, bound, sign in guards]
+    blocks, done, status, root = [], 0, None, None
+    while status is None:
+        step = (t, 0.0, y, None)
+        if t != t_bound:  # equal only for t_bound = 0, where no step is taken
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while not h_abs < min_step:  # as scipy's test reads, NaN included
+                t_new = min(t + h_abs, t_bound)
+                h_abs = h = t_new - t
+                K[0] = f
+                for s, (c, a) in enumerate(_STAGES, start=1):
+                    K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
+                y_new = y + h * np.dot(K[:-1].T, _B)
+                f_new = K[-1] = fun(t + h, y_new)
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                error_norm = _rms(np.dot(K.T, _E) * h / scale)
+                if error_norm < 1:
+                    factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+                rejected = True
+            else:
+                status = -1
+                break
+            step = (t, h, y, K.T.dot(_P))
+            t, y, f = t_new, y_new, f_new
+        if t - t_bound >= 0:
+            status = 0
+        g_new = [(y[i] - bound) * sign for i, bound, sign in guards]
+        crossed = [guard for guard, a, b in zip(guards, g, g_new) if a >= 0 and b <= 0]
+        g = g_new
+        if crossed:
+            from scipy.optimize import brentq  # only a guard crossing needs it
+
+            root = min(brentq(lambda s, i=i, b=b, sign=sign: (_dense(step, s)[i] - b) * sign,
+                              step[0], t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                       for i, b, sign in crossed)
+            status = 1
+        stop = bisect.bisect_right(grid, t if root is None else root, done)
+        if stop > done:
+            blocks.append(_dense(step, t_eval[done:stop]))
+            done = stop
+    rows = np.hstack(blocks).T if blocks else np.empty((0, len(y)))
+    return rows, status, root
 
 
 class _StageEscape(Exception):
@@ -406,9 +525,16 @@ def _step(
     a stored row costs under 1 kB on a five-dimensional chart (its state,
     and the post-pass's theta, Omega and copies of the flat matrix for the
     rank certificate and the LU solve; a 66 MB peak at 10**5 rows), so the
-    bound keeps a run under a gigabyte.  RK45 also
-    refuses an rtol below 100 * eps, which scipy would otherwise raise to
-    that floor with a warning.
+    bound keeps a run under a gigabyte.
+
+    RK45 is :func:`_rk45`, the package's Dormand-Prince 5(4) stepper, equal
+    bit for bit to scipy 1.17.1's RK45 with a terminal event per guard: a
+    guard crossed between two steps stops its rows at the crossing time,
+    and a step below ten ulps of t ends the flow with scipy's message as
+    the diagnostic.  It refuses, before any work, an rtol below the floor
+    100 * eps (scipy raised a smaller one to it with a warning) and an
+    atol that is not positive (a zero coordinate would make the error
+    scale zero and the first step NaN).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -418,10 +544,13 @@ def _step(
         raise ValueError("t_end and dt must be finite")
     if method not in ("rk4", "adaptive-rk45"):
         raise ValueError("unknown method %r (use rk4 or adaptive-rk45)" % method)
-    floor = 100 * np.finfo(float).eps  # scipy's RK45 floor
-    if method == "adaptive-rk45" and not rtol >= floor:
-        raise ValueError("rtol must be at least 100 * eps = %.3g for adaptive-rk45, got %r"
-                         % (floor, rtol))
+    if method == "adaptive-rk45":
+        floor = 100 * np.finfo(float).eps
+        if not rtol >= floor:
+            raise ValueError("rtol must be at least 100 * eps = %.3g for adaptive-rk45, got %r"
+                             % (floor, rtol))
+        if not atol > 0:
+            raise ValueError("`atol` must be positive.")
     steps = t_end / dt  # inf when the quotient overflows
     if steps > MAX_GRID_STEPS:
         raise ValueError("t_end/dt = %.6g asks for %.6g grid rows; t_end/dt is at most %d"
@@ -457,44 +586,32 @@ def _step(
                 break
             states.append(y.copy())
     else:
-        from scipy.integrate import solve_ivp  # RK45 is its only user, and it is slow to import
-
+        guards = [(chart.index(g.coordinate), g.bound, -1.0 if g.upper else 1.0)
+                  for g in chart.guards]
         t_eval = times
         while True:
             try:
-                sol = solve_ivp(
-                    fun,
-                    (0.0, float(t_eval[-1])),
-                    x0,
-                    method="RK45",
-                    t_eval=t_eval,
-                    rtol=rtol,
-                    atol=atol,
-                    events=_guard_events(chart),
-                )
+                rows, status, root = _rk45(fun, x0, t_eval, rtol, atol, guards)
                 break
             except _StageEscape as exc:
                 escaped = True
                 diagnostic = "domain escape near t=%g" % exc.args[0]
                 t_eval = t_eval[t_eval < exc.args[0]]
-        if sol.status == 1:
+        if status == 1:
             escaped = True
-            hits = [te[0] for te in sol.t_events if len(te)]
-            diagnostic = (
-                "domain escape near t=%g" % min(hits) if hits else "terminated early"
-            )
-        elif sol.status != 0:
+            diagnostic = "domain escape near t=%g" % root
+        elif status == -1:
             escaped = True
-            diagnostic = sol.message
-        inside = np.ones(sol.y.shape[1], dtype=bool)  # every guard, column-wise
+            diagnostic = TOO_SMALL_STEP
+        inside = np.ones(len(rows), dtype=bool)  # every guard, column-wise
         for g in chart.guards:
-            inside &= g.holds(sol.y[chart.index(g.coordinate)])
+            inside &= g.holds(rows[:, chart.index(g.coordinate)])
         kept = len(inside) if inside.all() else int(np.argmin(inside))
         if kept < len(inside):
             escaped = True
             diagnostic = diagnostic or "domain escape on recorded state"
-        states = sol.y.T[:kept] if kept else [x0]
-    states = np.array(states, order="C")  # sol.y.T is Fortran-ordered
+        states = rows[:kept] if kept else [x0]
+    states = np.array(states, order="C")  # the RK45 rows are Fortran-ordered
     return times[: len(states)], states, escaped, diagnostic
 
 
@@ -510,6 +627,10 @@ def integrate(
 ) -> Trajectory:
     """Flow x' = X_H(x) from the point x0 sampled on a uniform dt grid.
 
+    ``method`` is "adaptive-rk45", the package's Dormand-Prince 5(4)
+    stepper (bit for bit scipy 1.17.1's RK45 at ``rtol`` and ``atol``), or
+    "rk4", the classic fixed-step scheme on the grid, which reads neither
+    tolerance; :func:`_step` states what each refuses.
     Recorded states are guard-checked; a mid-flow domain escape truncates the
     trajectory and sets ``escaped`` with a diagnostic instead of raising.
     An H on another chart's coordinates raises ChartMismatchError first.

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -448,14 +449,29 @@ def _paren(e: Expr, minimum: int) -> str:
 
 # numpy's +, -, *, / are correctly rounded, as Python's are, but its power,
 # exp and log differ from libm's by an ulp on a few percent of inputs; powers
-# and calls therefore map the checked scalar functions over the points.
+# and calls therefore map libm's functions over the points, as ``eval``
+# calls them.  An array of rows maps the bare function (``math.pow``,
+# ``math.sin``, ...) first, one C call per row; where that raises, numpy maps
+# the checked scalar function over the rows again, one Python frame per
+# row, and raises the first failing row's EvalError.  Both call the same
+# function, so the bits are the same.  (``x*x`` for ``x^2`` would not be:
+# libm's pow(x, 2) is not always the rounded product.)
 
 
-def _floats(ufunc: np.ufunc) -> Callable:
-    """``ufunc`` over rows, its object-array result cast back to floats."""
+def _rows(f: Callable, checked: Callable, nin: int) -> Callable:
+    """``checked`` (``f`` raising EvalError) over rows: a map of the bare
+    ``f`` where the first argument is an array and any other a float, and
+    ``checked`` mapped by numpy otherwise or where that raises, which
+    raises the first failing row's EvalError."""
+    ufunc = np.frompyfunc(checked, nin, 1)
 
-    def apply(*args):
-        out = ufunc(*args)
+    def apply(first, *rest):
+        if isinstance(first, np.ndarray) and all(isinstance(v, float) for v in rest):
+            try:
+                return np.fromiter(map(f, first.tolist(), *map(repeat, rest)), float, len(first))
+            except (ValueError, OverflowError):
+                pass
+        out = ufunc(first, *rest)  # an object array, or a float
         return out.astype(float) if isinstance(out, np.ndarray) else out
 
     return apply
@@ -474,10 +490,10 @@ def _zero_divisor_rows(denom) -> None:
 _CALL_HELPERS = {fn: "_call_" + fn for fn in FUNCTIONS}
 _SCALAR_HELPERS = {"_pow": _pow, "_divisor": _zero_divisor, "_unbound": _unbound}
 _SCALAR_HELPERS.update({_CALL_HELPERS[fn]: f for fn, f in _CHECKED_CALLS.items()})
-_ROW_HELPERS = {"_pow": _floats(np.frompyfunc(_pow, 2, 1)),
-                "_divisor": _zero_divisor_rows, "_unbound": _unbound}
-_ROW_HELPERS.update({_CALL_HELPERS[fn]: _floats(np.frompyfunc(f, 1, 1))
-                     for fn, f in _CHECKED_CALLS.items()})
+_ROW_HELPERS = {"_pow": _rows(math.pow, _pow, 2), "_divisor": _zero_divisor_rows,
+                "_unbound": _unbound}
+_ROW_HELPERS.update({_CALL_HELPERS[fn]: _rows(FUNCTIONS[fn], _CHECKED_CALLS[fn], 1)
+                     for fn in FUNCTIONS})
 _OPERATORS = {Add: "+", Sub: "-", Mul: "*"}
 
 

@@ -407,6 +407,27 @@ class TestSweep:
             assert entry["final"] == doc["states"][-1]
             assert entry["escaped"] is False
 
+    def test_an_atol_that_is_not_positive_is_refused_before_any_point_flows(
+        self, capsys, tmp_path
+    ):
+        # at atol = 0 the first point's zero coordinate made its first step
+        # NaN, and the sweep ended in a traceback; now a sweep refuses what
+        # a single run refuses, as for an rtol below the floor
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps([[0.2, 1.0, 0.3, -0.2, 0.1], [0.1, 1.0, 0.2, 0.0, 0.1]]))
+        for atol in ("0", "-1"):
+            code, out, err = run(
+                capsys, "integrate", "--config", self._config(tmp_path), "--hamiltonian", "x^2+y",
+                "--atol=" + atol, "--sweep", str(points),
+            )
+            assert (code, out, err) == (EXIT_INPUT, "", "error: `atol` must be positive.\n")
+        # RK4 reads no atol, and every point flows
+        code, out, _ = run(
+            capsys, "integrate", "--config", self._config(tmp_path), "--hamiltonian", "x^2+y",
+            "--atol=0", "--method", "rk4", "--sweep", str(points),
+        )
+        assert code == EXIT_OK and len(json.loads(out)["sweep"]) == 2
+
     def test_escape_exits_1(self, capsys, tmp_path):
         points = tmp_path / "points.json"
         # y falls at unit speed under x/y^2: the first point leaves y > 0
@@ -928,18 +949,38 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
         assert fresh_process(python_args=("-c", script)) == (0, "[]\n", "")
 
 
-def test_the_cli_and_an_rk4_flow_leave_scipy_integrate_unloaded():
-    # only RK45 uses scipy.integrate, and it is over a quarter of the CLI's import time
-    script = "; ".join([
-        "import sys, cosym.cli",
-        "loaded = lambda: [m for m in sys.modules if m.startswith('scipy.integrate')]",
-        "print(loaded())",
+def test_flows_leave_scipy_integrate_unloaded():
+    # RK4 and RK45 are both the package's own steppers: importing the CLI,
+    # an RK4 flow, README's RK45 integrate, a compare and a riccati in one
+    # fresh process load no scipy.integrate module.  Only a guard crossing
+    # imports scipy.optimize, for brentq: none of these crosses one, and the
+    # x/y^2 escape does.
+    script = "\n".join([
+        "import contextlib, io, sys, cosym, cosym.cli",
+        "def loaded():",
+        "    return [m.split('.')[1] for m in sys.modules",
+        "            if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])]",
+        "print(sorted(set(loaded())))",
         "s = cosym.builtin('darboux_contact')",
         "H = cosym.ScalarField.parse(s.chart, 'kappa')",
         "cosym.integrate(s, H, (0.0, 1.0, 1.0), 0.1, 0.01, method='rk4')",
-        "print(loaded())",
+        "for argv in (%r, %r, %r):" % (
+            ["integrate", "--builtin", "darboux_contact", "--hamiltonian", "kappa",
+             "--x0", "0,1,1", "--t-end", "1", "--dt", "0.001"],
+            ["compare", "--variants", "gtacos,base_xj1,contact", "--a", "0.1", "--b", "-0.2",
+             "--c", "0.3", "--m", "0.2", "--n", "-0.1", "--h-kappa", "kappa",
+             "--x0=0.3,1.2,0.4,-0.2,0.1", "--t-end", "0.2", "--dt", "0.01"],
+            ["riccati", "--m", "0.3", "--c", "0.4", "--n", "0.1", "--x0", "0,1",
+             "--t-end", "1", "--dt", "0.01"]),
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cosym.cli.main(argv) == 0, argv",
+        "print(sorted(set(loaded())))",
+        "s = cosym.builtin('xjt_gtacos')",
+        "H = cosym.ScalarField.parse(s.chart, 'x/y^2')",
+        "assert cosym.integrate(s, H, (0.0, 0.5, 0.0, 0.0, 0.0), 1.0, 0.01).escaped",
+        "print(sorted(set(loaded())))",
     ])
-    assert fresh_process(python_args=("-c", script)) == (0, "[]\n[]\n", "")
+    assert fresh_process(python_args=("-c", script)) == (0, "[]\n[]\n['optimize']\n", "")
 
 
 def test_python_dash_m_runs_the_cli():
@@ -1011,6 +1052,14 @@ def test_json_text_reads_back_every_finite_float_bit_for_bit(x):
         # scipy's "At least one element of rtol is too small" warning, exit 0
         (TestNonFiniteValues.INTEGRATE + ("--t-end", "0.01", "--dt", "0.001", "--rtol", "0"),
          EXIT_INPUT, "error: rtol must be at least 100 * eps"),
+        # a zero coordinate over atol = 0 made the first RK45 step NaN: an
+        # IndexError from the empty grid before it, exit 1
+        (("integrate", "--builtin", "xjt_gtacos", "--hamiltonian", "x^2+y",
+          "--x0=0.1,1,0.2,0,0.1", "--t-end", "0.1", "--dt", "0.01", "--atol=0"),
+         EXIT_INPUT, "error: `atol` must be positive."),
+        # the message of scipy's own check, which the package now makes
+        (TestNonFiniteValues.INTEGRATE + ("--t-end", "0.01", "--dt", "0.001", "--atol=-1"),
+         EXIT_INPUT, "error: `atol` must be positive."),
     ],
 )
 def test_an_out_of_range_value_ends_cleanly(argv, code, message):

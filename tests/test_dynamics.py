@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +20,8 @@ from cosym.dynamics import (
     poisson_bracket,
     tacs_field,
 )
-from cosym.manifolds import CATALOG, builtin
+from cosym.jacobi_flows import LinearHamiltonianCoefficients, integrate_variant, split_energy
+from cosym.manifolds import CATALOG, CHART_XJT, ModelParameters, builtin
 from cosym.expressions import EvalError
 from cosym.forms import KForm
 from cosym.structures import (
@@ -586,6 +586,17 @@ class TestIntegrate:
         traj = integrate(s, H, (0.1, 0.2, 0.3), 0.01, 0.001, method="rk4", rtol=0.0)
         assert len(traj.times) == 11
 
+    def test_rk45_refuses_an_atol_that_is_not_positive(self):
+        s = contact1()
+        H = ScalarField.parse(s.chart, "kappa")
+        for atol in (0.0, -1.0, math.nan):
+            for t_end in (0.0, 0.01):  # before any work, as for rtol
+                with pytest.raises(ValueError, match=r"^`atol` must be positive\.$"):
+                    integrate(s, H, (0.1, 0.0, 0.3), t_end, 0.001, atol=atol)
+        # RK4 does not read atol
+        traj = integrate(s, H, (0.1, 0.0, 0.3), 0.01, 0.001, method="rk4", atol=0.0)
+        assert len(traj.times) == 11
+
     def test_non_finite_right_hand_side_in_the_domain_is_an_eval_error(self):
         # u' = 1 until u reaches 0.25, then NaN: neither stepper rejects it
         chart = Chart("line", ("u",))
@@ -616,8 +627,16 @@ class TestIntegrate:
     ):
         chart = Chart("plane", ("u", "v"), (Guard("u", 0.0), Guard("v", 1.0, False, True)))
         recorded = np.array(recorded)
-        sol = SimpleNamespace(status=0, y=recorded.T.copy(), t_events=[], message="")
-        monkeypatch.setattr("scipy.integrate.solve_ivp", lambda *a, **k: sol)
+        stepper = dynamics._rk45
+
+        def recording(fun, y, t_eval, *args):
+            # the package's stepper runs, and its rows are the recorded ones,
+            # Fortran-ordered as its own are
+            rows, status, root = stepper(fun, y, t_eval, *args)
+            assert rows.shape == recorded.shape and (status, root) == (0, None)
+            return np.asfortranarray(recorded), status, root
+
+        monkeypatch.setattr(dynamics, "_rk45", recording)
         x0 = (0.1, 0.2)
         times, states, escaped, diagnostic = dynamics._step(
             lambda y: y, chart, x0, 0.3, 0.1, "adaptive-rk45", 1e-9, 1e-9
@@ -665,6 +684,209 @@ class TestIntegrate:
         assert traj.escaped
         got = (len(traj.times), traj.diagnostic, repr(float(traj.states[:, 1].min())))
         assert got == self.ESCAPES[method, t_end]
+
+
+def scipy_rk45(fun, y, t_eval, rtol, atol, guards):
+    """``dynamics._rk45`` by scipy 1.17.1's ``solve_ivp``: RK45 with one
+    terminal event per guard, falling through zero, as the package flowed
+    before it stepped RK45 itself."""
+    from scipy.integrate import solve_ivp
+
+    events = []
+    for i, bound, sign in guards:
+        def event(t, y, i=i, bound=bound, sign=sign):
+            return (y[i] - bound) * sign
+
+        event.terminal, event.direction = True, -1.0
+        events.append(event)
+    sol = solve_ivp(fun, (0.0, float(t_eval[-1])), y, method="RK45", t_eval=t_eval,
+                    rtol=rtol, atol=atol, events=events)
+    assert sol.status != -1 or sol.message == dynamics.TOO_SMALL_STEP
+    hits = [te[0] for te in sol.t_events if len(te)]
+    rows = np.asarray(sol.y, dtype=float).reshape(len(y), -1).T
+    return rows, sol.status, min(hits) if hits else None
+
+
+def rejected_steps(fun, y, t_end, rtol, atol) -> int:
+    """Rejected steps of scipy's RK45 from y over [0, t_end]: each attempt
+    costs 6 right-hand sides, and the start 2."""
+    from scipy.integrate import RK45
+
+    solver = RK45(fun, 0.0, np.asarray(y, dtype=float), t_end, rtol=rtol, atol=atol)
+    steps = 0
+    while solver.status == "running":
+        solver.step()
+        steps += 1
+    return (solver.nfev - 2) // 6 - steps
+
+
+class TestRK45IsScipys:
+    """The package's Dormand-Prince stepper gives what scipy 1.17.1's
+    ``solve_ivp`` gave, bit for bit: the same right-hand-side calls at the
+    same stage times and states, and the same rows, diagnostics and
+    errors."""
+
+    def same(self, monkeypatch, flow):
+        """flow() with the package's stepper and with scipy's: the same
+        outcome, bit for bit, and the same RHS calls (time and state bytes,
+        in order) and run endings (status and crossing time).  Returns the
+        outcome and the number of calls and endings."""
+        out = []
+        for stepper in (dynamics._rk45, scipy_rk45):
+            calls = []
+
+            def counted(fun, *args, stepper=stepper):
+                def f(t, y):
+                    calls.append((float(t), y.tobytes()))
+                    return fun(t, y)
+
+                rows, status, root = stepper(f, *args)
+                calls.append((status, root))
+                return rows, status, root
+
+            monkeypatch.setattr(dynamics, "_rk45", counted)
+            try:
+                got = flow()
+            except (ValueError, ArithmeticError) as exc:
+                got = "%s: %s" % (type(exc).__name__, exc)
+            key = got if isinstance(got, str) else [
+                v.tobytes() if isinstance(v, np.ndarray) else v for v in got]
+            out.append((got, key, calls))
+        (mine, my_key, my_calls), (_, ref_key, ref_calls) = out
+        assert my_calls == ref_calls
+        assert my_key == ref_key
+        return mine, len(my_calls)
+
+    def same_flow(self, monkeypatch, spec, H, x0, t_end, dt, **tol):
+        def flow():
+            traj = integrate(spec, H, x0, t_end, dt, **tol)
+            return (traj.times, traj.states, traj.hamiltonian_values,
+                    traj.dissipation_residuals, traj.escaped, traj.diagnostic)
+
+        return self.same(monkeypatch, flow)
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_flow_dense_ops(self, monkeypatch, index):
+        # README's H, conserved twice and then with 0.5 kappa, from seeded
+        # points as the flow_dense benchmark draws them
+        spec = builtin("xjt_gtacos")
+        source = "q^2 + p^2 + x^2 + (y-1)^2" + (" + 0.5*kappa" if index % 3 == 2 else "")
+        H = ScalarField.parse(spec.chart, source, spec.params)
+        rng = np.random.default_rng([2718, index])
+        x0 = rng.uniform(-0.5, 0.5, 5)
+        x0[1] = rng.uniform(0.7, 1.5)
+        traj, calls = self.same_flow(monkeypatch, spec, H, x0, 1.0, 1e-3)
+        assert len(traj[0]) == 1001 and not traj[4]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_a_dissipative_flow_on_a_contact_chart_with_a_rejected_step(self, monkeypatch, tol):
+        spec = builtin("darboux_contact")
+        H = ScalarField.parse(spec.chart, "sin(3*q) + cos(p)*kappa")
+        x0 = (0.3, 0.5, 0.7)
+        spec.kernel()
+        H.kernel()
+        fun = lambda t, y: hamiltonian_field_generic(spec, H, y, check_domain=False)  # noqa: E731
+        assert rejected_steps(fun, x0, 2.0, tol, tol) >= 1
+        traj, _ = self.same_flow(monkeypatch, spec, H, x0, 2.0, 0.01, rtol=tol, atol=tol)
+        assert len(traj[0]) == 201 and np.ptp(traj[2]) > 0.1
+
+    @pytest.mark.parametrize("t_end", [1.0, 0.5])
+    def test_the_escape_by_a_guard_crossing(self, monkeypatch, t_end):
+        # the ESCAPES flow of TestIntegrate; at t_end = 1 a step crosses
+        # y = 0, and brentq finds the time on the step's interpolant
+        import scipy.optimize
+
+        roots = []
+        brentq = scipy.optimize.brentq
+        monkeypatch.setattr(scipy.optimize, "brentq",
+                            lambda *a, **k: roots.append(brentq(*a, **k)) or roots[-1])
+        spec = builtin("xjt_gtacos")
+        H = ScalarField.parse(spec.chart, "x/y^2")
+        traj, _ = self.same_flow(monkeypatch, spec, H, (0.0, 0.5, 0.0, 0.0, 0.0), t_end, 0.01)
+        assert traj[4] and traj[5].startswith("domain escape near t=")
+        if t_end == 1.0:
+            assert len(roots) == 2 and roots[0] == roots[1]  # once each way
+
+    def test_a_stage_escape_restarts_before_the_stage(self, monkeypatch):
+        chart = Chart("line", ("u",), (Guard("u", 0.5, upper=True),))
+        rhs = lambda y: np.array([1.0 if y[0] < 0.5 else np.nan])  # noqa: E731
+        out, calls = self.same(monkeypatch, lambda: dynamics._step(
+            rhs, chart, (0.0,), 1.0, 0.1, "adaptive-rk45", 1e-9, 1e-9))
+        assert out[2] and len(out[0]) == 5
+        assert calls > 2 * 2  # two runs: the escape and the restart
+
+    def test_a_stage_escape_before_the_first_grid_time(self, monkeypatch):
+        # the restart has t = 0 alone to reach: no step, the constant row
+        chart = Chart("line", ("u",), (Guard("u", 0.05, upper=True),))
+        rhs = lambda y: np.array([1.0 if y[0] < 0.05 else np.nan])  # noqa: E731
+        out, _ = self.same(monkeypatch, lambda: dynamics._step(
+            rhs, chart, (0.0,), 1.0, 0.1, "adaptive-rk45", 1e-9, 1e-9))
+        assert out[1].tolist() == [[0.0]] and out[2]
+
+    @pytest.mark.parametrize("x0", [0.0, 0.3])
+    def test_a_start_on_a_closed_guard(self, monkeypatch, x0):
+        # u >= 0 holds at u = 0, and the flow leaves through it: a crossing
+        # at t = 0 from the bound, or one timed by brentq from inside
+        chart = Chart("line", ("u",), (Guard("u", 0.0, strict=False),))
+        out, _ = self.same(monkeypatch, lambda: dynamics._step(
+            lambda y: np.array([-1.0]), chart, (x0,), 1.0, 0.1, "adaptive-rk45", 1e-9, 1e-9))
+        assert out[3] == "domain escape near t=%g" % x0
+
+    def test_a_guard_crossed_on_a_curved_path(self, monkeypatch):
+        # u = 0.5 cos t + sin t reaches the guard u < 1 at t = 0.6435: brentq
+        # iterates on the step's quartic interpolant
+        chart = Chart("oscillator", ("u", "v"), (Guard("u", 1.0, upper=True),))
+        out, _ = self.same(monkeypatch, lambda: dynamics._step(
+            lambda y: np.array([y[1], -y[0]]), chart, (0.5, 1.0), 3.0, 0.1,
+            "adaptive-rk45", 1e-9, 1e-9))
+        assert out[3] == "domain escape near t=0.643501" and len(out[0]) == 7
+
+    def test_a_jump_in_the_right_hand_side(self, monkeypatch):
+        # u' jumps from 1 to 100 at u = 0.5: steps across it have error norms
+        # up to 1e9 and shrink by the least factor, 0.2, until one passes
+        out, calls = self.same(monkeypatch, lambda: dynamics._step(
+            lambda y: np.array([1.0 if y[0] < 0.5 else 100.0]), Chart("line", ("u",)), (0.0,),
+            1.0, 0.1, "adaptive-rk45", 1e-9, 1e-9))
+        assert not out[2] and len(out[0]) == 11 and calls > 100
+
+    def test_integrate_variant(self, monkeypatch):
+        coeffs = LinearHamiltonianCoefficients(a=0.1, b=-0.2, c_lin=0.3, m=0.2, n_lin=-0.1)
+        model = split_energy(coeffs, ModelParameters())
+        x0 = CHART_XJT.point((0.1, 1.1, 0.2, -0.1, 0.05))
+        for variant in ("gtacos", "contact"):
+            def flow():
+                traj = integrate_variant(model, variant, x0, 0.5, 0.01)
+                return traj.times, traj.states, traj.hamiltonian_values, traj.diagnostic
+
+            traj, _ = self.same(monkeypatch, flow)
+            assert len(traj[0]) == 51
+
+    def test_a_step_below_ten_ulps_ends_the_flow(self, monkeypatch):
+        # u' = u^2 from 1 blows up at t = 1: the steps shrink below ten ulps
+        # of t first, where scipy stops with its message
+        out, _ = self.same(monkeypatch, lambda: dynamics._step(
+            lambda y: y * y, Chart("line", ("u",)), (1.0,), 2.0, 0.1, "adaptive-rk45", 1e-9, 1e-9))
+        assert out[2:] == (True, dynamics.TOO_SMALL_STEP)
+        assert len(out[0]) == 10 and out[1][-1, 0] > 9.9
+
+    def test_errors_at_a_stage_inside_the_domain(self, monkeypatch):
+        chart = Chart("line", ("u",))
+        rhs = lambda y: np.array([1.0 if y[0] < 0.25 else np.nan])  # noqa: E731
+        out, _ = self.same(monkeypatch, lambda: dynamics._step(
+            rhs, chart, (0.0,), 1.0, 0.1, "adaptive-rk45", 1e-9, 1e-9))
+        assert out.startswith("EvalError: right-hand side not finite at t=0.2")
+
+    def test_the_readme_op_takes_92_right_hand_sides_and_1001_rows(self, monkeypatch):
+        # integrate's right-hand side is the public hamiltonian_field_generic:
+        # 2 for the first step's size, then 6 per step over 15 steps
+        spec = builtin("xjt_gtacos")
+        H = ScalarField.parse(spec.chart, "q^2 + p^2 + x^2 + (y-1)^2", spec.params)
+        calls = []
+        field = dynamics.hamiltonian_field_generic
+        monkeypatch.setattr(dynamics, "hamiltonian_field_generic",
+                            lambda *a, **k: calls.append(a[2]) or field(*a, **k))
+        traj = integrate(spec, H, (0.2, 1.0, 0.3, -0.2, 0.0), 1.0, 1e-3)
+        assert (len(calls), len(traj.times)) == (92, 1001)
 
 
 def _per_row_post_pass(spec, H, traj):

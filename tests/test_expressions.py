@@ -272,6 +272,24 @@ def test_eval_rows_keeps_the_messages_of_eval():
         assert str(row_err.value) == str(point_err.value)
 
 
+def test_eval_rows_raise_at_the_first_failing_row():
+    # rows map libm's function first and the checked one only where that
+    # raises; the message names the first failing row, as eval's loop does
+    x = np.array([4.0, 1.0, -2.0, -3.0, 800.0, 900.0])
+    for source, message in [
+        ("x^0.5", "(-2.0)^(0.5) has no finite real value in expression"),
+        ("sqrt(x)", "sqrt() domain error: math domain error"),
+        ("log(x)", "log() domain error: math domain error"),
+        ("exp(x)", "exp(800.0) overflows in expression"),
+        ("x^200", "(800.0)^(200.0) has no finite real value in expression"),
+    ]:
+        with pytest.raises(EvalError) as err:
+            Kernel([parse(source)], ("x",)).rows(x)
+        assert str(err.value) == message
+        got = Kernel([parse(source)], ("x",)).rows(x[:2])[0]
+        assert_bits_equal(got, [parse(source).eval({"x": v}) for v in x[:2]])
+
+
 def test_eval_rows_takes_scalars_and_arrays_alike():
     expr = parse("k*x^2 + 1")
     kernel = Kernel([expr], ("k", "x"))
