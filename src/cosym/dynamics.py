@@ -48,9 +48,9 @@ class HamiltonianFieldCoefficients:
 # --------------------------------------------------------------------------
 
 
-def _field_from(th, factors, R, dH, h) -> np.ndarray:
-    """X_H from flat(X_H) = dH - (R(H) + H) theta and the factors of F."""
-    return _solve(factors, dH - (R @ dH + h) * th)
+def _field_from(th, solver, R, dH, h) -> np.ndarray:
+    """X_H from flat(X_H) = dH - (R(H) + H) theta and the solver of F."""
+    return _solve(solver, dH - (R @ dH + h) * th)
 
 
 def _same_chart(spec: StructureSpec, H: ScalarField) -> None:
@@ -67,15 +67,16 @@ def hamiltonian_field_generic(
 
     The order is theta, Omega, the flat solve, dH, then H, as over the
     stored rows of a trajectory, so a degenerate structure is reported
-    before a failing H.  The factors of the flat matrix F that give R
-    (:func:`structures.reeb_from`: an LU where the rank rule is certified,
-    else an SVD) solve every field; a repeat at the spec's and H's kept
-    last point walks no tree and factors nothing.  When both keep a kernel,
-    as inside :func:`integrate`, the point is one read of the two kernels,
-    one finiteness test and one array whose slices are theta, Omega and
-    dH; where that read raises or is not finite, theta, Omega and the solve
-    come from ``spec``'s point reader and H and dH from H's, each walking
-    its trees where its own kernel fails, so the errors are the walk's.
+    before a failing H.  The solver of the flat matrix F that gives R
+    (:func:`structures.reeb_from`: LU solves where the rank rule is
+    certified, else an SVD) solves every field; a repeat at the spec's and
+    H's kept last point walks no tree and certifies nothing again.  When
+    both keep a kernel, as inside :func:`integrate`, the point is one read
+    of the two kernels, one finiteness test and one array whose slices are
+    theta, Omega and dH; where that read raises or is not finite, theta,
+    Omega and the solve come from ``spec``'s point reader and H and dH from
+    H's, each walking its trees where its own kernel fails, so the errors
+    are the walk's.
     An H on another chart's coordinates raises ChartMismatchError.
     ``check_domain=False`` skips that check and the guards but not the
     length check: :func:`integrate` checks the charts once, and its
@@ -92,11 +93,11 @@ def hamiltonian_field_generic(
             m = dim + dim * dim  # theta, Omega row by row, then H and dH
             a = np.array(out, dtype=float)
             th = a[:dim]
-            R, factors = reeb_from(th, a[dim:m].reshape(dim, dim), values)
-            return _field_from(th, factors, R, a[m + 1:], out[m])
-    th, _, R, factors = spec._solved(values)
+            R, solver = reeb_from(th, a[dim:m].reshape(dim, dim), values)
+            return _field_from(th, solver, R, a[m + 1:], out[m])
+    th, _, R, solver = spec._solved(values)
     h, dH = H._at(values)
-    return _field_from(th, factors, R, dH, h)
+    return _field_from(th, solver, R, dH, h)
 
 
 def gradient_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
@@ -115,9 +116,9 @@ def evolution_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
             "evolution field needs a cosymplectic structure; %r is not" % spec.name
         )
     point = spec.chart.point(at)
-    _, _, R, factors = spec._solved(point.array)
+    _, _, R, solver = spec._solved(point.array)
     dH = H.gradient(point)
-    return _solve(factors, dH) - (R @ dH) * R + R
+    return _solve(solver, dH) - (R @ dH) * R + R
 
 
 def hamiltonian_field_closed(
@@ -270,16 +271,16 @@ def jacobi_bracket_generic(
     Darboux coordinates and is the reference path for structures whose
     printed bracket formulas are suspect.
     """
-    # One evaluation of theta and Omega and one factorisation serve X_f, X_g
+    # One evaluation of theta and Omega and one certificate serve X_f, X_g
     # and R.  The order is theta, Omega, the flat solve, then f's dH and H
     # before g's, so errors are those of two hamiltonian_field_generic calls
     # in turn.
     point = spec.chart.point(at)
-    th, om, R, factors = spec._solved(point.array)
+    th, om, R, solver = spec._solved(point.array)
     fv, df = f.at(point)
     gv, dg = g.at(point)
-    Xf = _field_from(th, factors, R, df, fv)
-    Xg = _field_from(th, factors, R, dg, gv)
+    Xf = _field_from(th, solver, R, df, fv)
+    Xg = _field_from(th, solver, R, dg, gv)
     return float(Xf @ om @ Xg + fv * (R @ dg) - gv * (R @ df))
 
 
@@ -532,9 +533,10 @@ def _step(
     guard crossed between two steps stops its rows at the crossing time,
     and a step below ten ulps of t ends the flow with scipy's message as
     the diagnostic.  It refuses, before any work, an rtol below the floor
-    100 * eps (scipy raised a smaller one to it with a warning) and an
-    atol that is not positive (a zero coordinate would make the error
-    scale zero and the first step NaN).
+    100 * eps (scipy raised a smaller one to it with a warning), an atol
+    that is not positive (a zero coordinate would make the error scale
+    zero and the first step NaN), and an infinite rtol or atol (0 * inf
+    makes the error scale NaN as well).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -551,6 +553,9 @@ def _step(
                              % (floor, rtol))
         if not atol > 0:
             raise ValueError("`atol` must be positive.")
+        if not (math.isfinite(rtol) and math.isfinite(atol)):
+            raise ValueError("rtol and atol must be finite for adaptive-rk45, got %r and %r"
+                             % (rtol, atol))
     steps = t_end / dt  # inf when the quotient overflows
     if steps > MAX_GRID_STEPS:
         raise ValueError("t_end/dt = %.6g asks for %.6g grid rows; t_end/dt is at most %d"

@@ -8,30 +8,32 @@ one nondegeneracy rule, and :func:`classify` calls acos what it accepts.
 theta ^ Omega^n / n! is itself the Pfaffian of [[Omega, theta], [-theta^T, 0]],
 which is how :meth:`StructureSpec.volume_coefficient` computes it.
 The Reeb conditions R ⌟ Omega = 0, R ⌟ theta = 1 say flat(R) = theta, so
-R = sharp(theta) = F^-1 theta: :func:`reeb_from` factors F once, rank- and
-residual-checks R, and the same factors solve sharp and every
+R = sharp(theta) = F^-1 theta: :func:`reeb_from` decides F once, rank- and
+residual-checks R, and keeps a solver of F that solves sharp and every
 Hamiltonian, gradient and evolution field at that point.  theta and Omega
 compile into one straight-line kernel on request (:meth:`StructureSpec.kernel`).
 :meth:`StructureSpec.at` gives them at one point and :meth:`StructureSpec.rows`
 at every row of an array, each from that kernel where it is finite, else by
-walking the trees.  :func:`reeb_from` factors one point by LAPACK's
-``dgetrf`` (LU) through ``scipy.linalg.lapack`` where a determinant
-certificate proves the rank rule, else by ``dgesdd`` (SVD), so ``reeb``
-equals ``reeb_from(*spec.at(point))[0]``.  It is the one point solve:
-:meth:`StructureSpec._solved` calls it, and so does
+walking the trees.  Every solve goes through numpy's own LAPACK gufuncs:
+where the determinant certificate of :func:`_certified` proves the rank
+rule, at a point or at every row of a stack, F is solved by LU (``solve1``),
+one LAPACK call per right-hand side; elsewhere a point's F is decided and
+solved by its SVD (``np.linalg.svd``), so ``reeb`` equals
+``reeb_from(*spec.at(point))[0]``.  :func:`reeb_from` is the one point
+solve: :meth:`StructureSpec._solved` calls it, and so does
 :func:`cosym.dynamics.hamiltonian_field_generic` on views of its one read
 of the kept structure and Hamiltonian kernels.  :func:`reeb_rows` solves
 all rows of a trajectory or probe set: by one batched LU where the
 certificate proves the rank rule at every row, else row by row through
-:func:`reeb_from`; it needs R only, never the factors.  :func:`classify`
+:func:`reeb_from`; it needs R only, never the solver.  :func:`classify`
 reads theta, Omega, dtheta and dOmega at its probes, the points of
 :func:`halton`, through one kernel of its own, built per call and not kept.
 
 A spec with no kernel keeps its last tree-walked point: theta and
-Omega, and once taken, :func:`reeb_from`'s (R, factors) there, keyed by the
+Omega, and once taken, :func:`reeb_from`'s (R, solver) there, keyed by the
 exact bytes of the coordinates.  :meth:`StructureSpec.at`, :func:`reeb`,
 :func:`sharp` and the field solves of :mod:`cosym.dynamics` read a repeat
-from it, so one point is walked and factored once; what they hand out is
+from it, so one point is walked and certified once; what they hand out is
 a copy.  Public readers check a point before the lookup, an error is never kept,
 and the kernel path builds no key and stores nothing; building the kernel
 drops the kept point, so :func:`cosym.dynamics.integrate` keeps none.
@@ -48,7 +50,7 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import lapack
+from numpy.linalg import _umath_linalg  # numpy's LAPACK gufuncs, without the wrappers
 
 from .charts import Chart, ChartPoint
 from .expressions import EvalError, Expr, Kernel, Mul, Name, Neg, Num
@@ -164,7 +166,7 @@ class StructureSpec:
         kept kernel where it is finite, else the kept last point's when the
         coordinates have its bytes, else by walking theta's and then Omega's
         trees, whose errors are the reference.  ``solve`` is
-        :func:`reeb_from`'s (R, factors) once :meth:`_solved` has taken it.
+        :func:`reeb_from`'s (R, solver) once :meth:`_solved` has taken it.
         A walk is kept exactly when there is no kernel; a kept entry's arrays
         are shared, so they are read, never handed out."""
         if self._kernel is not None:
@@ -196,7 +198,7 @@ class StructureSpec:
         return th.copy(), om.copy(), values
 
     def _solved(self, values: np.ndarray):
-        """(theta, Omega, R, factors) at unchecked coordinates: :meth:`at`'s
+        """(theta, Omega, R, solver) at unchecked coordinates: :meth:`at`'s
         theta and Omega and :func:`reeb_from`'s solve, each read from the kept
         last point when it is there and kept with it otherwise.  The arrays
         may be the kept ones: read them, and copy what is handed out."""
@@ -581,8 +583,10 @@ def _read_forms(spec: StructureSpec, d_theta: KForm, d_omega: KForm, points: np.
 def flat_from(th: np.ndarray, om: np.ndarray) -> np.ndarray:
     """Matrix of the flat map, Omega^T + theta theta^T, from the values of
     theta (dim,) and Omega (dim, dim) at one point, or from their rows
-    (N, dim) and (N, dim, dim)."""
-    return om.swapaxes(-1, -2) + th[..., None] * th[..., None, :]
+    (N, dim) and (N, dim, dim).  It is the transpose of
+    Omega + theta theta^T, the same numbers since products commute, so its
+    columns are contiguous and no operation reads a transposed operand."""
+    return (om + th[..., :, None] * th[..., None, :]).swapaxes(-1, -2)
 
 
 def reeb(spec: StructureSpec, at) -> np.ndarray:
@@ -593,46 +597,40 @@ def reeb(spec: StructureSpec, at) -> np.ndarray:
 
 
 def reeb_from(th: np.ndarray, om: np.ndarray, values):
-    """R = F^-1 theta and the factors of the flat matrix F at one point.
+    """R = F^-1 theta and the kept solver of the flat matrix F at one point.
 
     ``th`` and ``om`` are theta and Omega at the point ``values``, which only
     labels the errors.  Any other right-hand side b is solved from the
-    factors by :func:`_solve`.  Where :func:`_certified_lu` proves the rank
-    rule s_min > eps * dim * s_max (numpy's default ``matrix_rank`` rule)
-    from LAPACK's LU of F, the factors are that LU, (lu, piv).  Elsewhere F
-    is factored by LAPACK's ``dgesdd``, (u, s, vt) made C-contiguous so
-    that a solve always rounds the same, and the rank rule is read from s.
-    Both go through ``scipy.linalg.lapack``, which skips numpy's
-    stacked-matrix wrapper.  F is built with :func:`flat_from`'s operations
-    and R on the LU branch by ``dgetrs`` as :func:`_solve` takes it, so the
-    bits are theirs; the residual is read from one list of floats, since
-    numpy's per-call cost on arrays this small exceeds the factorisation's.
-    ``th`` and ``om`` may be views (a slice of one array and its reshape).
-    Raises StructureError when F is not finite
-    (checked before the SVD, which need not return on such a matrix), when
-    F fails the rank rule, or when R leaves a residual above 1e-9 in
-    R ⌟ Omega = 0, R ⌟ theta = 1.  Raises numpy's LinAlgError when the SVD
-    does not converge.
+    solver by :func:`_solve`.  Where :func:`_certified_at` proves the rank
+    rule s_min > eps * dim * s_max (numpy's default ``matrix_rank`` rule),
+    the solver is (F,), and each right-hand side, theta's included, is one
+    LU solve by numpy's LAPACK gufunc ``solve1``.  Elsewhere it is F's SVD
+    by ``np.linalg.svd``, (u, s, vt), and the rank rule is read from s.
+    F is built with :func:`flat_from`'s operations and R as :func:`_solve`
+    takes it, so the bits are theirs; the residual is read from one list of
+    floats, since numpy's per-call cost on arrays this small exceeds the
+    solve's.  ``th`` and ``om`` may be views (a slice of one array and its
+    reshape).  Raises StructureError when F is not finite (checked before
+    the SVD, which need not return on such a matrix), when F fails the rank
+    rule, or when R leaves a residual above 1e-9 in R ⌟ Omega = 0,
+    R ⌟ theta = 1.  Raises numpy's LinAlgError when the SVD does not
+    converge.
     """
-    F = om.T + th[:, None] * th  # flat_from's operations, without its stack handling
-    factors = _certified_lu(F)
-    if factors is not None:
-        R = lapack.dgetrs(*factors, th)[0]
-        R += 0.0  # as in _solve
+    F = (om + th[:, None] * th).T  # flat_from's operations, without its stack handling
+    if _certified_at(F):
+        solver = (F,)
     else:
         if not np.isfinite(F).all():
             _refuse_non_finite(F, values)
-        u, s, vt, info = lapack.dgesdd(F)
-        if info != 0:
-            raise np.linalg.LinAlgError("SVD did not converge")
+        solver = np.linalg.svd(F)
+        s = solver[1]
         dim = len(s)
         if not s[-1] > _EPS * dim * s[0]:
             raise StructureError(
                 "degenerate structure at %s: flat matrix has rank %d < %d"
                 % (_plain(values), np.count_nonzero(s > _EPS * dim * s[0]), dim)
             )
-        factors = np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
-        R = _solve(factors, th)
+    R = _solve(solver, th)
     # F passed the rank rule, so R and its residual are finite: no NaN can
     # hide from the max.
     error = max(map(abs, (R @ om).tolist() + [R @ th - 1.0]))
@@ -640,24 +638,30 @@ def reeb_from(th: np.ndarray, om: np.ndarray, values):
         raise StructureError(
             "Reeb system inconsistent at %s (residual %.3e)" % (_plain(values), error)
         )
-    return R, factors
+    return R, solver
 
 
-def _solve(factors, b: np.ndarray) -> np.ndarray:
-    """X with flat(X) = b, that is F X = b, from :func:`reeb_from`'s
-    factors of F: an LU (lu, piv) or an SVD (u, s, vt).  A zero of X is
-    +0.0, as in :func:`reeb_rows` (LU's substitutions can round to -0.0)."""
-    if len(factors) == 2:
-        x = lapack.dgetrs(*factors, b)[0]
+def _solve(solver, b: np.ndarray) -> np.ndarray:
+    """X with flat(X) = b, that is F X = b, from :func:`reeb_from`'s solver
+    of F: (F,), solved by LU, or F's SVD (u, s, vt); :func:`reeb_rows`
+    passes a stack as (F,).  A zero of X is +0.0 (LU's substitutions can
+    round to -0.0)."""
+    if len(solver) == 1:
+        x = _umath_linalg.solve1(solver[0], b)
     else:
-        u, s, vt = factors
+        u, s, vt = solver
         x = b @ u / s @ vt
-    x += 0.0
+    x += _ZERO
     return x
 
 
+# A zero of a solve is made +0.0 by adding this 0-d array, which spares
+# the conversion that adding the float 0.0 costs on every call.
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
 # The determinant certificate of :func:`reeb_from` and :func:`reeb_rows`;
-# see :func:`_certified` and :func:`_certified_lu`.
+# see :func:`_certified`.
 _CERT_TAU = 1e-10
 _CERT_MAX_DIM = 9
 
@@ -669,19 +673,19 @@ def reeb_rows(th: np.ndarray, om: np.ndarray, values) -> np.ndarray:
 
     The flat matrices are checked finite first (the first non-finite row is
     reported).  When :func:`_certified` proves the rank rule at every row,
-    R comes from one batched ``np.linalg.solve`` (LU), and is returned if
-    every row passes :func:`reeb_from`'s residual check.  Otherwise every
-    row goes through :func:`reeb_from`, in order: the first row failing any
-    check raises the pointwise error, and each R is the point's bit for
-    bit.  So the rank rule decides each row as at a point, certified rows
-    agree with the point's R to rounding, and no SVD is taken when every
-    row is certified and solved.
+    R comes from one batched LU solve, numpy's ``solve1`` over the stack,
+    and is returned if every row passes :func:`reeb_from`'s residual check.
+    Otherwise every row goes through :func:`reeb_from`, in order: the first
+    row failing any check raises the pointwise error.  A row's certificate
+    and LU solve are its point's, so the rank rule decides each row as at a
+    point, each R is the point's bit for bit either way, and no SVD is taken
+    when every row is certified and solved.
     """
     F = flat_from(th, om)
     if not np.isfinite(F).all():
         _refuse_non_finite(F, values)
     if _certified(F).all():
-        R = np.linalg.solve(F, th[..., None])[..., 0] + 0.0  # a zero is +0.0, as in _solve
+        R = _solve((F,), th)  # solve1 over the stack
         error = np.maximum(
             np.abs(R[:, None, :] @ om)[:, 0, :].max(axis=1),
             np.abs(np.einsum("ij,ij->i", R, th) - 1.0),
@@ -696,63 +700,49 @@ def reeb_rows(th: np.ndarray, om: np.ndarray, values) -> np.ndarray:
 
 def _certified(F: np.ndarray) -> np.ndarray:
     """One flag per finite flat matrix of the stack ``F`` (N, dim, dim): true
-    where LU's |det(F / ||F||_F)| > tau = 1e-10 proves the rank rule
+    where |det(F / ||F||_F)| > tau = 1e-10 proves the rank rule
     s_min > eps * dim * s_max, for dim <= 9.
 
     Basis: s_max <= ||F||_F and |det F| = prod s_i <= s_min s_max^(dim-1),
     so G = F / ||F||_F has sigma_max(G) <= 1 and
-    s_min / s_max >= sigma_min(G) >= |det G|.  LU with partial pivoting
-    returns the exact determinant of G + dG with
-    |dG_ij| <= gamma_dim * dim * 2^(dim-1), gamma_dim = dim u / (1 - dim u),
-    u = 2^-53, growth at most 2^(dim-1) (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., Thm 9.3 and Sec. 9.4), so
-    delta = ||dG||_2 <= gamma_dim * dim^2 * 2^(dim-1), and
-    sigma_min(G) >= |det(G + dG)| / (1 + delta)^(dim-1) - delta.  At dim = 9
-    delta <= 2.1e-11, so a certified row has s_min / s_max > 7.9e-11, far
-    above eps * 9 = 2e-15 and above what the rounding of forming G, of the
-    determinant's product and of the SVD's own singular values can move; at
-    dim = 11 delta reaches 1.5e-10 > tau, hence the cap.  ||F||_F^2 must be
-    a normal float: summed from subnormal squares it can be too small by any
-    factor, which would scale det G up by that factor's dim/2-th power.  A
-    row the certificate cannot prove (a larger dim, a norm that overflows or
-    underflows, a determinant that underflows) is left to the SVD rule."""
+    s_min / s_max >= sigma_min(G) >= |det G|.  LAPACK's LU with partial
+    pivoting, from which numpy's ``det`` takes the determinant, returns
+    the exact LU of G + dG with |dG_ij| <= gamma_dim * dim * 2^(dim-1),
+    gamma_dim = dim u / (1 - dim u), u = 2^-53, growth at most 2^(dim-1)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 9.3 and Sec. 9.4), so delta = ||dG||_2 <= gamma_dim * dim^2 *
+    2^(dim-1), and sigma_min(G) >= |det(G + dG)| / (1 + delta)^(dim-1) -
+    delta.  At dim = 9 delta <= 2.1e-11, so a certified row has
+    s_min / s_max > 7.9e-11, far above eps * 9 = 2e-15 and above what the
+    rounding of forming G, of ``det``'s sum of logarithms and its
+    exponential, and of the SVD's own singular values can move; at dim = 11
+    delta reaches 1.5e-10 > tau, hence the cap.  ||F||_F^2 must be a normal
+    float: summed from subnormal squares it can be too small by any factor,
+    which would scale det G up by that factor's dim/2-th power.  A row the
+    certificate cannot prove (a larger dim, a norm that overflows or
+    underflows, a determinant that underflows) is left to the SVD rule.
+    :func:`_certified_at` is the same test on one matrix."""
     if F.shape[-1] > _CERT_MAX_DIM:
         return np.zeros(len(F), dtype=bool)
     with np.errstate(all="ignore"):  # an inf norm gives G = 0, a zero one NaN
-        squares = np.einsum("kij,kij->k", F, F)
+        columns = F.swapaxes(-1, -2).reshape(len(F), -1)  # each F's columns in turn
+        squares = np.vecdot(columns, columns)
         G = F / np.sqrt(squares)[:, None, None]
-        return (np.abs(np.linalg.det(G)) > _CERT_TAU) & (squares >= _TINY)
+        return (np.abs(_umath_linalg.det(G)) > _CERT_TAU) & (squares >= _TINY)
 
 
-def _certified_lu(F: np.ndarray):
-    """LAPACK's LU of one flat matrix F (dim, dim), as (lu, piv), when its
-    diagonal proves the rank rule s_min > eps * dim * s_max as
-    :func:`_certified` does, |det(F / ||F||_F)| > tau for dim <= 9; else
-    None, leaving F to the SVD rule.
-
-    The factors are of F, not of G = F / ||F||_F, and the proof carries
-    over: ``dgetrf`` returns the exact LU of P (F + dF) with
-    |dF_ij| <= gamma_dim * dim * 2^(dim-1) * max |F_kl| (the same Thm 9.3
-    and growth bound), and max |F_kl| <= ||F||_F, so dG = dF / ||F||_F
-    obeys :func:`_certified`'s bound on dG, and
-    prod_i (u_ii / ||F||_F) = +-det(G + dG).  Dividing each u_ii by the
-    norm before the product keeps every factor at most 2^(dim-1) in
-    magnitude, so the product cannot overflow, and its underflow only
-    withholds the certificate; the divisions, the product and the norm's
-    own sum round it by a relative 1e-14 or less at dim <= 9, far inside
-    the margin.  ||F||_F^2 must be a normal float, as in
-    :func:`_certified`; being finite, it also proves F finite, so a
-    non-finite F is left to :func:`reeb_from`'s check."""
+def _certified_at(F: np.ndarray) -> bool:
+    """:func:`_certified`'s flag for one flat matrix F (dim, dim), bit for
+    bit: the same sum of squares, column by column (no copy for
+    :func:`flat_from`'s F), the same G and determinant, read without the
+    stack's ``errstate`` by testing the norm first.  A finite ||F||_F^2 also
+    proves F finite, so a non-finite F is left to :func:`reeb_from`'s
+    check."""
     if len(F) > _CERT_MAX_DIM:
-        return None
-    squares = float(np.vdot(F, F))
-    if not _TINY <= squares < math.inf:
-        return None
-    lu, piv, _ = lapack.dgetrf(F)
-    norm = math.sqrt(squares)
-    if abs(math.prod([u / norm for u in lu.diagonal().tolist()])) > _CERT_TAU:
-        return lu, piv
-    return None
+        return False
+    squares = float(np.vdot(F.T, F.T))
+    return (_TINY <= squares < math.inf
+            and abs(_umath_linalg.det(F / math.sqrt(squares))) > _CERT_TAU)
 
 
 def _refuse_non_finite(F: np.ndarray, values) -> None:
@@ -775,8 +765,9 @@ def flat(spec: StructureSpec, X, at) -> np.ndarray:
 
 
 def sharp(spec: StructureSpec, alpha, at) -> np.ndarray:
-    """Inverse of flat, solved from the factors of F that also give
+    """Inverse of flat, solved by the solver of F that also gives
     R = ♯theta (see :func:`reeb_from`); raises StructureError where
-    :func:`reeb` does.  Repeats at one point reuse the spec's kept factors,
-    so many right-hand sides there cost one factorisation."""
+    :func:`reeb` does.  Repeats at one point reuse the spec's kept solver,
+    so many right-hand sides there cost one certificate and one solve
+    each."""
     return _solve(spec._solved(spec.chart.values(at))[3], np.asarray(alpha, dtype=float))

@@ -932,53 +932,49 @@ def fresh_process(*argv, seed_env=None, timeout=120, python_args=("-m", "cosym")
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # the probes are scipy's scrambled Halton points computed in the package:
-    # importing the CLI loads no scipy.stats, nor does a fresh check-structure
-    # or list-manifolds, which classify at them
-    loaded = "print([m for m in sys.modules if m.startswith('scipy.stats')])"
-    script = "import cosym.cli, sys; " + loaded
-    assert fresh_process(python_args=("-c", script)) == (0, "[]\n", "")
-    for argv in (["check-structure", "--builtin", "xjt_gtacos"], ["list-manifolds"]):
-        script = "\n".join([
-            "import contextlib, io, sys, cosym.cli",
-            "with contextlib.redirect_stdout(io.StringIO()):",
-            "    assert cosym.cli.main(%r) == 0" % argv,
-            loaded,
-        ])
-        assert fresh_process(python_args=("-c", script)) == (0, "[]\n", "")
+# One of each command, with README's arguments where it has them.
+COMMANDS_IN_ONE_PROCESS = (
+    ["list-manifolds"],
+    ["check-structure", "--builtin", "xjt_gtacos"],
+    ["reeb", "--builtin", "heisenberg", "--at", "0,1,0"],
+    ["field", "--builtin", "darboux_contact", "--hamiltonian", "kappa", "--at", "1,2,3"],
+    ["bracket", "--kind", "jacobi", "--f", "kappa", "--g", "q", "--at", "2,0,7"],
+    ["integrate", "--builtin", "darboux_contact", "--hamiltonian", "kappa",
+     "--x0", "0,1,1", "--t-end", "1", "--dt", "0.001"],
+    ["compare", "--variants", "gtacos,base_xj1,contact", "--a", "0.1", "--b", "-0.2",
+     "--c", "0.3", "--m", "0.2", "--n", "-0.1", "--h-kappa", "kappa",
+     "--x0=0.3,1.2,0.4,-0.2,0.1", "--t-end", "0.2", "--dt", "0.01"],
+    ["riccati", "--m", "0.3", "--c", "0.4", "--n", "0.1", "--x0", "0,1",
+     "--t-end", "1", "--dt", "0.01"],
+    ["phi-solve", "--free", "1,0.5,0.3,-0.2", "--at", "0,1,0.1,0.2,0"],
+    ["invariant-suite"],
+)
 
 
-def test_flows_leave_scipy_integrate_unloaded():
-    # RK4 and RK45 are both the package's own steppers: importing the CLI,
-    # an RK4 flow, README's RK45 integrate, a compare and a riccati in one
-    # fresh process load no scipy.integrate module.  Only a guard crossing
-    # imports scipy.optimize, for brentq: none of these crosses one, and the
-    # x/y^2 escape does.
+def test_commands_leave_scipy_unloaded():
+    # Solves go through numpy's LAPACK, the probes are scipy's scrambled
+    # Halton points computed in the package and RK4 and RK45 are its own
+    # steppers: importing the CLI, an RK4 flow and every command in one
+    # fresh process load no scipy module.  Only a guard crossing imports
+    # scipy.optimize, for brentq: none of these crosses one, and the x/y^2
+    # escape does.
     script = "\n".join([
         "import contextlib, io, sys, cosym, cosym.cli",
         "def loaded():",
-        "    return [m.split('.')[1] for m in sys.modules",
-        "            if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])]",
-        "print(sorted(set(loaded())))",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "print(loaded())",
         "s = cosym.builtin('darboux_contact')",
         "H = cosym.ScalarField.parse(s.chart, 'kappa')",
         "cosym.integrate(s, H, (0.0, 1.0, 1.0), 0.1, 0.01, method='rk4')",
-        "for argv in (%r, %r, %r):" % (
-            ["integrate", "--builtin", "darboux_contact", "--hamiltonian", "kappa",
-             "--x0", "0,1,1", "--t-end", "1", "--dt", "0.001"],
-            ["compare", "--variants", "gtacos,base_xj1,contact", "--a", "0.1", "--b", "-0.2",
-             "--c", "0.3", "--m", "0.2", "--n", "-0.1", "--h-kappa", "kappa",
-             "--x0=0.3,1.2,0.4,-0.2,0.1", "--t-end", "0.2", "--dt", "0.01"],
-            ["riccati", "--m", "0.3", "--c", "0.4", "--n", "0.1", "--x0", "0,1",
-             "--t-end", "1", "--dt", "0.01"]),
+        "for argv in %r:" % (COMMANDS_IN_ONE_PROCESS,),
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert cosym.cli.main(argv) == 0, argv",
-        "print(sorted(set(loaded())))",
+        "print(loaded())",
         "s = cosym.builtin('xjt_gtacos')",
         "H = cosym.ScalarField.parse(s.chart, 'x/y^2')",
         "assert cosym.integrate(s, H, (0.0, 0.5, 0.0, 0.0, 0.0), 1.0, 0.01).escaped",
-        "print(sorted(set(loaded())))",
+        "print(sorted({m.split('.')[1] for m in loaded() if m.count('.') and",
+        "              m.split('.')[1] in ('integrate', 'optimize', 'stats')}))",
     ])
     assert fresh_process(python_args=("-c", script)) == (0, "[]\n[]\n['optimize']\n", "")
 

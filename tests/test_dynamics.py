@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from numpy.linalg import _umath_linalg
 
 from conftest import random_point, random_polynomial
 from cosym import dynamics
@@ -426,16 +427,16 @@ class TestBrackets:
         "darboux_contact(1)", "darboux_contact(2)", "darboux_contact(3)",
         "heisenberg", "xjt_contact",
     ])
-    def test_generic_bracket_factors_once_and_keeps_its_bits(self, name, rng, monkeypatch):
+    def test_generic_bracket_certifies_once_and_keeps_its_bits(self, name, rng, monkeypatch):
         calls = []
 
         def spy(module, name):
-            factor = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or factor(*a, **k))
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
 
-        spy(np.linalg, "svd")  # any other SVD
-        spy(lapack, "dgesdd")  # a point's SVD
-        spy(lapack, "dgetrf")  # a point's LU
+        spy(np.linalg, "svd")  # a point's SVD, or any other
+        spy(_umath_linalg, "det")  # a point's certificate
+        spy(_umath_linalg, "solve1")  # one LU solve per right-hand side
         s = builtin(name)
         for _ in range(5):
             f = random_polynomial(s.chart, rng)
@@ -443,7 +444,8 @@ class TestBrackets:
             at = random_point(s.chart, rng)
             del calls[:]
             got = jacobi_bracket_generic(s, f, g, at)
-            assert len(calls) == 1
+            # one certificate, then R, X_f and X_g
+            assert calls == ["det", "solve1", "solve1", "solve1"]
             # The formula with two X_H solves and a separate Reeb solve.
             Xf = hamiltonian_field_generic(s, f, at)
             Xg = hamiltonian_field_generic(s, g, at)
@@ -595,6 +597,24 @@ class TestIntegrate:
                     integrate(s, H, (0.1, 0.0, 0.3), t_end, 0.001, atol=atol)
         # RK4 does not read atol
         traj = integrate(s, H, (0.1, 0.0, 0.3), 0.01, 0.001, method="rk4", atol=0.0)
+        assert len(traj.times) == 11
+
+    def test_rk45_refuses_an_infinite_rtol_or_atol(self):
+        # rtol = inf at a zero coordinate makes the error scale 0 * inf = NaN,
+        # as an atol of 0 makes it 0
+        s = builtin("xjt_gtacos")
+        H = ScalarField.parse(s.chart, "x^2+y")
+        x0 = (0.1, 1.0, 0.2, 0.0, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tols in ({"rtol": math.inf}, {"atol": math.inf}, {"rtol": 1e-9, "atol": math.inf},
+                         {"rtol": math.inf, "atol": math.inf}):
+                for t_end in (0.0, 0.1):  # before any work, as for rtol and atol
+                    with pytest.raises(ValueError, match=(
+                            r"^rtol and atol must be finite for adaptive-rk45, got ")):
+                        integrate(s, H, x0, t_end, 0.01, **tols)
+        # RK4 reads neither
+        traj = integrate(s, H, x0, 0.1, 0.01, method="rk4", rtol=math.inf, atol=math.inf)
         assert len(traj.times) == 11
 
     def test_non_finite_right_hand_side_in_the_domain_is_an_eval_error(self):
@@ -1060,9 +1080,12 @@ class TestCompiledKernels:
         spy(KForm, "_at", "walk")
         spy(ScalarField, "_eval", "walk")
         spy(ScalarField, "_gradient", "walk")
-        spy(lapack, "dgetrf", "LU")
+        spy(_umath_linalg, "det", "certificate")
+        spy(_umath_linalg, "solve1", "solve")
+        spy(np.linalg, "svd", "SVD")
         got = hamiltonian_field_generic(s, H, np.array(at), check_domain=False)
-        assert sorted(calls) == ["H kernel", "LU", "structure kernel"]
+        # one certificate, then R and X_H
+        assert calls == ["structure kernel", "H kernel", "certificate", "solve", "solve"]
         assert got.tobytes() == want.tobytes()
 
     def test_only_integrate_builds_kernels(self, rng):

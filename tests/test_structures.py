@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import lapack
+from numpy.linalg import _umath_linalg
 
 from conftest import random_point, random_polynomial
 from cosym import cli, dynamics, forms, structures
@@ -408,13 +408,12 @@ class TestBuiltOncePerStructure:
                 del degrees[:]
                 th, om, values = s.at(pt)
                 assert degrees == []  # the kept last point: no walk on a repeat
-                R, factors = reeb_from(th, om, values)
+                R, solver = reeb_from(th, om, values)
                 h, dH = H.at(pt)
-                np.testing.assert_array_equal(X, dynamics._field_from(th, factors, R, dH, h))
+                np.testing.assert_array_equal(X, dynamics._field_from(th, solver, R, dH, h))
                 np.testing.assert_array_equal(R, reeb(s, pt))
-                assert len(factors) == 2  # a certified LU
-                for got, want in zip(factors, lapack.dgetrf(s.flat_matrix(pt))[:2]):
-                    np.testing.assert_array_equal(got, want)
+                assert len(solver) == 1  # a certified F, solved by LU
+                np.testing.assert_array_equal(solver[0], s.flat_matrix(pt))
                 np.testing.assert_array_equal(th, s.theta.at(pt).as_covector())
                 np.testing.assert_array_equal(dH, H.gradient(pt))
                 del degrees[:]
@@ -461,20 +460,25 @@ class TestKeptLastPoint:
             want = self._outputs(fresh, H_fresh, G_fresh, pt)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
-    def test_one_walk_and_one_factorisation_per_point(self, rng, monkeypatch):
-        walks, factorisations = [], []
-        walk, dgetrf = KForm._at, lapack.dgetrf
+    def test_one_walk_and_one_certificate_per_point(self, rng, monkeypatch):
+        # numpy exposes no LU factors, so a point keeps its certified F and
+        # each right-hand side is one LAPACK solve
+        walks, calls = [], []
+        walk = KForm._at
         monkeypatch.setattr(KForm, "_at", lambda self, *a: walks.append(1) or walk(self, *a))
-        monkeypatch.setattr(lapack, "dgetrf", lambda *a: factorisations.append(1) or dgetrf(*a))
+        _spy_lapack(monkeypatch, calls)
         s = builtin("xjt_gtacos")
         H = random_polynomial(s.chart, rng)
         for _ in range(3):
             pt = random_point(s.chart, rng)
-            del walks[:], factorisations[:]
+            del walks[:], calls[:]
             for _ in range(2):
                 self._outputs(s, H, H, pt)
                 s.flat_matrix(pt), flat(s, np.ones(5), pt)
-            assert len(walks) == 2 and len(factorisations) == 1
+            assert len(walks) == 2
+            # R once, then per pass sharp, X_H, the gradient field and the
+            # bracket's X_f and X_g
+            assert calls == ["det"] + ["solve1"] * (1 + 2 * 5)
 
     def test_returned_arrays_are_new(self):
         s = builtin("xjt_gtacos")
@@ -514,21 +518,24 @@ class TestKeptLastPoint:
         s.at((0.1, 1.0, 0.3, -0.2, 0.0))
         assert s._last is None
 
-    def test_invariant_suite_factors_once_per_sharp_point(self, monkeypatch, capsys):
-        factorisations, per_sharp = [], []
-        dgetrf, sharp_ = lapack.dgetrf, structures.sharp
-        monkeypatch.setattr(lapack, "dgetrf", lambda *a: factorisations.append(1) or dgetrf(*a))
+    def test_invariant_suite_certifies_once_per_sharp_point(self, monkeypatch, capsys):
+        calls, per_sharp = [], []
+        sharp_ = structures.sharp
+        _spy_lapack(monkeypatch, calls)
 
         def counted_sharp(*args):
-            before = len(factorisations)
+            before = len(calls)
             out = sharp_(*args)
-            per_sharp.append(len(factorisations) - before)
+            per_sharp.append(calls[before:])
             return out
 
         monkeypatch.setattr(structures, "sharp", counted_sharp)
         assert cli.main(["invariant-suite", "--seed", "42"]) == 0
         assert "PASS" in capsys.readouterr().out
-        assert len(per_sharp) == 16 * 8 and sum(per_sharp) == 16
+        # 16 points, 8 sharps each: the first certifies F and solves R
+        # and its right-hand side, each later one solves its own
+        first, later = ["det", "solve1", "solve1"], ["solve1"]
+        assert per_sharp == ([first] + [later] * 7) * 16
 
 
 def _nearly_degenerate(theta, omega=1.0):
@@ -562,7 +569,15 @@ def _refuse_svd(monkeypatch):
         raise AssertionError("an SVD was taken")
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    monkeypatch.setattr(lapack, "dgesdd", svd)
+
+
+def _spy_lapack(monkeypatch, calls):
+    """Append "det", "solve1" or "svd" to ``calls`` for each determinant,
+    LU solve or SVD that numpy's LAPACK gufuncs take."""
+    for owner, name in ((_umath_linalg, "det"), (_umath_linalg, "solve1"), (np.linalg, "svd")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k:
+                            calls.append(name) or real(*a, **k))
 
 
 class TestReebRows:
@@ -580,9 +595,8 @@ class TestReebRows:
                     # the tree walk is the reference for the kept kernel too
                     np.testing.assert_array_equal(th[k], s.theta.at(row).as_covector())
                     np.testing.assert_array_equal(om[k], s.omega.at(row).as_matrix())
-                    expected = reeb(s, row)
-                    tol = 1e-14 * max(1.0, np.abs(expected).max())
-                    assert np.abs(R[k] - expected).max() <= tol
+                    # the point's certificate and LU solve: its R bit for bit
+                    assert R[k].tobytes() == reeb(s, row).tobytes()
 
     def test_an_uncertified_stack_is_solved_as_its_points_bit_for_bit(self, monkeypatch):
         # theta = 3e-8 dkappa passes the rank rule, but det(F / |F|_F) is
@@ -618,7 +632,7 @@ class TestReebRows:
         for s, rows, expected in stacks:
             R = _reeb_rows(s, rows)
             for got, want in zip(R, expected):
-                assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+                assert got.tobytes() == want.tobytes()
 
     def test_a_zero_of_r_is_positive_in_rows_as_at_a_point(self):
         # LU's substitutions round R's zero components to -0.0 here
@@ -630,11 +644,18 @@ class TestReebRows:
             assert not np.signbit(R).any()
 
     def test_an_unconverged_point_svd_raises_linalg_error(self, monkeypatch):
-        dgesdd = lapack.dgesdd
-        monkeypatch.setattr(lapack, "dgesdd", lambda a: (*dgesdd(a)[:3], 1))
+        svd_f = _umath_linalg.svd_f
+
+        def unconverged(*args, **kwargs):
+            # the gufunc reports LAPACK's failure by the invalid flag, which
+            # np.linalg.svd's errstate turns into its LinAlgError
+            np.multiply(np.inf, 0.0)
+            return svd_f(*args, **kwargs)
+
+        monkeypatch.setattr(_umath_linalg, "svd_f", unconverged)
         # an uncertified point, so that the SVD is taken
         th, om, values = _nearly_degenerate({"kappa": 3e-8}).at((0.1, 0.2, 0.3))
-        assert structures._certified_lu(flat_from(th, om)) is None
+        assert not structures._certified_at(flat_from(th, om))
         with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
             reeb_from(th, om, values)
 
@@ -862,32 +883,31 @@ class TestRankCertificate:
 
 
 def _svd_solve(th, om):
-    """R and the factors of F as a point's SVD solve gives them."""
-    u, s, vt, info = lapack.dgesdd(flat_from(th, om))
-    assert info == 0
-    u, vt = np.ascontiguousarray(u), np.ascontiguousarray(vt)
+    """R and the solver of F as a point's SVD solve gives them."""
+    u, s, vt = np.linalg.svd(flat_from(th, om))
     return th @ u / s @ vt, (u, s, vt)
 
 
 class TestPointCertificate:
     @settings(max_examples=500, deadline=None)
     @given(flat_matrices())
-    def test_a_point_factored_by_lu_passes_the_rank_rule(self, F):
+    def test_a_certified_point_is_a_certified_row_and_passes_the_rank_rule(self, F):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            factors = structures._certified_lu(F)
-        if factors is not None:
+            certified = structures._certified_at(F)
+            assert certified == structures._certified(F[None])[0]
+        if certified:
             s = np.linalg.svd(F, compute_uv=False)
             assert s[-1] > np.finfo(float).eps * len(F) * s[0]
 
     def test_overflow_underflow_and_non_finite_are_uncertified_without_warnings(self):
         F = flat_from(np.array([0.0, 0.0, 1.0]), np.array(
             [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-        assert structures._certified_lu(F) is not None
+        assert structures._certified_at(F)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for G in (F * 1e-160, F * 1e160, F * 0.0, F + np.inf, F + np.nan):
-                assert structures._certified_lu(G) is None
+                assert not structures._certified_at(G)
 
     @pytest.mark.parametrize("name", ["xjt_gtacos", "darboux_contact(3)"])
     def test_a_certified_rk4_run_takes_no_svd(self, name, monkeypatch):
@@ -905,20 +925,35 @@ class TestPointCertificate:
 
     def test_an_uncertified_point_is_solved_by_the_svd_bit_for_bit(self):
         # theta = 3e-8 dkappa (det(F / |F|_F) about 3e-16) and dim = 11
-        # (past the certificate's cap) keep the SVD's R and factors
+        # (past the certificate's cap) keep the SVD's R and solver
         cases = [(_nearly_degenerate({"kappa": 3e-8}), [(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)])]
         s = builtin("darboux_contact(5)")
         cases.append((s, s.default_probes(count=8)))
         for s, points in cases:
             for pt in points:
                 th, om, values = s.at(pt)
-                assert structures._certified_lu(flat_from(th, om)) is None
-                R, factors = reeb_from(th, om, values)
-                want_R, want_factors = _svd_solve(th, om)
+                assert not structures._certified_at(flat_from(th, om))
+                R, solver = reeb_from(th, om, values)
+                want_R, want_solver = _svd_solve(th, om)
                 np.testing.assert_array_equal(R, want_R)
-                assert len(factors) == 3
-                for got, want in zip(factors, want_factors):
+                assert len(solver) == 3
+                for got, want in zip(solver, want_solver):
                     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_numpys_lapack_gufuncs_give_its_wrappers_bits(dim):
+    # the solves call numpy's private gufuncs, skipping np.linalg's checks
+    # and errstate: a numpy that renames or changes them fails here
+    rng = np.random.default_rng([28, dim])
+    F = rng.normal(size=(16, dim, dim)) * 10.0 ** rng.integers(-8, 9, size=(16, 1, 1))
+    b = rng.normal(size=(16, dim))
+    for k in range(16):
+        assert _umath_linalg.det(F[k]).tobytes() == np.linalg.det(F[k]).tobytes()
+        assert _umath_linalg.solve1(F[k], b[k]).tobytes() == np.linalg.solve(F[k], b[k]).tobytes()
+    assert _umath_linalg.det(F).tobytes() == np.linalg.det(F).tobytes()
+    stacked = np.linalg.solve(F, b[..., None])[..., 0]
+    assert _umath_linalg.solve1(F, b).tobytes() == stacked.tobytes()
 
 
 class TestStructureErrorMessages:
