@@ -1,27 +1,26 @@
 """Coordinate charts, domain guards, scalar fields and chart maps.
 
-Fields are evaluated pointwise, or at every row of an (N, dim) array at once.
-:meth:`ScalarField.value`, ``gradient`` and ``at`` (the two at once) read a
-point, and :meth:`ScalarField.rows` every row, from the field's kept kernel
-where it is finite, else by walking the trees; bit-identical either way.  A
-field is an expression tree with exact first and second partial
-derivatives; each partial-derivative tree is built on first use and kept on
-the field, so a field is differentiated at most once per coordinate; its
-value and partials compile into one straight-line kernel on request
-(:meth:`ScalarField.kernel`).  A value or gradient that is not finite (an
-overflow to inf, or NaN) raises :class:`EvalError`.  The one
-finite-difference rule, :func:`central_difference` with step
-``h_i = max(1, |x_i|) * eps**(1/3)``, serves what is not an expression:
-Newton Jacobians and matrix-valued maps in :mod:`cosym.almost_contact`.
+A field is an expression tree with exact first and second partial
+derivatives; each partial-derivative tree is built on first use and kept
+on the field, so a field is differentiated at most once per coordinate.  A
+value or gradient that is not finite (an overflow to inf, or NaN) raises
+:class:`EvalError`.  The one finite-difference rule,
+:func:`central_difference` with step ``h_i = max(1, |x_i|) * eps**(1/3)``,
+serves what is not an expression: Newton Jacobians and matrix-valued maps
+in :mod:`cosym.almost_contact`.
 
-A field with no kernel also keeps the value and the gradient of its last
-tree walk, each keyed by the exact bytes of the point's coordinates (so
-+0.0 and -0.0 are different points): a repeat at the same point returns
-the kept result, a gradient as a new array.  An error is never kept, and a
-failing point leaves the previous one's result in place.  The kernel path
-builds no key and stores nothing, and building the kernel drops what was
-kept, so :func:`cosym.dynamics.integrate`, which steps and post-processes
-through kernels at ever new points, never keeps a point.
+A field has one cache per use.  The single-point readers,
+:meth:`ScalarField.value`, ``gradient`` and ``at`` (the two at once), walk
+the trees and keep the value and the gradient of the last point, each
+keyed by the exact bytes of the point's coordinates (so +0.0 and -0.0 are
+different points): a repeat at the same point returns the kept result, a
+gradient as a new array.  An error is never kept, and a failing point
+leaves the previous one's result in place.  The value and the partials
+compile into one straight-line kernel on request
+(:meth:`ScalarField.kernel`), which serves only :meth:`ScalarField.rows`
+and the joint read of :func:`cosym.dynamics.hamiltonian_field_generic`,
+the right-hand side of :func:`cosym.dynamics.integrate`; kernel and walk
+agree bit for bit.
 
 Domain guards are hard constraints: evaluating at a violating point raises
 :class:`DomainError` rather than returning NaN (the built-in half-plane
@@ -310,12 +309,8 @@ class ScalarField:
     __call__ = value
 
     def _value_at(self, values: np.ndarray) -> float:
-        """:meth:`value` at unchecked coordinates: the kept kernel's where it
-        is finite, else :meth:`_eval`, kept for a repeat at the same
-        coordinate bytes when there is no kernel."""
-        if self._kernel is not None:
-            out = self._kernel.finite_at(values.tolist())
-            return self._eval(values) if out is None else out[0]
+        """:meth:`value` at unchecked coordinates: :meth:`_eval`, kept for a
+        repeat at the same coordinate bytes."""
         # one read of the slot, so a concurrent call cannot swap in its point
         key, kept = values.tobytes(), self._last_value
         if kept[0] != key:
@@ -325,9 +320,6 @@ class ScalarField:
     def _gradient_at(self, values: np.ndarray) -> np.ndarray:
         """:meth:`gradient` at unchecked coordinates, as :meth:`_value_at`
         reads the value; always a new array."""
-        if self._kernel is not None:
-            out = self._kernel.finite_at(values.tolist())
-            return self._gradient(values) if out is None else np.array(out[1:])
         key, kept = values.tobytes(), self._last_gradient
         if kept[0] != key:
             kept = self._last_gradient = key, self._gradient(values)
@@ -380,29 +372,23 @@ class ScalarField:
 
     def kernel(self) -> Kernel:
         """The value and the partials as one straight-line kernel, built on
-        first request and kept.  Building it drops the kept last point: an
-        owner with a kernel keeps none."""
+        first request and kept, for :meth:`rows` and the flow's right-hand
+        side; the single-point readers never read it."""
         if self._kernel is None:
             coords = self.chart.coordinates
             exprs = [self.expr] + [self._partial_expr(c) for c in coords]
             self._kernel = Kernel(exprs, coords, [self.params] * len(exprs))
-            self._last_value = self._last_gradient = (None, None)
         return self._kernel
 
     def at(self, at):
-        """(value, gradient) at a point, bit for bit as ``value`` and
-        ``gradient`` give them: from the kept kernel where it is finite,
-        else by walking the gradient's and then the value's trees, whose
-        errors are the reference; a field with no kernel answers a repeat
-        from its kept last point, the gradient as a new array.  Never
-        builds a kernel."""
+        """(value, gradient) at a point, as ``value`` and ``gradient`` give
+        them: by walking the gradient's and then the value's trees, whose
+        errors are the reference, or from the kept last point at a repeat,
+        the gradient as a new array."""
         return self._at(self.chart.values(at))
 
     def _at(self, values: np.ndarray):
         """:meth:`at` at unchecked coordinates."""
-        out = None if self._kernel is None else self._kernel.finite_at(values.tolist())
-        if out is not None:
-            return out[0], np.array(out[1:])
         grad = self._gradient_at(values)
         return self._value_at(values), grad
 

@@ -386,7 +386,9 @@ def cmd_riccati(args) -> int:
         )
         _print_json(jacobi_flows.paper_discrepancy_report(model))
         return EXIT_OK
-    times, states = jacobi_flows.integrate_riccati(coeffs, args.x0, args.t_end, args.dt)
+    times, states, escaped, diagnostic = jacobi_flows.integrate_riccati(
+        coeffs, args.x0, args.t_end, args.dt
+    )
     if args.csv:
         dynamics.write_csv(args.csv, ["t", "x", "y"], np.column_stack([times, states]))
     _print_json(
@@ -394,9 +396,11 @@ def cmd_riccati(args) -> int:
             "rows": len(times),
             "final": states[-1],
             "min_y": float(states[:, 1].min()),
+            "escaped": escaped,
+            "diagnostic": diagnostic,
         }
     )
-    return EXIT_OK
+    return EXIT_NUMERICAL if escaped else EXIT_OK
 
 
 def cmd_phi_solve(args) -> int:

@@ -69,14 +69,14 @@ def hamiltonian_field_generic(
     stored rows of a trajectory, so a degenerate structure is reported
     before a failing H.  The solver of the flat matrix F that gives R
     (:func:`structures.reeb_from`: LU solves where the rank rule is
-    certified, else an SVD) solves every field; a repeat at the spec's and
-    H's kept last point walks no tree and certifies nothing again.  When
-    both keep a kernel, as inside :func:`integrate`, the point is one read
-    of the two kernels, one finiteness test and one array whose slices are
-    theta, Omega and dH; where that read raises or is not finite, theta,
-    Omega and the solve come from ``spec``'s point reader and H and dH from
-    H's, each walking its trees where its own kernel fails, so the errors
-    are the walk's.
+    certified, else an SVD) solves every field.  When both keep a kernel,
+    as inside :func:`integrate`, the point is one joint read of the two
+    kernels, one finiteness test and one array whose slices are theta,
+    Omega and dH.  Otherwise, and where that read raises or is not finite,
+    theta, Omega and the solve come from ``spec``'s single-point reader and
+    H and dH from H's, which walk the trees, so the errors are the walk's;
+    a repeat at their kept last point walks no tree and certifies nothing
+    again.
     An H on another chart's coordinates raises ChartMismatchError.
     ``check_domain=False`` skips that check and the guards but not the
     length check: :func:`integrate` checks the charts once, and its

@@ -202,9 +202,15 @@ def riccati_rhs(coeffs: LinearHamiltonianCoefficients, at) -> np.ndarray:
     obtained by differentiating the split energy through the generic flow;
     y = 0 is invariant, so the half-plane is preserved.
     """
-    x, y = float(at[0]), float(at[1])
-    if y <= 0:
+    if float(at[1]) <= 0:
         raise ValueError("riccati flow needs y > 0")
+    return _riccati_velocity(coeffs, at)
+
+
+def _riccati_velocity(coeffs: LinearHamiltonianCoefficients, values) -> np.ndarray:
+    """:func:`riccati_rhs` at unchecked coordinates (x, y), as
+    :func:`integrate_riccati`'s stages may lie past the guard."""
+    x, y = float(values[0]), float(values[1])
     mc = coeffs.m + coeffs.c_lin
     n = coeffs.n_lin
     return np.array([mc * (y**2 - x**2) + 2.0 * n * x, 2.0 * y * (n - mc * x)])
@@ -228,14 +234,15 @@ def integrate_riccati(
     xy0,
     t_end: float,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, bool, str]:
     """Integrate the derived Riccati right-hand side with RK45 at
-    rtol = atol = 1e-9; returns (times, states)."""
-    times, states, _, _ = _step(
-        lambda s: riccati_rhs(coeffs, s),
+    rtol = atol = 1e-9; returns (times, states, escaped, diagnostic) as
+    :func:`integrate` records them: a flow that leaves y > 0 numerically
+    is truncated at its last in-domain row, not refused."""
+    return _step(
+        lambda s: _riccati_velocity(coeffs, s),
         CHART_METRIC_X1, xy0, t_end, dt, "adaptive-rk45", 1e-9, 1e-9,
     )
-    return times, states
 
 
 def integrate_base(

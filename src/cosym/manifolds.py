@@ -269,7 +269,7 @@ def _one_forms(params: ModelParameters, values) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def cayley_map(params: ModelParameters | None = None) -> ChartMap:
+def cayley_map() -> ChartMap:
     """Second partial Cayley transform (x, y, q, p) -> (w1, w2, z1, z2):
 
         w = (v - i) / (v + i),   z = 2i (p v + q) / (v + i),   v = x + i y,

@@ -10,18 +10,15 @@ which is how :meth:`StructureSpec.volume_coefficient` computes it.
 The Reeb conditions R ⌟ Omega = 0, R ⌟ theta = 1 say flat(R) = theta, so
 R = sharp(theta) = F^-1 theta: :func:`reeb_from` decides F once, rank- and
 residual-checks R, and keeps a solver of F that solves sharp and every
-Hamiltonian, gradient and evolution field at that point.  theta and Omega
-compile into one straight-line kernel on request (:meth:`StructureSpec.kernel`).
-:meth:`StructureSpec.at` gives them at one point and :meth:`StructureSpec.rows`
-at every row of an array, each from that kernel where it is finite, else by
-walking the trees.  Every solve goes through numpy's own LAPACK gufuncs:
-where the determinant certificate of :func:`_certified` proves the rank
-rule, at a point or at every row of a stack, F is solved by LU (``solve1``),
-one LAPACK call per right-hand side; elsewhere a point's F is decided and
+Hamiltonian, gradient and evolution field at that point.  Every solve goes
+through numpy's own LAPACK gufuncs: where the determinant certificate of
+:func:`_certified` proves the rank rule, at a point or at every row of a
+stack, F is solved by LU (``solve1``), one LAPACK call per right-hand
+side; elsewhere a point's F is decided and
 solved by its SVD (``np.linalg.svd``), so ``reeb`` equals
 ``reeb_from(*spec.at(point))[0]``.  :func:`reeb_from` is the one point
 solve: :meth:`StructureSpec._solved` calls it, and so does
-:func:`cosym.dynamics.hamiltonian_field_generic` on views of its one read
+:func:`cosym.dynamics.hamiltonian_field_generic` on views of its joint read
 of the kept structure and Hamiltonian kernels.  :func:`reeb_rows` solves
 all rows of a trajectory or probe set: by one batched LU where the
 certificate proves the rank rule at every row, else row by row through
@@ -29,14 +26,18 @@ certificate proves the rank rule at every row, else row by row through
 reads theta, Omega, dtheta and dOmega at its probes, the points of
 :func:`halton`, through one kernel of its own, built per call and not kept.
 
-A spec with no kernel keeps its last tree-walked point: theta and
-Omega, and once taken, :func:`reeb_from`'s (R, solver) there, keyed by the
-exact bytes of the coordinates.  :meth:`StructureSpec.at`, :func:`reeb`,
-:func:`sharp` and the field solves of :mod:`cosym.dynamics` read a repeat
-from it, so one point is walked and certified once; what they hand out is
-a copy.  Public readers check a point before the lookup, an error is never kept,
-and the kernel path builds no key and stores nothing; building the kernel
-drops the kept point, so :func:`cosym.dynamics.integrate` keeps none.
+A spec has one cache per use.  The single-point readers,
+:meth:`StructureSpec.at`, :func:`reeb`, :func:`sharp` and the field solves
+of :mod:`cosym.dynamics`, walk theta's and Omega's trees and keep the last
+point: theta and Omega, and once taken, :func:`reeb_from`'s (R, solver)
+there, keyed by the exact bytes of the coordinates.  A repeat reads it, so
+one point is walked and certified once; what they hand out is a copy.
+Public readers check a point before the lookup, and an error is never
+kept.  theta and Omega compile into one straight-line kernel on request
+(:meth:`StructureSpec.kernel`), which serves only
+:meth:`StructureSpec.rows` and the joint read of
+:func:`cosym.dynamics.hamiltonian_field_generic`, the right-hand side of
+:func:`cosym.dynamics.integrate`; kernel and walk agree bit for bit.
 """
 
 from __future__ import annotations
@@ -139,9 +140,9 @@ class StructureSpec:
 
     def kernel(self) -> Kernel:
         """theta and Omega as one straight-line kernel, built on first
-        request and kept.  It returns theta's dim entries, then Omega's
-        dim x dim entries row by row, zeros and the negated lower triangle
-        included."""
+        request and kept, for :meth:`rows` and the flow's right-hand side.
+        It returns theta's dim entries, then Omega's dim x dim entries row
+        by row, zeros and the negated lower triangle included."""
         if self._kernel is None:
             dim = self.chart.dimension
             zero = (Num(0.0), {})
@@ -158,41 +159,25 @@ class StructureSpec:
                         entries.append((f.expr if i < j else Neg(f.expr), f.params))
             exprs, bound = zip(*entries)
             self._kernel = Kernel(exprs, self.chart.coordinates, bound)
-            self._last = None
         return self._kernel
 
     def _point(self, values: np.ndarray) -> list:
-        """[key, theta, Omega, solve] at ``values``: theta and Omega from the
-        kept kernel where it is finite, else the kept last point's when the
-        coordinates have its bytes, else by walking theta's and then Omega's
-        trees, whose errors are the reference.  ``solve`` is
-        :func:`reeb_from`'s (R, solver) once :meth:`_solved` has taken it.
-        A walk is kept exactly when there is no kernel; a kept entry's arrays
-        are shared, so they are read, never handed out."""
-        if self._kernel is not None:
-            out = self._kernel.finite_at(values.tolist())
-            if out is not None:
-                dim = len(values)
-                return [None, np.array(out[:dim], dtype=float),
-                        np.array(out[dim:], dtype=float).reshape(dim, dim), None]
-            key = None
-        else:
-            key, last = values.tobytes(), self._last
-            if last is not None and last[0] == key:
-                return last
-        point = [key, self.theta._at(values).as_covector(),
-                 self.omega._at(values).as_matrix(), None]
-        if key is not None:
-            self._last = point
-        return point
+        """[key, theta, Omega, solve] at ``values``: the kept last point when
+        the coordinates have its bytes, else a walk of theta's and then
+        Omega's trees, whose errors are the reference, kept in its place.
+        ``solve`` is :func:`reeb_from`'s (R, solver) once :meth:`_solved`
+        has taken it.  The kept arrays are shared, so they are read, never
+        handed out."""
+        key, last = values.tobytes(), self._last
+        if last is None or last[0] != key:
+            last = self._last = [key, self.theta._at(values).as_covector(),
+                                 self.omega._at(values).as_matrix(), None]
+        return last
 
     def at(self, at):
         """(theta, Omega, values) at a point: theta (dim,) and Omega
-        (dim, dim) from the kept kernel where it is finite, else by walking
-        theta's and then Omega's trees, whose errors are the reference;
-        ``values`` are the point's coordinates as the chart reads them.  Bit
-        for bit the same either way; never builds a kernel.  A spec with no
-        kernel answers a repeat from its kept last point, with new arrays."""
+        (dim, dim) as new arrays, read as :meth:`_point` reads them;
+        ``values`` are the point's coordinates as the chart reads them."""
         values = self.chart.values(at)
         _, th, om, _ = self._point(values)
         return th.copy(), om.copy(), values

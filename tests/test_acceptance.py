@@ -224,7 +224,7 @@ def test_criterion_04b_volume_identity_derived_constant(rng):
 
 def test_criterion_05_cayley_pullback(rng):
     params = ModelParameters(k=1.7, nu=0.6)
-    m = cayley_map(params)
+    m = cayley_map()
     omega_disk = disk_two_form(params)
     worst = 0.0
     for _ in range(50):
@@ -336,7 +336,7 @@ def test_criterion_08_riccati_equivalence(rng):
         )
         x0 = CHART_XJT.point((0.1, 1.0, 0.2, -0.1, 0.0))
         traj = integrate_variant(split_energy(coeffs, ModelParameters()), "gtacos", x0, 1.0, 1e-2)
-        _, states = integrate_riccati(coeffs, (0.1, 1.0), 1.0, 1e-2)
+        states = integrate_riccati(coeffs, (0.1, 1.0), 1.0, 1e-2)[1]
         worst = max(worst, float(np.abs(traj.states[:, :2] - states).max()))
     ok = worst <= 1e-6
     report("08", "plane projection matches the quadratic flow", ok,

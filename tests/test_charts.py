@@ -244,19 +244,24 @@ class TestKeptLastPoint:
             with pytest.raises(DomainError, match="y > 0"):
                 call(off_guard)
 
-    def test_a_kernel_drops_the_kept_point_and_keeps_none(self):
-        H = ScalarField.parse(darboux_chart(1), "q^2*p + kappa")
-        pt = (0.3, -0.2, 0.1)
+    def test_a_kernel_leaves_the_single_point_readers_walking(self):
+        # sqrt(q) is 0 at q = 0 but its derivative 1/(2 sqrt(q)) is not
+        H = ScalarField.parse(darboux_chart(1), "sqrt(q)")
+        pt = (0.25, -0.2, 0.1)
         want = H.at(pt)
-        assert H._last_value[0] is not None and H._last_gradient[0] is not None
         H.kernel()
-        assert H._last_value == H._last_gradient == (None, None)
-        got = H.at(pt)
+        assert H._last_value[0] == H._last_gradient[0] == np.array(pt).tobytes()
+        walks = _counted(H)
+        got = H.at(pt)  # the kept point outlives the kernel
         assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
-        H.value(pt), H.gradient(pt)
-        assert H._last_value == H._last_gradient == (None, None)
+        assert walks == []
+        at = (0.0, 0.0, 0.0)
+        assert H.value(at) == 0.0
+        fresh = ScalarField.parse(darboux_chart(1), "sqrt(q)")
+        assert _raised(H.gradient, at) == _raised(fresh.gradient, at)
+        assert walks == ["_eval", "_gradient"]
 
-    def test_value_and_gradient_read_the_kept_kernel(self):
+    def test_after_integrate_a_point_is_walked_once(self):
         spec = builtin("xjt_gtacos")
         source = "q^2 + p^2 + x^2 + (y-1)^2 + 0.5*kappa"
         H = ScalarField.parse(spec.chart, source, spec.params)
@@ -265,20 +270,12 @@ class TestKeptLastPoint:
         walks = _counted(H)
         pt = (0.3, 1.1, 0.2, -0.1, 0.4)
         value, grad = H.value(pt), H.gradient(pt)
-        assert walks == []
+        assert walks == ["_eval", "_gradient"]
         fresh = ScalarField.parse(spec.chart, source, spec.params)
         assert np.float64(value).tobytes() == np.float64(fresh.value(pt)).tobytes()
         assert grad.tobytes() == fresh.gradient(pt).tobytes()
-
-    def test_where_the_kept_kernel_is_not_finite_value_and_gradient_walk(self):
-        # sqrt(q) is 0 at q = 0 but its derivative 1/(2 sqrt(q)) is not
-        H = ScalarField.parse(darboux_chart(1), "sqrt(q)")
-        H.kernel()
-        walks = _counted(H)
-        at = (0.0, 0.0, 0.0)
-        assert H.value(at) == 0.0
-        fresh = ScalarField.parse(darboux_chart(1), "sqrt(q)")
-        assert _raised(H.gradient, at) == _raised(fresh.gradient, at)
+        got = H.at(pt)
+        assert got[0] == value and got[1].tobytes() == grad.tobytes()
         assert walks == ["_eval", "_gradient"]
 
 

@@ -714,7 +714,19 @@ class TestRiccati:
         rows = path.read_text().splitlines()
         assert rows[0] == "t,x,y"
         assert len(rows) == 102
-        assert json.loads(out)["min_y"] > 0
+        doc = json.loads(out)
+        assert doc["min_y"] > 0 and not doc["escaped"] and doc["diagnostic"] == ""
+
+    @pytest.mark.parametrize("argv", [("--n=-300", "--x0=0,1"),
+                                      ("--m=100", "--n=-100", "--x0=3,0.001")])
+    def test_a_numerical_escape_exits_1(self, capsys, argv):
+        # the exact flow keeps y > 0; an RK45 stage or a recorded state
+        # does not, and ends the rows as integrate's escapes do
+        code, out, err = run(capsys, "riccati", *argv, "--t-end", "1", "--dt", "0.01")
+        doc = json.loads(out)
+        assert (code, err) == (EXIT_NUMERICAL, "")
+        assert doc["escaped"] and doc["diagnostic"] == "domain escape on recorded state"
+        assert doc["min_y"] > 0
 
     def test_paper_verbatim(self, capsys):
         code, out, _ = run(capsys, "riccati", "--paper-verbatim")

@@ -23,7 +23,7 @@ from cosym.dynamics import (
 )
 from cosym.jacobi_flows import LinearHamiltonianCoefficients, integrate_variant, split_energy
 from cosym.manifolds import CATALOG, CHART_XJT, ModelParameters, builtin
-from cosym.expressions import EvalError
+from cosym.expressions import EvalError, Kernel
 from cosym.forms import KForm
 from cosym.structures import (
     CanonicalThetaSpec,
@@ -31,6 +31,7 @@ from cosym.structures import (
     StructureSpec,
     darboux_chart,
     reeb,
+    sharp,
 )
 
 
@@ -1101,15 +1102,48 @@ class TestCompiledKernels:
         integrate(s, H, pt, 0.05, 0.01, "rk4")
         assert s._kernel is not None and H._kernel is not None
 
-    def test_integrate_keeps_no_point(self):
+    def test_after_integrate_a_point_reads_as_a_fresh_owner(self, monkeypatch):
+        source = "q^2 + p^2 + x^2 + (y-1)^2"
+        at = (0.2, 1.0, 0.3, -0.2, 0.0)
+        alpha = np.linspace(-1.0, 1.0, 5)
+
+        def outputs(s, H):
+            value, grad = H.at(at)
+            return [np.float64(H.value(at)), H.gradient(at), np.float64(value), grad,
+                    reeb(s, at), sharp(s, alpha, at), hamiltonian_field_generic(s, H, at)]
+
+        s = builtin("xjt_gtacos")
+        H = ScalarField.parse(s.chart, source, s.params)
+        walks = []
+        for owner, name in ((KForm, "_at"), (ScalarField, "_eval"), (ScalarField, "_gradient")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _real=real: walks.append(1) or _real(*a))
+        for method in ("rk4", "adaptive-rk45"):
+            integrate(s, H, at, 0.05, 0.01, method)
+            fresh = builtin("xjt_gtacos")
+            want = outputs(fresh, ScalarField.parse(fresh.chart, source, fresh.params))
+            got = outputs(s, H)
+            del walks[:]
+            again = outputs(s, H)
+            assert walks == []  # a repeat at the point walks no tree
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+            assert [x.tobytes() for x in again] == [x.tobytes() for x in want]
+
+    def test_only_the_right_hand_side_reads_a_kernel_at_a_point(self, monkeypatch):
         s = builtin("xjt_gtacos")
         H = ScalarField.parse(s.chart, "q^2 + p^2 + x^2 + (y-1)^2", s.params)
-        pt = s.chart.point((0.2, 1.0, 0.3, -0.2, 0.0))
-        want = hamiltonian_field_generic(s, H, pt)
-        assert s._last is not None and H._last_gradient[0] is not None
-        for method in ("rk4", "adaptive-rk45"):
-            integrate(s, H, pt, 0.05, 0.01, method)
-            assert s._last is None
-            assert H._last_value == H._last_gradient == (None, None)
-        assert hamiltonian_field_generic(s, H, pt).tobytes() == want.tobytes()
-        assert s._last is None and H._last_gradient == (None, None)
+        integrate(s, H, (0.2, 1.0, 0.3, -0.2, 0.0), 0.05, 0.01, "rk4")
+        calls = []
+        finite_at = Kernel.finite_at
+        monkeypatch.setattr(Kernel, "finite_at",
+                            lambda *a: calls.append("finite_at") or finite_at(*a))
+        for label, kernel in (("structure", s._kernel), ("H", H._kernel)):
+            monkeypatch.setattr(kernel, "scalar",
+                                lambda *a, _f=kernel.scalar, _l=label: calls.append(_l) or _f(*a))
+        at = s.chart.point((0.1, 1.1, 0.2, -0.1, 0.3))
+        H.value(at), H.gradient(at), H.at(at), s.at(at), s.flat_matrix(at)
+        reeb(s, at), sharp(s, np.ones(5), at), s.volume_coefficient(at)
+        gradient_field(s, H, at), jacobi_bracket_generic(s, H, H, at)
+        assert calls == []
+        hamiltonian_field_generic(s, H, at)
+        assert calls == ["finite_at", "structure", "H"]

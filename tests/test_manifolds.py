@@ -277,7 +277,7 @@ class TestCayley:
 
     def test_pullback_reproduces_half_plane_form(self, rng):
         params = ModelParameters(k=1.0, nu=1.0)
-        m = cayley_map(params)
+        m = cayley_map()
         omega_disk = disk_two_form(params)
         pt = CHART_XJ1.point((0.0, 1.0, 0.0, 0.0))
         val = pullback(m, omega_disk, pt)
@@ -288,7 +288,7 @@ class TestCayley:
 
     def test_pullback_at_random_points(self, rng):
         params = ModelParameters(k=1.4, nu=0.6)
-        m = cayley_map(params)
+        m = cayley_map()
         omega_disk = disk_two_form(params)
         for _ in range(50):
             pt = random_point(CHART_XJ1, rng)

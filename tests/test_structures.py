@@ -508,15 +508,21 @@ class TestKeptLastPoint:
             with pytest.raises(DomainError, match="y > 0"):
                 fn(off_guard)
 
-    def test_a_kernel_keeps_nothing(self):
+    def test_a_kernel_leaves_the_kept_point(self, monkeypatch):
+        pt, other = (0.2, 1.0, 0.3, -0.2, 0.0), (0.1, 1.0, 0.3, -0.2, 0.0)
+        fresh = builtin("xjt_gtacos").at(other)
         s = builtin("xjt_gtacos")
-        reeb(s, (0.2, 1.0, 0.3, -0.2, 0.0))
-        assert s._last is not None
+        want = reeb(s, pt)
         s.kernel()
-        assert s._last is None
-        reeb(s, (0.2, 1.0, 0.3, -0.2, 0.0))
-        s.at((0.1, 1.0, 0.3, -0.2, 0.0))
-        assert s._last is None
+        walks = []
+        walk = KForm._at
+        monkeypatch.setattr(KForm, "_at", lambda self, *a: walks.append(1) or walk(self, *a))
+        assert reeb(s, pt).tobytes() == want.tobytes()
+        assert walks == []  # the kept point outlives the kernel
+        th, om, _ = s.at(other)
+        assert walks == [1, 1]  # theta and Omega, walked and kept
+        assert th.tobytes() == fresh[0].tobytes() and om.tobytes() == fresh[1].tobytes()
+        assert s._last[0] == np.array(other).tobytes()
 
     def test_invariant_suite_certifies_once_per_sharp_point(self, monkeypatch, capsys):
         calls, per_sharp = [], []
