@@ -35,6 +35,7 @@ from .structures import (
     sharp,
 )
 from .dynamics import (
+    Flow,
     HamiltonianFieldCoefficients,
     Trajectory,
     evolution_field,

@@ -219,18 +219,22 @@ def cmd_bracket(args) -> int:
     return EXIT_OK
 
 
-def _trajectory_summary(spec, traj) -> dict:
-    summary = {
+def _guard_minima(flow) -> dict:
+    """min_<coordinate> over the flow's rows for each guard of its chart."""
+    chart = flow.chart
+    return {"min_%s" % g.coordinate: float(flow.states[:, chart.index(g.coordinate)].min())
+            for g in chart.guards}
+
+
+def _trajectory_summary(traj) -> dict:
+    return {
         "rows": int(len(traj.times)),
         "max_dissipation_residual": traj.max_dissipation_residual,
         "energy_drift": traj.energy_drift(),
         "escaped": traj.escaped,
         "diagnostic": traj.diagnostic,
+        **_guard_minima(traj),
     }
-    for guard in spec.chart.guards:
-        idx = spec.chart.index(guard.coordinate)
-        summary["min_%s" % guard.coordinate] = float(traj.states[:, idx].min())
-    return summary
 
 
 def cmd_integrate(args) -> int:
@@ -270,7 +274,7 @@ def cmd_integrate(args) -> int:
             parameters=spec.params,
             hamiltonian=hamiltonian,
         )
-    _print_json(_trajectory_summary(spec, traj))
+    _print_json(_trajectory_summary(traj))
     return EXIT_NUMERICAL if traj.escaped else EXIT_OK
 
 
@@ -317,24 +321,15 @@ def cmd_compare(args) -> int:
     if len(x0) != 5:
         raise ValueError("compare needs a 5-coordinate initial point")
     model = jacobi_flows.split_energy(_coeffs_from_args(args), params)
-
-    trajectories = {}
-    for variant in variants:
-        if variant == "base_xj1":
-            trajectories[variant] = jacobi_flows.integrate_base(
-                model, x0[:4], args.t_end, args.dt
-            )
-        else:
-            traj = jacobi_flows.integrate_variant(
-                model, variant, manifolds.CHART_XJT.point(x0), args.t_end, args.dt
-            )
-            trajectories[variant] = (traj.times, traj.states)
+    x0 = manifolds.CHART_XJT.point(x0)
+    flows = {v: jacobi_flows.integrate_variant(model, v, x0, args.t_end, args.dt)
+             for v in variants}
 
     shared = ("x", "y", "q", "p")
     deltas = {}
-    for (a, (_, a_s)), (b, (_, b_s)) in itertools.combinations(trajectories.items(), 2):
-        rows = min(len(a_s), len(b_s))
-        delta = np.abs(a_s[:rows, :4] - b_s[:rows, :4])
+    for (a, flow_a), (b, flow_b) in itertools.combinations(flows.items(), 2):
+        rows = min(len(flow_a.times), len(flow_b.times))
+        delta = np.abs(flow_a.states[:rows, :4] - flow_b.states[:rows, :4])
         deltas["%s_vs_%s" % (a, b)] = {
             "max_per_coordinate": dict(zip(shared, delta.max(axis=0))),
             "max": float(delta.max()),
@@ -355,22 +350,25 @@ def cmd_compare(args) -> int:
             ],
         }
 
-    report = {"variants": variants, "deltas": deltas, "corrections": activity}
+    escaped = {v: flow.diagnostic for v, flow in flows.items() if flow.escaped}
+    report = {"variants": variants, "deltas": deltas, "corrections": activity,
+              "escaped": escaped}
     if args.paper_verbatim:
         report["paper_verbatim"] = jacobi_flows.paper_discrepancy_report(model, x0)
     if args.csv:
-        _write_compare_csv(args.csv, trajectories)
+        _write_compare_csv(args.csv, flows)
     _print_json(report)
-    return EXIT_OK
+    return EXIT_NUMERICAL if escaped else EXIT_OK
 
 
-def _write_compare_csv(path, trajectories) -> None:
-    rows = min(len(t) for t, _ in trajectories.values())
-    header = ["t"]
-    for name, (_, states) in trajectories.items():
-        header += ["%s_%s" % (name, c) for c in ("x", "y", "q", "p", "kappa")[: states.shape[1]]]
-    times = next(iter(trajectories.values()))[0]
-    columns = [times[:rows, None]] + [states[:rows] for _, states in trajectories.values()]
+def _write_compare_csv(path, flows) -> None:
+    """One row per grid time that every flow reached: t, then each flow's
+    state, its columns named <variant>_<coordinate>."""
+    rows = min(len(flow.times) for flow in flows.values())
+    header = ["t"] + ["%s_%s" % (name, c)
+                      for name, flow in flows.items() for c in flow.chart.coordinates]
+    columns = [next(iter(flows.values())).times[:rows, None]]
+    columns += [flow.states[:rows] for flow in flows.values()]
     dynamics.write_csv(path, header, np.hstack(columns))
 
 
@@ -386,21 +384,14 @@ def cmd_riccati(args) -> int:
         )
         _print_json(jacobi_flows.paper_discrepancy_report(model))
         return EXIT_OK
-    times, states, escaped, diagnostic = jacobi_flows.integrate_riccati(
-        coeffs, args.x0, args.t_end, args.dt
-    )
+    flow = jacobi_flows.integrate_riccati(coeffs, args.x0, args.t_end, args.dt)
     if args.csv:
-        dynamics.write_csv(args.csv, ["t", "x", "y"], np.column_stack([times, states]))
-    _print_json(
-        {
-            "rows": len(times),
-            "final": states[-1],
-            "min_y": float(states[:, 1].min()),
-            "escaped": escaped,
-            "diagnostic": diagnostic,
-        }
-    )
-    return EXIT_NUMERICAL if escaped else EXIT_OK
+        dynamics.write_csv(args.csv, ["t", *flow.chart.coordinates],
+                           np.column_stack([flow.times, flow.states]))
+    _print_json({"rows": len(flow.times), "final": flow.states[-1],
+                 **_guard_minima(flow), "escaped": flow.escaped,
+                 "diagnostic": flow.diagnostic})
+    return EXIT_NUMERICAL if flow.escaped else EXIT_OK
 
 
 def cmd_phi_solve(args) -> int:

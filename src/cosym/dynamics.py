@@ -290,14 +290,25 @@ def jacobi_bracket_generic(
 
 
 @dataclass
-class Trajectory:
+class Flow:
+    """What :func:`_step` records: the grid ``times`` and guard-checked
+    ``states`` on ``chart``, cut at the last in-domain row when the flow
+    ``escaped``, with a ``diagnostic`` saying why ("" when it did not)."""
+
     chart: Chart
     times: np.ndarray
     states: np.ndarray
+    escaped: bool
+    diagnostic: str
+
+
+@dataclass
+class Trajectory(Flow):
+    """A :class:`Flow` of X_H with :func:`integrate`'s post-pass: H and the
+    dissipation residual at every row, and the solver settings."""
+
     hamiltonian_values: np.ndarray
     dissipation_residuals: np.ndarray
-    escaped: bool = False
-    diagnostic: str = ""
     metadata: dict = dc_field(default_factory=dict)
 
     @property
@@ -512,20 +523,22 @@ def _step(
     method: str,
     rtol: float,
     atol: float,
-) -> tuple[np.ndarray, np.ndarray, bool, str]:
-    """Flow x' = rhs(x) from x0, sampled on the uniform dt grid up to t_end.
+) -> Flow:
+    """Flow x' = rhs(x) from x0 on ``chart``, sampled on the uniform dt grid
+    0, dt, ..., n dt with n the largest count whose n dt is at most t_end
+    (to a relative 1e-12, so a t_end/dt such as 0.2/0.01 keeps its last row).
 
-    Returns (times, states, escaped, diagnostic).  Stored states are
-    guard-checked; a domain escape truncates the samples at the last
-    in-domain row and sets ``escaped`` with a diagnostic instead of raising.
-    So does a right-hand side that fails at an out-of-domain stage; RK45
-    then steps again up to the last grid time before that stage.
+    Returns the :class:`Flow`.  Stored states are guard-checked; a domain
+    escape truncates the samples at the last in-domain row and sets
+    ``escaped`` with a diagnostic instead of raising.  So does a
+    right-hand side that fails at an out-of-domain stage; RK45 then steps
+    again up to the last grid time before that stage.
 
     Raises ValueError before any work when t_end/dt exceeds MAX_GRID_STEPS
     = 10**6, so a grid holds at most 10**6 + 1 rows.  The basis is memory:
     a stored row costs under 1 kB on a five-dimensional chart (its state,
     and the post-pass's theta, Omega and copies of the flat matrix for the
-    rank certificate and the LU solve; a 66 MB peak at 10**5 rows), so the
+    rank certificate and the solve; a 66 MB peak at 10**5 rows), so the
     bound keeps a run under a gigabyte.
 
     RK45 is :func:`_rk45`, the package's Dormand-Prince 5(4) stepper, equal
@@ -562,10 +575,10 @@ def _step(
                          % (steps, steps + 1, MAX_GRID_STEPS))
     x0 = chart.point(x0).array
 
-    n_steps = int(round(steps))
+    n_steps = math.floor(steps * (1 + 1e-12))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
     if n_steps == 0:
-        return times, x0[None, :], False, ""
+        return Flow(chart, times, x0[None, :], False, "")
 
     escaped = False
     diagnostic = ""
@@ -617,7 +630,7 @@ def _step(
             diagnostic = diagnostic or "domain escape on recorded state"
         states = rows[:kept] if kept else [x0]
     states = np.array(states, order="C")  # the RK45 rows are Fortran-ordered
-    return times[: len(states)], states, escaped, diagnostic
+    return Flow(chart, times[: len(states)], states, escaped, diagnostic)
 
 
 def integrate(
@@ -643,20 +656,15 @@ def integrate(
     _same_chart(spec, H)
     spec.kernel()
     H.kernel()
-    times, states, escaped, diagnostic = _step(
+    flow = _step(
         lambda values: hamiltonian_field_generic(spec, H, values, check_domain=False),
         spec.chart, x0, t_end, dt, method, rtol, atol,
     )
-    h_values, rh_values = _dissipation_rows(spec, H, states)
-    residuals = _dissipation_residuals(times, h_values, rh_values)
+    h_values, rh_values = _dissipation_rows(spec, H, flow.states)
     return Trajectory(
-        chart=spec.chart,
-        times=times,
-        states=states,
+        **vars(flow),
         hamiltonian_values=h_values,
-        dissipation_residuals=residuals,
-        escaped=escaped,
-        diagnostic=diagnostic,
+        dissipation_residuals=_dissipation_residuals(flow.times, h_values, rh_values),
         metadata={"method": method, "dt": dt, "rtol": rtol, "atol": atol},
     )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import ChartPoint, ScalarField
-from .dynamics import Trajectory, _step, hamiltonian_field_generic, integrate
+from .dynamics import Flow, _step, hamiltonian_field_generic, integrate
 from .expressions import Expr, Name, Num, parse
 from .manifolds import CHART_METRIC_X1, CHART_XJ1, CHART_XJT, ModelParameters, builtin
 from .structures import StructureSpec
@@ -150,8 +150,8 @@ def base_field(model: SplitEnergy, at) -> np.ndarray:
 
 
 def _base_velocity(model: SplitEnergy, values) -> np.ndarray:
-    """:func:`base_field` at unchecked coordinates (x, y, q, p), as
-    :func:`integrate_base`'s stages may lie past the guard."""
+    """:func:`base_field` at unchecked coordinates (x, y, q, p), as the
+    base flow's stages in :func:`integrate_variant` may lie past the guard."""
     dH = model.total._gradient_at(np.append(values, 0.0))[:4]
     y = values[1]
     k, nu = model.params.k, model.params.nu
@@ -234,34 +234,29 @@ def integrate_riccati(
     xy0,
     t_end: float,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray, bool, str]:
-    """Integrate the derived Riccati right-hand side with RK45 at
-    rtol = atol = 1e-9; returns (times, states, escaped, diagnostic) as
-    :func:`integrate` records them: a flow that leaves y > 0 numerically
-    is truncated at its last in-domain row, not refused."""
+) -> Flow:
+    """The :class:`Flow` of the derived Riccati right-hand side on (x, y),
+    by RK45 at rtol = atol = 1e-9: a flow that leaves y > 0 numerically is
+    truncated at its last in-domain row and marked escaped, not refused."""
     return _step(
         lambda s: _riccati_velocity(coeffs, s),
         CHART_METRIC_X1, xy0, t_end, dt, "adaptive-rk45", 1e-9, 1e-9,
     )
 
 
-def integrate_base(
-    model: SplitEnergy, x0, t_end: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the 4-dimensional base flow on (x, y, q, p) with RK45 at
-    rtol = atol = 1e-9; returns (times, states)."""
-    times, states, _, _ = _step(
-        lambda s: _base_velocity(model, s),
-        CHART_XJ1, x0, t_end, dt, "adaptive-rk45", 1e-9, 1e-9,
-    )
-    return times, states
-
-
 def integrate_variant(
     model: SplitEnergy, variant: str, x0: ChartPoint, t_end: float, dt: float
-) -> Trajectory:
-    """Trajectory of a 5-dimensional variant under the split energy, by
-    :func:`integrate`'s default RK45 at rtol = atol = 1e-9."""
+) -> Flow:
+    """The flow of ``variant`` under the split energy from the 5-chart point
+    x0, by RK45 at rtol = atol = 1e-9.  The 5-dimensional variants give
+    :func:`integrate`'s :class:`~cosym.dynamics.Trajectory`; base_xj1, as in
+    :func:`eom`, flows x0's (x, y, q, p) by the symplectic solve on the
+    4-chart and gives the bare :class:`Flow`."""
+    if variant == "base_xj1":
+        return _step(
+            lambda s: _base_velocity(model, s),
+            CHART_XJ1, CHART_XJT.values(x0)[:4], t_end, dt, "adaptive-rk45", 1e-9, 1e-9,
+        )
     return integrate(model.structure(variant), model.total, x0, t_end, dt)
 
 

@@ -336,7 +336,7 @@ def test_criterion_08_riccati_equivalence(rng):
         )
         x0 = CHART_XJT.point((0.1, 1.0, 0.2, -0.1, 0.0))
         traj = integrate_variant(split_energy(coeffs, ModelParameters()), "gtacos", x0, 1.0, 1e-2)
-        states = integrate_riccati(coeffs, (0.1, 1.0), 1.0, 1e-2)[1]
+        states = integrate_riccati(coeffs, (0.1, 1.0), 1.0, 1e-2).states
         worst = max(worst, float(np.abs(traj.states[:, :2] - states).max()))
     ok = worst <= 1e-6
     report("08", "plane projection matches the quadratic flow", ok,

@@ -620,9 +620,29 @@ class TestCompare:
             "--t-end", "0.5", "--dt", "0.01",
         )
         assert code == EXIT_OK
+        assert '\n  "escaped": {}' in out
         doc = json.loads(out)
         assert doc["deltas"]["gtacos_vs_base_xj1"]["max"] <= 1e-8
         assert doc["corrections"]["gtacos"]["active_components"] == ["kappa"]
+        assert doc["escaped"] == {}
+
+    def test_an_escaping_base_flow_exits_1(self, capsys, tmp_path):
+        # y' = -600 y on the base chart: a recorded RK45 state crosses y = 0,
+        # and the rows stop there, as riccati's do
+        path = tmp_path / "cmp.csv"
+        code, out, err = run(
+            capsys,
+            "compare",
+            "--variants", "base_xj1",
+            "--n=-300", "--x0=0,1,0,0,0",
+            "--t-end", "1", "--dt", "0.01",
+            "--csv", str(path),
+        )
+        assert (code, err) == (EXIT_NUMERICAL, "")
+        assert json.loads(out)["escaped"] == {"base_xj1": "domain escape on recorded state"}
+        rows = path.read_text().splitlines()
+        assert rows[0] == "t,base_xj1_x,base_xj1_y,base_xj1_q,base_xj1_p"
+        assert len(rows) == 1 + 5
 
     def test_kappa_coupling_activates_corrections(self, capsys):
         code, out, _ = run(
@@ -672,6 +692,12 @@ class TestCompare:
         for key in ("riccati_xy", "linear_pq", "linear_kappa", "contact_kappa"):
             assert entries[key]["max_deviation"] > 1e-6
 
+
+    @pytest.mark.parametrize("variants", ["base_xj1,gtacos", "gtacos,base_xj1"])
+    def test_an_off_guard_x0_is_read_on_the_five_chart(self, capsys, variants):
+        code, out, err = run(capsys, "compare", "--variants", variants, "--x0=0,-1,0,0,0")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: point violates y > 0.0 on chart 'xjt' (got y = -1.0)\n"
 
     def test_zero_dt_exits_2(self, capsys):
         code, _, err = run(

@@ -536,6 +536,22 @@ class TestIntegrate:
         assert len(traj.times) == 1
         assert traj.states[0] == pytest.approx([0.1, 0.2, 0.3])
 
+    @pytest.mark.parametrize("method", ["rk4", "adaptive-rk45"])
+    @pytest.mark.parametrize("t_end, dt, rows", [
+        (0.8, 0.5, 2), (0.7, 0.5, 2), (1.0, 0.3, 4),
+        (1.0, 1e-3, 1001), (1.0, 0.01, 101), (0.2, 0.01, 21),
+    ])
+    def test_the_grid_ends_at_the_last_dt_multiple_within_t_end(self, method, t_end, dt, rows):
+        # n is the largest count with n dt <= t_end; a t_end/dt that is an
+        # integer up to rounding (0.2/0.01) keeps its last row
+        s = contact1()
+        H = ScalarField.parse(s.chart, "kappa")
+        traj = integrate(s, H, (0.0, 1.0, 1.0), t_end, dt, method=method)
+        np.testing.assert_array_equal(traj.times, np.linspace(0.0, (rows - 1) * dt, rows))
+        assert len(traj.states) == rows and not traj.escaped
+        if (t_end, dt) == (0.8, 0.5):
+            assert traj.times.tolist() == [0.0, 0.5]  # not [0, 0.5, 1.0], past t_end
+
     def test_rk4_matches_rk45(self):
         s = contact1()
         H = ScalarField.parse(s.chart, "kappa + (p^2 + q^2)/2")
@@ -630,12 +646,10 @@ class TestIntegrate:
         chart = Chart("line", ("u",), (Guard("u", 0.5, upper=True),))
         rhs = lambda y: np.array([1.0 if y[0] < 0.5 else np.nan])  # noqa: E731
         for method in ("rk4", "adaptive-rk45"):
-            times, states, escaped, diagnostic = dynamics._step(
-                rhs, chart, (0.0,), 1.0, 0.1, method, 1e-9, 1e-9
-            )
-            assert escaped and diagnostic.startswith("domain escape")
-            assert len(times) == len(states) == 5
-            assert np.abs(states[:, 0] - times).max() <= 1e-12
+            flow = dynamics._step(rhs, chart, (0.0,), 1.0, 0.1, method, 1e-9, 1e-9)
+            assert flow.escaped and flow.diagnostic.startswith("domain escape")
+            assert len(flow.times) == len(flow.states) == 5
+            assert np.abs(flow.states[:, 0] - flow.times).max() <= 1e-12
 
     @pytest.mark.parametrize("recorded, kept", [
         ([[0.1, 0.2], [0.3, 1.0], [0.5, 0.9], [0.7, -3.0]], 4),
@@ -659,15 +673,13 @@ class TestIntegrate:
 
         monkeypatch.setattr(dynamics, "_rk45", recording)
         x0 = (0.1, 0.2)
-        times, states, escaped, diagnostic = dynamics._step(
-            lambda y: y, chart, x0, 0.3, 0.1, "adaptive-rk45", 1e-9, 1e-9
-        )
+        flow = dynamics._step(lambda y: y, chart, x0, 0.3, 0.1, "adaptive-rk45", 1e-9, 1e-9)
         # the reference: chart.contains row by row, up to the first refused row
         assert all(chart.contains(row) for row in recorded[:kept])
         assert kept == len(recorded) or not chart.contains(recorded[kept])
-        np.testing.assert_array_equal(states, recorded[:kept] if kept else [x0])
-        assert states.flags.c_contiguous and len(times) == len(states)
-        assert (escaped, diagnostic) == (
+        np.testing.assert_array_equal(flow.states, recorded[:kept] if kept else [x0])
+        assert flow.states.flags.c_contiguous and len(flow.times) == len(flow.states)
+        assert (flow.escaped, flow.diagnostic) == (
             (False, "") if kept == len(recorded) else (True, "domain escape on recorded state")
         )
 
@@ -749,9 +761,10 @@ class TestRK45IsScipys:
 
     def same(self, monkeypatch, flow):
         """flow() with the package's stepper and with scipy's: the same
-        outcome, bit for bit, and the same RHS calls (time and state bytes,
-        in order) and run endings (status and crossing time).  Returns the
-        outcome and the number of calls and endings."""
+        outcome, bit for bit (every field of a flow record), and the same
+        RHS calls (time and state bytes, in order) and run endings (status
+        and crossing time).  Returns the outcome and the number of calls and
+        endings."""
         out = []
         for stepper in (dynamics._rk45, scipy_rk45):
             calls = []
@@ -770,8 +783,9 @@ class TestRK45IsScipys:
                 got = flow()
             except (ValueError, ArithmeticError) as exc:
                 got = "%s: %s" % (type(exc).__name__, exc)
+            fields = vars(got).values() if isinstance(got, dynamics.Flow) else got
             key = got if isinstance(got, str) else [
-                v.tobytes() if isinstance(v, np.ndarray) else v for v in got]
+                v.tobytes() if isinstance(v, np.ndarray) else v for v in fields]
             out.append((got, key, calls))
         (mine, my_key, my_calls), (_, ref_key, ref_calls) = out
         assert my_calls == ref_calls
@@ -833,7 +847,7 @@ class TestRK45IsScipys:
         rhs = lambda y: np.array([1.0 if y[0] < 0.5 else np.nan])  # noqa: E731
         out, calls = self.same(monkeypatch, lambda: dynamics._step(
             rhs, chart, (0.0,), 1.0, 0.1, "adaptive-rk45", 1e-9, 1e-9))
-        assert out[2] and len(out[0]) == 5
+        assert out.escaped and len(out.times) == 5
         assert calls > 2 * 2  # two runs: the escape and the restart
 
     def test_a_stage_escape_before_the_first_grid_time(self, monkeypatch):
@@ -842,7 +856,7 @@ class TestRK45IsScipys:
         rhs = lambda y: np.array([1.0 if y[0] < 0.05 else np.nan])  # noqa: E731
         out, _ = self.same(monkeypatch, lambda: dynamics._step(
             rhs, chart, (0.0,), 1.0, 0.1, "adaptive-rk45", 1e-9, 1e-9))
-        assert out[1].tolist() == [[0.0]] and out[2]
+        assert out.states.tolist() == [[0.0]] and out.escaped
 
     @pytest.mark.parametrize("x0", [0.0, 0.3])
     def test_a_start_on_a_closed_guard(self, monkeypatch, x0):
@@ -851,7 +865,7 @@ class TestRK45IsScipys:
         chart = Chart("line", ("u",), (Guard("u", 0.0, strict=False),))
         out, _ = self.same(monkeypatch, lambda: dynamics._step(
             lambda y: np.array([-1.0]), chart, (x0,), 1.0, 0.1, "adaptive-rk45", 1e-9, 1e-9))
-        assert out[3] == "domain escape near t=%g" % x0
+        assert out.diagnostic == "domain escape near t=%g" % x0
 
     def test_a_guard_crossed_on_a_curved_path(self, monkeypatch):
         # u = 0.5 cos t + sin t reaches the guard u < 1 at t = 0.6435: brentq
@@ -860,7 +874,7 @@ class TestRK45IsScipys:
         out, _ = self.same(monkeypatch, lambda: dynamics._step(
             lambda y: np.array([y[1], -y[0]]), chart, (0.5, 1.0), 3.0, 0.1,
             "adaptive-rk45", 1e-9, 1e-9))
-        assert out[3] == "domain escape near t=0.643501" and len(out[0]) == 7
+        assert out.diagnostic == "domain escape near t=0.643501" and len(out.times) == 7
 
     def test_a_jump_in_the_right_hand_side(self, monkeypatch):
         # u' jumps from 1 to 100 at u = 0.5: steps across it have error norms
@@ -868,27 +882,23 @@ class TestRK45IsScipys:
         out, calls = self.same(monkeypatch, lambda: dynamics._step(
             lambda y: np.array([1.0 if y[0] < 0.5 else 100.0]), Chart("line", ("u",)), (0.0,),
             1.0, 0.1, "adaptive-rk45", 1e-9, 1e-9))
-        assert not out[2] and len(out[0]) == 11 and calls > 100
+        assert not out.escaped and len(out.times) == 11 and calls > 100
 
     def test_integrate_variant(self, monkeypatch):
         coeffs = LinearHamiltonianCoefficients(a=0.1, b=-0.2, c_lin=0.3, m=0.2, n_lin=-0.1)
         model = split_energy(coeffs, ModelParameters())
         x0 = CHART_XJT.point((0.1, 1.1, 0.2, -0.1, 0.05))
-        for variant in ("gtacos", "contact"):
-            def flow():
-                traj = integrate_variant(model, variant, x0, 0.5, 0.01)
-                return traj.times, traj.states, traj.hamiltonian_values, traj.diagnostic
-
-            traj, _ = self.same(monkeypatch, flow)
-            assert len(traj[0]) == 51
+        for variant in ("base_xj1", "gtacos", "contact"):
+            traj, _ = self.same(monkeypatch, lambda: integrate_variant(model, variant, x0, 0.5, 0.01))
+            assert len(traj.times) == 51
 
     def test_a_step_below_ten_ulps_ends_the_flow(self, monkeypatch):
         # u' = u^2 from 1 blows up at t = 1: the steps shrink below ten ulps
         # of t first, where scipy stops with its message
         out, _ = self.same(monkeypatch, lambda: dynamics._step(
             lambda y: y * y, Chart("line", ("u",)), (1.0,), 2.0, 0.1, "adaptive-rk45", 1e-9, 1e-9))
-        assert out[2:] == (True, dynamics.TOO_SMALL_STEP)
-        assert len(out[0]) == 10 and out[1][-1, 0] > 9.9
+        assert (out.escaped, out.diagnostic) == (True, dynamics.TOO_SMALL_STEP)
+        assert len(out.times) == 10 and out.states[-1, 0] > 9.9
 
     def test_errors_at_a_stage_inside_the_domain(self, monkeypatch):
         chart = Chart("line", ("u",))

@@ -190,16 +190,16 @@ class TestRiccati:
                 c_lin=float(rng.uniform(0.05, 0.5)),
                 n_lin=float(rng.uniform(-0.5, 0.5)),
             )
-            times, states, escaped, _ = integrate_riccati(coeffs, (0.3, 1.0), 1.0, 1e-2)
-            assert states[:, 1].min() > 0.0 and len(times) == 101 and not escaped
+            flow = integrate_riccati(coeffs, (0.3, 1.0), 1.0, 1e-2)
+            assert flow.states[:, 1].min() > 0.0 and len(flow.times) == 101 and not flow.escaped
 
     def test_a_numerical_crossing_of_y_0_is_an_escape(self):
         # y' = -600 y decays past RK45's tolerance: a stage lands below
         # y = 0, where the flow still steps, and a recorded state follows
         coeffs = LinearHamiltonianCoefficients(n_lin=-300.0)
-        times, states, escaped, diagnostic = integrate_riccati(coeffs, (0.0, 1.0), 1.0, 0.01)
-        assert escaped and diagnostic == "domain escape on recorded state"
-        assert len(times) == len(states) == 7 and states[:, 1].min() > 0.0
+        flow = integrate_riccati(coeffs, (0.0, 1.0), 1.0, 0.01)
+        assert flow.escaped and flow.diagnostic == "domain escape on recorded state"
+        assert len(flow.times) == len(flow.states) == 7 and flow.states[:, 1].min() > 0.0
 
     def test_requires_upper_half_plane(self):
         with pytest.raises(ValueError):
@@ -268,7 +268,7 @@ class TestTrajectoryEquivalence:
             )
             x0 = CHART_XJT.point((0.1, 1.0, 0.2, -0.1, 0.0))
             traj = integrate_variant(split_energy(coeffs, UNIT), "gtacos", x0, 1.0, 1e-2)
-            states = integrate_riccati(coeffs, (0.1, 1.0), 1.0, 1e-2)[1]
+            states = integrate_riccati(coeffs, (0.1, 1.0), 1.0, 1e-2).states
             assert np.abs(traj.states[:, :2] - states).max() <= 1e-6
 
     def test_dissipation_specialization_along_flow(self, rng):
