@@ -47,25 +47,44 @@ from .dynamics import (
     poisson_bracket,
 )
 from .manifolds import ModelParameters, builtin, cayley_map, metric_matrix
-from .almost_contact import (
-    AcmsSolution,
-    PhiSolveError,
-    PhiTensor,
-    nijenhuis_n1,
-    ppp_negative_witness,
-    sasaki_from_potential,
-    solve_phi,
-)
-from .jacobi_flows import (
-    LinearHamiltonianCoefficients,
-    energy,
-    eom,
-    paper_discrepancy_report,
-    red_green_decomposition,
-    riccati_rhs,
-    split_energy,
-)
+# almost_contact and jacobi_flows (the paper's structure tensors and its
+# Jacobi-group flows) load on first use: a flow, ``field`` or ``reeb``
+# never needs them.
+_ON_USE = {
+    "almost_contact": (
+        "AcmsSolution",
+        "PhiSolveError",
+        "PhiTensor",
+        "nijenhuis_n1",
+        "ppp_negative_witness",
+        "sasaki_from_potential",
+        "solve_phi",
+    ),
+    "jacobi_flows": (
+        "LinearHamiltonianCoefficients",
+        "energy",
+        "eom",
+        "paper_discrepancy_report",
+        "red_green_decomposition",
+        "riccati_rhs",
+        "split_energy",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _ON_USE.items() for name in (module, *names)}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+
+    loaded = import_module("." + module, __name__)
+    value = loaded if name == module else getattr(loaded, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_MODULE_OF))

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import almost_contact, dynamics, jacobi_flows, manifolds, structures
+from . import dynamics, manifolds, structures
 from .charts import DomainError, ScalarField, random_polynomial
 from .expressions import EvalError, ParseError
 from .forms import exterior_derivative
@@ -300,7 +300,9 @@ def _sweep_points(path: str, chart) -> list:
 COEFFICIENT_FLAGS = ("a", "b", "c", "m", "n")
 
 
-def _coeffs_from_args(args) -> jacobi_flows.LinearHamiltonianCoefficients:
+def _coeffs_from_args(args):
+    from . import jacobi_flows
+
     a, b, c, m, n = (
         0.0 if v is None else v for v in (getattr(args, k) for k in COEFFICIENT_FLAGS)
     )
@@ -310,6 +312,8 @@ def _coeffs_from_args(args) -> jacobi_flows.LinearHamiltonianCoefficients:
 
 
 def cmd_compare(args) -> int:
+    from . import jacobi_flows
+
     params = _params(args)
     variants = [v.strip() for v in args.variants.split(",")]
     for i, v in enumerate(variants):
@@ -373,6 +377,8 @@ def _write_compare_csv(path, flows) -> None:
 
 
 def cmd_riccati(args) -> int:
+    from . import jacobi_flows
+
     params = _params(args)
     coeffs = _coeffs_from_args(args)
     if args.paper_verbatim:
@@ -395,6 +401,8 @@ def cmd_riccati(args) -> int:
 
 
 def cmd_phi_solve(args) -> int:
+    from . import almost_contact
+
     params = _params(args)
     try:
         sol = almost_contact.solve_phi(
@@ -424,6 +432,8 @@ def cmd_phi_solve(args) -> int:
 
 
 def cmd_invariant_suite(args) -> int:
+    from . import almost_contact
+
     seed = _seed(args)
     rng = np.random.default_rng(seed)
     params = manifolds.ModelParameters()

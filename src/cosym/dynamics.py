@@ -414,9 +414,8 @@ def _dense(step, s):
     if Q is None:
         return y_old if np.ndim(s) == 0 else np.repeat(y_old[:, None], len(s), axis=1)
     x = (s - t_old) / h
-    if np.ndim(x) == 0:
-        return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
-    return h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
+    powers = np.array([x, x, x, x]).cumprod(axis=0)  # x, x^2, x^3, x^4
+    return h * np.dot(Q, powers) + (y_old if np.ndim(x) == 0 else y_old[:, None])
 
 
 def _rk45(fun, y, t_eval: np.ndarray, rtol: float, atol: float, guards):

@@ -101,6 +101,11 @@ def _zero_divisor(denom) -> None:
         raise EvalError("division by zero in expression")
 
 
+def _is_square(exponent: "Expr") -> bool:
+    """A constant exponent of 2: every path squares as :class:`Pow` says."""
+    return type(exponent) is Num and exponent.value == 2.0
+
+
 # --------------------------------------------------------------------------
 # AST nodes
 # --------------------------------------------------------------------------
@@ -362,13 +367,29 @@ class Div(Operation):
 
 @dataclass(frozen=True, slots=True)
 class Pow(Operation):
+    """base^exponent.  A constant exponent of 2 (``Num(2.0)``, after
+    folding) is the product ``base * base``, the correctly rounded square,
+    in ``eval``, folding and both kernels; libm's pow(x, 2) is off by an
+    ulp on about one double in a thousand.  On finite doubles the product
+    is inf exactly where pow overflows, so the checked ``_pow`` is called
+    only there, to raise its EvalError; an inf or NaN base gives pow's
+    value.  Any other exponent, a name bound to 2 included, calls libm's
+    pow through ``_pow``."""
+
     base: Expr
     exponent: Expr
     precedence = 3
     operands = ("base", "exponent")
 
     def eval(self, env):
-        return _pow(self.base.eval(env), self.exponent.eval(env))
+        base = self.base.eval(env)
+        exponent = self.exponent
+        if type(exponent) is Num and exponent.value == 2.0:  # _is_square, inlined
+            square = base * base
+            if math.isinf(square):
+                _pow(base, exponent.value)
+            return square
+        return _pow(base, exponent.eval(env))
 
     @_once_for_absent_names
     def diff(self, name):
@@ -447,15 +468,15 @@ def _paren(e: Expr, minimum: int) -> str:
 # Evaluation at many points
 # --------------------------------------------------------------------------
 
-# numpy's +, -, *, / are correctly rounded, as Python's are, but its power,
-# exp and log differ from libm's by an ulp on a few percent of inputs; powers
-# and calls therefore map libm's functions over the points, as ``eval``
-# calls them.  An array of rows maps the bare function (``math.pow``,
-# ``math.sin``, ...) first, one C call per row; where that raises, numpy maps
-# the checked scalar function over the rows again, one Python frame per
-# row, and raises the first failing row's EvalError.  Both call the same
-# function, so the bits are the same.  (``x*x`` for ``x^2`` would not be:
-# libm's pow(x, 2) is not always the rounded product.)
+# numpy's +, -, *, / are correctly rounded, as Python's are, so a square is
+# one numpy multiply of the column, as it is one product at a point.  numpy's
+# power, exp and log differ from libm's by an ulp on a few percent of
+# inputs; other powers and calls therefore map libm's functions over the
+# points, as ``eval`` calls them.  An array of rows maps the bare function
+# (``math.pow``, ``math.sin``, ...) first, one C call per row; where that
+# raises, numpy maps the checked scalar function over the rows again, one
+# Python frame per row, and raises the first failing row's EvalError.  Both
+# call the same function, so the bits are the same.
 
 
 def _rows(f: Callable, checked: Callable, nin: int) -> Callable:
@@ -482,16 +503,21 @@ def _zero_divisor_rows(denom) -> None:
         raise EvalError("division by zero in expression")
 
 
+def _isinf_rows(values) -> bool:
+    return bool(np.isinf(values).any())
+
+
 # --------------------------------------------------------------------------
 # Straight-line kernels
 # --------------------------------------------------------------------------
 
 # The emitted code calls these names; a kernel binds one source to either set.
 _CALL_HELPERS = {fn: "_call_" + fn for fn in FUNCTIONS}
-_SCALAR_HELPERS = {"_pow": _pow, "_divisor": _zero_divisor, "_unbound": _unbound}
+_SCALAR_HELPERS = {"_pow": _pow, "_isinf": math.isinf, "_divisor": _zero_divisor,
+                   "_unbound": _unbound}
 _SCALAR_HELPERS.update({_CALL_HELPERS[fn]: f for fn, f in _CHECKED_CALLS.items()})
-_ROW_HELPERS = {"_pow": _rows(math.pow, _pow, 2), "_divisor": _zero_divisor_rows,
-                "_unbound": _unbound}
+_ROW_HELPERS = {"_pow": _rows(math.pow, _pow, 2), "_isinf": _isinf_rows,
+                "_divisor": _zero_divisor_rows, "_unbound": _unbound}
 _ROW_HELPERS.update({_CALL_HELPERS[fn]: _rows(FUNCTIONS[fn], _CHECKED_CALLS[fn], 1)
                      for fn in FUNCTIONS})
 _OPERATORS = {Add: "+", Sub: "-", Mul: "*"}
@@ -551,7 +577,12 @@ class _Emitter:
             out = self.assign("-" + self.node(e.arg, bound))
         elif kind is Pow:
             base = self.node(e.base, bound)
-            out = self.assign("_pow(%s, %s)" % (base, self.node(e.exponent, bound)))
+            exponent = self.node(e.exponent, bound)
+            if _is_square(e.exponent):
+                out = self.assign("%s * %s" % (base, base))
+                self.lines.append("if _isinf(%s): _pow(%s, %s)" % (out, base, exponent))
+            else:
+                out = self.assign("_pow(%s, %s)" % (base, exponent))
         elif kind is Call:
             if e.fn not in _CALL_HELPERS:
                 raise EvalError("unknown function %r" % e.fn)
@@ -714,8 +745,8 @@ def pow_(a: Expr, b: Expr) -> Expr:
             return Num(1.0)
         if type(a) is Num:
             try:
-                return Num(math.pow(a.value, k))
-            except (ValueError, OverflowError):
+                return Num(Pow(a, b).eval({}))
+            except EvalError:
                 pass  # left unfolded; evaluating it raises EvalError
     return Pow(a, b)
 

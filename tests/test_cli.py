@@ -1017,6 +1017,36 @@ def test_commands_leave_scipy_unloaded():
     assert fresh_process(python_args=("-c", script)) == (0, "[]\n[]\n['optimize']\n", "")
 
 
+def test_flows_and_one_point_commands_leave_the_paper_modules_unloaded():
+    # cosym imports almost_contact and jacobi_flows on first use: importing
+    # the CLI, an RK4 flow and the one-point commands load neither; compare
+    # loads jacobi_flows.
+    one_point = [argv for argv in COMMANDS_IN_ONE_PROCESS
+                 if argv[0] in ("check-structure", "reeb", "field")]
+    compare = [argv for argv in COMMANDS_IN_ONE_PROCESS if argv[0] == "compare"]
+    script = "\n".join([
+        "import contextlib, io, sys, cosym.cli",
+        "def loaded():",
+        "    return [m for m in ('cosym.almost_contact', 'cosym.jacobi_flows')",
+        "            if m in sys.modules]",
+        "def run(commands):",
+        "    for argv in commands:",
+        "        with contextlib.redirect_stdout(io.StringIO()):",
+        "            assert cosym.cli.main(argv) == 0, argv",
+        "    print(loaded())",
+        "print(loaded())",
+        "s = cosym.builtin('darboux_contact')",
+        "H = cosym.ScalarField.parse(s.chart, 'kappa')",
+        "cosym.integrate(s, H, (0.0, 1.0, 1.0), 0.1, 0.01, method='rk4')",
+        "print(loaded())",
+        "run(%r)" % (one_point,),
+        "run(%r)" % (compare,),
+    ])
+    assert len(one_point) == 3 and len(compare) == 1
+    assert fresh_process(python_args=("-c", script)) == (
+        0, "[]\n[]\n[]\n['cosym.jacobi_flows']\n", "")
+
+
 def test_python_dash_m_runs_the_cli():
     code, out, err = fresh_process("list-manifolds")
     assert code == EXIT_OK, err

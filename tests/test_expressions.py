@@ -5,9 +5,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from cosym import expressions
+from cosym import expressions, manifolds
 from cosym.charts import Chart, ScalarField, central_difference, fd_step, random_polynomial
 from cosym.expressions import (
     FUNCTIONS,
@@ -343,6 +343,124 @@ def test_kernel_code_matches_eval_bit_for_bit(expr, rows):
             assert_bits_equal(np.broadcast_to(one_row, (1,)), [expected])
 
 
+# --------------------------------------------------------------------------
+# Squares: x^2 is the correctly rounded product x*x on every path
+# --------------------------------------------------------------------------
+
+SQUARE_EDGE = 1.3407807929942596e154  # the largest double with a finite square
+POW_OFF_BY_AN_ULP = -1.3275170599102342  # libm's pow(x, 2) is not x*x here
+special_bases = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, -1e-170,
+    SQUARE_EDGE, -SQUARE_EDGE, math.nextafter(SQUARE_EDGE, math.inf),
+    -math.nextafter(SQUARE_EDGE, math.inf), 1e200, -1e300, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan, -math.nan, POW_OFF_BY_AN_ULP,
+]
+square_bases = st.one_of(
+    st.sampled_from(special_bases),
+    st.floats(),
+    st.floats(-1e-150, 1e-150),  # squares in the subnormal range
+    st.floats(SQUARE_EDGE * (1 - 1e-15), SQUARE_EDGE * (1 + 1e-15)),
+)
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).view(np.uint64)
+
+
+def square_outcome(x):
+    """x*x's bits, or the EvalError message of today's checked pow where it
+    raises."""
+    failure = outcome(lambda: expressions._pow(x, 2.0))
+    return failure if isinstance(failure, str) else bits(x * x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(square_bases)
+@example(POW_OFF_BY_AN_ULP)
+def test_a_square_is_the_product_on_every_path(x):
+    expr = parse("x^2")
+    kernel = Kernel([expr], ("x",))
+    expected = square_outcome(x)
+    for got in (
+        outcome(lambda: expr.eval({"x": x})),
+        outcome(lambda: kernel.scalar(x)[0]),
+        outcome(lambda: kernel.rows(np.array([x]))[0]),
+        outcome(lambda: kernel.rows(np.full(1001, x))[0]),
+    ):
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert not isinstance(got, str), got
+            assert (bits(got) == expected).all()
+
+
+def test_a_column_squares_row_by_row_and_raises_at_its_first_overflow():
+    kernel = Kernel([parse("x^2")], ("x",))
+    good = np.array([1.0, POW_OFF_BY_AN_ULP, math.inf, -0.0, math.nan, -math.inf])
+    # the inf rows send the column through the overflow check, which keeps
+    # the products of the finite rows
+    assert (bits(kernel.rows(good)[0]) == bits(good * good)).all()
+    assert math.pow(POW_OFF_BY_AN_ULP, 2.0) != POW_OFF_BY_AN_ULP * POW_OFF_BY_AN_ULP
+    mixed = np.insert(good, [2, 4], [1e200, -1e300])
+    with pytest.raises(EvalError) as err:
+        kernel.rows(mixed)
+    assert str(err.value) == "(1e+200)^(2.0) has no finite real value in expression"
+    assert outcome(lambda: parse("x^2").eval({"x": 1e200})) == "EvalError: " + str(err.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_infinity=False, allow_nan=False))
+@example(POW_OFF_BY_AN_ULP)
+def test_a_constant_square_folds_to_the_product(a):
+    folded = expressions.pow_(Num(a), Num(2.0))
+    if math.isinf(a * a):
+        assert folded == Pow(Num(a), Num(2.0))
+    else:
+        assert folded == Num(a * a) and bits(folded.value) == bits(a * a)
+
+
+def test_an_overflowing_constant_square_stays_unfolded():
+    assert expressions.pow_(Num(1e200), Num(2.0)) == Pow(Num(1e200), Num(2.0))
+    expr = parse("1e200^2")
+    assert isinstance(expr, Pow)
+    with pytest.raises(EvalError, match=r"^\(1e\+200\)\^\(2\.0\) has no finite"):
+        expr.eval({})
+    assert parse("(-1.3275170599102342)^2") == Num(POW_OFF_BY_AN_ULP * POW_OFF_BY_AN_ULP)
+    assert expressions.pow_(Num(math.inf), Num(2.0)) == Num(math.inf)
+
+
+@pytest.mark.parametrize("source, squares", [
+    ("x^y", False), ("x^k", False), ("x^3", False), ("x^2.5", False),
+    ("x^2", True), ("(x - k)^2", True), ("k^2*x", True), ("x^(1+1)", True),
+])
+def test_only_a_constant_exponent_of_two_is_a_square(source, squares):
+    kernel = Kernel([parse(source)], ("x", "y"), [{"k": 2.0}])
+    assert ("= _pow(" in kernel.source) is not squares
+    assert ("_isinf(" in kernel.source) is squares
+    x = -POW_OFF_BY_AN_ULP
+    env = {"x": x, "y": 2.0, "k": 2.0}
+    assert bits(kernel.scalar(x, 2.0)[0]) == bits(parse(source).eval(env))
+    if source in ("x^y", "x^k"):
+        assert parse(source).eval(env) == math.pow(x, 2.0)
+
+
+def test_readme_hamiltonian_rows_map_no_pow(monkeypatch):
+    calls = []
+    row_pow = expressions._ROW_HELPERS["_pow"]
+    monkeypatch.setitem(expressions._ROW_HELPERS, "_pow",
+                        lambda *args: calls.append(args) or row_pow(*args))
+    spec = manifolds.builtin("xjt_gtacos", manifolds.ModelParameters(k=1.0, nu=1.0, delta=1.0))
+    rows = np.random.default_rng(3).uniform(0.5, 1.5, (1001, 5))
+    for source, pows in (("q^2 + p^2 + x^2 + (y-1)^2", 0), ("x^3", 1)):
+        H = ScalarField.parse(spec.chart, source, spec.params)
+        H.kernel()
+        values, gradients = H.rows(rows)
+        assert len(calls) == pows
+        assert_bits_equal(values, [H.value(row) for row in rows])
+        assert_bits_equal(gradients, [H.gradient(row) for row in rows])
+        calls.clear()
+
+
 def test_kernel_reuses_a_shared_node_and_keeps_the_visit_order():
     shared = parse("log(x)")
     kernel = Kernel([Div(shared, Name("y")), Neg(shared)], ("x", "y"))
@@ -354,7 +472,7 @@ def test_kernel_reuses_a_shared_node_and_keeps_the_visit_order():
     assert kernel.scalar(2.0, 4.0) == (math.log(2.0) / 4.0, -math.log(2.0))
 
 
-GENERATED = re.compile(r"_[atk]\d+|_pow|_divisor|_unbound|_call_(%s)" % "|".join(FUNCTIONS))
+GENERATED = re.compile(r"_[atk]\d+|_pow|_isinf|_divisor|_unbound|_call_(%s)" % "|".join(FUNCTIONS))
 
 
 def test_kernel_source_holds_generated_names_only():
@@ -471,6 +589,10 @@ def ref_pow(a, b):
         return a
     if _ref_is_num(b, 0.0):
         return Num(1.0)
+    if _ref_is_num(a) and _ref_is_num(b, 2.0):
+        square = a.value * a.value
+        overflows = math.isinf(square) and math.isfinite(a.value)
+        return Pow(a, b) if overflows else Num(square)
     if _ref_is_num(a) and _ref_is_num(b):
         try:
             return Num(math.pow(a.value, b.value))
