@@ -30,6 +30,7 @@ import numpy as np
 
 from . import dynamics, manifolds, structures
 from .charts import DomainError, ScalarField, random_polynomial
+from .dynamics import json_text as _json_text
 from .expressions import EvalError, ParseError
 from .forms import exterior_derivative
 
@@ -40,30 +41,6 @@ EXIT_INPUT = 2
 DEFAULT_SEED = 42
 
 PARAMETER_NAMES = tuple(f.name for f in dataclasses.fields(manifolds.ModelParameters))
-
-
-def _jsonify(obj, key=None):
-    """``obj`` as JSON values, numpy floats as Python floats.  A number that
-    is not finite, which strict JSON cannot hold, raises EvalError naming
-    the key it sits under."""
-    if isinstance(obj, dict):
-        return {k: _jsonify(v, k) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v, key) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v, key) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        if not math.isfinite(value):
-            raise EvalError("%s is not finite: %r" % (json.dumps(key), value))
-        return value
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
-def _json_text(doc) -> str:
-    return json.dumps(_jsonify(doc), indent=2)
 
 
 def _print_json(doc) -> None:
@@ -147,7 +124,7 @@ def cmd_list_manifolds(args) -> int:
         for spec in specs:
             path = target / ("%s.json" % spec.name.replace("(", "_").replace(")", ""))
             path.write_text(_json_text(spec.to_json()))
-            print("wrote %s" % path)
+            print("wrote %s" % path, file=sys.stderr)
     _print_json(entries)
     return EXIT_OK
 
@@ -265,8 +242,7 @@ def cmd_integrate(args) -> int:
 
     x0 = spec.chart.point(_require(args, "x0"))
     traj = dynamics.integrate(spec, H, x0, **solver)
-    if args.csv:
-        traj.to_csv(args.csv)
+    summary = _json_text(_trajectory_summary(traj))  # a refused run writes no file
     if args.json_out:
         traj.to_json(
             args.json_out,
@@ -274,7 +250,9 @@ def cmd_integrate(args) -> int:
             parameters=spec.params,
             hamiltonian=hamiltonian,
         )
-    _print_json(_trajectory_summary(traj))
+    if args.csv:
+        traj.to_csv(args.csv)
+    print(summary)
     return EXIT_NUMERICAL if traj.escaped else EXIT_OK
 
 
@@ -359,9 +337,10 @@ def cmd_compare(args) -> int:
               "escaped": escaped}
     if args.paper_verbatim:
         report["paper_verbatim"] = jacobi_flows.paper_discrepancy_report(model, x0)
+    text = _json_text(report)  # a refused run writes no file
     if args.csv:
         _write_compare_csv(args.csv, flows)
-    _print_json(report)
+    print(text)
     return EXIT_NUMERICAL if escaped else EXIT_OK
 
 
@@ -391,12 +370,13 @@ def cmd_riccati(args) -> int:
         _print_json(jacobi_flows.paper_discrepancy_report(model))
         return EXIT_OK
     flow = jacobi_flows.integrate_riccati(coeffs, args.x0, args.t_end, args.dt)
+    text = _json_text({"rows": len(flow.times), "final": flow.states[-1],
+                       **_guard_minima(flow), "escaped": flow.escaped,
+                       "diagnostic": flow.diagnostic})  # a refused run writes no file
     if args.csv:
         dynamics.write_csv(args.csv, ["t", *flow.chart.coordinates],
                            np.column_stack([flow.times, flow.states]))
-    _print_json({"rows": len(flow.times), "final": flow.states[-1],
-                 **_guard_minima(flow), "escaped": flow.escaped,
-                 "diagnostic": flow.diagnostic})
+    print(text)
     return EXIT_NUMERICAL if flow.escaped else EXIT_OK
 
 

@@ -331,17 +331,44 @@ class Trajectory(Flow):
         )
 
     def to_json(self, path, **metadata) -> None:
-        doc = {
+        """Write the flow as strict JSON.  A number that is not finite raises
+        EvalError naming its key, and no file is written."""
+        text = json_text({
             "chart": self.chart.to_json(),
-            "times": [float(t) for t in self.times],
-            "states": [[float(v) for v in row] for row in self.states],
-            "hamiltonian_values": [float(v) for v in self.hamiltonian_values],
-            "dissipation_residuals": [float(v) for v in self.dissipation_residuals],
+            "times": self.times,
+            "states": self.states,
+            "hamiltonian_values": self.hamiltonian_values,
+            "dissipation_residuals": self.dissipation_residuals,
             "escaped": self.escaped,
             "diagnostic": self.diagnostic,
             "metadata": {**self.metadata, **metadata},
-        }
-        Path(path).write_text(json.dumps(doc, indent=2))
+        })
+        Path(path).write_text(text)
+
+
+def _jsonify(obj, key=None):
+    """``obj`` as JSON values, numpy floats as Python floats.  A number that
+    is not finite, which strict JSON cannot hold, raises EvalError naming
+    the key it sits under."""
+    if isinstance(obj, dict):
+        return {k: _jsonify(v, k) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v, key) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonify(v, key) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        value = float(obj)
+        if not math.isfinite(value):
+            raise EvalError("%s is not finite: %r" % (json.dumps(key), value))
+        return value
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    return obj
+
+
+def json_text(doc) -> str:
+    """``doc`` as indented strict JSON (see :func:`_jsonify`)."""
+    return json.dumps(_jsonify(doc), indent=2)
 
 
 def write_csv(path, header, rows) -> None:
@@ -398,7 +425,9 @@ def _initial_step(fun, y, f, t_bound: float, rtol: float, atol: float) -> float:
     d1 = _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
-    d2 = _rms((fun(h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((fun(h0, y + h0 * f) - f) / scale)
+    # scipy divides a float64 here: at h0 = 0 (d1 = inf) that is inf, or NaN for 0/0
+    d2 = d2 / h0 if h0 else (math.inf if d2 > 0 else math.nan)
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

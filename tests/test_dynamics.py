@@ -552,6 +552,16 @@ class TestIntegrate:
         if (t_end, dt) == (0.8, 0.5):
             assert traj.times.tolist() == [0.0, 0.5]  # not [0, 0.5, 1.0], past t_end
 
+    def test_to_json_refuses_a_non_finite_number_and_writes_nothing(self, tmp_path):
+        # H R(H) overflows at every row: the residuals are inf
+        s = builtin("darboux_cosymplectic")
+        H = ScalarField.parse(s.chart, "1e155*kappa")
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(s, H, (0.0, 0.0, 1.0), 1e-300, 1e-301, method="rk4")
+        with pytest.raises(EvalError, match='^"dissipation_residuals" is not finite: inf$'):
+            traj.to_json(tmp_path / "f.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_rk4_matches_rk45(self):
         s = contact1()
         H = ScalarField.parse(s.chart, "kappa + (p^2 + q^2)/2")
@@ -918,6 +928,47 @@ class TestRK45IsScipys:
                             lambda *a, **k: calls.append(a[2]) or field(*a, **k))
         traj = integrate(spec, H, (0.2, 1.0, 0.3, -0.2, 0.0), 1.0, 1e-3)
         assert (len(calls), len(traj.times)) == (92, 1001)
+
+    @pytest.mark.parametrize("name, source, y, f0", [
+        ("xjt_gtacos", "q^2 + p^2 + x^2 + (y-1)^2", (0.2, 1.0, 0.3, -0.2, 0.0), None),
+        ("darboux_contact", "0", (0.3, 0.5, 0.7), None),  # X_H = 0: d1 = d2 = 0
+        # |f0/scale| overflows, so the trial step h0 is 0 and scipy divides a
+        # float64 by it: 0/0 where f1 = f0, inf where it differs
+        ("darboux_contact", "1e160*q", (0.0, 1.0, 1.0), None),
+        ("darboux_contact", "0", (0.3, 0.5, 0.7), (1e300, 0.0, 0.0)),
+    ])
+    def test_the_first_step_is_scipys(self, name, source, y, f0):
+        # select_initial_step's step, bit for bit, and its right-hand-side calls
+        from scipy.integrate._ivp.common import select_initial_step
+
+        def scipys(fun, y, f, t_bound, rtol, atol):
+            return select_initial_step(fun, 0.0, y, t_bound, np.inf, f, 1.0, 4, rtol, atol)
+
+        spec = builtin(name)
+        H = ScalarField.parse(spec.chart, source)
+        y = np.array(y)
+        out = []
+        for first_step in (dynamics._initial_step, scipys):
+            calls = []
+
+            def fun(t, x):
+                calls.append((t, x.tobytes()))
+                return hamiltonian_field_generic(spec, H, x, check_domain=False)
+
+            f = fun(0.0, y) if f0 is None else np.array(f0)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                out.append((np.float64(first_step(fun, y, f, 1.0, 1e-9, 1e-9)).tobytes(), calls))
+        assert out[0] == out[1]
+
+    def test_a_first_step_of_zero(self, monkeypatch):
+        # the 1e160*q flow above steps on from h = 0 as scipy does, to its
+        # rank refusal
+        spec = builtin("darboux_contact")
+        H = ScalarField.parse(spec.chart, "1e160*q")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, _ = self.same_flow(monkeypatch, spec, H, (0.0, 1.0, 1.0), 0.01, 0.001)
+        assert out.startswith("StructureError: degenerate structure at [")
+        assert out.endswith(": flat matrix has rank 1 < 3")
 
 
 def _per_row_post_pass(spec, H, traj):
