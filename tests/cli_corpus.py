@@ -19,8 +19,8 @@ row.
 git revision BASE, runs every row as a fresh process on BASE and on the
 working tree, and compares exit codes, stdout, stderr and written files
 byte for byte.  For a JSON or CSV output that differs, it prints the
-largest absolute change per key or column.  It exits 0 when every row is
-identical, else 1.
+largest absolute change per key or column.  A row that times out on
+either tree differs.  It exits 0 when every row is identical, else 1.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the bound, in seconds, of a row that could hang (a flow on stiff or
+# escaping input, a sweep, a solve on huge numbers): it runs as a fresh process
+FRESH = 20
 
 
 class Has(str):
@@ -92,7 +95,7 @@ def failures(*flags):
 
 CASES = [
     # README's examples
-    Case("list-manifolds", 0, timeout=20,
+    Case("list-manifolds", 0, timeout=FRESH,
          out=lambda doc: {"heisenberg", "xjt_gtacos", "xjt_contact"} <= {e["name"] for e in doc}),
     Case("list-manifolds --emit manifolds", 0, "\n".join("wrote " + p for p in EMITTED),
          writes=EMITTED),
@@ -108,7 +111,6 @@ CASES = [
     Case(README_COMPARE + " --paper-verbatim", 0),
     Case("riccati --m 0.3 --c 0.4 --n 0.1 --x0 0,1 --t-end 1 --dt 0.01 --csv ric.csv", 0,
          writes=("ric.csv",)),
-    Case("riccati --paper-verbatim", 0),
     Case("phi-solve --free 1,0.5,0.3,-0.2 --at 0,1,0.1,0.2,0 --json-out phi.json", 0,
          writes=("phi.json",)),
     *(Case(command, 0, out=Has("invariant-suite: PASS (seed %s)" % seed))
@@ -122,14 +124,16 @@ CASES = [
     Case(INTEGRATE + " --t-end 1 --dt 0.01 --method rk4 --csv rk4.csv --json-out rk4.json",
          0, writes=("rk4.csv", "rk4.json")),
     Case("field --builtin xjt_gtacos --hamiltonian '%s' --at=0.2,1.0,0.3,-0.2,0.0" % README_H,
-         0),
-    Case(COMPARE + " --paper-verbatim --csv compare.csv", 0, writes=("compare.csv",)),
+         0, timeout=FRESH),
+    Case(COMPARE + " --paper-verbatim --csv compare.csv", 0, writes=("compare.csv",),
+         timeout=FRESH),
+    Case("riccati --paper-verbatim", 0, timeout=FRESH),
     *(Case("check-structure --builtin darboux_contact(%d)" % n, 0) for n in (3, 5)),
     # an 11-dimensional chart is past the rank certificate's cap: every
     # right-hand side takes the SVD fallback
     Case("integrate --builtin darboux_contact(5) --hamiltonian q1^2+p1^2+q5^2+p5^2 "
          "--x0=0.1,0.1,0.1,0.1,0.1,0.2,0.2,0.2,0.2,0.2,0 --t-end 1 --dt 0.01 --method rk4",
-         0),
+         0, timeout=FRESH),
     # 81 coordinates: the Pfaffian of (theta, Omega) costs O(dim^3), while a
     # symbolic theta ^ Omega^40 grows combinatorially
     Case("check-structure --builtin darboux_contact(40) --probes 2", 0, timeout=60,
@@ -137,34 +141,35 @@ CASES = [
          and abs(doc["volume_coefficient"] / math.factorial(40) - 1.0) <= 1e-14),
     # flows that escape the domain: exit 1 and "escaped"; x/y^2 drives y onto
     # the guard y = 0 by t = 0.5, and Runge-Kutta stages past it are evaluated
-    *(Case(ESCAPE + tail, 1, out=Has('"escaped": true'))
+    *(Case(ESCAPE + tail, 1, out=Has('"escaped": true'), timeout=FRESH)
       for tail in ("--t-end 1", "--t-end 1 --method rk4", "--t-end 0.5")),
     Case(ESCAPE + "--t-end 0.37", 0, out=Has('"rows": 38,')),
     Case("riccati --m=0 --c=0 --n=-300 --x0=0,1 --t-end 1 --dt 0.01", 1,
-         out=Has('"escaped": true')),
+         out=Has('"escaped": true'), timeout=FRESH),
     Case("compare --variants base_xj1 --n=-300 --x0=0,1,0,0,0 --t-end 1 --dt 0.01 "
          "--csv escape.csv", 1, out=lambda doc: "base_xj1" in doc["escaped"],
-         writes=("escape.csv",)),
+         writes=("escape.csv",), timeout=FRESH),
     # sweeps: a point that fails is reported in its own entry (exit 1)
     Case(SWEEP + "ok.json --hamiltonian '%s + 0.5*kappa'" % README_H, 0,
-         files={"ok.json": "[[0.2,1,0.3,-0.2,0],[0.1,1.2,0,0.4,0.3]]"}),
+         files={"ok.json": "[[0.2,1,0.3,-0.2,0],[0.1,1.2,0,0.4,0.3]]"}, timeout=FRESH),
     Case(SWEEP + "degenerate.json --hamiltonian x^2", 1, out=failures(False, True, False),
          files={"degenerate.json": "[[0.2,1,0.3,-0.2,0],[-0.485,1.497,-0.414,0.345,-0.132],"
-                                   "[0.1,0.8,0,0.1,0]]"}),
+                                   "[0.1,0.8,0,0.1,0]]"}, timeout=FRESH),
     Case(SWEEP + "sqrt.json --hamiltonian sqrt(q) --t-end 0.1 --dt 0.01", 1,
          out=failures(False, True),
-         files={"sqrt.json": "[[0.2,1,0.3,-0.2,0],[0.2,1,-0.3,-0.2,0]]"}),
+         files={"sqrt.json": "[[0.2,1,0.3,-0.2,0],[0.2,1,-0.3,-0.2,0]]"}, timeout=FRESH),
     # input errors (exit 2, stdout empty), each with its own message: a bad
     # sweep file is refused before any point flows
     refused(SWEEP + "nan.json --hamiltonian x^2",
             "error: --sweep nan.json, entry 0: not a finite number: 'nan'",
-            files={"nan.json": '[[0,1,0,0,"nan"]]'}),
+            files={"nan.json": '[[0,1,0,0,"nan"]]'}, timeout=FRESH),
     refused(SWEEP + "object.json --hamiltonian x^2",
             "error: --sweep object.json holds a JSON list of coordinate lists",
-            files={"object.json": '{"a": 1}'}),
+            files={"object.json": '{"a": 1}'}, timeout=FRESH),
     refused(SWEEP + "off_guard.json --hamiltonian x^2",
             "error: --sweep off_guard.json, entry 1: point violates y > 0.0 on chart 'xjt' "
-            "(got y = -1.0)", files={"off_guard.json": "[[0.2,1,0.3,-0.2,0],[0.1,-1,0,0,0]]"}),
+            "(got y = -1.0)", files={"off_guard.json": "[[0.2,1,0.3,-0.2,0],[0.1,-1,0,0,0]]"},
+            timeout=FRESH),
     *(refused(command, Has("error: argument %s: not a finite number: " % flag))
       for command, flag in (
         (INTEGRATE + " --dt nan", "--dt"),
@@ -240,18 +245,18 @@ CASES = [
     # a number that is not finite ends with its own code and message
     # theta theta^T overflows: LAPACK's SVD did not return on the inf
     Case("field --builtin heisenberg --hamiltonian x --at 1e308,1e308,0", 1,
-         "numerical failure: flat matrix not finite at [1e+308, 1e+308, 0.0]", "", timeout=20),
+         "numerical failure: flat matrix not finite at [1e+308, 1e+308, 0.0]", "", timeout=FRESH),
     # m + c overflows: RK45 never rejected the inf right-hand side
     refused("riccati --m=1e308 --c=1e308 --n=0 --x0=1,1 --t-end 1 --dt 0.1",
-            "error: right-hand side not finite at t=0, state [1.0, 1.0]", timeout=20),
+            "error: right-hand side not finite at t=0, state [1.0, 1.0]", timeout=FRESH),
     # the sum overflows: these printed "value": Infinity and exited 0
     *(refused("bracket --kind %s --f 1e200*q --g 1e200*p --at=0.1,0.2,0.3" % kind,
-              "error: %s bracket is not finite at [0.1, 0.2, 0.3]: inf" % name, timeout=20)
+              "error: %s bracket is not finite at [0.1, 0.2, 0.3]: inf" % name, timeout=FRESH)
       for kind, name in (("poisson", "Poisson"), ("jacobi", "Jacobi"))),
     # X_H and dH are finite, their product is not: it printed Infinity
     refused("field --builtin darboux_contact(1) --hamiltonian '1e200*q + 1e200*p' "
             "--at=0.1,0.2,0.3", 'error: "dissipation_identity_residual" is not finite: inf',
-            timeout=20),
+            timeout=FRESH),
     # H R(H) overflows: a refused run writes no file
     refused("integrate --builtin darboux_cosymplectic --hamiltonian 1e155*kappa --x0 0,0,1 "
             "--t-end 1e-300 --dt 1e-301 --method rk4 --json-out f.json --csv f.csv",
@@ -259,29 +264,29 @@ CASES = [
     # the norm of the first derivative is inf, so RK45's first trial step is
     # 0: it steps on from there, as scipy's does
     Case("integrate --builtin darboux_contact --hamiltonian 1e160*q --x0 0,1,1 "
-         "--t-end 0.01 --dt 0.001", 1, Has(": flat matrix has rank 1 < 3"), ""),
+         "--t-end 0.01 --dt 0.001", 1, Has(": flat matrix has rank 1 < 3"), "", timeout=FRESH),
     # out-of-range values end cleanly, with no library text
     # numpy's "negative dimensions are not allowed" from the probe sampler
     refused("check-structure --builtin heisenberg --probes -3",
-            Has("error: argument --probes: not a positive integer: '-3'"), timeout=20),
+            Has("error: argument --probes: not a positive integer: '-3'"), timeout=FRESH),
     # numpy's "Maximum allowed size exceeded", and a 7 TiB allocation
     refused(INTEGRATE + " --dt 1e-12",
             "error: t_end/dt = 1e+12 asks for 1e+12 grid rows; t_end/dt is at most 1000000",
-            timeout=20),
+            timeout=FRESH),
     # LAPACK's DLASCL text on stdout, then "SVD did not converge"
     Case("phi-solve --free 1e300,0.5,0.3,-0.2 --at 0,1,0.1,0.2,0", 1,
-         out=Has('"best_residual": null'), timeout=20),
+         out=Has('"best_residual": null'), timeout=FRESH),
     # scipy's "At least one element of rtol is too small" warning, exit 0
     refused(INTEGRATE + " --t-end 0.01 --dt 0.001 --rtol 0",
             "error: rtol must be at least 100 * eps = 2.22e-14 for adaptive-rk45, got 0.0",
-            timeout=20),
+            timeout=FRESH),
     # a zero coordinate over atol = 0 made the first RK45 step NaN: an
     # IndexError from the empty grid before it, exit 1
     refused("integrate --builtin xjt_gtacos --hamiltonian x^2+y --x0=0.1,1,0.2,0,0.1 "
-            "--t-end 0.1 --dt 0.01 --atol=0", "error: `atol` must be positive.", timeout=20),
+            "--t-end 0.1 --dt 0.01 --atol=0", "error: `atol` must be positive.", timeout=FRESH),
     # the message of scipy's own check, which the package now makes
     refused(INTEGRATE + " --t-end 0.01 --dt 0.001 --atol=-1",
-            "error: `atol` must be positive.", timeout=20),
+            "error: `atol` must be positive.", timeout=FRESH),
 ]
 
 
@@ -388,7 +393,11 @@ def _changes(name, base, tree):
 
 def _differences(base, tree) -> list[str]:
     (code_a, *streams_a, files_a), (code_b, *streams_b, files_b) = base, tree
-    out = [] if code_a == code_b else ["exit %s -> %s" % (code_a, code_b)]
+    # a row that never ended is a difference, even on both trees
+    out = ["%s: %s" % (tree, code) for tree, code in (("base", code_a), ("tree", code_b))
+           if not isinstance(code, int)]
+    if code_a != code_b:
+        out.append("exit %s -> %s" % (code_a, code_b))
     for name, a, b in zip(("stdout", "stderr"), streams_a, streams_b):
         if a != b:
             out += _changes(name, a, b)

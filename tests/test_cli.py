@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -818,14 +819,20 @@ INVARIANT_SUITE_LINE = re.compile(
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.command)
-def test_a_corpus_row_keeps_the_cli_contract(case, capsys, tmp_path, monkeypatch):
+def test_a_corpus_row_keeps_the_cli_contract(case, capfd, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("COSYM_SEED", raising=False)
     write_inputs(case, tmp_path)
     if case.timeout:
         code, out, err = fresh_process(*case.argv, timeout=case.timeout)
     else:
-        code, out, err = run(capsys, *case.argv)
+        # capfd also reads what C code writes to fd 1 and 2 (LAPACK's
+        # DLASCL text); a warning is put on stderr as a fresh process would
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capfd, *case.argv)
+        err += "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                       for w in caught)
     files = written(case, tmp_path)
     # the contract of every command (see tests/cli_corpus.py)
     assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_INPUT)
