@@ -6,8 +6,10 @@ bit.  ``list-manifolds``, ``check-structure`` and ``invariant-suite`` take
 ``--seed`` (default 42; the COSYM_SEED environment variable overrides it);
 no other command draws random numbers or takes the flag.
 
-argparse reads all input: its types read numbers (finite only) and
-comma-separated points, so a bad value is a usage error naming its flag.
+argparse reads all input: its types read numbers (finite only), counts,
+seeds and comma-separated points, so a bad value is a usage error naming
+its flag.  A COSYM_SEED that is not a nonnegative integer is an input
+error naming the variable.
 A ``--config`` JSON object's entries are flags placed before the command
 line's own, which win: ``"key": v`` is ``--key=v``, a list is joined with
 commas, ``true`` is the bare flag, ``false`` and ``null`` are left out,
@@ -40,6 +42,10 @@ EXIT_INPUT = 2
 
 DEFAULT_SEED = 42
 
+# A probe set holds (probes, dim, dim) stacks of Omega, d theta and F, 8 dim^2
+# bytes per probe each: the bound keeps each stack under 80 MB.
+MAX_PROBE_ENTRIES = 10_000_000
+
 PARAMETER_NAMES = tuple(f.name for f in dataclasses.fields(manifolds.ModelParameters))
 
 
@@ -58,15 +64,25 @@ def _number(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    """argparse type of a count: a positive integer."""
+def _integer(text: str, least: int, kind: str) -> int:
+    """``text`` as an integer of at least ``least``, which ``kind`` names."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("not a positive integer: %r" % text)
+    if value < least:
+        raise argparse.ArgumentTypeError("not a %s integer: %r" % (kind, text))
     return value
+
+
+def _count(text: str) -> int:
+    """argparse type of a count: a positive integer."""
+    return _integer(text, 1, "positive")
+
+
+def _seed_value(text: str) -> int:
+    """argparse type of a seed: a nonnegative integer."""
+    return _integer(text, 0, "nonnegative")
 
 
 def _point(text: str) -> list[float]:
@@ -88,7 +104,14 @@ def _params(args) -> manifolds.ModelParameters:
 
 
 def _seed(args) -> int:
-    return int(os.environ.get("COSYM_SEED", args.seed))
+    """``--seed``, or the COSYM_SEED environment variable that overrides it."""
+    text = os.environ.get("COSYM_SEED")
+    if text is None:
+        return args.seed
+    try:
+        return _seed_value(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError("COSYM_SEED: %s" % exc) from None
 
 
 def _require(args, key):
@@ -100,11 +123,13 @@ def _require(args, key):
 
 
 def _resolve_structure(args) -> structures.StructureSpec:
-    params = _params(args)  # checked also when a JSON document is read
     if args.structure_json:
+        for flag, value in (("--builtin", args.builtin), ("-P/--param", args.param)):
+            if value:
+                raise ValueError("--structure-json cannot be combined with %s" % flag)
         return structures.StructureSpec.from_json(args.structure_json)
     if args.builtin:
-        return manifolds.builtin(args.builtin, params)
+        return manifolds.builtin(args.builtin, _params(args))
     raise ValueError("give --builtin NAME or --structure-json PATH")
 
 
@@ -131,6 +156,11 @@ def cmd_list_manifolds(args) -> int:
 
 def cmd_check_structure(args) -> int:
     spec = _resolve_structure(args)
+    dim = spec.chart.dimension
+    if args.probes * dim**2 > MAX_PROBE_ENTRIES:
+        raise ValueError("--probes %d asks for %.6g entries per (probes, dim, dim) stack; "
+                         "--probes is at most %d on a %d-dimensional chart"
+                         % (args.probes, args.probes * dim**2, MAX_PROBE_ENTRIES // dim**2, dim))
     probes = spec.default_probes(count=args.probes, seed=_seed(args))
     cls = structures.classify(spec, probes=probes)
     probe = spec.chart.point(args.probe_point) if args.probe_point else probes[0]
@@ -284,9 +314,11 @@ def _coeffs_from_args(args):
     a, b, c, m, n = (
         0.0 if v is None else v for v in (getattr(args, k) for k in COEFFICIENT_FLAGS)
     )
-    return jacobi_flows.LinearHamiltonianCoefficients(
+    coeffs = jacobi_flows.LinearHamiltonianCoefficients(
         a=a, b=b, c_lin=c, m=m, n_lin=n, h_kappa=args.h_kappa
     )
+    coeffs.h_expr()  # refuses a malformed h_kappa for every command that reads one
+    return coeffs
 
 
 def cmd_compare(args) -> int:
@@ -358,6 +390,8 @@ def _write_compare_csv(path, flows) -> None:
 def cmd_riccati(args) -> int:
     from . import jacobi_flows
 
+    if args.paper_verbatim and args.csv:
+        raise ValueError("--paper-verbatim cannot be combined with --csv")
     params = _params(args)
     coeffs = _coeffs_from_args(args)
     if args.paper_verbatim:
@@ -530,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def seed_flag(p):
         """The flag of the commands that draw random probes or inputs."""
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+        p.add_argument("--seed", type=_seed_value, default=DEFAULT_SEED,
                        help="seed for randomized checks (default 42; COSYM_SEED overrides)")
 
     def structure_flags(p):

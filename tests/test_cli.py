@@ -1,7 +1,5 @@
 import argparse
-import csv
 import json
-import math
 import re
 import warnings
 from pathlib import Path
@@ -10,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cli_corpus import CASES, Has, run_fresh, strict_json, write_inputs, written
+from cli_corpus import CASES, Has, matches, run_fresh, strict_json, write_inputs, written
 from cosym import cli, dynamics
 from cosym.charts import ScalarField
 from cosym.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
@@ -46,107 +44,7 @@ class TestListManifolds:
                 assert reeb(reloaded, pt) == pytest.approx(reeb(spec, pt), abs=1e-15)
 
 
-class TestCheckStructure:
-    def test_malformed_expression_exits_2(self, capsys, tmp_path):
-        doc = {
-            "name": "broken",
-            "chart": {"coordinates": ["q", "p", "kappa"], "guards": []},
-            "n": 1,
-            "theta": {"kappa": "1 + * q"},
-            "omega": {"q,p": "1"},
-        }
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "check-structure", "--structure-json", str(path))
-        assert code == EXIT_INPUT
-        assert "offset" in err
-
-    @pytest.mark.parametrize(
-        "theta, volume", [({"q": "1"}, 0.0), ({"kappa": "2e-8"}, 2e-8)]
-    )
-    def test_refused_structure_prints_its_report_and_exits_1(
-        self, capsys, tmp_path, theta, volume
-    ):
-        doc = {
-            "name": "refused",
-            "chart": {"coordinates": ["q", "p", "kappa"], "guards": []},
-            "n": 1,
-            "theta": theta,
-            "omega": {"q,p": "1"},
-        }
-        path = tmp_path / "refused.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "check-structure", "--structure-json", str(path))
-        assert code == EXIT_NUMERICAL
-        assert err == ""
-        report = json.loads(out)
-        assert report["flags"]["acos"] is False
-        assert report["reeb"] is None
-        assert len(report["probe_point"]) == 3
-        assert report["volume_coefficient"] == volume
-
-    def test_a_structure_document_is_read_by_structure_json_only(self, capsys, tmp_path):
-        run(capsys, "list-manifolds", "--emit", str(tmp_path))
-        path = str(tmp_path / "heisenberg.json")
-        code, out, err = run(capsys, "check-structure", "--builtin", path)
-        assert (code, out) == (EXIT_INPUT, "")
-        assert err == "error: unknown structure name %r\n" % path
-        code, out, _ = run(capsys, "check-structure", "--structure-json", path)
-        assert code == EXIT_OK
-        assert json.loads(out)["name"] == "heisenberg"
-
-    def test_an_overflowing_flat_matrix_warns_nothing(self, capsys, tmp_path):
-        # theta theta^T overflows to inf: the solver refuses it before its
-        # SVD, and the volume's EvalError is the report
-        doc = {
-            "name": "huge",
-            "chart": {"coordinates": ["q", "p", "kappa"], "guards": []},
-            "n": 1,
-            "theta": {"kappa": "1e200"},
-            "omega": {"q,p": "1e200"},
-        }
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "check-structure", "--structure-json", str(path))
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert err.startswith("error: volume coefficient is not finite at ")
-        assert "Warning" not in err
-
-
 class TestFieldAndReeb:
-    def test_reeb_command(self, capsys):
-        code, out, _ = run(
-            capsys, "reeb", "--builtin", "darboux_contact", "--at", "0.3,0.7,0.1"
-        )
-        assert code == EXIT_OK
-        assert np.array(json.loads(out)["reeb"]) == pytest.approx([0, 0, 1], abs=1e-12)
-
-    def test_reeb_prints_no_negative_zero(self, capsys):
-        # LU's substitutions round these components to -0.0; R prints +0.0
-        code, out, _ = run(
-            capsys, "reeb", "--builtin", "xjt_gtacos", "--at=0.2,1.0,0.3,-0.2,0.0"
-        )
-        assert code == EXIT_OK
-        assert json.loads(out)["reeb"] == [0.0, 0.0, 0.0, 0.0, 1.0]
-        assert "-0.0" not in out
-
-    def test_field_command(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "field",
-            "--builtin",
-            "darboux_contact",
-            "--hamiltonian",
-            "kappa",
-            "--at",
-            "1,2,3",
-        )
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert np.array(doc["hamiltonian_field"]) == pytest.approx([0, -2, -3])
-        assert doc["dissipation_identity_residual"] <= 1e-10
-
     def test_field_prints_each_quantity_of_fresh_objects_bit_for_bit(self, capsys):
         source, at = "q^2 + p^2 + x^2 + (y-1)^2", (0.2, 1.0, 0.3, -0.2, 0.0)
         code, out, _ = run(capsys, "field", "--builtin", "xjt_gtacos",
@@ -171,114 +69,6 @@ class TestFieldAndReeb:
         for key, value in want.items():
             assert np.array(doc[key]).tobytes() == np.asarray(value, dtype=float).tobytes(), key
         assert doc["at"] == list(at)
-
-class TestIntegrate:
-    def test_csv_and_summary(self, capsys, tmp_path):
-        csv_path = tmp_path / "traj.csv"
-        json_path = tmp_path / "traj.json"
-        code, out, _ = run(
-            capsys,
-            "integrate",
-            "--builtin", "darboux_contact",
-            "--hamiltonian", "kappa",
-            "--x0", "0,1,1",
-            "--t-end", "1",
-            "--dt", "0.001",
-            "--csv", str(csv_path),
-            "--json-out", str(json_path),
-        )
-        assert code == EXIT_OK
-        with open(csv_path) as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["t", "q", "p", "kappa", "H", "dissipation_residual"]
-        final = rows[-1]
-        assert float(final[0]) == pytest.approx(1.0)
-        assert float(final[3]) == pytest.approx(np.exp(-1.0), abs=1e-6)
-        doc = json.loads(json_path.read_text())
-        assert doc["metadata"]["structure"] == "darboux_contact(1)"
-        summary = json.loads(out)
-        assert summary["max_dissipation_residual"] <= 1e-5
-        assert summary["escaped"] is False
-
-    def test_energy_conservation_summary(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys,
-            "integrate",
-            "--builtin", "xjt_gtacos",
-            "--hamiltonian", "q^2 + p^2 + x^2 + (y-1)^2",
-            "--x0", "0,1,0.3,0.2,0",
-            "--t-end", "1",
-            "--dt", "0.001",
-        )
-        assert code == EXIT_OK
-        assert json.loads(out)["energy_drift"] <= 1e-6
-
-    def test_zero_t_end_single_row(self, capsys, tmp_path):
-        csv_path = tmp_path / "single.csv"
-        code, out, _ = run(
-            capsys,
-            "integrate",
-            "--builtin", "darboux_contact",
-            "--hamiltonian", "kappa",
-            "--x0", "0.1,0.2,0.3",
-            "--t-end", "0",
-            "--dt", "0.1",
-            "--csv", str(csv_path),
-        )
-        assert code == EXIT_OK
-        rows = csv_path.read_text().splitlines()
-        assert len(rows) == 2  # header + initial point
-        assert rows[1].startswith("0,0.1")
-
-    def test_domain_escape_exits_1(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "integrate",
-            "--builtin", "xjt_gtacos",
-            "--hamiltonian", "x/y^2",
-            "--x0", "0,0.5,0,0,0",
-            "--t-end", "1",
-            "--dt", "0.01",
-        )
-        assert code == EXIT_NUMERICAL
-        summary = json.loads(out)
-        assert summary["escaped"] is True
-        assert summary["min_y"] > 0.0
-
-    @pytest.mark.parametrize("method", [[], ["--method", "rk4"]])
-    def test_stage_on_guard_surface_is_an_escape(self, capsys, method):
-        # y = 0.5 - t reaches the guard y > 0 exactly at t_end, where the
-        # right-hand side divides by zero.
-        code, out, _ = run(
-            capsys,
-            "integrate",
-            "--builtin", "xjt_gtacos",
-            "--hamiltonian", "x/y^2",
-            "--x0", "0,0.5,0,0,0",
-            "--t-end", "0.5",
-            "--dt", "0.01",
-            *method,
-        )
-        assert code == EXIT_NUMERICAL
-        summary = json.loads(out)
-        assert summary["escaped"] is True
-        assert "domain escape" in summary["diagnostic"]
-        assert summary["rows"] == 50
-        assert summary["min_y"] > 0.0
-
-    def test_config_file(self, capsys, tmp_path):
-        config = {
-            "builtin": "darboux_contact",
-            "hamiltonian": "kappa",
-            "x0": [0.0, 1.0, 1.0],
-            "t-end": 0.5,
-            "dt": 0.01,
-        }
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(config))
-        code, out, _ = run(capsys, "integrate", "--config", str(path))
-        assert code == EXIT_OK
-        assert json.loads(out)["rows"] == 51
 
 
 class TestSweep:
@@ -319,41 +109,6 @@ class TestSweep:
             assert entry["final"] == doc["states"][-1]
             assert entry["escaped"] is False
 
-    def test_an_atol_that_is_not_positive_is_refused_before_any_point_flows(
-        self, capsys, tmp_path
-    ):
-        # at atol = 0 the first point's zero coordinate made its first step
-        # NaN, and the sweep ended in a traceback; now a sweep refuses what
-        # a single run refuses, as for an rtol below the floor
-        points = tmp_path / "points.json"
-        points.write_text(json.dumps([[0.2, 1.0, 0.3, -0.2, 0.1], [0.1, 1.0, 0.2, 0.0, 0.1]]))
-        for atol in ("0", "-1"):
-            code, out, err = run(
-                capsys, "integrate", "--config", self._config(tmp_path), "--hamiltonian", "x^2+y",
-                "--atol=" + atol, "--sweep", str(points),
-            )
-            assert (code, out, err) == (EXIT_INPUT, "", "error: `atol` must be positive.\n")
-        # RK4 reads no atol, and every point flows
-        code, out, _ = run(
-            capsys, "integrate", "--config", self._config(tmp_path), "--hamiltonian", "x^2+y",
-            "--atol=0", "--method", "rk4", "--sweep", str(points),
-        )
-        assert code == EXIT_OK and len(json.loads(out)["sweep"]) == 2
-
-    def test_escape_exits_1(self, capsys, tmp_path):
-        points = tmp_path / "points.json"
-        # y falls at unit speed under x/y^2: the first point leaves y > 0
-        # before t = 1, the second does not.
-        points.write_text(json.dumps([[0.0, 0.5, 0.0, 0.0, 0.0], [0.2, 2.0, 0.3, -0.2, 0.0]]))
-        code, out, _ = run(
-            capsys, "integrate", "--config", self._config(tmp_path),
-            "--hamiltonian", "x/y^2", "--t-end", "1", "--sweep", str(points),
-        )
-        assert code == EXIT_NUMERICAL
-        sweep = json.loads(out)["sweep"]
-        assert sweep[0]["escaped"] is True
-        assert sweep[1]["escaped"] is False
-
     @pytest.mark.parametrize("doc, message", [
         ('[[0, 1, 0, 0, "nan"]]', ", entry 0: not a finite number: 'nan'"),
         ("[[0.2, 1.0, 0.3, -0.2, 0.0], [0, 1, 0, 0, NaN]]",
@@ -383,33 +138,6 @@ class TestSweep:
         assert out == ""
         assert err == "error: --sweep %s%s\n" % (points, message)
         assert calls == []  # every entry is read before any point flows
-
-    @pytest.mark.parametrize("flag, value", [
-        ("x0", "0.2,1,0,0,0"), ("csv", "out.csv"), ("json-out", "out.json"),
-    ])
-    @pytest.mark.parametrize("via", ["command_line", "config"])
-    def test_single_run_flags_are_refused_with_a_sweep(
-        self, capsys, tmp_path, flag, value, via
-    ):
-        points = tmp_path / "points.json"
-        points.write_text(json.dumps(self.POINTS))
-        config = self._config(tmp_path)
-        if flag != "x0":
-            value = str(tmp_path / value)  # a file a single run would write
-        if via == "config":
-            doc = json.loads(Path(config).read_text())
-            doc[flag] = value
-            Path(config).write_text(json.dumps(doc))
-            extra = ()
-        else:
-            extra = ("--%s=%s" % (flag, value),)
-        code, out, err = run(
-            capsys, "integrate", "--config", config, "--sweep", str(points), *extra,
-        )
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert err == "error: --sweep cannot be combined with --%s\n" % flag
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["points.json", "run.json"]
 
     def test_rk4_matches_single_runs_bit_for_bit_with_an_escape(self, capsys, tmp_path):
         config = self._config(tmp_path)
@@ -521,147 +249,6 @@ class TestSweep:
         assert "sqrt() domain error" in second["failure"]
 
 
-class TestCompare:
-    def test_gtacos_vs_base(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "compare",
-            "--variants", "gtacos,base_xj1",
-            "--a", "0.1", "--b", "0.2", "--c", "0.4", "--m", "0.2", "--n", "0.1",
-            "--x0", "0.1,1,0.2,-0.1,0",
-            "--t-end", "0.5", "--dt", "0.01",
-        )
-        assert code == EXIT_OK
-        assert '\n  "escaped": {}' in out
-        doc = json.loads(out)
-        assert doc["deltas"]["gtacos_vs_base_xj1"]["max"] <= 1e-8
-        assert doc["corrections"]["gtacos"]["active_components"] == ["kappa"]
-        assert doc["escaped"] == {}
-
-    def test_an_escaping_base_flow_exits_1(self, capsys, tmp_path):
-        # y' = -600 y on the base chart: a recorded RK45 state crosses y = 0,
-        # and the rows stop there, as riccati's do
-        path = tmp_path / "cmp.csv"
-        code, out, err = run(
-            capsys,
-            "compare",
-            "--variants", "base_xj1",
-            "--n=-300", "--x0=0,1,0,0,0",
-            "--t-end", "1", "--dt", "0.01",
-            "--csv", str(path),
-        )
-        assert (code, err) == (EXIT_NUMERICAL, "")
-        assert json.loads(out)["escaped"] == {"base_xj1": "domain escape on recorded state"}
-        rows = path.read_text().splitlines()
-        assert rows[0] == "t,base_xj1_x,base_xj1_y,base_xj1_q,base_xj1_p"
-        assert len(rows) == 1 + 5
-
-    def test_kappa_coupling_activates_corrections(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "compare",
-            "--variants", "gtacos,base_xj1",
-            "--c", "0.4", "--h-kappa", "kappa",
-            "--x0", "0.1,1,0.5,-0.3,0.2",
-            "--t-end", "0.2", "--dt", "0.01",
-        )
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        active = doc["corrections"]["gtacos"]["active_components"]
-        assert "q" in active and "p" in active
-        assert doc["deltas"]["gtacos_vs_base_xj1"]["max"] > 1e-4
-
-    def test_paper_verbatim_report(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "compare",
-            "--variants", "gtacos,contact",
-            "--a", "0.1", "--b", "-0.2", "--c", "0.3", "--m", "0.2", "--n", "-0.1",
-            "--h-kappa", "kappa",
-            "--x0", "0.3,1.2,0.4,-0.2,0.1",
-            "--t-end", "0.1", "--dt", "0.01",
-            "--paper-verbatim",
-        )
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        entries = doc["paper_verbatim"]["entries"]
-        for key in ("riccati_xy", "linear_pq", "linear_kappa", "contact_kappa"):
-            assert entries[key]["max_deviation"] > 1e-6
-
-
-    def test_zero_t_end_single_row_per_variant(self, capsys, tmp_path):
-        path = tmp_path / "cmp.csv"
-        code, out, _ = run(
-            capsys,
-            "compare",
-            "--variants", "gtacos,base_xj1,contact",
-            "--c", "0.4", "--x0=0.1,1,0,0,0", "--t-end", "0",
-            "--csv", str(path),
-        )
-        assert code == EXIT_OK
-        rows = path.read_text().splitlines()
-        assert len(rows) == 2  # header + the initial point of every variant
-        x0 = ["0.10000000000000001", "1", "0", "0", "0"]
-        assert rows[1].split(",") == ["0"] + x0 + x0[:4] + x0
-        assert json.loads(out)["deltas"]["gtacos_vs_base_xj1"]["max"] == 0.0
-
-
-class TestRiccati:
-    def test_trajectory_csv(self, capsys, tmp_path):
-        path = tmp_path / "ric.csv"
-        code, out, _ = run(
-            capsys,
-            "riccati",
-            "--m", "0.3", "--c", "0.4", "--n", "0.1",
-            "--x0", "0,1", "--t-end", "1", "--dt", "0.01",
-            "--csv", str(path),
-        )
-        assert code == EXIT_OK
-        rows = path.read_text().splitlines()
-        assert rows[0] == "t,x,y"
-        assert len(rows) == 102
-        doc = json.loads(out)
-        assert doc["min_y"] > 0 and not doc["escaped"] and doc["diagnostic"] == ""
-
-    @pytest.mark.parametrize("argv", [("--n=-300", "--x0=0,1"),
-                                      ("--m=100", "--n=-100", "--x0=3,0.001")])
-    def test_a_numerical_escape_exits_1(self, capsys, argv):
-        # the exact flow keeps y > 0; an RK45 stage or a recorded state
-        # does not, and ends the rows as integrate's escapes do
-        code, out, err = run(capsys, "riccati", *argv, "--t-end", "1", "--dt", "0.01")
-        doc = json.loads(out)
-        assert (code, err) == (EXIT_NUMERICAL, "")
-        assert doc["escaped"] and doc["diagnostic"] == "domain escape on recorded state"
-        assert doc["min_y"] > 0
-
-    def test_paper_verbatim(self, capsys):
-        code, out, _ = run(capsys, "riccati", "--paper-verbatim")
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert doc["entries"]["riccati_xy"]["max_deviation"] > 1e-6
-
-
-class TestPhiSolve:
-    def test_solution_report(self, capsys, tmp_path):
-        out_path = tmp_path / "phi.json"
-        code, out, _ = run(
-            capsys,
-            "phi-solve",
-            "--free", "1,0.5,0.3,-0.2",
-            "--at", "0,1,0.1,0.2,0",
-            "--json-out", str(out_path),
-        )
-        assert code == EXIT_OK
-        doc = json.loads(out_path.read_text())
-        assert doc["passes"] is True
-        assert doc["rank"] == 4
-        assert doc["residuals"]["phi_squared"] <= 1e-10
-        assert isinstance(doc["positive_definite"], bool)
-        phi = np.array(doc["phi"])
-        assert phi.shape == (5, 5)
-        assert np.abs(phi[:, 4]).max() == 0.0
-
-
 def write_config(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -713,6 +300,17 @@ class TestInvariantSuite:
         code, out, _ = run(capsys, "invariant-suite", "--seed", "99")
         assert code == EXIT_OK
         assert "(seed 7)" in out
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "invalid int value: 'abc'"), ("", "invalid int value: ''"),
+        ("-1", "not a nonnegative integer: '-1'"),
+    ])
+    def test_an_env_seed_that_is_not_a_nonnegative_integer_is_refused(
+        self, capsys, monkeypatch, value, message
+    ):
+        monkeypatch.setenv("COSYM_SEED", value)
+        got = run(capsys, "invariant-suite")
+        assert got == (EXIT_INPUT, "", "error: COSYM_SEED: %s\n" % message)
 
     def test_each_catalog_structure_is_built_once(self, capsys, monkeypatch):
         from cosym import manifolds
@@ -842,7 +440,7 @@ def test_a_corpus_row_keeps_the_cli_contract(case, capfd, tmp_path, monkeypatch)
     if case.argv[0] == "invariant-suite":
         assert all(INVARIANT_SUITE_LINE.fullmatch(line) for line in out.splitlines())
     elif out:
-        strict_json(out)
+        assert out == json.dumps(strict_json(out), indent=2) + "\n"
     assert code != EXIT_OK or not isinstance(case.err, Has)  # stderr is the row's log
     for name, text in files.items():
         if name.endswith(".json"):
@@ -853,13 +451,10 @@ def test_a_corpus_row_keeps_the_cli_contract(case, capfd, tmp_path, monkeypatch)
         assert case.err in err
     else:
         assert err == case.err + "\n" * bool(case.err)
-    if isinstance(case.out, Has):
-        assert case.out in out
-    elif isinstance(case.out, str):
-        assert out == case.out
-    elif case.out is not None:
-        assert case.out(strict_json(out))
-    assert sorted(files) == sorted(case.writes)
+    assert matches(case.out, "stdout", out)
+    assert sorted(files) == sorted(case.file_tests)
+    for name, test in case.file_tests.items():
+        assert matches(test, name, files[name]), name
 
 
 @settings(max_examples=1000, deadline=None)
