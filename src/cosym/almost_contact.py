@@ -4,9 +4,23 @@ The (1,1)-tensor Phi is indexed by (x, y, q, p, kappa), rows = output slot.
 Its last column vanishes, the last row follows from eta Phi = 0, and six
 off-diagonal symmetry relations (with zeta = tau/sigma, tau = k/y^2,
 sigma = 2 nu) leave ten independent components.  Fixing the four free
-components (Phi_yq, Phi_yp, Phi_qp, Phi_pq) reduces the axioms to a 2x2
-nonlinear system in (Phi_xy, Phi_xq), solved here by damped Newton from a
-multistart grid.
+components (Phi_yq, Phi_yp, Phi_qp, Phi_pq) leaves two unknowns
+(Phi_xy, Phi_xq) and one equation.  With u = Phi_xy/Phi_xq,
+D = Phi_yp - Phi_yq and E = Phi_qp - Phi_pq, the elimination chain gives
+Phi_xp = Phi_xq, Phi_qq = (u D + E)/2 and
+
+    Phi_xx^2 + Phi_xy Phi_yx = Phi_qq^2 + Phi_qp Phi_pq
+
+identically, so the (x, x) and (q, q) entries of Phi^2 = -I + xi (x) eta
+are the same equation:
+
+    Phi_qq^2 + 1 + Phi_qp Phi_pq = zeta Phi_xq D.
+
+Its solutions form a curve, one point for each u.  :func:`solve_phi` takes
+the point u = 1, or u = -1 where u = 1 leaves Phi_xq near 0; the two
+Phi_xq differ by E/zeta, and both vanish only if E = 0 and
+(D/2)^2 + 1 + Phi_qp^2 = 0, which cannot be.  Where D = 0 the equation is
+((Phi_qp + Phi_pq)/2)^2 + 1 = 0, which has no root.
 """
 
 from __future__ import annotations
@@ -24,7 +38,6 @@ from .manifolds import CHART_XJT, ModelParameters
 PHI_COORDS = ("x", "y", "q", "p", "kappa")
 PASS_TOL = 1e-10  # the largest axiom residual of a passing solution
 RANK_TOL = 1e-8  # singular values of Phi at or below this do not count to its rank
-_NEWTON_TOL = 1e-12
 
 
 class PhiSolveError(RuntimeError):
@@ -55,7 +68,6 @@ class AcmsSolution:
     g_prime: np.ndarray
     residuals: dict[str, float]
     positive_definite: bool
-    newton_iterations: int
     free: tuple[float, float, float, float]
     point: ChartPoint
     params: ModelParameters
@@ -106,7 +118,7 @@ def phi_hat_matrix(params: ModelParameters, values) -> np.ndarray:
 
 def _derived_components(free, unknowns) -> dict[str, float]:
     """All ten independent components from the four free ones and the two
-    Newton unknowns, via the elimination chain."""
+    unknowns (Phi_xy, Phi_xq), via the elimination chain."""
     f_yq, f_yp, f_qp, f_pq = free
     f_xy, f_xq = unknowns
     f_xp = f_xq
@@ -120,17 +132,6 @@ def _derived_components(free, unknowns) -> dict[str, float]:
         "yx": f_yx, "yq": f_yq, "yp": f_yp,
         "qq": f_qq, "qp": f_qp, "pq": f_pq,
     }
-
-
-def _newton_residual(free, unknowns, zeta) -> np.ndarray:
-    """The two Newton residuals; inf or nan where they overflow, without a
-    warning, since :func:`solve_phi` checks them for finiteness."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = _derived_components(free, unknowns)
-        shared = zeta * c["xq"] * (c["yq"] - c["yp"]) + 1.0
-        r1 = c["xx"] ** 2 + shared + c["xy"] * c["yx"]
-        r2 = c["qq"] ** 2 + shared + c["qp"] * c["pq"]
-        return np.array([r1, r2])
 
 
 def assemble_phi(components: Mapping[str, float], params: ModelParameters, values) -> np.ndarray:
@@ -151,6 +152,7 @@ def assemble_phi(components: Mapping[str, float], params: ModelParameters, value
     phi[4, 1] = -((k / y) * c["xy"] - nu * zeta * p * c["xp"] - nu * zeta * q * c["xq"]) / sd
     phi[4, 2] = -((k / y) * c["xq"] - nu * p * c["qq"] + nu * q * c["pq"]) / sd
     phi[4, 3] = -((k / y) * c["xp"] - nu * p * c["qp"] - nu * q * c["qq"]) / sd
+    phi += 0.0  # a zero entry is +0.0, not the chain's -0.0
     return phi
 
 
@@ -192,86 +194,38 @@ def metric_from_defining_relation(phi: np.ndarray, params: ModelParameters, valu
     return np.outer(eta, eta) - phi_hat_matrix(params, values) @ phi
 
 
-_DEFAULT_STARTS = tuple(
-    (a, b) for a in (-3.0, -1.0, 1.0, 3.0) for b in (-3.0, -1.0, 1.0, 3.0)
-)
-
-_BRANCH_FLOOR = 1e-6  # |Phi_xq|, |Phi_xy| below this leaves the solution branch
+_BRANCH_FLOOR = 1e-6  # |Phi_xq| below this leaves the branch Phi_xy = Phi_xq
 
 
-def solve_phi(
-    free,
-    params: ModelParameters,
-    at,
-    max_iter: int = 80,
-    starts=_DEFAULT_STARTS,
-) -> AcmsSolution:
-    """Damped-Newton multistart solve for a full almost-contact-metric
-    candidate (Phi, xi, eta, g') at a point.
+def solve_phi(free, params: ModelParameters, at) -> AcmsSolution:
+    """The almost-contact-metric candidate (Phi, xi, eta, g') at a point, in
+    the closed form of the module docstring.
 
     ``free`` fixes (Phi_yq, Phi_yp, Phi_qp, Phi_pq).  Positive definiteness
-    of g' is reported as a diagnostic, never imposed on the root-find.  A
-    start whose residual is not finite is abandoned; PhiSolveError's
-    best residual is inf when no start gave a finite one.
+    of g' is reported as a diagnostic, never imposed.  PhiSolveError is
+    raised where Phi_yq = Phi_yp, with the equation's constant value as the
+    best residual, and where the components are not finite, with an inf
+    best residual and no warning.
     """
     point = CHART_XJT.point(at)
-    values = point.array
     free = tuple(float(v) for v in free)
     if len(free) != 4:
         raise ValueError("free components are (Phi_yq, Phi_yp, Phi_qp, Phi_pq)")
-    _, _, zeta = _tau_sigma_zeta(params, values[1])
-
-    best_residual = math.inf
-    solution = None
-    iterations = 0
-    for start in starts:
-        u = np.array(start, dtype=float)
-        if abs(u[1]) < _BRANCH_FLOOR:
-            continue
-        ok = False
-        for it in range(max_iter):
-            r = _newton_residual(free, u, zeta)
-            rnorm = np.abs(r).max()
-            if not math.isfinite(rnorm):
-                break  # lstsq need not return on a non-finite system
-            best_residual = min(best_residual, rnorm)
-            if rnorm <= _NEWTON_TOL:
-                ok = True
-                iterations = it
-                break
-            jac = np.column_stack([
-                central_difference(lambda v: _newton_residual(free, v, zeta), u, j)
-                for j in range(2)
-            ])
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            lam = 1.0
-            for _ in range(30):
-                trial = u + lam * step
-                if abs(trial[1]) >= _BRANCH_FLOOR:
-                    tr = _newton_residual(free, trial, zeta)
-                    if np.abs(tr).max() < rnorm:
-                        break
-                lam *= 0.5
-            else:
-                break
-            u = u + lam * step
-        if not ok:
-            continue
-        if abs(u[0]) < _BRANCH_FLOOR or abs(u[1]) < _BRANCH_FLOOR:
-            continue  # outside the derivation hypotheses Phi_xy, Phi_xq != 0
-        candidate = _finish(free, u, params, point, iterations)
-        if candidate.passes():
-            return candidate
-        if solution is None:
-            solution = candidate
-    if solution is not None:
-        return solution
-    raise PhiSolveError(
-        "no Newton start converged to a valid branch", best_residual
-    )
+    f_yq, f_yp, f_qp, f_pq = free
+    d, e = np.float64(f_yp - f_yq), f_qp - f_pq
+    if d == 0.0:
+        half = (f_qp + f_pq) / 2.0
+        raise PhiSolveError("Phi_yq = Phi_yp leaves no root", half * half + 1.0)
+    with np.errstate(all="ignore"):  # _finish refuses a component that is not finite
+        _, _, zeta = _tau_sigma_zeta(params, point.array[1])
+        qq = (d + e) / 2.0
+        u, xq = 1.0, (qq * qq + 1.0 + f_qp * f_pq) / (zeta * d)
+        if abs(xq) < _BRANCH_FLOOR:
+            u, xq = -1.0, xq - e / zeta
+        return _finish(free, (u * xq, xq), params, point)
 
 
-def _finish(free, unknowns, params, point, iterations) -> AcmsSolution:
+def _finish(free, unknowns, params, point) -> AcmsSolution:
     values = point.array
     tau, sigma, zeta = _tau_sigma_zeta(params, values[1])
     comp = _derived_components(free, unknowns)
@@ -303,6 +257,8 @@ def _finish(free, unknowns, params, point, iterations) -> AcmsSolution:
     residuals["defining_metric_symmetry"] = float(
         np.abs(g_defining - g_defining.T).max()
     )
+    if not all(map(math.isfinite, residuals.values())):
+        raise PhiSolveError("the components are not finite", math.inf)
     eigenvalues = np.linalg.eigvalsh(g_prime)
     return AcmsSolution(
         phi=PhiTensor(entries=phi, tau=tau, sigma=sigma),
@@ -311,7 +267,6 @@ def _finish(free, unknowns, params, point, iterations) -> AcmsSolution:
         g_prime=g_prime,
         residuals=residuals,
         positive_definite=bool(eigenvalues.min() > 0.0),
-        newton_iterations=iterations,
         free=free,
         point=point,
         params=params,

@@ -6,8 +6,8 @@ on the field, so a field is differentiated at most once per coordinate.  A
 value or gradient that is not finite (an overflow to inf, or NaN) raises
 :class:`EvalError`.  The one finite-difference rule,
 :func:`central_difference` with step ``h_i = max(1, |x_i|) * eps**(1/3)``,
-serves what is not an expression: Newton Jacobians and matrix-valued maps
-in :mod:`cosym.almost_contact`.
+serves what is not an expression: the matrix-valued maps of the Nijenhuis
+obstruction in :mod:`cosym.almost_contact`.
 
 A field has one cache per use.  The single-point readers,
 :meth:`ScalarField.value`, ``gradient`` and ``at`` (the two at once), walk

@@ -183,13 +183,14 @@ def red_green_decomposition(
     """(base_terms, correction_terms) with base + correction = eom(variant).
 
     base_terms embeds the 4-dimensional flow (zero kappa component); the
-    correction carries every term the extension adds.
+    correction carries every term the extension adds.  A zero of base_terms
+    is +0.0, as a zero of the solved field is.
     """
     if variant not in ("gtacos", "contact"):
         raise ValueError("decomposition applies to the 5-dimensional variants")
     point = CHART_XJT.point(at)
     full = hamiltonian_field_generic(model.structure(variant), model.total, point)
-    base = np.append(_base_velocity(model, point.array[:4]), 0.0)
+    base = np.append(_base_velocity(model, point.array[:4]), 0.0) + 0.0
     return base, full - base
 
 

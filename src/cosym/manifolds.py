@@ -93,6 +93,9 @@ CATALOG = (
 )
 
 _NAME_RE = re.compile(r"^([a-z_0-9]+?)(?:\((\d+)\))?$")
+# The largest Darboux size n whose n! is a finite double: above it the
+# volume coefficient theta ^ Omega^n = n! dq1 ^ ... cannot be finite.
+DARBOUX_MAX = 170
 
 
 def builtin(name: str, params: ModelParameters | None = None) -> StructureSpec:
@@ -107,6 +110,11 @@ def builtin(name: str, params: ModelParameters | None = None) -> StructureSpec:
     base, arg = m.group(1), m.group(2)
     n = int(arg) if arg else 1
 
+    if base in ("darboux_contact", "darboux_cosymplectic") and n > DARBOUX_MAX:
+        raise ValueError(
+            "%s(%d): n is at most %d, the largest n whose volume coefficient n! "
+            "is a finite float" % (base, n, DARBOUX_MAX)
+        )
     if base == "darboux_contact":
         return _darboux_contact(n)
     if base == "darboux_cosymplectic":
