@@ -36,7 +36,14 @@ from .forms import KForm, exterior_derivative
 from .manifolds import CHART_XJT, ModelParameters
 
 PHI_COORDS = ("x", "y", "q", "p", "kappa")
-PASS_TOL = 1e-10  # the largest axiom residual of a passing solution
+PASS_TOL = 1e-10  # the floor of the largest axiom residual of a passing solution
+# A residual sums products of two entries of Phi (or of zeta and an entry,
+# which is as large), each rounded to eps relative, so it rounds like
+# eps * max|Phi|^2; and |Phi| grows like zeta = k/(2 nu y^2) at small y.  A
+# passing residual is at most PASS_EPS_FACTOR times eps * max(1, max|Phi|)^2
+# where that exceeds PASS_TOL.  The worst ratio seen is 2.9 over 20000
+# seeded cases of criterion 07's ranges, and 1.8 over y down to 1e-8.
+PASS_EPS_FACTOR = 16
 RANK_TOL = 1e-8  # singular values of Phi at or below this do not count to its rank
 
 
@@ -76,9 +83,16 @@ class AcmsSolution:
         "square_xx", "square_xq", "square_xp", "square_yq", "square_yp", "square_qq",
     )
 
+    def pass_tolerance(self) -> float:
+        """The largest axiom residual of a passing solution:
+        max(PASS_TOL, PASS_EPS_FACTOR * eps * max(1, max|Phi|)^2)."""
+        scale = max(1.0, float(np.abs(self.phi.entries).max()))
+        return max(PASS_TOL, PASS_EPS_FACTOR * float(np.finfo(float).eps) * scale * scale)
+
     def passes(self) -> bool:
         keys = ("phi_squared", "eta_phi", "phi_xi") + self.INDEPENDENT_EQUATIONS
-        return all(self.residuals[k] <= PASS_TOL for k in keys) and self.phi.rank() == 4
+        tol = self.pass_tolerance()
+        return all(self.residuals[k] <= tol for k in keys) and self.phi.rank() == 4
 
 
 def eta_covector(params: ModelParameters, values) -> np.ndarray:

@@ -15,7 +15,10 @@ the trees and keep the value and the gradient of the last point, each
 keyed by the exact bytes of the point's coordinates (so +0.0 and -0.0 are
 different points): a repeat at the same point returns the kept result, a
 gradient as a new array.  An error is never kept, and a failing point
-leaves the previous one's result in place.  The value and the partials
+leaves the previous one's result in place.  A walk binds the coordinates
+once: a missed point's gradient and value share one environment, as do
+the fields of one :func:`_walk_fields` (a form's coefficients, a vector
+field's or a chart map's components).  The value and the partials
 compile into one straight-line kernel on request
 (:meth:`ScalarField.kernel`), which serves only :meth:`ScalarField.rows`
 and the joint read of :func:`cosym.dynamics.hamiltonian_field_generic`,
@@ -29,9 +32,11 @@ rule, :meth:`Chart.values` (and :meth:`Chart.point` for a point): a
 :class:`ChartPoint` is trusted only on its own chart; a point of another
 chart must have the same coordinates and, like a plain sequence, meets this
 chart's guards.  A caller that has checked a point passes the ChartPoint
-on.  Only the private readers (``_at``, ``_value_at``, ``_gradient_at``)
-take unchecked coordinates: the flows' Runge-Kutta stages may lie past a
-guard, and the rows of a trajectory are walked without checks.
+on; its coordinates are one read-only array, built with the point.  Only
+the private readers (``_at``, ``_value_at``, ``_gradient_at``,
+``_walk_fields``) take unchecked coordinates: the flows' Runge-Kutta stages
+may lie past a guard, and the rows of a trajectory are walked without
+checks.
 :meth:`Chart.sample_box` gives the fixed probe box, [-2, 2] per coordinate
 kept 0.25 inside each guard.
 """
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -176,7 +181,7 @@ class Chart:
         stands; a ChartPoint of another chart must have this chart's
         coordinates (else ChartMismatchError), and it or a plain sequence is
         checked against this chart's guards."""
-        if isinstance(at, ChartPoint) and at.chart == self:
+        if isinstance(at, ChartPoint) and (at.chart is self or at.chart == self):
             return at.array
         values = self._coordinates(at)
         self.check(values)
@@ -198,7 +203,7 @@ class Chart:
     def point(self, values) -> "ChartPoint":
         """``values`` as a point of this chart, read by :meth:`values`'s
         rule; a point of this chart is returned as it is."""
-        if isinstance(values, ChartPoint) and values.chart == self:
+        if isinstance(values, ChartPoint) and (values.chart is self or values.chart == self):
             return values
         return ChartPoint(self, tuple(self._coordinates(values).tolist()))
 
@@ -241,15 +246,19 @@ class Chart:
 
 @dataclass(frozen=True)
 class ChartPoint:
+    """A checked point of a chart.  Its attribute ``array`` holds the
+    values as one read-only float array, built with the point and handed out
+    as it is; it is no dataclass field, so equality, hash and repr read the
+    chart and the values alone."""
+
     chart: Chart
     values: tuple[float, ...]
 
     def __post_init__(self):
         self.chart.check(self.values)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        array = np.array(self.values, dtype=float)
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)  # the class is frozen
 
     def env(self) -> dict[str, float]:
         return self.chart.env(self.values)
@@ -314,7 +323,7 @@ class ScalarField:
         # one read of the slot, so a concurrent call cannot swap in its point
         key, kept = values.tobytes(), self._last_value
         if kept[0] != key:
-            kept = self._last_value = key, self._eval(values)
+            kept = self._last_value = key, self._eval(values, self._env(values))
         return kept[1]
 
     def _gradient_at(self, values: np.ndarray) -> np.ndarray:
@@ -322,12 +331,19 @@ class ScalarField:
         reads the value; always a new array."""
         key, kept = values.tobytes(), self._last_gradient
         if kept[0] != key:
-            kept = self._last_gradient = key, self._gradient(values)
+            kept = self._last_gradient = key, self._gradient(values, self._env(values))
         return kept[1].copy()
 
-    def _eval(self, values: np.ndarray) -> float:
+    def _env(self, values) -> dict[str, float]:
+        """The names a walk reads: the chart's coordinates at ``values``
+        and the params."""
         env = self.chart.env(values)
         env.update(self.params)
+        return env
+
+    def _eval(self, values: np.ndarray, env: dict[str, float]) -> float:
+        """The value at ``values`` by walking the tree in ``env``, which
+        binds them and the params."""
         v = self.expr.eval(env)
         if not math.isfinite(v):
             raise self._not_finite("value", v, values)
@@ -360,9 +376,8 @@ class ScalarField:
         :meth:`at` reads them."""
         return self._gradient_at(self.chart.values(at))
 
-    def _gradient(self, values: np.ndarray) -> np.ndarray:
-        env = self.chart.env(values)
-        env.update(self.params)
+    def _gradient(self, values: np.ndarray, env: dict[str, float]) -> np.ndarray:
+        """The gradient at ``values`` as :meth:`_eval` reads the value."""
         grad = [self._partial_expr(c).eval(env) for c in self.chart.coordinates]
         if not all(map(math.isfinite, grad)):
             raise self._not_finite("gradient", grad, values)
@@ -388,9 +403,16 @@ class ScalarField:
         return self._at(self.chart.values(at))
 
     def _at(self, values: np.ndarray):
-        """:meth:`at` at unchecked coordinates."""
-        grad = self._gradient_at(values)
-        return self._value_at(values), grad
+        """:meth:`at` at unchecked coordinates: the gradient and then the
+        value, each from the kept last point or by a walk, both walks in one
+        environment."""
+        key, value, grad = values.tobytes(), self._last_value, self._last_gradient
+        env = None if value[0] == key and grad[0] == key else self._env(values)
+        if grad[0] != key:
+            grad = self._last_gradient = key, self._gradient(values, env)
+        if value[0] != key:
+            value = self._last_value = key, self._eval(values, env)
+        return value[1], grad[1].copy()
 
     def rows(self, states):
         """(values, gradients) at every row of an (N, dim) array, without
@@ -449,6 +471,23 @@ class ScalarField:
         return "ScalarField(%s on %s)" % (body, self.chart.name)
 
 
+def _walk_fields(fields: Iterable[ScalarField], values: np.ndarray) -> list[float]:
+    """Each field's value at unchecked coordinates, in order, as its
+    :meth:`ScalarField._eval` gives it (the first failing field raises its
+    error), with the coordinates bound once per chart rather than once per
+    field.  Each field's params are written into that environment before
+    its walk; params never shadow a coordinate, and a field's tree reads no
+    name but its chart's coordinates and its own params, so a name left by
+    an earlier field is never read."""
+    out, coordinates, env = [], None, {}
+    for f in fields:
+        if f.chart.coordinates != coordinates:
+            coordinates, env = f.chart.coordinates, f.chart.env(values)
+        env.update(f.params)
+        out.append(f._eval(values, env))
+    return out
+
+
 def random_polynomial(
     chart: Chart, rng, max_degree: int = 2, terms: int = 4
 ) -> ScalarField:
@@ -479,8 +518,7 @@ class ChartMap:
                 raise ChartMismatchError("component field not on source chart")
 
     def __call__(self, at) -> ChartPoint:
-        values = self.source.values(at)
-        image = [c._eval(values) for c in self.components]
+        image = _walk_fields(self.components, self.source.values(at))
         try:
             return self.target.point(image)
         except DomainError as exc:

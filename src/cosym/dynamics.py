@@ -407,6 +407,16 @@ _P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# The most RK45 steps, accepted and rejected, that one flow may take: this
+# many per grid row, and never fewer than RK45_MIN_STEPS.  A non-stiff flow
+# takes fewer steps than it has rows (about 15 for flow_dense's 1001); the
+# most seen over the tests, the CLI corpus and the benchmark is 818 steps
+# for 21 rows, a blow-up that ends in TOO_SMALL_STEP.  Only a stiff flow,
+# whose stable step is far below its grid spacing, reaches the bound.  A
+# step costs six right-hand sides, about 0.25 ms on a three-dimensional
+# chart, so the floor ends such a flow in a few seconds.
+RK45_STEPS_PER_ROW = 100
+RK45_MIN_STEPS = 10_000
 _ROOT_TOL = 4 * np.finfo(float).eps  # brentq's xtol and rtol for a guard crossing
 
 
@@ -447,6 +457,12 @@ def _dense(step, s):
     return h * np.dot(Q, powers) + (y_old if np.ndim(x) == 0 else y_old[:, None])
 
 
+def rk45_max_steps(rows: int) -> int:
+    """The most steps, accepted and rejected, of an RK45 flow sampled on
+    ``rows`` grid times."""
+    return max(RK45_MIN_STEPS, RK45_STEPS_PER_ROW * rows)
+
+
 def _rk45(fun, y, t_eval: np.ndarray, rtol: float, atol: float, guards):
     """RK45 from y at t = 0 to t_eval[-1], sampled at the times t_eval.
 
@@ -460,9 +476,12 @@ def _rk45(fun, y, t_eval: np.ndarray, rtol: float, atol: float, guards):
     time from ``scipy.optimize.brentq`` at xtol = rtol = 4 eps.  Returns
     (rows, status, root): the states at the grid times reached as an
     (m, n) array, and status 0 at t_eval[-1], 1 at a guard crossing (the
-    rows stop at its time ``root``) or -1 when the step fell below ten ulps
-    of t (:data:`TOO_SMALL_STEP`)."""
+    rows stop at its time ``root``), -1 when the step fell below ten ulps
+    of t (:data:`TOO_SMALL_STEP`) or 2 when the steps taken, accepted and
+    rejected, reached :func:`rk45_max_steps` (``root`` is then the time
+    reached).  Scipy has no such bound; up to it, the rows are its own."""
     t, t_bound = 0.0, float(t_eval[-1])
+    steps, max_steps = 0, rk45_max_steps(len(t_eval))
     grid = t_eval.tolist()
     f = fun(t, y)
     h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
@@ -476,6 +495,10 @@ def _rk45(fun, y, t_eval: np.ndarray, rtol: float, atol: float, guards):
             h_abs = max(h_abs, min_step)
             rejected = False
             while not h_abs < min_step:  # as scipy's test reads, NaN included
+                if steps == max_steps:
+                    status, root = 2, t
+                    break
+                steps += 1
                 t_new = min(t + h_abs, t_bound)
                 h_abs = h = t_new - t
                 K[0] = f
@@ -493,6 +516,7 @@ def _rk45(fun, y, t_eval: np.ndarray, rtol: float, atol: float, guards):
                 rejected = True
             else:
                 status = -1
+            if status is not None:
                 break
             step = (t, h, y, K.T.dot(_P))
             t, y, f = t_new, y_new, f_new
@@ -572,8 +596,10 @@ def _step(
     RK45 is :func:`_rk45`, the package's Dormand-Prince 5(4) stepper, equal
     bit for bit to scipy 1.17.1's RK45 with a terminal event per guard: a
     guard crossed between two steps stops its rows at the crossing time,
-    and a step below ten ulps of t ends the flow with scipy's message as
-    the diagnostic.  It refuses, before any work, an rtol below the floor
+    a step below ten ulps of t ends the flow with scipy's message as the
+    diagnostic, and the step bound :func:`rk45_max_steps` ends it with a
+    diagnostic naming the bound and the time reached.  It refuses, before
+    any work, an rtol below the floor
     100 * eps (scipy raised a smaller one to it with a warning), an atol
     that is not positive (a zero coordinate would make the error scale
     zero and the first step NaN), and an infinite rtol or atol (0 * inf
@@ -601,7 +627,7 @@ def _step(
     if steps > MAX_GRID_STEPS:
         raise ValueError("t_end/dt = %.6g asks for %.6g grid rows; t_end/dt is at most %d"
                          % (steps, steps + 1, MAX_GRID_STEPS))
-    x0 = chart.point(x0).array
+    x0 = chart.point(x0).array.copy()  # a flow of no step stores this array as its row
 
     n_steps = math.floor(steps * (1 + 1e-12))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
@@ -649,6 +675,11 @@ def _step(
         elif status == -1:
             escaped = True
             diagnostic = TOO_SMALL_STEP
+        elif status == 2:
+            escaped = True
+            diagnostic = ("RK45 took its bound of %d steps (accepted and rejected) for %d "
+                          "grid rows and stopped at t=%g" % (rk45_max_steps(len(t_eval)),
+                                                            len(t_eval), root))
         inside = np.ones(len(rows), dtype=bool)  # every guard, column-wise
         for g in chart.guards:
             inside &= g.holds(rows[:, chart.index(g.coordinate)])

@@ -21,6 +21,14 @@ gradient walks a subtree once for every name it contains and once for all
 the others.  The kept derivative is the one the node's own ``diff`` rule
 builds, so a tree does not depend on what was asked before.
 
+Every node class (and :class:`Token`) is a frozen, slotted dataclass, so
+assigning a field raises ``FrozenInstanceError`` and equality and hashing
+are structural; its ``__init__`` stores the fields through the slots'
+member descriptors, which skips the frozen ``__setattr__`` that a
+dataclass init pays per field.  The leaves' derivatives, and the folds of
+``mul``, ``div`` and ``pow_`` to zero or one, return the shared constants
+:data:`ZERO` and :data:`ONE` rather than a new node each time.
+
 :class:`Kernel` compiles a list of trees into one straight-line Python
 function, bound either to scalar helpers (one point) or to row helpers
 (many points at once); both give what :meth:`Expr.eval` gives at each
@@ -30,7 +38,7 @@ point, bit for bit, and raise its errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -111,6 +119,24 @@ def _is_square(exponent: "Expr") -> bool:
 # --------------------------------------------------------------------------
 
 
+def _node(cls):
+    """``cls`` as a frozen, slotted dataclass (its equality, hash, repr and
+    FrozenInstanceError) whose ``__init__`` sets each field through the
+    slot's member descriptor, bypassing the frozen ``__setattr__`` that the
+    dataclass init calls per field; that about halves the cost of a node."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    source = "def _init(%s):\n    def __init__(self, %s):\n%s    return __init__\n" % (
+        ", ".join("_set_" + n for n in names), ", ".join(names),
+        "".join("        _set_%s(self, %s)\n" % (n, n) for n in names))
+    namespace: dict = {}
+    exec(source, namespace)
+    init = namespace["_init"](*(cls.__dict__[n].__set__ for n in names))
+    init.__qualname__ = cls.__qualname__ + ".__init__"
+    cls.__init__ = init
+    return cls
+
+
 class Expr:
     """Base expression node; immutable."""
 
@@ -173,36 +199,39 @@ class Operation(Expr):
     def names(self):
         kept = getattr(self, "_names", None)
         if kept is None:
-            fields = self.operands
-            kept = getattr(self, fields[0]).names()
-            for field in fields[1:]:
+            operands = self.operands
+            kept = getattr(self, operands[0]).names()
+            for field in operands[1:]:
                 kept = kept | getattr(self, field).names()
-            _keep(self, "_names", kept)
+            _keep_names(self, kept)
         return kept
 
 
-def _keep(node: Operation, slot: str, value):
-    object.__setattr__(node, slot, value)  # the node classes are frozen
-    return value
+# the kept slots' setters, which the frozen __setattr__ does not reach
+_keep_names = Operation._names.__set__
+_keep_absent = Operation._absent.__set__
 
 
 def _once_for_absent_names(rule):
     """An operation's ``diff``: ``rule`` for a name the node contains; for
     any other name, ``rule``'s tree, built on the first such request and
     kept.  That tree is the same for every absent name: below the node,
-    each Name differentiates to Num(0.0), and the rules read the name
+    each Name differentiates to ZERO, and the rules read the name
     nowhere else."""
 
     def diff(self, name):
         if name in self.names():
             return rule(self, name)
         kept = getattr(self, "_absent", None)
-        return _keep(self, "_absent", rule(self, name)) if kept is None else kept
+        if kept is None:
+            kept = rule(self, name)
+            _keep_absent(self, kept)
+        return kept
 
     return diff
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Num(Expr):
     value: float
     precedence = 9
@@ -211,7 +240,7 @@ class Num(Expr):
         return self.value
 
     def diff(self, name):
-        return Num(0.0)
+        return ZERO
 
     def names(self):
         return frozenset()
@@ -226,7 +255,13 @@ class Num(Expr):
         return _fmt(self.value)
 
 
-@dataclass(frozen=True, slots=True)
+# The shared constants: every derivative of a leaf, and every fold to zero or
+# one, is one of these two nodes; a node is immutable, so sharing is safe.
+ZERO = Num(0.0)
+ONE = Num(1.0)
+
+
+@_node
 class Name(Expr):
     ident: str
     precedence = 9
@@ -238,7 +273,7 @@ class Name(Expr):
             raise _unbound(self.ident) from None
 
     def diff(self, name):
-        return Num(1.0 if name == self.ident else 0.0)
+        return ONE if name == self.ident else ZERO
 
     def names(self):
         return frozenset((self.ident,))
@@ -250,7 +285,7 @@ class Name(Expr):
         return self.ident
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Neg(Operation):
     arg: Expr
     precedence = 2
@@ -270,7 +305,7 @@ class Neg(Operation):
         return "-%s" % _paren(self.arg, 3)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Add(Operation):
     left: Expr
     right: Expr
@@ -291,7 +326,7 @@ class Add(Operation):
         return "%s + %s" % (_paren(self.left, 1), _paren(self.right, 2))
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Sub(Operation):
     left: Expr
     right: Expr
@@ -312,7 +347,7 @@ class Sub(Operation):
         return "%s - %s" % (_paren(self.left, 1), _paren(self.right, 2))
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Mul(Operation):
     left: Expr
     right: Expr
@@ -336,7 +371,7 @@ class Mul(Operation):
         return "%s*%s" % (_paren(self.left, 2), _paren(self.right, 3))
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Div(Operation):
     left: Expr
     right: Expr
@@ -365,7 +400,7 @@ class Div(Operation):
         return "%s/%s" % (_paren(self.left, 2), _paren(self.right, 3))
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Pow(Operation):
     """base^exponent.  A constant exponent of 2 (``Num(2.0)``, after
     folding) is the product ``base * base``, the correctly rounded square,
@@ -414,7 +449,7 @@ class Pow(Operation):
         return "%s^%s" % (_paren(self.base, 4), _paren(self.exponent, 3))
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Call(Operation):
     fn: str
     arg: Expr
@@ -715,7 +750,7 @@ def mul(a: Expr, b: Expr) -> Expr:
     else:
         return Mul(a, b)
     if v == 0.0:
-        return Num(0.0)
+        return ZERO
     if v == 1.0:
         return other
     if v == -1.0:
@@ -728,11 +763,11 @@ def div(a: Expr, b: Expr) -> Expr:
         w = b.value
         if type(a) is Num and w != 0.0:
             if a.value == 0.0:
-                return Num(0.0)
+                return ZERO
             return a if w == 1.0 else Num(a.value / w)
         return a if w == 1.0 else Div(a, b)
     if type(a) is Num and a.value == 0.0:
-        return Num(0.0)
+        return ZERO
     return Div(a, b)
 
 
@@ -742,7 +777,7 @@ def pow_(a: Expr, b: Expr) -> Expr:
         if k == 1.0:
             return a
         if k == 0.0:
-            return Num(1.0)
+            return ONE
         if type(a) is Num:
             try:
                 return Num(Pow(a, b).eval({}))
@@ -762,7 +797,7 @@ def call(fn: str, arg: Expr) -> Expr:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Token:
     kind: str
     text: str

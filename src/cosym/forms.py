@@ -20,6 +20,7 @@ from .charts import (
     ChartMap,
     ChartMismatchError,
     ScalarField,
+    _walk_fields,
 )
 
 
@@ -143,11 +144,12 @@ class KForm:
         return self._at(self.chart.values(point))
 
     def _at(self, values: np.ndarray) -> FormValue:
-        """:meth:`at` at unchecked coordinates."""
+        """:meth:`at` at unchecked coordinates: the coefficients in order,
+        in one environment (:func:`cosym.charts._walk_fields`)."""
         return FormValue(
             self.chart,
             self.degree,
-            {idx: f._eval(values) for idx, f in self.coeffs.items()},
+            dict(zip(self.coeffs, _walk_fields(self.coeffs.values(), values))),
         )
 
     def __add__(self, other: "KForm") -> "KForm":
@@ -189,8 +191,7 @@ class VectorField:
             raise ValueError("component count must equal chart dimension")
 
     def at(self, point) -> np.ndarray:
-        values = self.chart.values(point)
-        return np.array([c._eval(values) for c in self.components])
+        return np.array(_walk_fields(self.components, self.chart.values(point)))
 
     @classmethod
     def from_exprs(cls, chart: Chart, exprs, params=None) -> "VectorField":

@@ -443,6 +443,13 @@ CASES = [
     # 0: it steps on from there, as scipy's does
     Case("integrate --builtin darboux_contact --hamiltonian 1e160*q --x0 0,1,1 "
          "--t-end 0.01 --dt 0.001", 1, Has(": flat matrix has rank 1 < 3"), "", timeout=FRESH),
+    # p and kappa decay at rate 1e20, so RK45's stable step is a few 1e-20:
+    # reaching t = 0.01 would take some 1e17 steps, and the step bound ends it
+    Case("integrate --builtin darboux_contact --hamiltonian 1e20*kappa --x0 0,1,1 "
+         "--t-end 0.01 --dt 0.001", 1,
+         out=lambda doc: doc["escaped"] is True and doc["rows"] == 1 and doc["diagnostic"]
+         == "RK45 took its bound of 10000 steps (accepted and rejected) for 11 grid rows "
+         "and stopped at t=2.81619e-16", timeout=FRESH),
     # out-of-range values end cleanly, with no library text
     # numpy's "negative dimensions are not allowed" from the probe sampler
     refused("check-structure --builtin heisenberg --probes -3",
@@ -459,6 +466,11 @@ CASES = [
     # search printed LAPACK's DLASCL text on stdout here)
     Case("phi-solve --free 1e300,0.5,0.3,-0.2 --at 0,1,0.1,0.2,0", 1,
          out=Has('"best_residual": null'), timeout=FRESH),
+    # max|Phi| is 5e7 at y = 1e-4, and phi_squared rounds to 3.7e-9: it
+    # passes, since a residual is held to 16 eps max|Phi|^2 above 1e-10
+    Case("phi-solve --free 1,0.5,0.3,-0.2 --at 0,1e-4,0.1,0.2,0", 0,
+         out=lambda doc: doc["passes"] is True and doc["rank"] == 4
+         and 1e-10 < doc["residuals"]["phi_squared"] < 1e-8),
     # Phi_yq = Phi_yp: the equation is ((Phi_qp + Phi_pq)/2)^2 + 1 = 0
     Case("phi-solve --free 1,1,0.3,-0.2 --at 0,1,0.1,0.2,0", 1,
          out=Has('"best_residual": 1.0025\n')),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosym.almost_contact import (
+    PASS_TOL,
     AcmsSolution,
     PhiSolveError,
     heisenberg_potential,
@@ -119,6 +120,18 @@ class TestSolvePhi:
         assert phi[0, 2] == -3.0 / sol.phi.zeta
         assert phi[0, 1] == -phi[0, 2]
         assert sol.passes()
+
+    def test_a_correct_phi_at_small_y_passes(self):
+        # |Phi| grows like zeta = k/(2 nu y^2): at y = 1e-4 max|Phi| is 5e7
+        # and phi_squared rounds to 3.7e-9, above the floor PASS_TOL
+        assert solve_phi(SAMPLE_FREE, ModelParameters(), SAMPLE_POINT).pass_tolerance() == PASS_TOL
+        for y in np.logspace(-6, 0.3, 25):
+            sol = solve_phi(SAMPLE_FREE, ModelParameters(), (0.0, y, 0.1, 0.2, 0.0))
+            scale = max(1.0, np.abs(sol.phi.entries).max())
+            assert sol.pass_tolerance() == max(PASS_TOL, 16 * np.finfo(float).eps * scale**2)
+            assert sol.passes() and sol.phi.rank() == 4, y
+        sol = solve_phi(SAMPLE_FREE, ModelParameters(), (0.0, 1e-4, 0.1, 0.2, 0.0))
+        assert sol.residuals["phi_squared"] > PASS_TOL and sol.passes()
 
 
 # A residual is a sum of at most five products of two entries of Phi, eta or

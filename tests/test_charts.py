@@ -190,7 +190,7 @@ def _counted(H):
     walks = []
     for name in ("_eval", "_gradient"):
         walk = getattr(H, name)
-        setattr(H, name, lambda values, _w=walk, _n=name: walks.append(_n) or _w(values))
+        setattr(H, name, lambda *args, _w=walk, _n=name: walks.append(_n) or _w(*args))
     return walks
 
 
@@ -427,3 +427,37 @@ def test_every_point_reader_refuses_a_point_of_the_wrong_length(name, kernels):
         for pt in (values, np.array(values)):
             with pytest.raises(DomainError, match=expected):
                 read(pt)
+
+
+class TestOneEnvironmentPerWalk:
+    """The single-point readers bind the coordinates once per walk, and a
+    point's array is built once, read-only."""
+
+    def test_a_point_array_is_one_read_only_array(self):
+        chart = darboux_chart(1)
+        pt = chart.point((0.3, -0.2, 0.1))
+        assert pt.array is pt.array and chart.values(pt) is pt.array
+        assert pt.array.tolist() == [0.3, -0.2, 0.1] and pt.array.dtype == float
+        with pytest.raises(ValueError):
+            pt.array[0] = 1.0
+        # the array is no field: equality and hash read chart and values only
+        twin = chart.point((0.3, -0.2, 0.1))
+        assert twin == pt and hash(twin) == hash(pt) and "array" not in repr(pt)
+
+    def test_a_missed_point_builds_one_environment(self, monkeypatch):
+        chart = darboux_chart(1)
+        H = ScalarField.parse(chart, "a*q^2*p + kappa", {"a": 2.0})
+        envs = []
+        env = Chart.env
+        monkeypatch.setattr(Chart, "env", lambda *args: envs.append(1) or env(*args))
+        want = ScalarField.parse(chart, "2*q^2*p + kappa")
+        for pt in ((0.3, -0.2, 0.1), (0.5, 0.2, 0.1)):
+            del envs[:]
+            value, grad = H.at(pt)
+            assert len(envs) == 1  # the gradient's walk and the value's
+            assert H.at(pt)[0] == value and len(envs) == 1  # a repeat walks nothing
+            assert (value, grad.tolist()) == (want.value(pt), want.gradient(pt).tolist())
+        del envs[:]
+        H.value((0.1, 0.1, 0.1))
+        H.at((0.1, 0.1, 0.1))  # only the gradient missed
+        assert len(envs) == 2

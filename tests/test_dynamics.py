@@ -532,9 +532,13 @@ class TestIntegrate:
     def test_zero_t_end_single_row(self):
         s = contact1()
         H = ScalarField.parse(s.chart, "kappa")
-        traj = integrate(s, H, s.chart.point((0.1, 0.2, 0.3)), 0.0, 1e-2)
+        pt = s.chart.point((0.1, 0.2, 0.3))
+        traj = integrate(s, H, pt, 0.0, 1e-2)
         assert len(traj.times) == 1
         assert traj.states[0] == pytest.approx([0.1, 0.2, 0.3])
+        # the row is the flow's own array, not the point's read-only one
+        traj.states[0, 0] = 5.0
+        assert pt.array[0] == 0.1
 
     @pytest.mark.parametrize("method", ["rk4", "adaptive-rk45"])
     @pytest.mark.parametrize("t_end, dt, rows", [
@@ -901,6 +905,24 @@ class TestRK45IsScipys:
         for variant in ("base_xj1", "gtacos", "contact"):
             traj, _ = self.same(monkeypatch, lambda: integrate_variant(model, variant, x0, 0.5, 0.01))
             assert len(traj.times) == 51
+
+    def test_the_step_bound_ends_a_stiff_flow_with_scipys_rows_up_to_it(self, monkeypatch):
+        # y' = -100 y at rtol = atol = 1e-9 takes between 100 and 200 steps
+        # to t = 1; a bound of 100 steps stops it past t = 0.5
+        monkeypatch.setattr(dynamics, "RK45_MIN_STEPS", 100)
+        monkeypatch.setattr(dynamics, "RK45_STEPS_PER_ROW", 1)
+        fun = lambda t, y: -100.0 * y  # noqa: E731
+        t_eval = np.linspace(0.0, 1.0, 11)
+        rows, status, t_reached = dynamics._rk45(fun, np.array([1.0]), t_eval, 1e-9, 1e-9, [])
+        ref_rows, ref_status, _ = scipy_rk45(fun, np.array([1.0]), t_eval, 1e-9, 1e-9, [])
+        assert (status, ref_status) == (2, 0) and 0.5 < t_reached < 0.6
+        assert len(rows) == 6 and len(ref_rows) == 11
+        assert rows.tobytes() == ref_rows[:len(rows)].tobytes()
+        flow = dynamics._step(lambda y: -100.0 * y, Chart("line", ("u",)), (1.0,), 1.0, 0.1,
+                              "adaptive-rk45", 1e-9, 1e-9)
+        assert flow.escaped and flow.states.tobytes() == rows.tobytes()
+        assert flow.diagnostic == ("RK45 took its bound of 100 steps (accepted and rejected) "
+                                   "for 11 grid rows and stopped at t=%g" % t_reached)
 
     def test_a_step_below_ten_ulps_ends_the_flow(self, monkeypatch):
         # u' = u^2 from 1 blows up at t = 1: the steps shrink below ten ulps

@@ -877,3 +877,83 @@ def test_diff_matches_sympy():
                     got = ours.eval(dict(zip(ROW_NAMES, point)))
                     assert abs(got - want) <= SYMPY_REL * max(1.0, abs(want)), (
                         str(tree), n, point, got, want)
+
+
+# --------------------------------------------------------------------------
+# Node construction: frozen slotted dataclasses, shared zero and one
+# --------------------------------------------------------------------------
+
+NODES = [
+    Num(1.5), Name("x"), Neg(Name("x")), Add(Name("x"), Num(2.0)), Sub(Name("x"), Num(2.0)),
+    Mul(Name("x"), Name("y")), Div(Name("x"), Name("y")), Pow(Name("x"), Num(3.0)),
+    Call("sin", Name("x")), expressions.Token("NAME", "x", 0),
+]
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_assigning_a_field_of_a_node_raises(node):
+    for f in dataclasses.fields(node):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, f.name, getattr(node, f.name))
+    assert not hasattr(node, "__dict__")
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_node_equality_and_hash_are_structural(node):
+    values = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    twin = type(node)(*values)
+    assert twin is not node and twin == node and hash(twin) == hash(node)
+    assert repr(twin) == repr(node)
+    assert type(node)(**{f.name: v for f, v in zip(dataclasses.fields(node), values)}) == node
+    assert node != Num(-7.0)
+    assert Add(Name("x"), Num(2.0)) != Add(Num(2.0), Name("x")) != Sub(Num(2.0), Name("x"))
+
+
+def test_leaves_and_folds_return_the_shared_zero_and_one():
+    zero, one = expressions.ZERO, expressions.ONE
+    assert (zero, one) == (Num(0.0), Num(1.0)) and math.copysign(1.0, zero.value) == 1.0
+    x = Name("x")
+    assert Num(3.0).diff("x") is zero and x.diff("y") is zero and x.diff("x") is one
+    assert expressions.mul(Num(0.0), x) is zero and expressions.mul(x, Num(-0.0)) is zero
+    assert expressions.div(Num(0.0), x) is zero and expressions.div(Num(-0.0), Num(2.0)) is zero
+    assert expressions.pow_(x, Num(0.0)) is one
+    assert parse("0*x") is zero and parse("x^0") is one and parse("0/x") is zero
+    assert parse("x + y").diff("x").diff("x") is zero
+
+
+# Every first partial of each catalog coefficient (default parameters, on its
+# chart's coordinates) and of README's Hamiltonians, plus trees that use every
+# diff rule, as str printed them before the nodes shared ZERO and ONE.
+XJT = ("x", "y", "q", "p", "kappa")
+DERIVATIVES_AS_PRINTED = [
+    ("1", ("q", "p", "kappa"), ("0", "0", "0")),
+    ("1", ("x", "y", "kappa"), ("0", "0", "0")),
+    ("-p", ("q", "p", "kappa"), ("(-0)", "(-1)", "(-0)")),
+    ("-y", ("x", "y", "kappa"), ("(-0)", "(-1)", "(-0)")),
+    ("sqrt(delta)", XJT, ("0", "0", "0", "0", "0")),
+    ("-sqrt(delta)*p", XJT, ("0", "0", "0", "-sqrt(delta)", "0")),
+    ("sqrt(delta)*q", XJT, ("0", "0", "sqrt(delta)", "0", "0")),
+    ("k/y^2", XJT, ("0", "-(k*(2*y))/(y^2)^2", "0", "0", "0")),
+    ("2*nu", XJT, ("0", "0", "0", "0", "0")),
+    ("k/y", XJT, ("0", "-k/y^2", "0", "0", "0")),
+    ("-nu*p", XJT, ("0", "0", "0", "-nu", "0")),
+    ("nu*q", XJT, ("0", "0", "nu", "0", "0")),
+    ("q^2 + p^2 + x^2 + (y-1)^2", XJT, ("2*x", "2*(y - 1)", "2*q", "2*p", "0")),
+    ("kappa", XJT, ("0", "0", "0", "0", "1")),
+    ("x/y^2", XJT, ("y^2/(y^2)^2", "-(x*(2*y))/(y^2)^2", "0", "0", "0")),
+    ("sin(q)*exp(p) - sqrt(y)*log(y) + cos(x)", XJT,
+     ("-sin(x)", "-(1/(2*sqrt(y))*log(y) + sqrt(y)*(1/y))", "cos(q)*exp(p)", "sin(q)*exp(p)",
+      "0")),
+    ("y^kappa - 3*q^0.5", XJT,
+     ("0", "y^kappa*(kappa*(1/y))", "-(3*(0.5*q^(-0.5)))", "0", "y^kappa*log(y)")),
+]
+
+
+def test_derivative_trees_print_as_before():
+    for source, coordinates, printed in DERIVATIVES_AS_PRINTED:
+        tree = parse(source)
+        assert tuple(str(tree.diff(c)) for c in coordinates) == printed, source
+    catalog = {(str(f.expr), spec.chart.coordinates)
+               for spec in map(manifolds.builtin, manifolds.CATALOG)
+               for form in (spec.theta, spec.omega) for f in form.coeffs.values()}
+    assert catalog <= {(str(parse(s)), c) for s, c, _ in DERIVATIVES_AS_PRINTED}

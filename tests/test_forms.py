@@ -19,6 +19,7 @@ from cosym.charts import (
     ScalarField,
     central_difference,
 )
+from cosym.expressions import EvalError
 from cosym.forms import (
     FormValue,
     KForm,
@@ -435,3 +436,38 @@ def test_strictly_increasing_indices_enforced():
         KForm(CH3, 2, {(1, 0): 1.0})
     with pytest.raises(ValueError):
         KForm(CH3, 2, {(1, 1): 1.0})
+
+
+class TestOneEnvironmentPerWalk:
+    CHART = Chart("plane", ("x", "y"))
+    SPACE = Chart("space", ("x", "y", "z"))
+
+    def test_each_coefficient_reads_its_own_params(self):
+        coeffs = {(0,): ScalarField.parse(self.CHART, "a*x", {"a": 2.0}),
+                  (1,): ScalarField.parse(self.CHART, "a*x + b*y", {"a": 3.0, "b": 5.0})}
+        field = KForm(self.CHART, 1, coeffs)
+        mixed = KForm(self.CHART, 1, {(0,): coeffs[1, ], (1,): coeffs[0, ]})
+        at = (7.0, 11.0)
+        assert field.at(at).coeffs == {(0,): 14.0, (1,): 76.0}
+        assert mixed.at(at).coeffs == {(0,): 76.0, (1,): 14.0}
+        components = (coeffs[0, ], coeffs[1, ])
+        assert VectorField(self.CHART, components).at(at).tolist() == [14.0, 76.0]
+        assert ChartMap(self.CHART, self.CHART, components)(at).values == (14.0, 76.0)
+
+    def test_a_walk_binds_the_coordinates_once(self, monkeypatch):
+        coeffs = {(0, 1): "x*y", (0, 2): ScalarField.parse(self.SPACE, "c*z", {"c": 2.0}),
+                  (1, 2): "x - y"}
+        form = KForm(self.SPACE, 2, coeffs)
+        want = {(0, 1): 6.0, (0, 2): 8.0, (1, 2): -1.0}
+        envs = []
+        env = Chart.env
+        monkeypatch.setattr(Chart, "env", lambda *args: envs.append(1) or env(*args))
+        assert form.at((2.0, 3.0, 4.0)).coeffs == want
+        assert len(envs) == 1
+
+    def test_the_first_failing_coefficient_raises_its_own_error(self):
+        form = KForm(self.CHART, 1, {(0,): "log(x)", (1,): "1/y"})
+        with pytest.raises(EvalError, match="division by zero"):
+            form.at((1.0, 0.0))
+        with pytest.raises(EvalError, match="log"):
+            form.at((-1.0, 0.0))
