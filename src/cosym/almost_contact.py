@@ -25,6 +25,7 @@ Phi_xq differ by E/zeta, and both vanish only if E = 0 and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -35,7 +36,6 @@ from .charts import Chart, ChartPoint, ScalarField, central_difference
 from .forms import KForm, exterior_derivative
 from .manifolds import CHART_XJT, ModelParameters
 
-PHI_COORDS = ("x", "y", "q", "p", "kappa")
 PASS_TOL = 1e-10  # the floor of the largest axiom residual of a passing solution
 # A residual sums products of two entries of Phi (or of zeta and an entry,
 # which is as large), each rounded to eps relative, so it rounds like
@@ -64,6 +64,11 @@ class PhiTensor:
         return self.tau / self.sigma
 
     def rank(self) -> int:
+        return self._rank
+
+    @functools.cached_property
+    def _rank(self) -> int:
+        """The rank, one SVD of Phi per tensor however often it is asked."""
         return int(np.linalg.matrix_rank(self.entries, tol=RANK_TOL))
 
 

@@ -442,7 +442,7 @@ def cmd_phi_solve(args) -> int:
     if args.json_out:
         Path(args.json_out).write_text(text)
     print(text)
-    return EXIT_OK if sol.passes() else EXIT_NUMERICAL
+    return EXIT_OK if doc["passes"] else EXIT_NUMERICAL
 
 
 def cmd_invariant_suite(args) -> int:

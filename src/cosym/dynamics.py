@@ -48,9 +48,9 @@ class HamiltonianFieldCoefficients:
 # --------------------------------------------------------------------------
 
 
-def _field_from(th, solver, R, dH, h) -> np.ndarray:
-    """X_H from flat(X_H) = dH - (R(H) + H) theta and the solver of F."""
-    return _solve(solver, dH - (R @ dH + h) * th)
+def _field_from(th, F, R, dH, h) -> np.ndarray:
+    """X_H from flat(X_H) = dH - (R(H) + H) theta and the flat matrix F."""
+    return _solve(F, dH - (R @ dH + h) * th)
 
 
 def _same_chart(spec: StructureSpec, H: ScalarField) -> None:
@@ -67,11 +67,11 @@ def hamiltonian_field_generic(
 
     The order is theta, Omega, the flat solve, dH, then H, as over the
     stored rows of a trajectory, so a degenerate structure is reported
-    before a failing H.  The solver of the flat matrix F that gives R
-    (:func:`structures.reeb_from`: LU solves where the rank rule is
-    certified, else an SVD) solves every field.  When both keep a kernel,
-    as inside :func:`integrate`, the point is one joint read of the two
-    kernels, one finiteness test and one array whose slices are theta,
+    before a failing H.  The flat matrix F that gives R
+    (:func:`structures.reeb_from`: the certificate or F's singular values
+    decide the rank rule) solves every field by LU.  When both keep a
+    kernel, as inside :func:`integrate`, the point is one joint read of the
+    two kernels, one finiteness test and one array whose slices are theta,
     Omega and dH.  Otherwise, and where that read raises or is not finite,
     theta, Omega and the solve come from ``spec``'s single-point reader and
     H and dH from H's, which walk the trees, so the errors are the walk's;
@@ -93,11 +93,11 @@ def hamiltonian_field_generic(
             m = dim + dim * dim  # theta, Omega row by row, then H and dH
             a = np.array(out, dtype=float)
             th = a[:dim]
-            R, solver = reeb_from(th, a[dim:m].reshape(dim, dim), values)
-            return _field_from(th, solver, R, a[m + 1:], out[m])
-    th, _, R, solver = spec._solved(values)
+            R, F = reeb_from(th, a[dim:m].reshape(dim, dim), values)
+            return _field_from(th, F, R, a[m + 1:], out[m])
+    th, _, R, F = spec._solved(values)
     h, dH = H._at(values)
-    return _field_from(th, solver, R, dH, h)
+    return _field_from(th, F, R, dH, h)
 
 
 def gradient_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
@@ -116,9 +116,9 @@ def evolution_field(spec: StructureSpec, H: ScalarField, at) -> np.ndarray:
             "evolution field needs a cosymplectic structure; %r is not" % spec.name
         )
     point = spec.chart.point(at)
-    _, _, R, solver = spec._solved(point.array)
+    _, _, R, F = spec._solved(point.array)
     dH = H.gradient(point)
-    return _solve(solver, dH) - (R @ dH) * R + R
+    return _solve(F, dH) - (R @ dH) * R + R
 
 
 def hamiltonian_field_closed(
@@ -276,11 +276,11 @@ def jacobi_bracket_generic(
     # before g's, so errors are those of two hamiltonian_field_generic calls
     # in turn.
     point = spec.chart.point(at)
-    th, om, R, solver = spec._solved(point.array)
+    th, om, R, F = spec._solved(point.array)
     fv, df = f.at(point)
     gv, dg = g.at(point)
-    Xf = _field_from(th, solver, R, df, fv)
-    Xg = _field_from(th, solver, R, dg, gv)
+    Xf = _field_from(th, F, R, df, fv)
+    Xg = _field_from(th, F, R, dg, gv)
     return float(Xf @ om @ Xg + fv * (R @ dg) - gv * (R @ df))
 
 

@@ -315,7 +315,8 @@ def pullback(m: ChartMap, f: KForm, at) -> FormValue:
     """Pullback of f through m, evaluated at a source point.
 
     Coefficients transform by Jacobian minors of the exact Jacobian of the
-    map's component fields.
+    map's component fields; a 0-form's one minor is 0 x 0, of determinant
+    1, so it pulls back to f o m on the source chart.
     """
     if f.chart.coordinates != m.target.coordinates:
         raise ChartMismatchError("form does not live on the map's target chart")
@@ -323,8 +324,6 @@ def pullback(m: ChartMap, f: KForm, at) -> FormValue:
     image = m(source_point)
     jac = m.jacobian(source_point)
     fval = f.at(image)
-    if f.degree == 0:
-        return fval
     dim_s = m.source.dimension
     table: dict[tuple[int, ...], float] = {}
     for K in combinations(range(dim_s), f.degree):

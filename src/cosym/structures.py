@@ -9,27 +9,27 @@ theta ^ Omega^n / n! is itself the Pfaffian of [[Omega, theta], [-theta^T, 0]],
 which is how :meth:`StructureSpec.volume_coefficient` computes it.
 The Reeb conditions R ⌟ Omega = 0, R ⌟ theta = 1 say flat(R) = theta, so
 R = sharp(theta) = F^-1 theta: :func:`reeb_from` decides F once, rank- and
-residual-checks R, and keeps a solver of F that solves sharp and every
-Hamiltonian, gradient and evolution field at that point.  Every solve goes
-through numpy's own LAPACK gufuncs: where the determinant certificate of
-:func:`_certified` proves the rank rule, at a point or at every row of a
-stack, F is solved by LU (``solve1``), one LAPACK call per right-hand
-side; elsewhere a point's F is decided and
-solved by its SVD (``np.linalg.svd``), so ``reeb`` equals
-``reeb_from(*spec.at(point))[0]``.  :func:`reeb_from` is the one point
-solve: :meth:`StructureSpec._solved` calls it, and so does
+residual-checks R, and keeps F, which solves sharp and every Hamiltonian,
+gradient and evolution field at that point.  Every solve is one LU solve
+(``solve1``) per right-hand side, through numpy's own LAPACK gufuncs.  The
+rank rule is decided by the determinant certificate of :func:`_certified`
+where it proves the rule, at a point or at every row of a stack, and
+elsewhere by a point's singular values (``np.linalg.svd`` without U and
+V), so ``reeb`` equals ``reeb_from(*spec.at(point))[0]``.
+:func:`reeb_from` is the one point solve: :meth:`StructureSpec._solved`
+calls it, and so does
 :func:`cosym.dynamics.hamiltonian_field_generic` on views of its joint read
 of the kept structure and Hamiltonian kernels.  :func:`reeb_rows` solves
 all rows of a trajectory or probe set: by one batched LU where the
 certificate proves the rank rule at every row, else row by row through
-:func:`reeb_from`; it needs R only, never the solver.  :func:`classify`
+:func:`reeb_from`; it needs R only, never F.  :func:`classify`
 reads theta, Omega, dtheta and dOmega at its probes, the points of
 :func:`halton`, through one kernel of its own, built per call and not kept.
 
 A spec has one cache per use.  The single-point readers,
 :meth:`StructureSpec.at`, :func:`reeb`, :func:`sharp` and the field solves
 of :mod:`cosym.dynamics`, walk theta's and Omega's trees and keep the last
-point: theta and Omega, and once taken, :func:`reeb_from`'s (R, solver)
+point: theta and Omega, and once taken, :func:`reeb_from`'s (R, F)
 there, keyed by the exact bytes of the coordinates.  A repeat reads it, so
 one point is walked and certified once; what they hand out is a copy.
 Public readers check a point before the lookup, and an error is never
@@ -165,7 +165,7 @@ class StructureSpec:
         """[key, theta, Omega, solve] at ``values``: the kept last point when
         the coordinates have its bytes, else a walk of theta's and then
         Omega's trees, whose errors are the reference, kept in its place.
-        ``solve`` is :func:`reeb_from`'s (R, solver) once :meth:`_solved`
+        ``solve`` is :func:`reeb_from`'s (R, F) once :meth:`_solved`
         has taken it.  The kept arrays are shared, so they are read, never
         handed out."""
         key, last = values.tobytes(), self._last
@@ -183,7 +183,7 @@ class StructureSpec:
         return th.copy(), om.copy(), values
 
     def _solved(self, values: np.ndarray):
-        """(theta, Omega, R, solver) at unchecked coordinates: :meth:`at`'s
+        """(theta, Omega, R, F) at unchecked coordinates: :meth:`at`'s
         theta and Omega and :func:`reeb_from`'s solve, each read from the kept
         last point when it is there and kept with it otherwise.  The arrays
         may be the kept ones: read them, and copy what is handed out."""
@@ -582,60 +582,50 @@ def reeb(spec: StructureSpec, at) -> np.ndarray:
 
 
 def reeb_from(th: np.ndarray, om: np.ndarray, values):
-    """R = F^-1 theta and the kept solver of the flat matrix F at one point.
+    """R = F^-1 theta and the flat matrix F at one point.
 
     ``th`` and ``om`` are theta and Omega at the point ``values``, which only
-    labels the errors.  Any other right-hand side b is solved from the
-    solver by :func:`_solve`.  Where :func:`_certified_at` proves the rank
-    rule s_min > eps * dim * s_max (numpy's default ``matrix_rank`` rule),
-    the solver is (F,), and each right-hand side, theta's included, is one
-    LU solve by numpy's LAPACK gufunc ``solve1``.  Elsewhere it is F's SVD
-    by ``np.linalg.svd``, (u, s, vt), and the rank rule is read from s.
-    F is built with :func:`flat_from`'s operations and R as :func:`_solve`
-    takes it, so the bits are theirs; the residual is read from one list of
-    floats, since numpy's per-call cost on arrays this small exceeds the
-    solve's.  ``th`` and ``om`` may be views (a slice of one array and its
-    reshape).  Raises StructureError when F is not finite (checked before
-    the SVD, which need not return on such a matrix), when F fails the rank
-    rule, or when R leaves a residual above 1e-9 in R ⌟ Omega = 0,
-    R ⌟ theta = 1.  Raises numpy's LinAlgError when the SVD does not
-    converge.
+    labels the errors; they may be views (a slice of one array and its
+    reshape).  F is :func:`flat_from`'s, and R, like every other right-hand
+    side at the point, is one LU solve of F by :func:`_solve`.  The rank
+    rule s_min > eps * dim * s_max (numpy's default ``matrix_rank`` rule)
+    is proved by :func:`_certified_at` where it can be, else read from F's
+    singular values (``np.linalg.svd`` without U and V).  The residual is
+    read from one list of floats, since numpy's per-call cost on arrays this
+    small exceeds the solve's.  Raises StructureError when F is not finite
+    (checked before the SVD, which need not return on such a matrix), when
+    F fails the rank rule, or when R leaves a residual above 1e-9 in
+    R ⌟ Omega = 0, R ⌟ theta = 1.  Raises numpy's LinAlgError when the SVD
+    does not converge.
     """
-    F = (om + th[:, None] * th).T  # flat_from's operations, without its stack handling
-    if _certified_at(F):
-        solver = (F,)
-    else:
+    F = flat_from(th, om)
+    if not _certified_at(F):
         if not np.isfinite(F).all():
             _refuse_non_finite(F, values)
-        solver = np.linalg.svd(F)
-        s = solver[1]
+        s = np.linalg.svd(F, compute_uv=False)
         dim = len(s)
         if not s[-1] > _EPS * dim * s[0]:
             raise StructureError(
                 "degenerate structure at %s: flat matrix has rank %d < %d"
                 % (_plain(values), np.count_nonzero(s > _EPS * dim * s[0]), dim)
             )
-    R = _solve(solver, th)
-    # F passed the rank rule, so R and its residual are finite: no NaN can
-    # hide from the max.
+    R = _solve(F, th)
+    # A non-finite entry of R makes every entry of the list inf or NaN, so
+    # the max is inf or NaN and the check refuses it.
     error = max(map(abs, (R @ om).tolist() + [R @ th - 1.0]))
     if not error <= 1e-9:
         raise StructureError(
             "Reeb system inconsistent at %s (residual %.3e)" % (_plain(values), error)
         )
-    return R, solver
+    return R, F
 
 
-def _solve(solver, b: np.ndarray) -> np.ndarray:
-    """X with flat(X) = b, that is F X = b, from :func:`reeb_from`'s solver
-    of F: (F,), solved by LU, or F's SVD (u, s, vt); :func:`reeb_rows`
-    passes a stack as (F,).  A zero of X is +0.0 (LU's substitutions can
-    round to -0.0)."""
-    if len(solver) == 1:
-        x = _umath_linalg.solve1(solver[0], b)
-    else:
-        u, s, vt = solver
-        x = b @ u / s @ vt
+def _solve(F: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X with flat(X) = b, that is F X = b, by one LU solve (numpy's LAPACK
+    gufunc ``solve1``) of the flat matrix F (dim, dim), or of each matrix of
+    a stack (N, dim, dim) as :func:`reeb_rows` passes it.  A zero of X is
+    +0.0 (LU's substitutions can round to -0.0)."""
+    x = _umath_linalg.solve1(F, b)
     x += _ZERO
     return x
 
@@ -670,7 +660,7 @@ def reeb_rows(th: np.ndarray, om: np.ndarray, values) -> np.ndarray:
     if not np.isfinite(F).all():
         _refuse_non_finite(F, values)
     if _certified(F).all():
-        R = _solve((F,), th)  # solve1 over the stack
+        R = _solve(F, th)  # solve1 over the stack
         error = np.maximum(
             np.abs(R[:, None, :] @ om)[:, 0, :].max(axis=1),
             np.abs(np.einsum("ij,ij->i", R, th) - 1.0),
@@ -750,9 +740,9 @@ def flat(spec: StructureSpec, X, at) -> np.ndarray:
 
 
 def sharp(spec: StructureSpec, alpha, at) -> np.ndarray:
-    """Inverse of flat, solved by the solver of F that also gives
+    """Inverse of flat, one LU solve of the flat matrix F that also gives
     R = ♯theta (see :func:`reeb_from`); raises StructureError where
-    :func:`reeb` does.  Repeats at one point reuse the spec's kept solver,
-    so many right-hand sides there cost one certificate and one solve
-    each."""
+    :func:`reeb` does.  Repeats at one point reuse the spec's kept F, so
+    many right-hand sides there cost one decision of the rank rule and one
+    solve each."""
     return _solve(spec._solved(spec.chart.values(at))[3], np.asarray(alpha, dtype=float))

@@ -285,6 +285,18 @@ class TestConfigEntriesAreFlags:
         got = run(capsys, "reeb", "--config", config, "--at", "0.5,2,0")
         assert got == run(capsys, "reeb", "--builtin", "heisenberg", "--at", "0.5,2,0")
 
+
+def test_phi_solve_takes_one_svd_of_phi(capsys, monkeypatch):
+    # the rank key and passes share the one rank of Phi
+    ranks = []
+    matrix_rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank",
+                        lambda *a, **k: ranks.append(1) or matrix_rank(*a, **k))
+    code, out, _ = run(capsys, "phi-solve", "--free", "1,0.5,0.3,-0.2", "--at", "0,1,0.1,0.2,0")
+    doc = json.loads(out)
+    assert (code, doc["rank"], doc["passes"], len(ranks)) == (EXIT_OK, 4, True, 1)
+
+
 class TestSeedFlag:
     def test_only_the_commands_that_draw_random_numbers_take_it(self):
         parser = cli.build_parser()

@@ -665,6 +665,15 @@ class TestIntegrate:
             assert len(flow.times) == len(flow.states) == 5
             assert np.abs(flow.states[:, 0] - flow.times).max() <= 1e-12
 
+    def test_an_rk4_step_past_a_guard_is_an_escape(self):
+        # u' = 1 never fails, so no stage escapes: the step from t = 0.4 ends
+        # at u = 0.5, past the guard, and the check after the step stops the flow
+        chart = Chart("line", ("u",), (Guard("u", 0.45, upper=True),))
+        flow = dynamics._step(lambda y: np.ones(1), chart, (0.0,), 1.0, 0.1, "rk4", 1e-9, 1e-9)
+        assert (flow.escaped, flow.diagnostic) == (True, "domain escape at t=0.5")
+        assert len(flow.times) == len(flow.states) == 5
+        assert np.abs(flow.states[:, 0] - flow.times).max() <= 1e-12
+
     @pytest.mark.parametrize("recorded, kept", [
         ([[0.1, 0.2], [0.3, 1.0], [0.5, 0.9], [0.7, -3.0]], 4),
         ([[0.1, 0.2], [0.3, 1.0], [0.5, np.nan], [0.7, 0.5]], 2),

@@ -30,7 +30,7 @@ from cosym.forms import (
     wedge,
     wedge_values,
 )
-from cosym.manifolds import CHART_XJT, ModelParameters, builtin
+from cosym.manifolds import CHART_DISK, CHART_XJT, ModelParameters, builtin, cayley_map
 from cosym.structures import darboux_chart
 
 CH3 = Chart("c3", ("q", "p", "kappa"))
@@ -407,6 +407,16 @@ def test_pullback_of_wedge_is_wedge_of_pullbacks(rng):
             assert lhs.coeffs.get(idx, 0.0) == pytest.approx(
                 rhs.coeffs.get(idx, 0.0), abs=1e-9
             )
+
+
+def test_pullback_of_a_function_is_the_composite_on_the_source_chart():
+    m = cayley_map()
+    f = KForm(CHART_DISK, 0, {(): "w1 + 2*z2"})
+    pt = (0.3, 1.2, 0.4, -0.2)
+    val = pullback(m, f, pt)
+    assert val.chart.name == "xj1" and val.degree == 0
+    w1, _, _, z2 = m(m.source.point(pt)).values
+    assert val.coeffs == {(): w1 + 2 * z2}
 
 
 def test_fd_gradient_matches_symbolic(rng):

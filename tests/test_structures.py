@@ -51,6 +51,22 @@ class TestClassify:
         assert cls.cos and cls.gtacos and cls.acos
         assert cls.tacs and cls.tacs_epsilon == 0.0
 
+    @pytest.mark.parametrize("theta, eps", [
+        ({"q": "0.5*p"}, 0.5),
+        ({"q": "p*0.5"}, 0.5),
+        ({"q1": "0.5*p1", "q2": "0.25*p2"}, None),  # two epsilons
+        ({"q": "0.5*p", "p": 1.0}, None),  # a dp term
+    ])
+    def test_tacs_epsilon_of_a_scaled_momentum(self, theta, eps):
+        # theta = dkappa + eps p_i dq^i over Omega = dq^i ^ dp_i, with eps a product
+        n = 2 if "q1" in theta else 1
+        chart = darboux_chart(n)
+        pairs = ["q,p"] if n == 1 else ["q%d,p%d" % (i, i) for i in (1, 2)]
+        s = StructureSpec("scaled", chart, KForm.one_form(chart, {"kappa": 1.0, **theta}),
+                          KForm.two_form(chart, dict.fromkeys(pairs, 1.0)), n)
+        cls = s.classification()
+        assert cls.gtacos and (cls.tacs, cls.tacs_epsilon) == (eps is not None, eps)
+
     def test_empty_probe_set_rejected(self):
         with pytest.raises(ValueError):
             classify(darboux_contact_1(), probes=[])
@@ -408,12 +424,12 @@ class TestBuiltOncePerStructure:
                 del degrees[:]
                 th, om, values = s.at(pt)
                 assert degrees == []  # the kept last point: no walk on a repeat
-                R, solver = reeb_from(th, om, values)
+                R, F = reeb_from(th, om, values)
                 h, dH = H.at(pt)
-                np.testing.assert_array_equal(X, dynamics._field_from(th, solver, R, dH, h))
+                np.testing.assert_array_equal(X, dynamics._field_from(th, F, R, dH, h))
                 np.testing.assert_array_equal(R, reeb(s, pt))
-                assert len(solver) == 1  # a certified F, solved by LU
-                np.testing.assert_array_equal(solver[0], s.flat_matrix(pt))
+                assert structures._certified_at(F)  # a certified F, solved by LU
+                np.testing.assert_array_equal(F, s.flat_matrix(pt))
                 np.testing.assert_array_equal(th, s.theta.at(pt).as_covector())
                 np.testing.assert_array_equal(dH, H.gradient(pt))
                 del degrees[:]
@@ -579,11 +595,17 @@ def _refuse_svd(monkeypatch):
 
 def _spy_lapack(monkeypatch, calls):
     """Append "det", "solve1" or "svd" to ``calls`` for each determinant,
-    LU solve or SVD that numpy's LAPACK gufuncs take."""
+    LU solve or SVD that numpy's LAPACK gufuncs take; an SVD that also
+    computes U and V is "svd with U and V"."""
     for owner, name in ((_umath_linalg, "det"), (_umath_linalg, "solve1"), (np.linalg, "svd")):
         real = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k:
-                            calls.append(name) or real(*a, **k))
+
+        def spy(*a, real=real, name=name, **k):
+            with_uv = name == "svd" and k.get("compute_uv", True)
+            calls.append(name + " with U and V" if with_uv else name)
+            return real(*a, **k)
+
+        monkeypatch.setattr(owner, name, spy)
 
 
 class TestReebRows:
@@ -650,15 +672,15 @@ class TestReebRows:
             assert not np.signbit(R).any()
 
     def test_an_unconverged_point_svd_raises_linalg_error(self, monkeypatch):
-        svd_f = _umath_linalg.svd_f
+        svd = _umath_linalg.svd  # the gufunc of singular values only
 
         def unconverged(*args, **kwargs):
             # the gufunc reports LAPACK's failure by the invalid flag, which
             # np.linalg.svd's errstate turns into its LinAlgError
             np.multiply(np.inf, 0.0)
-            return svd_f(*args, **kwargs)
+            return svd(*args, **kwargs)
 
-        monkeypatch.setattr(_umath_linalg, "svd_f", unconverged)
+        monkeypatch.setattr(_umath_linalg, "svd", unconverged)
         # an uncertified point, so that the SVD is taken
         th, om, values = _nearly_degenerate({"kappa": 3e-8}).at((0.1, 0.2, 0.3))
         assert not structures._certified_at(flat_from(th, om))
@@ -888,12 +910,6 @@ class TestRankCertificate:
             np.testing.assert_array_equal(R[k], reeb(s, row))
 
 
-def _svd_solve(th, om):
-    """R and the solver of F as a point's SVD solve gives them."""
-    u, s, vt = np.linalg.svd(flat_from(th, om))
-    return th @ u / s @ vt, (u, s, vt)
-
-
 class TestPointCertificate:
     @settings(max_examples=500, deadline=None)
     @given(flat_matrices())
@@ -929,22 +945,39 @@ class TestPointCertificate:
         np.testing.assert_array_equal(traj.states, expected.states)
         np.testing.assert_array_equal(traj.dissipation_residuals, expected.dissipation_residuals)
 
-    def test_an_uncertified_point_is_solved_by_the_svd_bit_for_bit(self):
+    def test_an_uncertified_point_is_solved_by_lu_bit_for_bit(self):
         # theta = 3e-8 dkappa (det(F / |F|_F) about 3e-16) and dim = 11
-        # (past the certificate's cap) keep the SVD's R and solver
+        # (past the certificate's cap): the SVD decides the rank rule, and
+        # R is F's LU solve, as at a certified point
         cases = [(_nearly_degenerate({"kappa": 3e-8}), [(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)])]
         s = builtin("darboux_contact(5)")
         cases.append((s, s.default_probes(count=8)))
         for s, points in cases:
             for pt in points:
                 th, om, values = s.at(pt)
-                assert not structures._certified_at(flat_from(th, om))
-                R, solver = reeb_from(th, om, values)
-                want_R, want_solver = _svd_solve(th, om)
-                np.testing.assert_array_equal(R, want_R)
-                assert len(solver) == 3
-                for got, want in zip(solver, want_solver):
-                    np.testing.assert_array_equal(got, want)
+                F = flat_from(th, om)
+                assert not structures._certified_at(F)
+                R, kept = reeb_from(th, om, values)
+                assert R.tobytes() == (np.linalg.solve(F, th) + 0.0).tobytes()
+                assert kept.tobytes() == F.tobytes()
+
+    def test_the_svd_decides_only_where_the_certificate_cannot(self, rng, monkeypatch):
+        # R, then X_f and X_g of a bracket, a gradient field and a sharp at
+        # one point: one LU solve each, after the certificate or, where it
+        # cannot prove the rank rule, one SVD without U and V
+        calls = []
+        _spy_lapack(monkeypatch, calls)
+        for s, decision in ((builtin("xjt_gtacos"), ["det"]),
+                            (_nearly_degenerate({"kappa": 3e-8}), ["det", "svd"]),
+                            (builtin("darboux_contact(5)"), ["svd"])):
+            f, g = random_polynomial(s.chart, rng), random_polynomial(s.chart, rng)
+            for _ in range(2):
+                pt = random_point(s.chart, rng)
+                del calls[:]
+                dynamics.jacobi_bracket_generic(s, f, g, pt)
+                dynamics.gradient_field(s, f, pt)
+                sharp(s, np.ones(s.chart.dimension), pt)
+                assert calls == decision + ["solve1"] * 5, s.name
 
 
 @pytest.mark.parametrize("dim", range(1, 10))
